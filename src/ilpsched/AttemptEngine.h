@@ -89,7 +89,9 @@ public:
   /// MinLife rows, ILP on tiny NoObj instances). Never affects the
   /// single-engine backends — a capability this engine lacks belongs in
   /// supports() instead.
-  virtual bool worthRacing(const Problem &P, int II) const { return true; }
+  virtual bool worthRacing(const Problem & /*P*/, int /*II*/) const {
+    return true;
+  }
 
   /// Decides one tentative II. Returns the verified optimal schedule,
   /// or nullopt on infeasibility / censoring / cancellation, with

@@ -45,8 +45,6 @@ bool LuFactor::factor(int Dim_, const std::vector<int> &ColStart,
   EtaVal.clear();
   EtaPos.clear();
   EtaPivot.clear();
-  Mark.assign(Dim, 0);
-  CurMark = 0;
   Work.resize(Dim);
 
   const int BaseNnz = Dim == 0 ? 0 : ColStart[Dim];
@@ -182,95 +180,29 @@ bool LuFactor::factor(int Dim_, const std::vector<int> &ColStart,
   return true;
 }
 
-void LuFactor::collectReach(const std::vector<int> &Start,
-                            const std::vector<int> &Adj,
-                            const std::vector<int> *ToStep) {
-  // Seeds are already marked and on the stack; DFS the static pattern.
-  while (!Stack.empty()) {
-    const int K = Stack.back();
-    Stack.pop_back();
-    Reach.push_back(K);
-    for (int P = Start[K]; P < Start[K + 1]; ++P) {
-      const int Next = ToStep ? (*ToStep)[Adj[P]] : Adj[P];
-      if (Mark[Next] != CurMark) {
-        Mark[Next] = CurMark;
-        Stack.push_back(Next);
-      }
-    }
-  }
-}
-
 void LuFactor::ftran(ScatteredVector &X) {
   assert(Valid && "ftran on an invalid factorization");
   assert(X.size() == Dim && "ftran vector dimension mismatch");
   ++Ftrans;
-  const bool Sparse = useSparseSolve(X.nonzeros());
-  if (Sparse)
-    ++SparseFtrans;
 
   // --- Lower solve, in constraint-row index space.
-  if (Sparse) {
-    ++CurMark;
-    Reach.clear();
-    Stack.clear();
-    for (int R : X.Idx) {
-      const int K = Pinv[R];
-      if (Mark[K] != CurMark) {
-        Mark[K] = CurMark;
-        Stack.push_back(K);
-      }
-    }
-    collectReach(LStart, LRow, &Pinv);
-    std::sort(Reach.begin(), Reach.end());
-    for (int K : Reach) {
-      const double Pv = X.Val[RowOf[K]];
-      if (Pv == 0.0)
-        continue;
-      for (int P = LStart[K]; P < LStart[K + 1]; ++P)
-        X.add(LRow[P], -LVal[P] * Pv);
-    }
-  } else {
-    for (int K = 0; K < Dim; ++K) {
-      const double Pv = X.Val[RowOf[K]];
-      if (Pv == 0.0)
-        continue;
-      for (int P = LStart[K]; P < LStart[K + 1]; ++P)
-        X.add(LRow[P], -LVal[P] * Pv);
-    }
+  for (int K = 0; K < Dim; ++K) {
+    const double Pv = X.Val[RowOf[K]];
+    if (Pv == 0.0)
+      continue;
+    for (int P = LStart[K]; P < LStart[K + 1]; ++P)
+      X.add(LRow[P], -LVal[P] * Pv);
   }
 
   // --- Upper solve. Dependencies flow from step k to steps j < k via
-  // U column k, so process reachable steps in descending order.
-  if (useSparseSolve(X.nonzeros())) {
-    ++CurMark;
-    Reach.clear();
-    Stack.clear();
-    for (int R : X.Idx) {
-      const int K = Pinv[R];
-      if (Mark[K] != CurMark) {
-        Mark[K] = CurMark;
-        Stack.push_back(K);
-      }
-    }
-    collectReach(UStart, URow, nullptr);
-    std::sort(Reach.begin(), Reach.end(), std::greater<int>());
-    for (int K : Reach) {
-      const double T = X.Val[RowOf[K]] / UDiag[K];
-      if (T == 0.0)
-        continue;
-      X.set(RowOf[K], T);
-      for (int P = UStart[K]; P < UStart[K + 1]; ++P)
-        X.add(RowOf[URow[P]], -UVal[P] * T);
-    }
-  } else {
-    for (int K = Dim - 1; K >= 0; --K) {
-      const double T = X.Val[RowOf[K]] / UDiag[K];
-      if (T == 0.0)
-        continue;
-      X.set(RowOf[K], T);
-      for (int P = UStart[K]; P < UStart[K + 1]; ++P)
-        X.add(RowOf[URow[P]], -UVal[P] * T);
-    }
+  // U column k, so sweep the steps in descending order.
+  for (int K = Dim - 1; K >= 0; --K) {
+    const double T = X.Val[RowOf[K]] / UDiag[K];
+    if (T == 0.0)
+      continue;
+    X.set(RowOf[K], T);
+    for (int P = UStart[K]; P < UStart[K + 1]; ++P)
+      X.add(RowOf[URow[P]], -UVal[P] * T);
   }
 
   // --- Permute into basis-position space: out[ColOf[k]] = x[RowOf[k]],
@@ -303,9 +235,6 @@ void LuFactor::btran(ScatteredVector &X) {
   assert(Valid && "btran on an invalid factorization");
   assert(X.size() == Dim && "btran vector dimension mismatch");
   ++Btrans;
-  const bool Sparse = useSparseSolve(X.nonzeros());
-  if (Sparse)
-    ++SparseBtrans;
 
   // --- Eta transpose-inverses, reverse order (dot-product form; each
   // eta is sparse and the file is bounded by the refactor limit).
@@ -331,65 +260,22 @@ void LuFactor::btran(ScatteredVector &X) {
     X.set(K, V);
 
   // --- U^T forward solve: step k feeds steps j > k through Ut row k.
-  if (useSparseSolve(X.nonzeros())) {
-    ++CurMark;
-    Reach.clear();
-    Stack.clear();
-    for (int K : X.Idx) {
-      if (Mark[K] != CurMark) {
-        Mark[K] = CurMark;
-        Stack.push_back(K);
-      }
-    }
-    collectReach(UtStart, UtCol, nullptr);
-    std::sort(Reach.begin(), Reach.end());
-    for (int K : Reach) {
-      const double T = X.Val[K] / UDiag[K];
-      if (T == 0.0)
-        continue;
-      X.set(K, T);
-      for (int P = UtStart[K]; P < UtStart[K + 1]; ++P)
-        X.add(UtCol[P], -UtVal[P] * T);
-    }
-  } else {
-    for (int K = 0; K < Dim; ++K) {
-      const double T = X.Val[K] / UDiag[K];
-      if (T == 0.0)
-        continue;
-      X.set(K, T);
-      for (int P = UtStart[K]; P < UtStart[K + 1]; ++P)
-        X.add(UtCol[P], -UtVal[P] * T);
-    }
+  for (int K = 0; K < Dim; ++K) {
+    const double T = X.Val[K] / UDiag[K];
+    if (T == 0.0)
+      continue;
+    X.set(K, T);
+    for (int P = UtStart[K]; P < UtStart[K + 1]; ++P)
+      X.add(UtCol[P], -UtVal[P] * T);
   }
 
   // --- L^T backward solve: step k feeds steps j < k through Lt row k.
-  if (useSparseSolve(X.nonzeros())) {
-    ++CurMark;
-    Reach.clear();
-    Stack.clear();
-    for (int K : X.Idx) {
-      if (Mark[K] != CurMark) {
-        Mark[K] = CurMark;
-        Stack.push_back(K);
-      }
-    }
-    collectReach(LtStart, LtCol, nullptr);
-    std::sort(Reach.begin(), Reach.end(), std::greater<int>());
-    for (int K : Reach) {
-      const double Pv = X.Val[K];
-      if (Pv == 0.0)
-        continue;
-      for (int P = LtStart[K]; P < LtStart[K + 1]; ++P)
-        X.add(LtCol[P], -LtVal[P] * Pv);
-    }
-  } else {
-    for (int K = Dim - 1; K >= 0; --K) {
-      const double Pv = X.Val[K];
-      if (Pv == 0.0)
-        continue;
-      for (int P = LtStart[K]; P < LtStart[K + 1]; ++P)
-        X.add(LtCol[P], -LtVal[P] * Pv);
-    }
+  for (int K = Dim - 1; K >= 0; --K) {
+    const double Pv = X.Val[K];
+    if (Pv == 0.0)
+      continue;
+    for (int P = LtStart[K]; P < LtStart[K + 1]; ++P)
+      X.add(LtCol[P], -LtVal[P] * Pv);
   }
 
   // --- Permute steps back to constraint rows: out[RowOf[k]] = z[k].

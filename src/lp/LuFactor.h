@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Sparse LU factorization of a simplex basis, with product-form eta
-/// updates between refactorizations and hyper-sparse FTRAN/BTRAN.
+/// updates between refactorizations.
 ///
 /// The factorization is P·B·Q = L·U computed by left-looking
 /// Gilbert-Peierls elimination with threshold-Markowitz pivoting:
@@ -23,9 +23,13 @@
 ///
 /// Index spaces: FTRAN maps a vector indexed by *constraint row* (a
 /// column of A) to one indexed by *basis position*; BTRAN maps basis
-/// position to constraint row. Both solves walk only nonzero positions
-/// when the right-hand side is sparse (reachability over the L/U
-/// dependency graphs), falling back to a full permuted scan otherwise.
+/// position to constraint row. Each triangular solve is one ordered
+/// sweep over the elimination steps, skipping steps that hold an exact
+/// zero. The sweep is not pruned to the steps reachable from the
+/// right-hand side: on the scheduling models the solved vectors are
+/// nearly dense (~114 eta nonzeros per pivot at ~128 rows), so finding
+/// and sorting the reached steps costs more than it skips
+/// (EXPERIMENTS.md E13).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,20 +144,9 @@ public:
   /// zero between solves), never reset by this class' methods except
   /// that they keep counting across factor() calls.
   uint64_t Ftrans = 0;
-  uint64_t SparseFtrans = 0;
   uint64_t Btrans = 0;
-  uint64_t SparseBtrans = 0;
 
 private:
-  /// True when nnz-many seeds are few enough to justify reachability.
-  bool useSparseSolve(int Nnz) const { return Nnz * 8 < Dim; }
-
-  /// Collects into Reach every step reachable from the marked seeds
-  /// through the CSC-ish graph (Start, Adj) where Adj maps a step's
-  /// entries to successor steps via \p ToStep (nullptr = identity).
-  void collectReach(const std::vector<int> &Start, const std::vector<int> &Adj,
-                    const std::vector<int> *ToStep);
-
   int Dim = 0;
   bool Valid = false;
   int Fill = 0;
@@ -186,11 +179,8 @@ private:
   std::vector<int> EtaStart, EtaIdx, EtaPos;
   std::vector<double> EtaVal, EtaPivot;
 
-  /// Scratch: DFS stack / reachable steps / visit stamps / permute
-  /// buffer, reused across solves to stay allocation-free.
-  std::vector<int> Stack, Reach;
-  std::vector<int> Mark;
-  int CurMark = 0;
+  /// Scratch: permute buffer, reused across solves to stay
+  /// allocation-free.
   std::vector<std::pair<int, double>> PermBuf;
   ScatteredVector Work;
   std::vector<int> RowCount;

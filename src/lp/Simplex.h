@@ -63,9 +63,9 @@ const char *toString(LpStatus Status);
 
 /// Which LP engine executes a solve. Dense is the original explicit
 /// m x n tableau (O(m*n) per pivot); SparseRevised is the revised
-/// simplex over a compiled sparse matrix with an LU-factorized basis,
-/// eta updates, and hyper-sparse FTRAN/BTRAN (lp/SparseRevisedSimplex.h)
-/// — the fast path for the paper's 0-1-structured models.
+/// simplex over a compiled sparse matrix with an LU-factorized basis and
+/// eta updates (lp/SparseRevisedSimplex.h) — the fast path for the
+/// paper's 0-1-structured models.
 enum class SimplexEngine : uint8_t { Dense, SparseRevised };
 
 /// Returns a printable name for \p Engine ("dense" / "sparse_revised").

@@ -1,13 +1,12 @@
 //===- lp/SparseRevisedSimplex.cpp - Sparse revised simplex ---------------===//
 //
 // Revised simplex over a compiled sparse matrix: LU-factorized basis
-// with product-form eta updates (lp/LuFactor), hyper-sparse
-// FTRAN/BTRAN, incremental reduced costs, and candidate-list partial
-// pricing. The pivot rules deliberately mirror lp/Simplex.cpp's dense
-// Tableau (same tolerances, same tie-breaks, same Bland anti-cycling
-// fallback, same two-phase / dual-simplex structure) so the engines are
-// interchangeable and differential-testable; only the linear algebra
-// underneath differs.
+// with product-form eta updates (lp/LuFactor), incremental reduced
+// costs, and candidate-list partial pricing. The pivot rules
+// deliberately mirror lp/Simplex.cpp's dense Tableau (same tolerances,
+// same tie-breaks, same Bland anti-cycling fallback, same two-phase /
+// dual-simplex structure) so the engines are interchangeable and
+// differential-testable; only the linear algebra underneath differs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,14 +33,8 @@ modsched::telemetry::Counter
                "product-form eta nonzeros appended to the basis");
 modsched::telemetry::Counter StatFtran("lp", "factor.ftran_solves",
                                        "FTRAN solves");
-modsched::telemetry::Counter
-    StatFtranSparse("lp", "factor.ftran_sparse",
-                    "FTRAN solves taking the hyper-sparse path");
 modsched::telemetry::Counter StatBtran("lp", "factor.btran_solves",
                                        "BTRAN solves");
-modsched::telemetry::Counter
-    StatBtranSparse("lp", "factor.btran_sparse",
-                    "BTRAN solves taking the hyper-sparse path");
 
 /// Reduced-cost sign tolerance for accepting a starting basis as
 /// dual-feasible (matches the dense engine).
@@ -335,7 +328,7 @@ void SparseRevisedSimplex::rebuildDj() {
 }
 
 void SparseRevisedSimplex::computeAlphaRow(int LeaveRow) {
-  // rho = B^-T e_r (hyper-sparse: the seed is a singleton)...
+  // rho = B^-T e_r...
   Rho.clear();
   Rho.set(LeaveRow, 1.0);
   Lu.btran(Rho);
@@ -926,11 +919,7 @@ bool SparseRevisedSimplex::dualFeasible() const {
 
 void SparseRevisedSimplex::flushFactorStats() {
   StatFtran += static_cast<int64_t>(Lu.Ftrans - FtranMark);
-  StatFtranSparse += static_cast<int64_t>(Lu.SparseFtrans - SparseFtranMark);
   StatBtran += static_cast<int64_t>(Lu.Btrans - BtranMark);
-  StatBtranSparse += static_cast<int64_t>(Lu.SparseBtrans - SparseBtranMark);
   FtranMark = Lu.Ftrans;
-  SparseFtranMark = Lu.SparseFtrans;
   BtranMark = Lu.Btrans;
-  SparseBtranMark = Lu.SparseBtrans;
 }

@@ -22,9 +22,9 @@
 ///    of the full Dantzig scan (and a full-scan Bland mode after a run
 ///    of degenerate pivots, for termination).
 ///
-/// Per-pivot work is then proportional to the nonzeros actually touched
-/// — on the paper's 0-1-structured models, a small constant times the
-/// pivot column/row length.
+/// Per-pivot work is then one sweep over the factor's elimination steps
+/// plus the nonzeros actually touched, instead of the dense engine's
+/// O(m*n) tableau update.
 ///
 /// The class mirrors the dense Tableau's lifecycle (initCold /
 /// tryInitWarm / run / runWarm / extractBasis) so SimplexSolver can
@@ -150,8 +150,7 @@ private:
   void rebuildDj();
 
   /// Computes AlphaRow = row \p LeaveRow of B^-1 A (all columns) from
-  /// one hyper-sparse BTRAN of the unit vector; Rho keeps the BTRAN
-  /// image for reuse.
+  /// one BTRAN of the unit vector; Rho keeps the BTRAN image for reuse.
   void computeAlphaRow(int LeaveRow);
 
   /// Shared pivot commitment: incremental Dj update from AlphaRow, the
@@ -251,8 +250,8 @@ private:
   /// Id of the exported basis this engine state realizes (0 = none).
   uint64_t CurrentStamp = 0;
   /// LuFactor tally marks for flushFactorStats deltas.
-  uint64_t FtranMark = 0, SparseFtranMark = 0;
-  uint64_t BtranMark = 0, SparseBtranMark = 0;
+  uint64_t FtranMark = 0;
+  uint64_t BtranMark = 0;
   Stopwatch Clock;
 };
 

@@ -5,6 +5,7 @@
 #include "graph/GraphAlgorithms.h"
 #include "workloads/KernelLibrary.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -122,11 +123,14 @@ modsched::generateSuite(const MachineModel &M, int Count, uint64_t Seed,
   if (IncludeKernels)
     Suite = allKernels(M);
 
+  assert(LargeCap >= 3 && "LargeCap below the smallest loop size");
   Rng R(Seed);
   for (int I = 0; I < Count; ++I) {
     SyntheticOptions Opts;
     // Size bands mirroring the paper's skew: mostly small loops
-    // (median ~9 ops), some medium, a thin tail of large ones.
+    // (median ~9 ops), some medium, a thin tail of large ones. Every
+    // band is clamped to LargeCap, which changes no draw when
+    // LargeCap >= 22.
     double Band = R.nextDouble();
     if (Band < 0.60) {
       Opts.MinOps = 3;
@@ -138,6 +142,8 @@ modsched::generateSuite(const MachineModel &M, int Count, uint64_t Seed,
       Opts.MinOps = 22;
       Opts.MaxOps = LargeCap;
     }
+    Opts.MinOps = std::min(Opts.MinOps, LargeCap);
+    Opts.MaxOps = std::min(Opts.MaxOps, LargeCap);
     DependenceGraph G = generateLoop(M, R, Opts);
     G.setName("synthetic" + std::to_string(I));
     Suite.push_back(std::move(G));

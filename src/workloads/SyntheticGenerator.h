@@ -58,7 +58,8 @@ DependenceGraph generateLoop(const MachineModel &M, Rng &R,
 /// Generates a whole benchmark suite of \p Count loops mixing three size
 /// bands (small/medium/large) in proportions mimicking the paper's
 /// distribution, deterministically from \p Seed. The hand-written kernel
-/// library is prepended when \p IncludeKernels is set.
+/// library is prepended when \p IncludeKernels is set. \p LargeCap
+/// (>= 3) caps every band's loop size.
 std::vector<DependenceGraph> generateSuite(const MachineModel &M, int Count,
                                            uint64_t Seed,
                                            bool IncludeKernels = true,

@@ -6,8 +6,9 @@
 // end-to-end through the optimal scheduler, both engines must agree on
 // feasibility verdicts and on objectives to 1e-6. Also unit-tests the
 // sparse linear-algebra substrate (SparseMatrix compilation caching,
-// LU factorization, eta updates, hyper-sparse FTRAN/BTRAN) and the
-// anti-cycling Bland fallback of both engines on Beale's cycling LP.
+// LU factorization, eta updates, FTRAN/BTRAN) and the anti-cycling
+// Bland fallback of both engines on Beale's cycling LP, and pins the
+// sparse engine's exact solver effort on a few kernels.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -315,6 +317,131 @@ TEST(LuFactor, RejectsZeroPivotEta) {
   EXPECT_EQ(Lu.etaCount(), 0); // Factorization left unchanged.
 }
 
+namespace {
+
+using SparseColumn = std::vector<std::pair<int, double>>;
+
+/// Random column with 1-3 off-diagonal {-1, +1} entries and, when
+/// \p Diag >= 0, a +-4 entry on row Diag (column diagonal dominance
+/// keeps the basis nonsingular).
+SparseColumn randomColumn(Rng &R, int Dim, int Diag) {
+  SparseColumn Col;
+  std::vector<char> Used(Dim, 0);
+  if (Diag >= 0) {
+    Col.push_back({Diag, R.nextBool(0.5) ? 4.0 : -4.0});
+    Used[Diag] = 1;
+  }
+  const int Off = static_cast<int>(R.nextInRange(1, 3));
+  for (int I = 0; I < Off; ++I) {
+    const int Row = static_cast<int>(R.nextBelow(Dim));
+    if (Used[Row])
+      continue;
+    Used[Row] = 1;
+    Col.push_back({Row, R.nextBool(0.5) ? 1.0 : -1.0});
+  }
+  return Col;
+}
+
+/// Right-hand side with 1-3 nonzeros, the shape of a pivot column or a
+/// unit BTRAN seed.
+ScatteredVector sparseRhs(Rng &R, int Dim) {
+  ScatteredVector V;
+  V.resize(Dim);
+  const int Nnz = static_cast<int>(R.nextInRange(1, 3));
+  for (int I = 0; I < Nnz; ++I)
+    V.set(static_cast<int>(R.nextBelow(Dim)),
+          static_cast<double>(R.nextInRange(-3, 3)) + 0.5);
+  return V;
+}
+
+/// max_r |(B x)_r - b_r| for x indexed by basis position.
+double ftranResidual(const std::vector<SparseColumn> &B,
+                     const ScatteredVector &X, const ScatteredVector &Rhs) {
+  std::vector<double> Bx(B.size(), 0.0);
+  for (size_t C = 0; C < B.size(); ++C)
+    for (const auto &[Row, V] : B[C])
+      Bx[Row] += V * X.Val[C];
+  double Worst = 0.0;
+  for (size_t Row = 0; Row < B.size(); ++Row)
+    Worst = std::max(Worst, std::abs(Bx[Row] - Rhs.Val[Row]));
+  return Worst;
+}
+
+/// max_c |(B^T y)_c - c_c| for y indexed by constraint row.
+double btranResidual(const std::vector<SparseColumn> &B,
+                     const ScatteredVector &Y, const ScatteredVector &Rhs) {
+  double Worst = 0.0;
+  for (size_t C = 0; C < B.size(); ++C) {
+    double Dot = 0.0;
+    for (const auto &[Row, V] : B[C])
+      Dot += V * Y.Val[Row];
+    Worst = std::max(Worst, std::abs(Dot - Rhs.Val[C]));
+  }
+  return Worst;
+}
+
+} // namespace
+
+TEST(LuFactor, SparseRhsSolvesOnRealisticBasis) {
+  // A 96-row {-1, 0, +1} basis with a dominant diagonal, factored and
+  // then updated by a few etas. Right-hand sides with 1-3 nonzeros are
+  // the inputs LP pivots feed the solves; the residuals of B x = b and
+  // B^T y = c must stay tiny, and FTRAN through the eta file must match
+  // FTRAN through a fresh factorization of the updated basis.
+  constexpr int Dim = 96;
+  constexpr double PivotTol = 1e-10;
+  Rng R(20261017);
+  std::vector<SparseColumn> B;
+  for (int C = 0; C < Dim; ++C)
+    B.push_back(randomColumn(R, Dim, C));
+  LuFactor Lu;
+  {
+    TinyBasis TB = tinyBasis(Dim, B);
+    ASSERT_TRUE(Lu.factor(Dim, TB.ColStart, TB.Rows, TB.Vals, PivotTol));
+  }
+
+  for (int Round = 0; Round <= 6; ++Round) {
+    if (Round > 0) {
+      // Replace a random position with a column whose pivot element is
+      // comfortably nonzero, keeping the basis nonsingular.
+      for (;;) {
+        const int Pos = static_cast<int>(R.nextBelow(Dim));
+        SparseColumn A = randomColumn(R, Dim, R.nextBool(0.5) ? Pos : -1);
+        ScatteredVector W;
+        W.resize(Dim);
+        for (const auto &[Row, V] : A)
+          W.set(Row, V);
+        Lu.ftran(W);
+        if (std::abs(W.Val[Pos]) < 0.5)
+          continue;
+        ASSERT_TRUE(Lu.update(Pos, W, PivotTol));
+        B[Pos] = A;
+        break;
+      }
+    }
+    ASSERT_EQ(Lu.etaCount(), Round);
+
+    TinyBasis TB = tinyBasis(Dim, B);
+    LuFactor Fresh;
+    ASSERT_TRUE(Fresh.factor(Dim, TB.ColStart, TB.Rows, TB.Vals, PivotTol));
+    for (int Trial = 0; Trial < 20; ++Trial) {
+      const ScatteredVector Rhs = sparseRhs(R, Dim);
+      ScatteredVector X = Rhs, XFresh = Rhs;
+      Lu.ftran(X);
+      Fresh.ftran(XFresh);
+      EXPECT_LE(ftranResidual(B, X, Rhs), 1e-9) << "round " << Round;
+      for (int Pos = 0; Pos < Dim; ++Pos)
+        EXPECT_NEAR(X.Val[Pos], XFresh.Val[Pos], 1e-9)
+            << "round " << Round << " position " << Pos;
+
+      const ScatteredVector Cost = sparseRhs(R, Dim);
+      ScatteredVector Y = Cost;
+      Lu.btran(Y);
+      EXPECT_LE(btranResidual(B, Y, Cost), 1e-9) << "round " << Round;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Engine differential: random LPs
 //===----------------------------------------------------------------------===//
@@ -557,4 +684,52 @@ TEST(SparseSimplex, EndToEndSchedulerMatchesDense) {
   // The budget is generous enough that most of the library certifies
   // under both engines; the comparison must not silently go vacuous.
   EXPECT_GE(Compared, 10);
+}
+
+TEST(SparseSimplex, PinnedSolverEffortOnCydra) {
+  // Exact B&B and LP effort of the sparse engine on a few kernels: the
+  // node LPs' floating-point arithmetic order steers pivoting, and with
+  // it the search tree, so any change to that order (LU solves, eta
+  // application, pricing) moves these counts. complex-multiply runs
+  // into the node budget; the others are decided within it.
+  struct Pin {
+    DependenceGraph (*Kernel)(const MachineModel &);
+    Objective Obj;
+    int64_t Nodes, Iterations, Refactorizations, EtaNonzeros;
+  };
+  const Pin Pins[] = {
+      {livermore1, Objective::MinReg, 68, 2457, 59, 265116},
+      {livermore1, Objective::MinLife, 42, 508, 26, 43126},
+      {complexMultiply, Objective::MinReg, 200, 10401, 210, 1032088},
+      {complexMultiply, Objective::MinLife, 200, 3833, 112, 595623},
+      {secondOrderRecurrence, Objective::MinReg, 54, 1735, 40, 146813},
+      {secondOrderRecurrence, Objective::MinLife, 2, 147, 4, 10030},
+      {livermore3Unrolled2, Objective::MinReg, 50, 890, 30, 46900},
+      {livermore3Unrolled2, Objective::MinLife, 12, 264, 10, 12704},
+      {backSubstitution, Objective::MinReg, 40, 758, 26, 41868},
+      {backSubstitution, Objective::MinLife, 22, 253, 14, 14503},
+  };
+  MachineModel M = MachineModel::cydraLike();
+  for (const Pin &P : Pins) {
+    const DependenceGraph G = P.Kernel(M);
+    SchedulerOptions Opts;
+    Opts.Backend = SchedulerBackend::Ilp;
+    Opts.Formulation.Obj = P.Obj;
+    Opts.Formulation.DepStyle = DependenceStyle::Structured;
+    Opts.LpEngine = SimplexEngine::SparseRevised;
+    Opts.Search = IiSearchKind::Sequential;
+    Opts.NodeLimit = 200;
+    Opts.TimeLimitSeconds = 60.0;
+    Opts.Explain = false;
+    Opts.Cache = false;
+    ScheduleResult R = OptimalModuloScheduler(M, Opts).schedule(G);
+    const std::string What =
+        G.name() + (P.Obj == Objective::MinReg ? " MinReg" : " MinLife");
+    ASSERT_FALSE(R.TimedOut) << What;
+    EXPECT_EQ(R.Found, !R.NodeLimitHit) << What;
+    EXPECT_EQ(R.Nodes, P.Nodes) << What;
+    EXPECT_EQ(R.SimplexIterations, P.Iterations) << What;
+    EXPECT_EQ(R.LpRefactorizations, P.Refactorizations) << What;
+    EXPECT_EQ(R.LpEtaNonzeros, P.EtaNonzeros) << What;
+  }
 }

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 using namespace modsched;
 
 TEST(KernelLibrary, AllKernelsValidate) {
@@ -102,4 +105,54 @@ TEST(Synthetic, DistinctSeedsDiffer) {
   DependenceGraph G1 = generateLoop(M, A);
   DependenceGraph G2 = generateLoop(M, B);
   EXPECT_NE(G1.toString(), G2.toString());
+}
+
+namespace {
+
+/// FNV-1a over the textual form of every loop in \p Suite.
+uint64_t suiteFingerprint(const std::vector<DependenceGraph> &Suite) {
+  uint64_t H = 1469598103934665603ull;
+  for (const DependenceGraph &G : Suite)
+    for (char C : G.toString()) {
+      H ^= static_cast<unsigned char>(C);
+      H *= 1099511628211ull;
+    }
+  return H;
+}
+
+} // namespace
+
+TEST(Synthetic, SuiteDrawPinnedAtLargeCap40) {
+  // The size bands (3-10, 10-22, 22-LargeCap) must keep drawing exactly
+  // these loops: benchmarks and recorded baselines depend on the suite.
+  // Loop 18 comes from the large band at the cap.
+  MachineModel M = MachineModel::cydraLike();
+  std::vector<DependenceGraph> Suite =
+      generateSuite(M, 24, /*Seed=*/2024, /*IncludeKernels=*/false,
+                    /*LargeCap=*/40);
+  const int Ops[] = {8,  10, 11, 20, 7,  19, 5, 21, 10, 6,  22, 4,
+                     3,  12, 17, 18, 7,  4,  40, 22, 6, 18, 5,  20};
+  ASSERT_EQ(Suite.size(), std::size(Ops));
+  for (size_t I = 0; I < Suite.size(); ++I)
+    EXPECT_EQ(Suite[I].numOperations(), Ops[I]) << "loop " << I;
+  EXPECT_EQ(suiteFingerprint(Suite), 0xdc22df5948b00e68ull);
+}
+
+TEST(Synthetic, SuiteHonorsSmallLargeCap) {
+  // A cap below the medium band's upper end clamps every band to it
+  // instead of handing the generator an inverted range.
+  MachineModel M = MachineModel::cydraLike();
+  std::vector<DependenceGraph> Suite =
+      generateSuite(M, 200, /*Seed=*/2024, /*IncludeKernels=*/false,
+                    /*LargeCap=*/16);
+  ASSERT_EQ(Suite.size(), 200u);
+  int AtCap = 0;
+  for (const DependenceGraph &G : Suite) {
+    EXPECT_GE(G.numOperations(), 3) << G.name();
+    EXPECT_LE(G.numOperations(), 16) << G.name();
+    EXPECT_FALSE(G.validate().has_value()) << G.name();
+    AtCap += G.numOperations() == 16;
+  }
+  // The large band (~10% of draws) lands on the cap.
+  EXPECT_GE(AtCap, 10);
 }
