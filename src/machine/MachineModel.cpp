@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstdio>
 
 using namespace modsched;
 
@@ -29,7 +28,7 @@ int MachineModel::addOpClass(std::string Name, int Latency,
   return static_cast<int>(Classes.size()) - 1;
 }
 
-std::optional<int> MachineModel::findOpClass(const std::string &Name) const {
+std::optional<int> MachineModel::findOpClass(std::string_view Name) const {
   for (int C = 0; C < numOpClasses(); ++C)
     if (Classes[C].Name == Name)
       return C;
@@ -78,22 +77,19 @@ uint64_t MachineModel::digest() const {
 }
 
 std::string MachineModel::toString() const {
+  // Names are appended as they are, never through printf: a name may be
+  // long or hold a NUL byte and must still round-trip through the parser.
   std::string Out = "machine " + MachineName + "\n";
-  char Buf[256];
-  for (const ResourceType &R : Resources) {
-    std::snprintf(Buf, sizeof(Buf), "  resource %s x%d\n", R.Name.c_str(),
-                  R.Count);
-    Out += Buf;
-  }
+  for (const ResourceType &R : Resources)
+    Out += "  resource " + R.Name + " x" + std::to_string(R.Count) + "\n";
   for (const OpClass &C : Classes) {
-    std::snprintf(Buf, sizeof(Buf), "  class %s latency=%d uses=",
-                  C.Name.c_str(), C.Latency);
-    Out += Buf;
+    Out += "  class " + C.Name + " latency=" + std::to_string(C.Latency) +
+           " uses=";
     for (size_t U = 0; U < C.Usages.size(); ++U) {
-      std::snprintf(Buf, sizeof(Buf), "%s%s@%d", U ? "," : "",
-                    Resources[C.Usages[U].Resource].Name.c_str(),
-                    C.Usages[U].Cycle);
-      Out += Buf;
+      if (U)
+        Out += ',';
+      Out += Resources[C.Usages[U].Resource].Name + "@" +
+             std::to_string(C.Usages[U].Cycle);
     }
     Out += "\n";
   }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace modsched {
@@ -75,7 +76,7 @@ public:
   const std::vector<OpClass> &opClasses() const { return Classes; }
 
   /// Looks an operation class up by name.
-  std::optional<int> findOpClass(const std::string &Name) const;
+  std::optional<int> findOpClass(std::string_view Name) const;
 
   /// Scheduling-relevant signature of operation class \p C: a 64-bit
   /// digest of its latency and its resource usages, where each usage is

@@ -3,63 +3,69 @@
 #include "service/Protocol.h"
 
 #include "support/Json.h"
+#include "support/TextScan.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <istream>
-#include <sstream>
-#include <vector>
+#include <limits>
 
 using namespace modsched;
 using namespace modsched::service;
 
 namespace {
 
-/// Reads one line with a hard byte cap. Returns false at EOF. A line
-/// longer than \p MaxBytes sets \p Overflow and consumes through the
-/// next newline so the stream position stays line-aligned.
-bool getLineCapped(std::istream &In, std::string &Line, std::size_t MaxBytes,
-                   bool &Overflow) {
-  Line.clear();
+/// Appends one line to \p Out with a hard cap of \p MaxBytes appended
+/// bytes, reading straight from the stream buffer. CRs are dropped
+/// wherever they appear and do not count toward the cap. Returns false at
+/// EOF when nothing was appended. A longer line sets \p Overflow and is
+/// consumed through the next newline so the stream position stays
+/// line-aligned. Reaching EOF sets eofbit and failbit, as istream::get()
+/// does, and a stream that is no longer good() reads as EOF.
+bool appendLineCapped(std::istream &In, std::string &Out, std::size_t MaxBytes,
+                      bool &Overflow) {
+  using Traits = std::istream::traits_type;
   Overflow = false;
-  int C;
-  while ((C = In.get()) != EOF) {
+  if (!In.good()) {
+    In.setstate(std::ios::failbit);
+    return false;
+  }
+  std::streambuf &Buf = *In.rdbuf();
+  std::size_t Start = Out.size();
+  int C = 0;
+  while ((C = Buf.sbumpc()) != Traits::eof()) {
     if (C == '\n')
       return true;
     if (C == '\r')
       continue;
-    if (Line.size() >= MaxBytes) {
+    if (Out.size() - Start >= MaxBytes) {
       Overflow = true;
-      while ((C = In.get()) != EOF && C != '\n')
+      while ((C = Buf.sbumpc()) != Traits::eof() && C != '\n')
         ;
+      if (C == Traits::eof())
+        In.setstate(std::ios::eofbit | std::ios::failbit);
       return true;
     }
-    Line.push_back(static_cast<char>(C));
+    Out.push_back(static_cast<char>(C));
   }
-  return !Line.empty();
+  In.setstate(std::ios::eofbit | std::ios::failbit);
+  return Out.size() != Start;
 }
 
-/// Splits \p Line on runs of spaces/tabs.
-std::vector<std::string> splitTokens(const std::string &Line) {
-  std::vector<std::string> Toks;
-  std::string Cur;
-  for (char C : Line) {
-    if (C == ' ' || C == '\t') {
-      if (!Cur.empty())
-        Toks.push_back(std::move(Cur));
-      Cur.clear();
-    } else {
-      Cur.push_back(C);
-    }
-  }
-  if (!Cur.empty())
-    Toks.push_back(std::move(Cur));
-  return Toks;
+/// Reads one line into \p Line (see appendLineCapped).
+bool getLineCapped(std::istream &In, std::string &Line, std::size_t MaxBytes,
+                   bool &Overflow) {
+  Line.clear();
+  return appendLineCapped(In, Line, MaxBytes, Overflow);
 }
 
-bool parsePositiveDouble(const std::string &S, double &Out) {
-  if (S.empty())
+bool parsePositiveDouble(std::string_view Text, double &Out) {
+  if (Text.empty())
     return false;
+  // strtod's grammar (hex floats, inf/nan, leading whitespace) is the
+  // contract; it needs a NUL-terminated copy.
+  std::string S(Text);
   char *End = nullptr;
   double V = std::strtod(S.c_str(), &End);
   if (End != S.c_str() + S.size() || !(V > 0) || V > 1e9)
@@ -68,21 +74,23 @@ bool parsePositiveDouble(const std::string &S, double &Out) {
   return true;
 }
 
-bool parsePositiveInt64(const std::string &S, std::int64_t &Out) {
+/// Digits only; values past INT64_MAX saturate, as strtoll does.
+bool parsePositiveInt64(std::string_view S, std::int64_t &Out) {
   if (S.empty())
     return false;
   for (char C : S)
     if (!std::isdigit(static_cast<unsigned char>(C)))
       return false;
-  char *End = nullptr;
-  long long V = std::strtoll(S.c_str(), &End, 10);
-  if (End != S.c_str() + S.size() || V <= 0)
+  std::int64_t V = 0;
+  if (std::from_chars(S.data(), S.data() + S.size(), V).ec != std::errc())
+    V = std::numeric_limits<std::int64_t>::max();
+  if (V <= 0)
     return false;
   Out = V;
   return true;
 }
 
-bool validIdToken(const std::string &S) {
+bool validIdToken(std::string_view S) {
   if (S.empty() || S.size() > 128)
     return false;
   for (char C : S)
@@ -92,7 +100,7 @@ bool validIdToken(const std::string &S) {
   return true;
 }
 
-bool validBuiltinMachine(const std::string &S) {
+bool validBuiltinMachine(std::string_view S) {
   return S == "example3" || S == "cydra" || S == "vliw2";
 }
 
@@ -124,47 +132,47 @@ void skipToEnd(std::istream &In, const ProtocolLimits &Limits, Frame &F) {
   F.Fatal = true;
 }
 
-/// Parses the SCHED header tokens into \p Req. Returns empty string on
-/// success, the error message otherwise.
-std::string parseSchedHeader(const std::vector<std::string> &Toks,
-                             Request &Req) {
-  for (std::size_t I = 1; I < Toks.size(); ++I) {
-    const std::string &Tok = Toks[I];
+/// Parses the SCHED header tokens left in \p Toks into \p Req. Returns
+/// empty string on success, the error message otherwise.
+std::string parseSchedHeader(TokenReader &Toks, Request &Req) {
+  std::string_view Tok;
+  while (Toks.next(Tok)) {
     std::size_t Eq = Tok.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 >= Tok.size())
-      return "malformed header token '" + Tok + "' (want key=value)";
-    std::string Key = Tok.substr(0, Eq);
-    std::string Val = Tok.substr(Eq + 1);
+    if (Eq == std::string_view::npos || Eq == 0 || Eq + 1 >= Tok.size())
+      return "malformed header token '" + std::string(Tok) +
+             "' (want key=value)";
+    std::string_view Key = Tok.substr(0, Eq);
+    std::string_view Val = Tok.substr(Eq + 1);
     if (Key == "id") {
       if (!validIdToken(Val))
         return "invalid request id";
       Req.Id = Val;
     } else if (Key == "objective") {
       if (!parseObjectiveName(Val, Req.Obj))
-        return "unknown objective '" + Val +
+        return "unknown objective '" + std::string(Val) +
                "' (want noobj|minreg|minbuff|minlife|minsl)";
     } else if (Key == "dep") {
       if (!parseDepStyleName(Val, Req.DepStyle))
-        return "unknown dependence style '" + Val +
+        return "unknown dependence style '" + std::string(Val) +
                "' (want structured|structured_loose|traditional)";
     } else if (Key == "time") {
       if (!parsePositiveDouble(Val, Req.TimeLimitSeconds))
-        return "invalid time budget '" + Val + "'";
+        return "invalid time budget '" + std::string(Val) + "'";
     } else if (Key == "nodes") {
       if (!parsePositiveInt64(Val, Req.NodeLimit))
-        return "invalid node budget '" + Val + "'";
+        return "invalid node budget '" + std::string(Val) + "'";
     } else if (Key == "maxii") {
       std::int64_t V = 0;
       if (!parsePositiveInt64(Val, V) || V > 4096)
-        return "invalid maxii '" + Val + "'";
+        return "invalid maxii '" + std::string(Val) + "'";
       Req.MaxIiIncrease = static_cast<int>(V);
     } else if (Key == "machine") {
       if (!validBuiltinMachine(Val))
-        return "unknown builtin machine '" + Val +
+        return "unknown builtin machine '" + std::string(Val) +
                "' (want example3|cydra|vliw2)";
       Req.BuiltinMachine = Val;
     } else {
-      return "unknown header key '" + Key + "'";
+      return "unknown header key '" + std::string(Key) + "'";
     }
   }
   if (Req.Id.empty())
@@ -173,15 +181,16 @@ std::string parseSchedHeader(const std::vector<std::string> &Toks,
 }
 
 /// Reads a counted payload section ("MACHINE <n>" / "DDG <n>" already
-/// consumed; \p Count validated by the caller). Returns empty string on
-/// success. Truncation (EOF mid-payload) and oversize are fatal.
+/// consumed; \p Count validated by the caller), appending it to \p Out.
+/// Returns empty string on success. Truncation (EOF mid-payload) and
+/// oversize are fatal.
 std::string readPayload(std::istream &In, const ProtocolLimits &Limits,
                         int Count, std::size_t &BudgetBytes,
                         std::string &Out, bool &Fatal) {
-  std::string Line;
   bool Overflow = false;
   for (int I = 0; I < Count; ++I) {
-    if (!getLineCapped(In, Line, Limits.MaxLineBytes, Overflow)) {
+    std::size_t Start = Out.size();
+    if (!appendLineCapped(In, Out, Limits.MaxLineBytes, Overflow)) {
       Fatal = true;
       return "truncated payload (EOF before all lines arrived)";
     }
@@ -189,12 +198,12 @@ std::string readPayload(std::istream &In, const ProtocolLimits &Limits,
       Fatal = true;
       return "payload line exceeds the line-size limit";
     }
-    if (Line.size() + 1 > BudgetBytes) {
+    std::size_t Bytes = Out.size() - Start + 1;
+    if (Bytes > BudgetBytes) {
       Fatal = true;
       return "payload exceeds the per-frame byte limit";
     }
-    BudgetBytes -= Line.size() + 1;
-    Out += Line;
+    BudgetBytes -= Bytes;
     Out += '\n';
   }
   return "";
@@ -202,7 +211,7 @@ std::string readPayload(std::istream &In, const ProtocolLimits &Limits,
 
 } // namespace
 
-bool modsched::service::parseObjectiveName(const std::string &Name,
+bool modsched::service::parseObjectiveName(std::string_view Name,
                                            Objective &Obj) {
   if (Name == "noobj")
     Obj = Objective::None;
@@ -219,7 +228,7 @@ bool modsched::service::parseObjectiveName(const std::string &Name,
   return true;
 }
 
-bool modsched::service::parseDepStyleName(const std::string &Name,
+bool modsched::service::parseDepStyleName(std::string_view Name,
                                           DependenceStyle &Style) {
   if (Name == "structured")
     Style = DependenceStyle::Structured;
@@ -248,10 +257,10 @@ Frame modsched::service::readFrame(std::istream &In,
                        /*Fatal=*/true);
   } while (Line.empty());
 
-  std::vector<std::string> Toks = splitTokens(Line);
-  if (Toks.empty())
+  TokenReader Toks(Line, Blanks::SpaceTab, /*HashComments=*/false);
+  std::string_view Verb;
+  if (!Toks.next(Verb))
     return makeError("", "empty request line");
-  const std::string &Verb = Toks[0];
 
   if (Verb == "PING") {
     Frame F;
@@ -269,7 +278,7 @@ Frame modsched::service::readFrame(std::istream &In,
     return F;
   }
   if (Verb != "SCHED") {
-    return makeError("", "unknown verb '" + Verb +
+    return makeError("", "unknown verb '" + std::string(Verb) +
                              "' (want SCHED|PING|STATS|QUIT)");
   }
 
@@ -294,8 +303,10 @@ Frame modsched::service::readFrame(std::istream &In,
                        /*Fatal=*/true);
     if (Line == "END")
       break;
-    std::vector<std::string> Sec = splitTokens(Line);
-    if (Sec.size() != 2 || (Sec[0] != "MACHINE" && Sec[0] != "DDG")) {
+    std::string_view Sec[2];
+    if (splitTokens(Line, Sec, Blanks::SpaceTab, /*HashComments=*/false) !=
+            2 ||
+        (Sec[0] != "MACHINE" && Sec[0] != "DDG")) {
       Frame E = makeError(F.Id, "expected 'MACHINE <n>', 'DDG <n>' or "
                                 "'END', got '" +
                                     Line + "'");
@@ -305,8 +316,9 @@ Frame modsched::service::readFrame(std::istream &In,
     std::int64_t Count = 0;
     if ((!parsePositiveInt64(Sec[1], Count) && Sec[1] != "0") ||
         Count > Limits.MaxPayloadLines) {
-      Frame E = makeError(F.Id, "invalid " + Sec[0] + " line count '" +
-                                    Sec[1] + "'");
+      Frame E = makeError(F.Id, "invalid " + std::string(Sec[0]) +
+                                    " line count '" + std::string(Sec[1]) +
+                                    "'");
       skipToEnd(In, Limits, E);
       return E;
     }

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace modsched {
 namespace service {
@@ -106,11 +107,11 @@ Frame readFrame(std::istream &In, const ProtocolLimits &Limits);
 
 /// Parses an objective name ("noobj" / "minreg" / "minbuff" /
 /// "minlife" / "minsl"); false on unknown tokens.
-bool parseObjectiveName(const std::string &Name, Objective &Obj);
+bool parseObjectiveName(std::string_view Name, Objective &Obj);
 
 /// Parses a dependence-style name ("structured" / "structured_loose" /
 /// "traditional"); false on unknown tokens.
-bool parseDepStyleName(const std::string &Name, DependenceStyle &Style);
+bool parseDepStyleName(std::string_view Name, DependenceStyle &Style);
 
 /// One-line JSON error reply for request \p Id (may be empty).
 std::string errorResponse(const std::string &Id, const std::string &Message);

@@ -17,7 +17,7 @@ using namespace modsched::telemetry;
 
 std::atomic<TraceSink *> telemetry::detail::ActiveSink{nullptr};
 std::atomic<bool> telemetry::detail::StatsActive{false};
-thread_local bool telemetry::detail::ShardActive = false;
+constinit thread_local bool telemetry::detail::ShardActive = false;
 
 namespace {
 

@@ -129,7 +129,11 @@ extern std::atomic<bool> StatsActive;
 double nowUs();
 /// True when the calling thread records stats into a thread-local shard
 /// (set by ThreadShardScope). Tested on every counter/timer fast path.
-extern thread_local bool ShardActive;
+/// constinit tells every including translation unit that the flag has
+/// no dynamic initializer, so reads go straight to the TLS slot instead
+/// of through a TLS wrapper call, whose result UBSan's null check
+/// misreports as "load of null pointer of type bool".
+extern constinit thread_local bool ShardActive;
 /// Accumulate into the calling thread's shard (ShardActive threads
 /// only). \p Index is the registration index of the counter/timer.
 void shardAddCounter(uint32_t Index, int64_t N);

@@ -2,41 +2,22 @@
 
 #include "textio/DdgFormat.h"
 
+#include "support/TextScan.h"
+
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <iterator>
 #include <vector>
 
 using namespace modsched;
 
 namespace {
 
-/// Splits a line into whitespace-separated tokens, dropping '#' comments.
-std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Tokens;
-  std::istringstream In(Line);
-  std::string Tok;
-  while (In >> Tok) {
-    if (Tok[0] == '#')
-      break;
-    Tokens.push_back(Tok);
-  }
-  return Tokens;
-}
-
-/// Parses "key=value" with an integer value; returns false on mismatch.
-bool parseKeyInt(const std::string &Tok, const char *Key, int &Out) {
-  std::string Prefix = std::string(Key) + "=";
-  if (Tok.rfind(Prefix, 0) != 0)
-    return false;
-  try {
-    size_t Used = 0;
-    Out = std::stoi(Tok.substr(Prefix.size()), &Used);
-    return Used == Tok.size() - Prefix.size();
-  } catch (...) {
-    return false;
-  }
+/// Parses "<key>=<value>" (\p Key includes the '=') with an int value
+/// under std::stoi's rules; returns false on mismatch.
+bool parseKeyInt(std::string_view Tok, std::string_view Key, int &Out) {
+  return Tok.starts_with(Key) &&
+         parseSignedDecimal(Tok.substr(Key.size()), Out);
 }
 
 std::optional<DependenceGraph> fail(std::string *Error, int LineNo,
@@ -55,61 +36,60 @@ std::optional<DependenceGraph> modsched::parseDdg(const std::string &Text,
                                                   const MachineModel &M,
                                                   std::string *Error) {
   DependenceGraph G;
-  std::map<std::string, int> OpByName;
-  std::istringstream In(Text);
-  std::string Line;
+  NameIndex OpByName; // Ids match operation indices.
+  LineReader Lines(Text);
+  std::string_view Line;
   int LineNo = 0;
 
-  auto LookupOp = [&](const std::string &Name) {
-    auto It = OpByName.find(Name);
-    return It == OpByName.end() ? -1 : It->second;
-  };
-
-  while (std::getline(In, Line)) {
+  while (Lines.next(Line)) {
     ++LineNo;
-    std::vector<std::string> Tok = tokenize(Line);
-    if (Tok.empty())
+    std::string_view Tok[5];
+    std::size_t NumToks = splitTokens(Line, Tok);
+    if (NumToks == 0)
       continue;
+    std::string_view Directive = Tok[0];
 
-    if (Tok[0] == "loop") {
-      if (Tok.size() != 2)
+    if (Directive == "loop") {
+      if (NumToks != 2)
         return fail(Error, LineNo, "expected: loop <name>");
-      G.setName(Tok[1]);
+      G.setName(std::string(Tok[1]));
       continue;
     }
-    if (Tok[0] == "op") {
-      if (Tok.size() != 3)
+    if (Directive == "op") {
+      if (NumToks != 3)
         return fail(Error, LineNo, "expected: op <name> <class>");
-      if (OpByName.count(Tok[1]))
-        return fail(Error, LineNo, "duplicate operation name " + Tok[1]);
+      if (!OpByName.insert(Tok[1]))
+        return fail(Error, LineNo,
+                    "duplicate operation name " + std::string(Tok[1]));
       std::optional<int> Class = M.findOpClass(Tok[2]);
       if (!Class)
-        return fail(Error, LineNo, "unknown operation class " + Tok[2]);
-      OpByName[Tok[1]] = G.addOperation(Tok[1], *Class);
+        return fail(Error, LineNo,
+                    "unknown operation class " + std::string(Tok[2]));
+      G.addOperation(std::string(Tok[1]), *Class);
       continue;
     }
-    if (Tok[0] == "flow" || Tok[0] == "edge") {
-      if (Tok.size() != 5)
+    if (Directive == "flow" || Directive == "edge") {
+      if (NumToks != 5)
         return fail(Error, LineNo,
-                    "expected: " + Tok[0] +
+                    "expected: " + std::string(Directive) +
                         " <src> <dst> latency=<l> omega=<w>");
-      int Src = LookupOp(Tok[1]);
-      int Dst = LookupOp(Tok[2]);
+      int Src = OpByName.find(Tok[1]);
+      int Dst = OpByName.find(Tok[2]);
       if (Src < 0 || Dst < 0)
         return fail(Error, LineNo, "unknown operation in edge");
       int Latency = 0, Omega = 0;
-      if (!parseKeyInt(Tok[3], "latency", Latency) ||
-          !parseKeyInt(Tok[4], "omega", Omega))
+      if (!parseKeyInt(Tok[3], "latency=", Latency) ||
+          !parseKeyInt(Tok[4], "omega=", Omega))
         return fail(Error, LineNo, "malformed latency/omega");
       if (Omega < 0)
         return fail(Error, LineNo, "omega must be non-negative");
-      if (Tok[0] == "flow")
+      if (Directive == "flow")
         G.addFlowDependence(Src, Dst, Latency, Omega);
       else
         G.addSchedEdge(Src, Dst, Latency, Omega);
       continue;
     }
-    return fail(Error, LineNo, "unknown directive " + Tok[0]);
+    return fail(Error, LineNo, "unknown directive " + std::string(Directive));
   }
 
   if (std::optional<std::string> Problem = G.validate())
@@ -126,20 +106,17 @@ modsched::loadDdgFile(const std::string &Path, const MachineModel &M,
       *Error = "cannot open " + Path;
     return std::nullopt;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  return parseDdg(Buffer.str(), M, Error);
+  std::string Text((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  return parseDdg(Text, M, Error);
 }
 
 std::string modsched::printDdg(const DependenceGraph &G,
                                const MachineModel &M) {
+  // Names are appended as they are (see MachineModel::toString).
   std::string Out = "loop " + G.name() + "\n";
-  char Buf[256];
-  for (const Operation &Op : G.operations()) {
-    std::snprintf(Buf, sizeof(Buf), "op %s %s\n", Op.Name.c_str(),
-                  M.opClass(Op.OpClass).Name.c_str());
-    Out += Buf;
-  }
+  for (const Operation &Op : G.operations())
+    Out += "op " + Op.Name + " " + M.opClass(Op.OpClass).Name + "\n";
   // Flow edges are those matching a (def, use, distance) register record;
   // emit them as "flow" and everything else as "edge". Each register use
   // consumes one matching sched edge.
@@ -159,11 +136,9 @@ std::string modsched::printDdg(const DependenceGraph &G,
         break;
       }
     }
-    std::snprintf(Buf, sizeof(Buf), "%s %s %s latency=%d omega=%d\n",
-                  IsFlow ? "flow" : "edge",
-                  G.operation(E.Src).Name.c_str(),
-                  G.operation(E.Dst).Name.c_str(), E.Latency, E.Distance);
-    Out += Buf;
+    Out += (IsFlow ? "flow " : "edge ") + G.operation(E.Src).Name + " " +
+           G.operation(E.Dst).Name + " latency=" + std::to_string(E.Latency) +
+           " omega=" + std::to_string(E.Distance) + "\n";
   }
   return Out;
 }

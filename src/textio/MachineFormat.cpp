@@ -2,26 +2,14 @@
 
 #include "textio/MachineFormat.h"
 
+#include "support/TextScan.h"
+
 #include <cstdio>
-#include <map>
-#include <sstream>
 #include <vector>
 
 using namespace modsched;
 
 namespace {
-
-std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Tokens;
-  std::istringstream In(Line);
-  std::string Tok;
-  while (In >> Tok) {
-    if (Tok[0] == '#')
-      break;
-    Tokens.push_back(Tok);
-  }
-  return Tokens;
-}
 
 std::optional<MachineModel> fail(std::string *Error, int LineNo,
                                  const std::string &Message) {
@@ -34,7 +22,7 @@ std::optional<MachineModel> fail(std::string *Error, int LineNo,
 }
 
 /// Parses a non-negative integer; returns -1 on failure.
-int parseInt(const std::string &S) {
+int parseInt(std::string_view S) {
   if (S.empty())
     return -1;
   int Value = 0;
@@ -53,68 +41,69 @@ int parseInt(const std::string &S) {
 std::optional<MachineModel> modsched::parseMachine(const std::string &Text,
                                                    std::string *Error) {
   MachineModel M;
-  std::map<std::string, int> ResourceByName;
-  std::istringstream In(Text);
-  std::string Line;
+  NameIndex ResourceByName; // Ids match resource indices.
+  LineReader Lines(Text);
+  std::string_view Line;
   int LineNo = 0;
 
-  while (std::getline(In, Line)) {
+  while (Lines.next(Line)) {
     ++LineNo;
-    std::vector<std::string> Tok = tokenize(Line);
-    if (Tok.empty())
+    std::string_view Tok[4];
+    std::size_t NumToks = splitTokens(Line, Tok);
+    if (NumToks == 0)
       continue;
 
     if (Tok[0] == "machine") {
-      if (Tok.size() != 2)
+      if (NumToks != 2)
         return fail(Error, LineNo, "expected: machine <name>");
-      M.setName(Tok[1]);
+      M.setName(std::string(Tok[1]));
       continue;
     }
     if (Tok[0] == "resource") {
-      if (Tok.size() != 3 || Tok[2].empty() || Tok[2][0] != 'x')
+      if (NumToks != 3 || !Tok[2].starts_with('x'))
         return fail(Error, LineNo, "expected: resource <name> x<count>");
       int Count = parseInt(Tok[2].substr(1));
       if (Count <= 0)
         return fail(Error, LineNo, "resource count must be positive");
-      if (ResourceByName.count(Tok[1]))
-        return fail(Error, LineNo, "duplicate resource " + Tok[1]);
-      ResourceByName[Tok[1]] = M.addResource(Tok[1], Count);
+      if (!ResourceByName.insert(Tok[1]))
+        return fail(Error, LineNo, "duplicate resource " + std::string(Tok[1]));
+      M.addResource(std::string(Tok[1]), Count);
       continue;
     }
     if (Tok[0] == "class") {
-      if (Tok.size() != 4 || Tok[2].rfind("latency=", 0) != 0 ||
-          Tok[3].rfind("uses=", 0) != 0)
+      if (NumToks != 4 || !Tok[2].starts_with("latency=") ||
+          !Tok[3].starts_with("uses="))
         return fail(Error, LineNo,
                     "expected: class <name> latency=<l> uses=<r>@<c>,...");
       int Latency = parseInt(Tok[2].substr(8));
       if (Latency < 0)
         return fail(Error, LineNo, "malformed latency");
       if (M.findOpClass(Tok[1]))
-        return fail(Error, LineNo, "duplicate class " + Tok[1]);
+        return fail(Error, LineNo, "duplicate class " + std::string(Tok[1]));
 
       std::vector<ResourceUsage> Usages;
-      std::string UsesSpec = Tok[3].substr(5);
-      std::istringstream UseIn(UsesSpec);
-      std::string Item;
-      while (std::getline(UseIn, Item, ',')) {
+      LineReader Items(Tok[3].substr(5), ',');
+      std::string_view Item;
+      while (Items.next(Item)) {
         if (Item.empty())
           continue;
-        size_t At = Item.find('@');
-        if (At == std::string::npos)
+        std::size_t At = Item.find('@');
+        if (At == std::string_view::npos)
           return fail(Error, LineNo, "usage must be <resource>@<cycle>");
-        std::string ResName = Item.substr(0, At);
+        std::string_view ResName = Item.substr(0, At);
+        int Resource = ResourceByName.find(ResName);
+        if (Resource < 0)
+          return fail(Error, LineNo,
+                      "unknown resource " + std::string(ResName));
         int Cycle = parseInt(Item.substr(At + 1));
-        auto It = ResourceByName.find(ResName);
-        if (It == ResourceByName.end())
-          return fail(Error, LineNo, "unknown resource " + ResName);
         if (Cycle < 0)
           return fail(Error, LineNo, "malformed usage cycle");
-        Usages.push_back({It->second, Cycle});
+        Usages.push_back({Resource, Cycle});
       }
-      M.addOpClass(Tok[1], Latency, std::move(Usages));
+      M.addOpClass(std::string(Tok[1]), Latency, std::move(Usages));
       continue;
     }
-    return fail(Error, LineNo, "unknown directive " + Tok[0]);
+    return fail(Error, LineNo, "unknown directive " + std::string(Tok[0]));
   }
 
   if (M.numOpClasses() == 0)

@@ -2,6 +2,8 @@
 
 #include "textio/OpbFormat.h"
 
+#include "support/TextScan.h"
+
 #include <algorithm>
 #include <sstream>
 
@@ -29,27 +31,6 @@ struct SignedLhs {
   std::vector<std::pair<pb::Var, int64_t>> Terms;
   int64_t Constant = 0;
 };
-
-bool parseInt(const std::string &Tok, int64_t &Out) {
-  if (Tok.empty())
-    return false;
-  size_t I = 0;
-  bool Neg = false;
-  if (Tok[I] == '+' || Tok[I] == '-') {
-    Neg = Tok[I] == '-';
-    ++I;
-  }
-  if (I == Tok.size())
-    return false;
-  int64_t Val = 0;
-  for (; I < Tok.size(); ++I) {
-    if (Tok[I] < '0' || Tok[I] > '9')
-      return false;
-    Val = Val * 10 + (Tok[I] - '0');
-  }
-  Out = Neg ? -Val : Val;
-  return true;
-}
 
 } // namespace
 
@@ -105,61 +86,61 @@ std::optional<OpbProblem> modsched::parseOpbFormat(const std::string &Text,
   // First pass over lines: recover the writer's objective-constant
   // comment, drop every other comment, and join the remaining text so
   // statements can span lines until their ';'.
-  std::ostringstream Joined;
-  {
-    std::istringstream Lines(Text);
-    std::string Line;
-    while (std::getline(Lines, Line)) {
-      size_t First = Line.find_first_not_of(" \t\r");
-      if (First == std::string::npos)
-        continue;
-      if (Line[First] == '*') {
-        std::istringstream Comment(Line.substr(First + 1));
-        std::string A, B;
-        int64_t C = 0;
-        std::string CTok;
-        if (Comment >> A >> B >> CTok && A == "objective" &&
-            B == "constant" && parseInt(CTok, C))
-          P.ObjectiveConstant = C;
-        continue;
-      }
-      Joined << Line << "\n";
+  std::string Joined;
+  LineReader Lines(Text);
+  std::string_view Line;
+  while (Lines.next(Line)) {
+    size_t First = Line.find_first_not_of(" \t\r");
+    if (First == std::string_view::npos)
+      continue;
+    if (Line[First] == '*') {
+      TokenReader Comment(Line.substr(First + 1), Blanks::Whitespace,
+                          /*HashComments=*/false);
+      std::string_view A, B, CTok;
+      int64_t C = 0;
+      if (Comment.next(A) && Comment.next(B) && Comment.next(CTok) &&
+          A == "objective" && B == "constant" &&
+          parseSignedDecimal(CTok, C))
+        P.ObjectiveConstant = C;
+      continue;
     }
+    Joined += Line;
+    Joined += '\n';
   }
 
   // Statement scan: "min:" objective or "<terms> REL <rhs> ;" rows.
-  std::istringstream In(Joined.str());
-  std::string Tok;
-  while (In >> Tok) {
+  TokenReader In(Joined, Blanks::Whitespace, /*HashComments=*/false);
+  std::string_view Tok;
+  while (In.next(Tok)) {
     bool IsObjective = Tok == "min:";
     if (IsObjective) {
       if (P.HasObjective)
         return Fail("duplicate objective line");
       P.HasObjective = true;
-      if (!(In >> Tok))
+      if (!In.next(Tok))
         return Fail("unterminated objective");
     }
 
     // Accumulate the statement's terms in signed variable form (a
     // negated literal c * ~x folds into -c * x plus the constant c).
     SignedLhs Lhs;
-    std::string Rel;
+    std::string_view Rel;
     for (;;) {
       if (Tok == ";" || Tok == ">=" || Tok == "=" || Tok == "<=") {
         Rel = Tok;
         break;
       }
       int64_t Coeff = 0;
-      if (!parseInt(Tok, Coeff))
-        return Fail("malformed coefficient '" + Tok + "'");
-      if (!(In >> Tok))
+      if (!parseSignedDecimal(Tok, Coeff))
+        return Fail("malformed coefficient '" + std::string(Tok) + "'");
+      if (!In.next(Tok))
         return Fail("dangling coefficient at end of input");
       bool Negated = !Tok.empty() && Tok[0] == '~';
-      std::string Name = Negated ? Tok.substr(1) : Tok;
+      std::string_view Name = Negated ? Tok.substr(1) : Tok;
       int64_t VarNum = 0;
       if (Name.size() < 2 || Name[0] != 'x' ||
-          !parseInt(Name.substr(1), VarNum) || VarNum <= 0)
-        return Fail("malformed literal '" + Tok + "'");
+          !parseSignedDecimal(Name.substr(1), VarNum) || VarNum <= 0)
+        return Fail("malformed literal '" + std::string(Tok) + "'");
       MaxVar = std::max(MaxVar, int(VarNum));
       if (Negated) {
         Lhs.Terms.push_back({pb::Var(VarNum - 1), -Coeff});
@@ -167,7 +148,7 @@ std::optional<OpbProblem> modsched::parseOpbFormat(const std::string &Text,
       } else {
         Lhs.Terms.push_back({pb::Var(VarNum - 1), Coeff});
       }
-      if (!(In >> Tok))
+      if (!In.next(Tok))
         return Fail("unterminated statement");
     }
 
@@ -182,11 +163,11 @@ std::optional<OpbProblem> modsched::parseOpbFormat(const std::string &Text,
     if (Rel == ";")
       return Fail("constraint without relation");
 
-    std::string RhsTok;
+    std::string_view RhsTok;
     int64_t Rhs = 0;
-    if (!(In >> RhsTok) || !parseInt(RhsTok, Rhs))
+    if (!In.next(RhsTok) || !parseSignedDecimal(RhsTok, Rhs))
       return Fail("malformed right-hand side");
-    if (!(In >> RhsTok) || RhsTok != ";")
+    if (!In.next(RhsTok) || RhsTok != ";")
       return Fail("constraint not terminated by ';'");
 
     // Normalize into >=-rows over positive-coefficient literals:

@@ -28,7 +28,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -167,37 +169,60 @@ TEST(ServiceProtocol, NegativeCorpusNeverAborts) {
     const char *Name;
     std::string Text;
     bool Fatal;
+    const char *Error;
   };
   const Case Corpus[] = {
-      {"unknown verb", "FROB x\n", false},
-      {"missing id", "SCHED machine=example3\nEND\n", false},
-      {"bad id token", "SCHED id=bad!chars\nEND\n", false},
-      {"unknown key", "SCHED id=a wat=1\nEND\n", false},
-      {"bad objective", "SCHED id=a objective=fastest\nEND\n", false},
-      {"bad dep style", "SCHED id=a dep=quantum\nEND\n", false},
-      {"bad time", "SCHED id=a time=-5\nEND\n", false},
-      {"bad nodes", "SCHED id=a nodes=zero\nEND\n", false},
-      {"bad maxii", "SCHED id=a maxii=99999\nEND\n", false},
-      {"bad builtin", "SCHED id=a machine=pdp11\nEND\n", false},
-      {"bad section", "SCHED id=a machine=example3\nBOGUS 3\nEND\n", false},
-      {"bad count", "SCHED id=a machine=example3\nDDG nope\nEND\n", false},
+      {"unknown verb", "FROB x\n", false,
+       "unknown verb 'FROB' (want SCHED|PING|STATS|QUIT)"},
+      {"missing id", "SCHED machine=example3\nEND\n", false,
+       "missing id=<token>"},
+      {"bad id token", "SCHED id=bad!chars\nEND\n", false,
+       "invalid request id"},
+      {"unknown key", "SCHED id=a wat=1\nEND\n", false,
+       "unknown header key 'wat'"},
+      {"bad objective", "SCHED id=a objective=fastest\nEND\n", false,
+       "unknown objective 'fastest' "
+       "(want noobj|minreg|minbuff|minlife|minsl)"},
+      {"bad dep style", "SCHED id=a dep=quantum\nEND\n", false,
+       "unknown dependence style 'quantum' "
+       "(want structured|structured_loose|traditional)"},
+      {"bad time", "SCHED id=a time=-5\nEND\n", false,
+       "invalid time budget '-5'"},
+      {"bad nodes", "SCHED id=a nodes=zero\nEND\n", false,
+       "invalid node budget 'zero'"},
+      {"bad maxii", "SCHED id=a maxii=99999\nEND\n", false,
+       "invalid maxii '99999'"},
+      {"bad builtin", "SCHED id=a machine=pdp11\nEND\n", false,
+       "unknown builtin machine 'pdp11' (want example3|cydra|vliw2)"},
+      {"bad section", "SCHED id=a machine=example3\nBOGUS 3\nEND\n", false,
+       "expected 'MACHINE <n>', 'DDG <n>' or 'END', got 'BOGUS 3'"},
+      {"bad count", "SCHED id=a machine=example3\nDDG nope\nEND\n", false,
+       "invalid DDG line count 'nope'"},
       {"count too large",
-       "SCHED id=a machine=example3\nDDG 999999999\nEND\n", false},
+       "SCHED id=a machine=example3\nDDG 999999999\nEND\n", false,
+       "invalid DDG line count '999999999'"},
       {"duplicate ddg",
-       "SCHED id=a machine=example3\nDDG 1\nx\nDDG 1\ny\nEND\n", false},
+       "SCHED id=a machine=example3\nDDG 1\nx\nDDG 1\ny\nEND\n", false,
+       "duplicate DDG section"},
       {"machine conflict",
-       "SCHED id=a machine=example3\nMACHINE 1\nm\nDDG 1\nx\nEND\n", false},
-      {"missing ddg", "SCHED id=a machine=example3\nEND\n", false},
-      {"missing machine", "SCHED id=a\nDDG 1\nx\nEND\n", false},
+       "SCHED id=a machine=example3\nMACHINE 1\nm\nDDG 1\nx\nEND\n", false,
+       "MACHINE section conflicts with machine=<builtin>"},
+      {"missing ddg", "SCHED id=a machine=example3\nEND\n", false,
+       "missing DDG section"},
+      {"missing machine", "SCHED id=a\nDDG 1\nx\nEND\n", false,
+       "missing machine (MACHINE section or machine=<builtin>)"},
       {"truncated payload",
-       "SCHED id=a machine=example3\nDDG 5\nonly one line\n", true},
-      {"truncated frame", "SCHED id=a machine=example3\nDDG 1\nx\n", true},
-      {"eof mid header payload", "SCHED id=a machine=example3\nDDG 2\nx", true},
+       "SCHED id=a machine=example3\nDDG 5\nonly one line\n", true,
+       "truncated payload (EOF before all lines arrived)"},
+      {"truncated frame", "SCHED id=a machine=example3\nDDG 1\nx\n", true,
+       "truncated frame (EOF before END)"},
+      {"eof mid header payload", "SCHED id=a machine=example3\nDDG 2\nx",
+       true, "truncated payload (EOF before all lines arrived)"},
   };
   for (const Case &C : Corpus) {
     Frame F = parseOne(C.Text);
     EXPECT_EQ(F.Kind, FrameKind::Error) << C.Name;
-    EXPECT_FALSE(F.Error.empty()) << C.Name;
+    EXPECT_EQ(F.Error, C.Error) << C.Name;
     EXPECT_EQ(F.Fatal, C.Fatal) << C.Name << ": " << F.Error;
   }
 }
@@ -237,6 +262,249 @@ TEST(ServiceProtocol, NonFatalErrorLeavesStreamAligned) {
   ASSERT_EQ(Good.Kind, FrameKind::Sched);
   EXPECT_EQ(Good.Req.Id, "good");
   EXPECT_EQ(readFrame(In, Limits).Kind, FrameKind::Eof);
+}
+
+TEST(ServiceProtocol, PinnedFrames) {
+  // Kind, fatality, best-effort id and either the exact error string
+  // (Error frames) or the exact DDG payload text (SCHED frames).
+  struct Case {
+    const char *Name;
+    std::string Text;
+    FrameKind Kind;
+    bool Fatal;
+    const char *Id;
+    std::string Detail;
+  };
+  const std::string Sched = "SCHED id=a machine=example3\n";
+  const std::string Header = "expected 'MACHINE <n>', 'DDG <n>' or 'END', ";
+  const Case Corpus[] = {
+      {"payload with CR",
+       "SCHED id=a machine=example3\r\nDDG 2\r\nop a add\r\nop b\r add\r\n"
+       "END\r\n",
+       FrameKind::Sched, false, "a", "op a add\nop b add\n"},
+      {"CR-only lines between frames", "\r\n\r\r\nPING\r\n", FrameKind::Ping,
+       false, "", ""},
+      {"truncated mid-payload line",
+       "SCHED id=t machine=example3\nDDG 3\nop a add\nop b ad",
+       FrameKind::Error, true, "t",
+       "truncated payload (EOF before all lines arrived)"},
+      {"truncated after the last payload line",
+       "SCHED id=t machine=example3\nDDG 2\nop a add\nop b ad",
+       FrameKind::Error, true, "t", "truncated frame (EOF before END)"},
+      {"truncated inside END", Sched + "DDG 1\nx\nEN", FrameKind::Error,
+       false, "a", Header + "got 'EN'"},
+      {"END without newline", Sched + "DDG 1\nx\nEND", FrameKind::Sched,
+       false, "a", "x\n"},
+      {"tabs and runs of blanks",
+       "SCHED\tid=a \t machine=example3  \nDDG\t1\n x \t\nEND\n",
+       FrameKind::Sched, false, "a", " x \t\n"},
+      {"vertical tab is not a blank", "SCHED id=a\vmachine=example3\nEND\n",
+       FrameKind::Error, false, "", "invalid request id"},
+      {"hash is not a comment", "SCHED id=a #c\nEND\n", FrameKind::Error,
+       false, "a", "malformed header token '#c' (want key=value)"},
+      {"blank-only request line", "  \t \nEND\n", FrameKind::Error, false,
+       "", "empty request line"},
+      {"empty value", "SCHED id=a machine=\nEND\n", FrameKind::Error, false,
+       "a", "malformed header token 'machine=' (want key=value)"},
+      {"empty key", "SCHED =a\nEND\n", FrameKind::Error, false, "",
+       "malformed header token '=a' (want key=value)"},
+      {"no equals", "SCHED id\nEND\n", FrameKind::Error, false, "",
+       "malformed header token 'id' (want key=value)"},
+      {"first error wins", "SCHED id=a wat=1 objective=fastest\nEND\n",
+       FrameKind::Error, false, "a", "unknown header key 'wat'"},
+      {"id parsed before the error is kept", "SCHED id=keep wat=1\nEND\n",
+       FrameKind::Error, false, "keep", "unknown header key 'wat'"},
+      {"later id wins", "SCHED id=a id=b machine=example3\nDDG 1\nx\nEND\n",
+       FrameKind::Sched, false, "b", "x\n"},
+      {"id length cap", "SCHED id=" + std::string(129, 'i') + "\nEND\n",
+       FrameKind::Error, false, "", "invalid request id"},
+      {"value keeps later equals", "SCHED id=a=b\nEND\n", FrameKind::Error,
+       false, "", "invalid request id"},
+      {"verb only", "SCHED\nEND\n", FrameKind::Error, false, "",
+       "missing id=<token>"},
+      {"verb case", "ping\n", FrameKind::Error, false, "",
+       "unknown verb 'ping' (want SCHED|PING|STATS|QUIT)"},
+      {"verb with arguments", "PING extra words\n", FrameKind::Ping, false,
+       "", ""},
+      {"leading blanks before verb", "  STATS\n", FrameKind::Stats, false, "",
+       ""},
+      {"zero count", Sched + "DDG 0\nEND\n", FrameKind::Sched, false, "a",
+       ""},
+      {"padded zero count", Sched + "DDG 00\nEND\n", FrameKind::Error, false,
+       "a", "invalid DDG line count '00'"},
+      {"negative count", Sched + "DDG -1\nEND\n", FrameKind::Error, false,
+       "a", "invalid DDG line count '-1'"},
+      {"plus count", Sched + "DDG +1\nx\nEND\n", FrameKind::Error, false, "a",
+       "invalid DDG line count '+1'"},
+      {"huge count", Sched + "DDG 99999999999999999999\nEND\n",
+       FrameKind::Error, false, "a",
+       "invalid DDG line count '99999999999999999999'"},
+      {"machine count", "SCHED id=a\nMACHINE x\nEND\n", FrameKind::Error,
+       false, "a", "invalid MACHINE line count 'x'"},
+      {"section arity", Sched + "DDG 1 2\nEND\n", FrameKind::Error, false,
+       "a", Header + "got 'DDG 1 2'"},
+      {"END with trailing blank", Sched + "DDG 1\nx\nEND \n",
+       FrameKind::Error, false, "a", Header + "got 'END '"},
+      {"lowercase section", Sched + "ddg 1\nx\nEND\n", FrameKind::Error,
+       false, "a", Header + "got 'ddg 1'"},
+      {"payload lines are raw", Sched + "DDG 3\nEND\n\n# x\nEND\n",
+       FrameKind::Sched, false, "a", "END\n\n# x\n"},
+      {"duplicate machine",
+       "SCHED id=a\nMACHINE 1\nm\nMACHINE 1\nn\nDDG 1\nx\nEND\n",
+       FrameKind::Error, false, "a", "duplicate MACHINE section"},
+      {"empty machine section is not a machine",
+       "SCHED id=a\nMACHINE 0\nDDG 1\nx\nEND\n", FrameKind::Error, false, "a",
+       "missing machine (MACHINE section or machine=<builtin>)"},
+      {"empty machine section may repeat",
+       "SCHED id=a\nMACHINE 0\nMACHINE 1\nm\nDDG 1\nx\nEND\n",
+       FrameKind::Sched, false, "a", "x\n"},
+      {"hex time", "SCHED id=a time=0x10 machine=example3\nDDG 0\nEND\n",
+       FrameKind::Sched, false, "a", ""},
+      {"nan time", "SCHED id=a time=nan\nEND\n", FrameKind::Error, false, "a",
+       "invalid time budget 'nan'"},
+      {"time cap", "SCHED id=a time=1e9 time=1.5e9\nEND\n", FrameKind::Error,
+       false, "a", "invalid time budget '1.5e9'"},
+      {"partly numeric time", "SCHED id=a time=5s\nEND\n", FrameKind::Error,
+       false, "a", "invalid time budget '5s'"},
+      {"plus nodes", "SCHED id=a nodes=+5\nEND\n", FrameKind::Error, false,
+       "a", "invalid node budget '+5'"},
+      {"zero nodes", "SCHED id=a nodes=0\nEND\n", FrameKind::Error, false,
+       "a", "invalid node budget '0'"},
+      {"zero maxii", "SCHED id=a maxii=0\nEND\n", FrameKind::Error, false,
+       "a", "invalid maxii '0'"},
+      {"huge maxii", "SCHED id=a maxii=99999999999999999999\nEND\n",
+       FrameKind::Error, false, "a", "invalid maxii '99999999999999999999'"},
+  };
+  for (const Case &C : Corpus) {
+    Frame F = parseOne(C.Text);
+    ASSERT_EQ(F.Kind, C.Kind) << C.Name << ": " << F.Error;
+    EXPECT_EQ(F.Fatal, C.Fatal) << C.Name;
+    EXPECT_EQ(F.Id, C.Id) << C.Name;
+    if (C.Kind == FrameKind::Error) {
+      EXPECT_EQ(F.Error, C.Detail) << C.Name;
+    } else if (C.Kind == FrameKind::Sched) {
+      EXPECT_EQ(F.Req.DdgText, C.Detail) << C.Name;
+    }
+  }
+}
+
+TEST(ServiceProtocol, PinnedHeaderValues) {
+  Frame F = parseOne("SCHED id=x.y:z_1-2 time=0x10 nodes=99999999999999999999 "
+                     "maxii=4096 machine=cydra objective=noobj "
+                     "dep=structured_loose\nDDG 0\nEND\n");
+  ASSERT_EQ(F.Kind, FrameKind::Sched) << F.Error;
+  EXPECT_EQ(F.Req.Id, "x.y:z_1-2");
+  EXPECT_DOUBLE_EQ(F.Req.TimeLimitSeconds, 16.0);
+  EXPECT_EQ(F.Req.NodeLimit, INT64_MAX) << "strtoll saturates";
+  EXPECT_EQ(F.Req.MaxIiIncrease, 4096);
+  EXPECT_EQ(F.Req.BuiltinMachine, "cydra");
+  EXPECT_EQ(F.Req.Obj, Objective::None);
+  EXPECT_EQ(F.Req.DepStyle, DependenceStyle::StructuredLoose);
+  EXPECT_EQ(F.Req.MachineText, "");
+
+  Frame M = parseOne("SCHED id=m\nMACHINE 2\r\nmachine m\r\n\tclass x\r\n"
+                     "DDG 1\nop a x\nEND\n");
+  ASSERT_EQ(M.Kind, FrameKind::Sched) << M.Error;
+  EXPECT_EQ(M.Req.MachineText, "machine m\n\tclass x\n");
+  EXPECT_EQ(M.Req.DdgText, "op a x\n");
+}
+
+TEST(ServiceProtocol, PinnedLimitErrors) {
+  ProtocolLimits Tight;
+  Tight.MaxLineBytes = 10;
+  Tight.MaxPayloadLines = 3;
+  Tight.MaxPayloadBytes = 12;
+  struct Case {
+    const char *Name;
+    std::string Text;
+    FrameKind Kind;
+    bool Fatal;
+    std::string Error;
+  };
+  const Case Corpus[] = {
+      {"line at the cap", "STATS     \n", FrameKind::Stats, false, ""},
+      {"CR does not count toward the cap", "PING\r\r\r\r\r\r\r\r\r\r\n",
+       FrameKind::Ping, false, ""},
+      {"request line over the cap", "PING       \n", FrameKind::Error, true,
+       "request line exceeds the line-size limit"},
+      {"blank line over the cap", "           \nPING\n", FrameKind::Error, true,
+       "request line exceeds the line-size limit"},
+      {"section line over the cap", "SCHED id=a\nDDG 1      \nx\nEND\n",
+       FrameKind::Error, true, "request line exceeds the line-size limit"},
+      {"payload line over the cap", "SCHED id=a\nDDG 1\n12345678901\nEND\n",
+       FrameKind::Error, true, "payload line exceeds the line-size limit"},
+      {"payload at the byte limit",
+       "SCHED id=a\nMACHINE 1\n12345\nDDG 1\n12345\nEND\n", FrameKind::Sched,
+       false, ""},
+      {"payload over the byte limit",
+       "SCHED id=a\nMACHINE 1\n12345\nDDG 1\n123456\nEND\n", FrameKind::Error,
+       true, "payload exceeds the per-frame byte limit"},
+      {"count over the line limit", "SCHED id=a\nDDG 4\nEND\n",
+       FrameKind::Error, false, "invalid DDG line count '4'"},
+      {"count at the line limit", "SCHED id=a\nDDG 3\n1\n2\n3\nEND\n",
+       FrameKind::Error, false,
+       "missing machine (MACHINE section or machine=<builtin>)"},
+  };
+  for (const Case &C : Corpus) {
+    Frame F = parseOne(C.Text, Tight);
+    ASSERT_EQ(F.Kind, C.Kind) << C.Name << ": " << F.Error;
+    EXPECT_EQ(F.Fatal, C.Fatal) << C.Name;
+    EXPECT_EQ(F.Error, C.Error) << C.Name;
+  }
+}
+
+TEST(ServiceProtocol, PinnedResyncSequence) {
+  // Frame boundaries after errors: a header error skips through END, an
+  // empty request line skips nothing, and EOF is sticky.
+  std::istringstream In("FROB\nSCHED id=a wat=1\nDDG 1\nEND\nEND\n \n"
+                        "PING\nSCHED id=b machine=example3\nDDG 1\nx\n"
+                        "END\n\n\n");
+  ProtocolLimits Limits;
+  std::vector<std::pair<FrameKind, std::string>> Seen;
+  for (int I = 0; I < 8; ++I) {
+    Frame F = readFrame(In, Limits);
+    Seen.push_back({F.Kind, F.Kind == FrameKind::Sched ? F.Id : F.Error});
+  }
+  const std::vector<std::pair<FrameKind, std::string>> Want = {
+      {FrameKind::Error, "unknown verb 'FROB' (want SCHED|PING|STATS|QUIT)"},
+      {FrameKind::Error, "unknown header key 'wat'"},
+      {FrameKind::Error, "unknown verb 'END' (want SCHED|PING|STATS|QUIT)"},
+      {FrameKind::Error, "empty request line"},
+      {FrameKind::Ping, ""},
+      {FrameKind::Sched, "b"},
+      {FrameKind::Eof, ""},
+      {FrameKind::Eof, ""},
+  };
+  EXPECT_EQ(Seen, Want);
+  EXPECT_TRUE(In.eof());
+}
+
+TEST(ServiceServer, PinnedPayloadErrors) {
+  // Payload parse errors reach the client verbatim behind a prefix.
+  Server S(quickOptions());
+  std::string Ddg = exampleDdg();
+  std::string Input = "SCHED id=d1 machine=example3\nDDG 2\n"
+                      "op a add\nop a mul\nEND\n";
+  Input += "SCHED id=d2 machine=example3\nDDG 1\n"
+           "edge a b latency=1 omega=0\nEND\n";
+  Input += "SCHED id=m1\nMACHINE 2\nresource r x1\r\n"
+           "class a latency=1 uses=r@0,,q@1\nDDG " +
+           std::to_string(countLines(Ddg)) + "\n" + Ddg + "END\n";
+  Input += "SCHED id=m2\nMACHINE 1\nmachine m\nDDG " +
+           std::to_string(countLines(Ddg)) + "\n" + Ddg + "END\n";
+  std::vector<std::string> Lines = serve(S, Input + "QUIT\n");
+  ASSERT_EQ(Lines.size(), 4u);
+  std::vector<std::pair<std::string, std::string>> Got;
+  for (const std::string &L : Lines)
+    Got.push_back({field(L, "id"), field(L, "error")});
+  std::sort(Got.begin(), Got.end());
+  const std::vector<std::pair<std::string, std::string>> Want = {
+      {"d1", "bad ddg: line 2: duplicate operation name a"},
+      {"d2", "bad ddg: line 1: unknown operation in edge"},
+      {"m1", "bad machine: line 2: unknown resource q"},
+      {"m2", "bad machine: line 1: machine defines no operation classes"},
+  };
+  EXPECT_EQ(Got, Want);
 }
 
 TEST(ServiceServer, SolvesAndServesFromCacheOnResubmission) {

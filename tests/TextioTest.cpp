@@ -263,3 +263,179 @@ TEST(OpbFormat, SchedulingModelRoundTrips) {
   OpbProblem Again = *P;
   EXPECT_EQ(writeOpbFormat(Again), Text);
 }
+
+//===----------------------------------------------------------------------===//
+// Pinned .ddg parser behaviour: accept/reject and the exact error text
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One pinned parseDdg case: the input, and either the expected printDdg
+/// rendering of the accepted graph or the exact error string.
+struct DdgPin {
+  const char *Name;
+  std::string Text;
+  bool Accept;
+  std::string Expected;
+};
+
+const char *const TwoOps = "op a add\nop b add\n";
+
+std::string edgeLine(const std::string &Latency, const std::string &Omega) {
+  return std::string(TwoOps) + "edge a b latency=" + Latency +
+         " omega=" + Omega + "\n";
+}
+
+} // namespace
+
+TEST(DdgFormat, PinnedAcceptRejectAndErrors) {
+  const std::string Chain = "loop loop\nop a add\nop b add\n"
+                            "flow a b latency=1 omega=0\n";
+  const DdgPin Pins[] = {
+      // Line endings and whitespace.
+      {"crlf", "loop t\r\nop a add\r\nop b add\r\nflow a b latency=1 "
+               "omega=0\r\n",
+       true, "loop t\nop a add\nop b add\nflow a b latency=1 omega=0\n"},
+      {"tabs", "op\ta\tadd\nop b\t\tadd\nflow\ta b\tlatency=1 omega=0\n",
+       true, Chain},
+      {"vt and ff", "op\va\fadd\nop b add\nflow a\fb latency=1\vomega=0\n",
+       true, Chain},
+      {"blank and whitespace-only lines",
+       "\n   \n\t\nop a add\n \r\n\v\f\nop b add\nflow a b latency=1 "
+       "omega=0\n\n",
+       true, Chain},
+      {"no final newline", "op a add\nop b add\nflow a b latency=1 omega=0",
+       true, Chain},
+      {"empty text", "", true, "loop loop\n"},
+      {"error line counts blank lines", "\n\n# c\n\nop a warp\n", false,
+       "line 5: unknown operation class warp"},
+      {"crlf error line", "op a add\r\nop a add\r\n", false,
+       "line 2: duplicate operation name a"},
+      // Comments.
+      {"leading comment", "# header\n#\n  # indented\nop a add\nop b add\n"
+                          "flow a b latency=1 omega=0\n",
+       true, Chain},
+      {"mid-line comment", "op a add # trailing words\nop b add #\n"
+                           "flow a b latency=1 omega=0 #x y z\n",
+       true, Chain},
+      {"comment hides extra tokens", "loop t #x extra\n", true, "loop t\n"},
+      {"hash inside token", "op a#b add\nop c add\n"
+                            "edge a#b c latency=1 omega=0\n",
+       true, "loop loop\nop a#b add\nop c add\n"
+             "edge a#b c latency=1 omega=0\n"},
+      {"hash inside class token", "op a add#x\n", false,
+       "line 1: unknown operation class add#x"},
+      {"comment cuts arity", "op a # add\n", false,
+       "line 1: expected: op <name> <class>"},
+      // Integers.
+      {"plus latency", edgeLine("+5", "0"), true,
+       "loop loop\nop a add\nop b add\nedge a b latency=5 omega=0\n"},
+      {"negative latency", edgeLine("-3", "0"), true,
+       "loop loop\nop a add\nop b add\nedge a b latency=-3 omega=0\n"},
+      {"plus omega", edgeLine("0", "+2"), true,
+       "loop loop\nop a add\nop b add\nedge a b latency=0 omega=2\n"},
+      {"leading zeros", edgeLine("007", "-0"), true,
+       "loop loop\nop a add\nop b add\nedge a b latency=7 omega=0\n"},
+      {"int max and min", edgeLine("-2147483648", "2147483647"), true,
+       "loop loop\nop a add\nop b add\n"
+       "edge a b latency=-2147483648 omega=2147483647\n"},
+      {"negative omega", edgeLine("1", "-1"), false,
+       "line 3: omega must be non-negative"},
+      {"hex latency", edgeLine("0x10", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"empty latency", edgeLine("", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"empty omega", edgeLine("1", ""), false,
+       "line 3: malformed latency/omega"},
+      {"huge latency", edgeLine("99999999999", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"int max plus one", edgeLine("2147483648", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"int min minus one", edgeLine("-2147483649", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"plus minus", edgeLine("+-5", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"double plus", edgeLine("++5", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"bare sign", edgeLine("-", "+"), false,
+       "line 3: malformed latency/omega"},
+      {"partly consumed", edgeLine("5x", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"decimal", edgeLine("1.0", "0"), false,
+       "line 3: malformed latency/omega"},
+      {"swapped keys", std::string(TwoOps) + "edge a b omega=0 latency=1\n",
+       false, "line 3: malformed latency/omega"},
+      {"key case", std::string(TwoOps) + "edge a b LATENCY=1 omega=0\n",
+       false, "line 3: malformed latency/omega"},
+      {"malformed before negative omega",
+       std::string(TwoOps) + "edge a b latency=x omega=-1\n", false,
+       "line 3: malformed latency/omega"},
+      // Names and directives.
+      {"duplicate op", "op a add\nop b mul\nop a sub\n", false,
+       "line 3: duplicate operation name a"},
+      {"duplicate op before class check", "op a add\nop a warp\n", false,
+       "line 2: duplicate operation name a"},
+      {"unknown class", "op a warp\n", false,
+       "line 1: unknown operation class warp"},
+      {"unknown src", "op a add\nflow ghost a latency=1 omega=0\n", false,
+       "line 2: unknown operation in edge"},
+      {"unknown dst", "op a add\nedge a ghost latency=1 omega=0\n", false,
+       "line 2: unknown operation in edge"},
+      {"unknown op before bad numbers", "op a add\nedge a ghost x y\n",
+       false, "line 2: unknown operation in edge"},
+      {"op used before defined",
+       "op a add\nflow a b latency=1 omega=0\nop b add\n", false,
+       "line 2: unknown operation in edge"},
+      {"self edge", "op a add\nflow a a latency=1 omega=1\n", true,
+       "loop loop\nop a add\nflow a a latency=1 omega=1\n"},
+      {"loop arity", "loop\n", false, "line 1: expected: loop <name>"},
+      {"loop extra", "loop a b\n", false, "line 1: expected: loop <name>"},
+      {"op arity", "op a add x\n", false,
+       "line 1: expected: op <name> <class>"},
+      {"flow arity", "op a add\nflow a a latency=1\n", false,
+       "line 2: expected: flow <src> <dst> latency=<l> omega=<w>"},
+      {"edge arity", "edge a b latency=1 omega=0 extra\n", false,
+       "line 1: expected: edge <src> <dst> latency=<l> omega=<w>"},
+      {"unknown directive", "frob x y\n", false,
+       "line 1: unknown directive frob"},
+      {"directive case", "OP a add\n", false,
+       "line 1: unknown directive OP"},
+      {"later loop name wins", "loop x\nloop y\n", true, "loop y\n"},
+      {"error text is capped at 255 bytes",
+       "op a " + std::string(300, 'k') + "\n", false,
+       "line 1: unknown operation class " + std::string(223, 'k')},
+  };
+  MachineModel M = MachineModel::example3();
+  for (const DdgPin &P : Pins) {
+    std::string Error;
+    std::optional<DependenceGraph> G = parseDdg(P.Text, M, &Error);
+    ASSERT_EQ(G.has_value(), P.Accept) << P.Name << ": " << Error;
+    if (P.Accept) {
+      EXPECT_EQ(printDdg(*G, M), P.Expected) << P.Name;
+    } else {
+      EXPECT_EQ(Error, P.Expected) << P.Name;
+    }
+  }
+}
+
+TEST(DdgFormat, PinnedFlowAndEdgeStructure) {
+  // A flow line is a sched edge plus a register use; an edge line is
+  // only the sched edge. Parallel flow/edge pairs keep their order.
+  MachineModel M = MachineModel::example3();
+  std::string Error;
+  auto G = parseDdg("op a add\nop b add\n"
+                    "edge a b latency=2 omega=0\n"
+                    "flow a b latency=1 omega=0\n"
+                    "flow a b latency=3 omega=1\n"
+                    "flow b a latency=1 omega=2\n",
+                    M, &Error);
+  ASSERT_TRUE(G.has_value()) << Error;
+  ASSERT_EQ(G->numSchedEdges(), 4);
+  EXPECT_EQ(G->schedEdges()[0].Latency, 2);
+  EXPECT_EQ(G->schedEdges()[3].Distance, 2);
+  ASSERT_EQ(G->numRegisters(), 2);
+  EXPECT_EQ(G->registers()[0].Def, 0);
+  ASSERT_EQ(G->registers()[0].Uses.size(), 2u);
+  EXPECT_EQ(G->registers()[0].Uses[1].Distance, 1);
+  EXPECT_EQ(G->registers()[1].Def, 1);
+}
