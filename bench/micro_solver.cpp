@@ -313,10 +313,10 @@ BENCHMARK(BM_PbVsIlp)
 void BM_PortfolioVsBest(benchmark::State &State) {
   // Three-way backend race on the fixed 12-op MinBuff loop: the single
   // engines (Arg 0 = ILP, Arg 1 = PB) against the portfolio backend
-  // (Arg 2) racing both per II with cross-engine bound sharing and the
-  // persistent PB session. All three arms must agree on II and
-  // objective; main() derives the portfolio_vs_best_* headline metrics
-  // (virtual best = faster single engine) from the three records. On a
+  // (Arg 2) racing both per II with cross-engine bound sharing. All
+  // three arms must agree on II and objective; main() derives the
+  // portfolio_vs_best_* headline metrics (virtual best = faster single
+  // engine) from the three records. On a
   // single-core host the racing arms time-slice, so the portfolio lands
   // between the engines rather than at the virtual best — the records
   // report whatever this machine measures.

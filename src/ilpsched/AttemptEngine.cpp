@@ -312,8 +312,7 @@ PbEngine::solveAttempt(AttemptContext &C) const {
   IiAttempt &Attempt = C.Attempt;
   PortfolioEngineHooks *Hooks = C.Hooks;
 
-  pb::AttemptSession *Session = Hooks ? Hooks->Session : nullptr;
-  PbFormulation F(G, M, II, FOpts, /*ExplainGroups=*/false, Session);
+  PbFormulation F(G, M, II, FOpts);
   Attempt.Variables = F.numVariables();
   Attempt.Constraints = F.numConstraints();
   const int Slack = FOpts.ScheduleLengthSlack;
@@ -324,8 +323,6 @@ PbEngine::solveAttempt(AttemptContext &C) const {
                         explainInfeasibleIi(G, M, II, Slack));
     return std::nullopt; // II infeasible within the window budget.
   }
-  if (Hooks && Hooks->PhaseHint)
-    F.seedPhases(*Hooks->PhaseHint);
 
   lp::SolveContext LocalCtx;
   lp::SolveContext &Ctx = C.Ctx ? *C.Ctx : LocalCtx;
@@ -334,20 +331,6 @@ PbEngine::solveAttempt(AttemptContext &C) const {
   pb::Solver &S = F.solver();
   S.DeadlineSeconds = Ctx.DeadlineSeconds;
   S.Cancel = Ctx.Cancel;
-
-  // Retire the session attempt (hardening its gate so learned clauses
-  // stay sound for the next II) and unhook the restart callback on
-  // every exit path — the persistent solver must never carry another
-  // attempt's wiring.
-  struct RetireOnExit {
-    pb::Solver &S;
-    pb::AttemptSession *Session;
-    ~RetireOnExit() {
-      S.OnRestart = nullptr;
-      if (Session && Session->attemptOpen())
-        Session->endAttempt();
-    }
-  } Retire{S, Session};
 
   // PB effort accounting on every exit path, mirroring PublishOnExit:
   // conflicts are the backend's "nodes" and feed the shared budget.

@@ -9,8 +9,8 @@
 /// of a Problem implements AttemptEngine, and everything an attempt
 /// needs — the problem, the deterministic budget ledger, the deadline /
 /// cancellation context, the telemetry scope, and the portfolio wiring
-/// (shared-incumbent cell, persistent PB session, phase hints) — rides
-/// in one AttemptContext instead of being threaded ad hoc.
+/// (shared-incumbent cell, race pool) — rides in one AttemptContext
+/// instead of being threaded ad hoc.
 ///
 ///   IlpEngine        LP-relaxation branch-and-bound (the default).
 ///   PbEngine         conflict-driven pseudo-Boolean search.
@@ -35,12 +35,13 @@
 #include "ilpsched/OptimalScheduler.h"
 #include "sched/Problem.h"
 
+#include <memory>
 #include <optional>
 #include <vector>
 
 namespace modsched {
 
-struct PortfolioState; // ilpsched/PortfolioAttempt.h
+class ThreadPool; // support/ThreadPool.h
 
 /// Everything one solve attempt carries through the seam.
 struct AttemptContext {
@@ -60,12 +61,13 @@ struct AttemptContext {
   /// truthfully on every exit path.
   IiAttempt &Attempt;
   /// Portfolio wiring (shared-incumbent cell, incumbent publication,
-  /// persistent PB session, phase hints, refutation flags); null
-  /// outside a race. Engines ignore the fields they have no use for.
+  /// refutation flags); null outside a race. Engines ignore the fields
+  /// they have no use for.
   PortfolioEngineHooks *Hooks = nullptr;
-  /// Loop-level portfolio race state; non-null iff the PortfolioEngine
-  /// is (transitively) running this attempt.
-  PortfolioState *State = nullptr;
+  /// Holder of the loop-level pool the PortfolioEngine races on,
+  /// created by the loop's first race and reused by the rest of its II
+  /// ladder. Required by the PortfolioEngine; other engines ignore it.
+  std::unique_ptr<ThreadPool> *RacePool = nullptr;
 };
 
 /// One exact engine capable of deciding "is there a schedule at this II,

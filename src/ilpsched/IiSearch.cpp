@@ -2,8 +2,6 @@
 
 #include "ilpsched/IiSearch.h"
 
-#include "ilpsched/PortfolioAttempt.h"
-#include "ilpsched/WorkerState.h"
 #include "lp/SolveContext.h"
 #include "support/Cancellation.h"
 #include "support/Telemetry.h"
@@ -62,26 +60,12 @@ IiSearchStrategy::~IiSearchStrategy() = default;
 
 void SequentialIiSearch::search(const OptimalModuloScheduler &Sched,
                                 const Problem &P, ScheduleResult &Result,
-                                SchedulerWorkerState *Worker) const {
+                                lp::SolveContext *Ctx) const {
   const SchedulerOptions &Opts = Sched.options();
   Stopwatch Watch;
-  // Portfolio backend: one race state for the whole II ladder, so the
-  // persistent PB session and phase hints carry across attempts. With a
-  // worker state the session outlives this loop entirely — learned
-  // clauses from earlier requests stay live behind their retired gates.
-  std::unique_ptr<PortfolioState> Local;
-  PortfolioState *Portfolio = nullptr;
-  if (Opts.Backend == SchedulerBackend::Portfolio) {
-    if (Worker) {
-      if (!Worker->Portfolio)
-        Worker->Portfolio = std::make_unique<PortfolioState>();
-      Portfolio = Worker->Portfolio.get();
-    } else {
-      Local = std::make_unique<PortfolioState>();
-      Portfolio = Local.get();
-    }
-  }
-  lp::SolveContext *Ctx = Worker ? &Worker->Ctx : nullptr;
+  // Portfolio backend: the first racing attempt creates the race pool
+  // and the rest of the II ladder reuses it.
+  std::unique_ptr<ThreadPool> RacePool;
   for (int II = Result.Mii; II <= Result.Mii + Opts.MaxIiIncrease; ++II) {
     double Remaining = Opts.TimeLimitSeconds - Watch.seconds();
     if (Remaining <= 0) {
@@ -93,7 +77,7 @@ void SequentialIiSearch::search(const OptimalModuloScheduler &Sched,
       break;
     }
     std::optional<ModuloSchedule> S =
-        Sched.scheduleAtIi(P, II, Result, Remaining, Ctx, Portfolio);
+        Sched.scheduleAtIi(P, II, Result, Remaining, Ctx, &RacePool);
     if (Result.TimedOut || Result.NodeLimitHit)
       break;
     if (S) {
@@ -128,21 +112,15 @@ struct RaceSlot {
 
 void ParallelRaceIiSearch::search(const OptimalModuloScheduler &Sched,
                                   const Problem &P, ScheduleResult &Result,
-                                  SchedulerWorkerState *) const {
+                                  lp::SolveContext *) const {
   const SchedulerOptions &Opts = Sched.options();
   Stopwatch Watch;
   ThreadPool Pool(Jobs);
   const int MaxII = Result.Mii + Opts.MaxIiIncrease;
 
-  // Portfolio backend: one race state per slot index, reused across
-  // waves (the Pool.wait() barrier serializes accesses), so each slot
-  // lane keeps a persistent PB session for the IIs it walks.
-  std::vector<std::unique_ptr<PortfolioState>> PortfolioStates;
-  if (Opts.Backend == SchedulerBackend::Portfolio) {
-    PortfolioStates.resize(size_t(Jobs));
-    for (std::unique_ptr<PortfolioState> &P : PortfolioStates)
-      P = std::make_unique<PortfolioState>();
-  }
+  // Portfolio backend: one race pool per slot index, reused across
+  // waves (the Pool.wait() barrier serializes accesses).
+  std::vector<std::unique_ptr<ThreadPool>> RacePools(static_cast<size_t>(Jobs));
 
   for (int Base = Result.Mii; Base <= MaxII;) {
     double Remaining = Opts.TimeLimitSeconds - Watch.seconds();
@@ -173,14 +151,13 @@ void ParallelRaceIiSearch::search(const OptimalModuloScheduler &Sched,
 
     for (int I = 0; I < NumSlots; ++I) {
       RaceSlot &Slot = Slots[I];
-      PortfolioState *Portfolio =
-          PortfolioStates.empty() ? nullptr : PortfolioStates[size_t(I)].get();
+      std::unique_ptr<ThreadPool> *RacePool = &RacePools[size_t(I)];
       Pool.submit([&Sched, &P, &Slots, &Slot, &WinnerMutex, &WinnerII,
-                   Remaining, Base, NumSlots, Portfolio]() {
+                   Remaining, Base, NumSlots, RacePool]() {
         lp::SolveContext Ctx;
         Ctx.Cancel = Slot.Cancel.token();
         Slot.Schedule = Sched.scheduleAtIi(P, Slot.II, Slot.Stats, Remaining,
-                                           &Ctx, Portfolio);
+                                           &Ctx, RacePool);
         if (!Slot.Schedule)
           return;
         std::lock_guard<std::mutex> Lock(WinnerMutex);

@@ -42,12 +42,12 @@ public:
 
   /// Runs the search over Problem \p P. \p Result.Mii must already
   /// hold the MII lower bound; everything else starts
-  /// default-initialized. \p Worker, when non-null, supplies persistent
-  /// per-worker engine state (ilpsched/WorkerState.h) to thread through
-  /// the attempts; strategies that cannot use it safely ignore it.
+  /// default-initialized. \p Ctx, when non-null, is the caller's
+  /// persistent solve context to thread through the attempts;
+  /// strategies that cannot use it safely ignore it.
   virtual void search(const OptimalModuloScheduler &Sched, const Problem &P,
                       ScheduleResult &Result,
-                      SchedulerWorkerState *Worker = nullptr) const = 0;
+                      lp::SolveContext *Ctx = nullptr) const = 0;
 };
 
 /// The paper's loop: one II at a time, stop at the first feasible one.
@@ -56,7 +56,7 @@ public:
   const char *name() const override { return "sequential"; }
   void search(const OptimalModuloScheduler &Sched, const Problem &P,
               ScheduleResult &Result,
-              SchedulerWorkerState *Worker = nullptr) const override;
+              lp::SolveContext *Ctx = nullptr) const override;
 };
 
 /// Speculative race over a window of consecutive IIs (window width ==
@@ -69,12 +69,12 @@ public:
   explicit ParallelRaceIiSearch(int Jobs);
 
   const char *name() const override { return "parallel-race"; }
-  /// \p Worker is ignored: each racing slot needs a private
-  /// SolveContext (contexts are single-thread state), so persistent
-  /// per-worker reuse is a Sequential-only optimization.
+  /// \p Ctx is ignored: each racing slot needs a private SolveContext
+  /// (contexts are single-thread state), so persistent per-worker reuse
+  /// is a Sequential-only optimization.
   void search(const OptimalModuloScheduler &Sched, const Problem &P,
               ScheduleResult &Result,
-              SchedulerWorkerState *Worker = nullptr) const override;
+              lp::SolveContext *Ctx = nullptr) const override;
 
 private:
   int Jobs;

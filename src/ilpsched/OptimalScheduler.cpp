@@ -5,13 +5,12 @@
 #include "ilpsched/AttemptEngine.h"
 #include "ilpsched/IiSearch.h"
 #include "ilpsched/PbFormulation.h"
-#include "ilpsched/PortfolioAttempt.h"
 #include "ilpsched/SolutionCache.h"
-#include "ilpsched/WorkerState.h"
 #include "lp/SolveContext.h"
 #include "sched/Mii.h"
 #include "sched/Verifier.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <cassert>
@@ -153,7 +152,8 @@ std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
                                      ScheduleResult &Stats, double TimeBudget,
                                      lp::SolveContext *Ctx,
-                                     PortfolioState *Portfolio) const {
+                                     std::unique_ptr<ThreadPool> *RacePool)
+    const {
   ++StatAttempts;
   Stopwatch AttemptWatch;
   telemetry::SpanScope Span("ilpsched", "scheduler.attempt", {{"ii", II}});
@@ -201,19 +201,13 @@ OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
   assert(Engine && Engine->supports(P, II) &&
          "selectEngine returned an engine that cannot decide this attempt");
 
-  std::optional<ModuloSchedule> S;
-  if (Engine == PortfolioE.get() && !Portfolio) {
-    // Direct calls without loop-level race state still race the engines
-    // correctly; only cross-II solver reuse and phase hints are lost.
-    PortfolioState Transient;
-    AttemptContext C{P,   II,      Stats,   TimeBudget,
-                     Ctx, Attempt, nullptr, &Transient};
-    S = Engine->solveAttempt(C);
-  } else {
-    AttemptContext C{P,   II,      Stats,   TimeBudget,
-                     Ctx, Attempt, nullptr, Portfolio};
-    S = Engine->solveAttempt(C);
-  }
+  // Direct calls without a loop-level pool holder still race the
+  // engines correctly; the pool just lives for this attempt only.
+  std::unique_ptr<ThreadPool> TransientPool;
+  AttemptContext C{P,       II,      Stats,   TimeBudget,
+                   Ctx,     Attempt, nullptr,
+                   RacePool ? RacePool : &TransientPool};
+  std::optional<ModuloSchedule> S = Engine->solveAttempt(C);
 
   // Uniform gate: whatever engine (or race of engines) produced the
   // schedule, it does not leave the seam unverified.
@@ -233,22 +227,20 @@ std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const DependenceGraph &G, int II,
                                      ScheduleResult &Stats, double TimeBudget,
                                      lp::SolveContext *Ctx,
-                                     PortfolioState *Portfolio) const {
+                                     std::unique_ptr<ThreadPool> *RacePool)
+    const {
   Problem P(G, M, Opts.Formulation);
-  return scheduleAtIi(P, II, Stats, TimeBudget, Ctx, Portfolio);
+  return scheduleAtIi(P, II, Stats, TimeBudget, Ctx, RacePool);
 }
 
-ScheduleResult
-OptimalModuloScheduler::schedule(const DependenceGraph &G,
-                                 SchedulerWorkerState *Worker) const {
+ScheduleResult OptimalModuloScheduler::schedule(const DependenceGraph &G,
+                                                lp::SolveContext *Ctx) const {
   ++StatLoops;
   telemetry::TimerScope Time(TimeSchedule,
                              {{"ops", int64_t(G.numOperations())}});
   Stopwatch Watch;
   ScheduleResult Result;
   Result.Mii = mii(G, M);
-  if (Worker)
-    Worker->beginLoop();
 
   Problem P(G, M, Opts.Formulation);
   const uint64_t RequestKey = SolutionCache::requestKey(Opts);
@@ -284,7 +276,7 @@ OptimalModuloScheduler::schedule(const DependenceGraph &G,
 
   std::unique_ptr<IiSearchStrategy> Search =
       makeIiSearchStrategy(Opts.Search, Opts.SearchJobs);
-  Search->search(*this, P, Result, Worker);
+  Search->search(*this, P, Result, Ctx);
 
   Result.Seconds = Watch.seconds();
   if (Opts.Cache)

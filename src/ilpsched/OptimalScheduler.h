@@ -36,12 +36,7 @@ namespace lp {
 struct SolveContext; // lp/SolveContext.h
 } // namespace lp
 
-namespace pb {
-class AttemptSession; // pb/Incremental.h
-} // namespace pb
-
-struct PortfolioState;        // ilpsched/PortfolioAttempt.h
-struct SchedulerWorkerState;  // ilpsched/WorkerState.h
+class ThreadPool;       // support/ThreadPool.h
 class AttemptEngine;    // ilpsched/AttemptEngine.h
 class IlpEngine;        // ilpsched/AttemptEngine.h
 class PbEngine;         // ilpsched/AttemptEngine.h
@@ -60,10 +55,8 @@ enum class SchedulerBackend {
   /// Race both exact engines per II attempt on a two-worker pool: the
   /// first conclusive verdict wins and cancels the loser, incumbent
   /// objective bounds flow between the engines through a shared atomic
-  /// cell, and one persistent pb::AttemptSession carries CDCL state
-  /// across the loop's II ladder. Verdicts (II and objective) are
-  /// bit-exact vs Ilp regardless of race timing; see
-  /// ilpsched/PortfolioAttempt.h.
+  /// cell. Verdicts (II and objective) are bit-exact vs Ilp regardless
+  /// of race timing; see ilpsched/PortfolioAttempt.h.
   Portfolio,
 };
 
@@ -152,10 +145,6 @@ struct SchedulerOptions {
 
   // --- Portfolio backend knobs (Backend == SchedulerBackend::Portfolio,
   //     ignored otherwise; see ilpsched/PortfolioAttempt.h) ---
-  /// Reuse one persistent pb::AttemptSession across the loop's II
-  /// attempts (learned clauses / activity / phases carry over). Off =
-  /// a fresh PB solver per attempt; A/B knob for EXPERIMENTS.md E12.
-  bool PortfolioPersistentPb = true;
   /// PB sits out MinLife attempts whose maximum objective coefficient
   /// (which scales with II) exceeds this width — E11 measured the CDCL
   /// engine losing badly on wide-coefficient MinLife rows. Counted in
@@ -253,12 +242,6 @@ struct PortfolioEngineHooks {
   /// engine. May be called from the worker's thread; must be
   /// thread-safe. Null = no exchange (feasibility races).
   std::function<void(int64_t, const ModuloSchedule &)> OnIncumbent;
-  /// PB worker only: persistent per-loop solver session. Null = fresh
-  /// solver per attempt (the A/B baseline).
-  pb::AttemptSession *Session = nullptr;
-  /// PB worker only: schedule times from an earlier attempt used to
-  /// seed branching phases (PbFormulation::seedPhases). Null = no hint.
-  const std::vector<int> *PhaseHint = nullptr;
   /// Out: the worker only refuted "objective < ExternalBound", not the
   /// model — the true verdict at this II is the shared incumbent, which
   /// the coordinator commits as optimal.
@@ -362,16 +345,15 @@ public:
   /// SchedulerOptions::Cache, consults the SolutionCache first and
   /// inserts clean solves afterwards.
   ///
-  /// \p Worker, when non-null, supplies persistent per-worker engine
-  /// state (ilpsched/WorkerState.h): the embedded SolveContext's
-  /// workspace (warm simplex bases) and, under the portfolio backend,
-  /// the gated PB session survive across calls. The caller owns the
-  /// context's deadline / cancellation (arm before, reset after); the
-  /// sequential II search threads the state through every attempt.
+  /// \p Ctx, when non-null, is a persistent solve context the caller
+  /// keeps across calls (one per worker thread, lp/SolveContext.h): its
+  /// workspace carries warm simplex bases from one loop to the next.
+  /// The caller owns its deadline / cancellation (arm before, reset
+  /// after); the sequential II search threads it through every attempt.
   /// ParallelRaceIiSearch ignores it — racing slots need private
-  /// contexts, so cross-request reuse only applies to Sequential.
+  /// contexts, so cross-call reuse only applies to Sequential.
   ScheduleResult schedule(const DependenceGraph &G,
-                          SchedulerWorkerState *Worker = nullptr) const;
+                          lp::SolveContext *Ctx = nullptr) const;
 
   /// Solves a single tentative \p II of \p P. Returns nullopt when the
   /// problem is infeasible at this II (or the attempt was censored /
@@ -380,27 +362,23 @@ public:
   /// token — for this attempt (lp/SolveContext.h); a fresh local
   /// context is used otherwise. Reentrant: concurrent calls on one
   /// scheduler are safe as long as each uses its own \p Stats and
-  /// \p Ctx. Under SchedulerBackend::Portfolio, \p Portfolio carries
-  /// the loop-level race state (persistent PB session, worker pool,
-  /// phase hints); a transient state is created when null, sacrificing
-  /// only cross-II reuse.
-  std::optional<ModuloSchedule> scheduleAtIi(const Problem &P, int II,
-                                             ScheduleResult &Stats,
-                                             double TimeBudget,
-                                             lp::SolveContext *Ctx = nullptr,
-                                             PortfolioState *Portfolio =
-                                                 nullptr) const;
+  /// \p Ctx. Under SchedulerBackend::Portfolio, \p RacePool holds the
+  /// loop-level race pool (created by the first race and reused by
+  /// later attempts); a transient holder is used when null, so each
+  /// racing attempt then starts its own pool.
+  std::optional<ModuloSchedule>
+  scheduleAtIi(const Problem &P, int II, ScheduleResult &Stats,
+               double TimeBudget, lp::SolveContext *Ctx = nullptr,
+               std::unique_ptr<ThreadPool> *RacePool = nullptr) const;
 
   /// Convenience overload wrapping \p G (with this scheduler's machine
   /// and formulation options) in a transient Problem. Prefer the
   /// Problem overload when attempting several IIs of one loop — it
   /// shares the canonicalization and the once-per-Problem diagnostics.
-  std::optional<ModuloSchedule> scheduleAtIi(const DependenceGraph &G,
-                                             int II, ScheduleResult &Stats,
-                                             double TimeBudget,
-                                             lp::SolveContext *Ctx = nullptr,
-                                             PortfolioState *Portfolio =
-                                                 nullptr) const;
+  std::optional<ModuloSchedule>
+  scheduleAtIi(const DependenceGraph &G, int II, ScheduleResult &Stats,
+               double TimeBudget, lp::SolveContext *Ctx = nullptr,
+               std::unique_ptr<ThreadPool> *RacePool = nullptr) const;
 
   const SchedulerOptions &options() const { return Opts; }
 

@@ -6,6 +6,7 @@
 #include "ilpsched/OptimalScheduler.h"
 #include "lp/SolveContext.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <chrono>
@@ -57,10 +58,6 @@ telemetry::Counter StatBoundExchanges("ilpsched",
                                       "Cross-engine incumbent bounds "
                                       "applied (ILP prunes + PB "
                                       "injections)");
-telemetry::Counter StatClausesKept("ilpsched", "portfolio.clauses_kept",
-                                   "Learned clauses retained in the "
-                                   "persistent PB session at attempt "
-                                   "retirement");
 telemetry::Counter StatPbIneligible("ilpsched", "portfolio.pb_ineligible",
                                     "Attempts where PB sat out "
                                     "(wide-coefficient MinLife or "
@@ -120,10 +117,8 @@ bool PortfolioEngine::supports(const Problem &P, int II) const {
 
 std::optional<ModuloSchedule>
 PortfolioEngine::solveAttempt(AttemptContext &C) const {
-  assert(C.State && "portfolio attempts need loop-level race state");
-  PortfolioState &State = *C.State;
+  assert(C.RacePool && "portfolio attempts need a loop-level pool holder");
   const Objective Obj = C.P.options().Obj;
-  const int64_t KeptBefore = State.Session.stats().ClausesKept;
 
   // --- Eligibility: which registered engines contest this attempt.
   // supports() is the hard capability filter; worthRacing() then thins a
@@ -157,34 +152,24 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
 
   if (Contestants.size() == 1) {
     // A lone contestant runs inline on the caller's thread — no pool,
-    // no shared incumbent (there is nobody to exchange bounds with),
-    // but still the persistent session / phase hints so cross-II reuse
-    // survives eligibility short-circuits. Engines ignore hook fields
-    // they have no use for, so one wiring serves every child.
+    // no shared incumbent (there is nobody to exchange bounds with), so
+    // it solves exactly as its single-engine backend would.
     const AttemptEngine *E = Contestants.front();
-    PortfolioEngineHooks Hooks;
-    if (Opts.PortfolioPersistentPb)
-      Hooks.Session = &State.Session;
-    if (!State.PhaseHint.empty())
-      Hooks.PhaseHint = &State.PhaseHint;
-    AttemptContext Solo{C.P,   C.II,      C.Stats, C.TimeBudget,
-                        C.Ctx, C.Attempt, &Hooks,  C.State};
-    std::optional<ModuloSchedule> S = E->solveAttempt(Solo);
-    StatClausesKept += State.Session.stats().ClausesKept - KeptBefore;
+    std::optional<ModuloSchedule> S = E->solveAttempt(C);
     if (S || (!C.Attempt.Cancelled &&
               C.Attempt.Status == MipStatus::Infeasible)) {
       C.Attempt.Winner = E->name();
       bumpWinner(E->name());
     }
-    if (S)
-      State.PhaseHint = S->times();
     return S;
   }
 
-  // --- Race the contestants. ---
+  // --- Race the contestants on the loop's pool, created by the first
+  // race (eligibility short-circuits never pay for threads). ---
   ++StatRaces;
-  if (!State.Pool)
-    State.Pool = std::make_unique<ThreadPool>(int(Children.size()));
+  std::unique_ptr<ThreadPool> &Pool = *C.RacePool;
+  if (!Pool)
+    Pool = std::make_unique<ThreadPool>(int(Children.size()));
 
   lp::SolveContext LocalCtx;
   lp::SolveContext &Parent = C.Ctx ? *C.Ctx : LocalCtx;
@@ -208,13 +193,6 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
         Shared.publish(K, S, Src);
       };
     }
-    // The persistent session is single-owner state: exactly one
-    // registered child (the PB engine) consumes it, every other engine
-    // ignores the field.
-    if (Opts.PortfolioPersistentPb)
-      R.Hooks.Session = &State.Session;
-    if (!State.PhaseHint.empty())
-      R.Hooks.PhaseHint = &State.PhaseHint;
     // Each worker sees the loop's budget spend so far (like
     // ParallelRace slots, the budget is granted to each independently —
     // they cannot see each other's spend without racing on it).
@@ -227,10 +205,10 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
   std::condition_variable Cv;
   for (Racer &R : Racers) {
     Racer *RP = &R;
-    State.Pool->submit([this, &C, &Mu, &Cv, RP] {
-      AttemptContext Lane{C.P,     C.II,          RP->W.Scratch,
+    Pool->submit([&C, &Mu, &Cv, RP] {
+      AttemptContext Lane{C.P,          C.II,     RP->W.Scratch,
                           C.TimeBudget, &RP->Ctx, RP->W.Attempt,
-                          &RP->Hooks,   C.State};
+                          &RP->Hooks};
       RP->W.Schedule = RP->E->solveAttempt(Lane);
       {
         std::lock_guard<std::mutex> Lock(Mu);
@@ -270,7 +248,6 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
     }
   }
 
-  StatClausesKept += State.Session.stats().ClausesKept - KeptBefore;
   int64_t ExchangesApplied = 0;
   for (const Racer &R : Racers)
     ExchangesApplied += R.Hooks.BoundExchanges;
@@ -421,6 +398,5 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
   C.Stats.Variables = W.W.Attempt.Variables;
   C.Stats.Constraints = W.W.Attempt.Constraints;
   C.Stats.SecondaryObjective = double(V.ObjVal);
-  State.PhaseHint = V.Schedule->times();
   return std::move(V.Schedule);
 }

@@ -5,26 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Loop-level state of the portfolio backend
+/// Race coordination of the portfolio backend
 /// (SchedulerBackend::Portfolio; the PortfolioEngine of
 /// ilpsched/AttemptEngine.h): each tentative II dispatches the
 /// registered child engines onto a dedicated worker pool, the first
-/// conclusive verdict wins and cancels the losers, and two
-/// hybridization layers make the race more than the sum of its engines:
-///
-///   * Cross-engine incumbent exchange — whichever engine verifies a
-///     schedule of objective k publishes it to a SharedIncumbent; the
-///     ILP prunes nodes against the atomic cell (MipOptions::
-///     ExternalBound) and the PB injects "objective <= k-1" rows at its
-///     restart boundaries (PbFormulation::injectObjectiveBound). An
-///     engine that then refutes "anything below k" has, combined with
-///     the shared schedule, proved k optimal.
-///
-///   * A persistent pb::AttemptSession — one CDCL solver survives the
-///     loop's whole II ladder; each attempt is encoded behind a fresh
-///     gate (retired when the attempt ends), so learned clauses,
-///     activity, and saved phases carry across II attempts and descent
-///     steps instead of being rebuilt from scratch.
+/// conclusive verdict wins and cancels the losers, and cross-engine
+/// incumbent exchange makes the race more than the sum of its engines:
+/// whichever engine verifies a schedule of objective k publishes it to
+/// a SharedIncumbent; the ILP prunes nodes against the atomic cell
+/// (MipOptions::ExternalBound) and the PB injects "objective <= k-1"
+/// rows at its restart boundaries (PbFormulation::injectObjectiveBound).
+/// An engine that then refutes "anything below k" has, combined with
+/// the shared schedule, proved k optimal. Every engine builds a fresh
+/// model per attempt, exactly as the single-engine backends do.
 ///
 /// Verdict determinism: every conclusive path yields the true optimum
 /// (or true infeasibility) at its II, and a fixed ILP-preference
@@ -33,26 +26,22 @@
 /// race timing. Only the committed schedule (one of several equally
 /// optimal ones) and the censoring wall-clock may differ.
 ///
-/// The II search owns one PortfolioState per loop (Sequential) or per
-/// racing slot (ParallelRace, reused across waves — the wave barrier
-/// serializes accesses) and threads it through
-/// OptimalModuloScheduler::scheduleAtIi.
+/// The only loop-level state is the race pool: the II search owns one
+/// lazily created pool per loop (Sequential) or per racing slot
+/// (ParallelRace, reused across waves — the wave barrier serializes
+/// accesses) and threads it through OptimalModuloScheduler::scheduleAtIi.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MODSCHED_ILPSCHED_PORTFOLIOATTEMPT_H
 #define MODSCHED_ILPSCHED_PORTFOLIOATTEMPT_H
 
-#include "pb/Incremental.h"
 #include "sched/ModuloSchedule.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 namespace modsched {
 
@@ -78,26 +67,6 @@ private:
   mutable std::mutex Mu;
   int64_t Obj = INT64_MAX;                ///< Guarded by Mu.
   std::optional<ModuloSchedule> Schedule; ///< Guarded by Mu.
-};
-
-/// Per-loop race state of the portfolio backend. Created by the II
-/// search before the first attempt and reused across the loop's whole
-/// II ladder; accessed by one attempt at a time.
-struct PortfolioState {
-  /// Dedicated pool the engines race on (one worker per registered
-  /// child); created on the first racing attempt (eligibility
-  /// short-circuits never pay for threads) and reused afterwards.
-  std::unique_ptr<ThreadPool> Pool;
-
-  /// Persistent incremental PB solver carrying learned clauses,
-  /// activity, and phases across II attempts. Unused when
-  /// SchedulerOptions::PortfolioPersistentPb is off.
-  pb::AttemptSession Session;
-
-  /// Schedule times of the last committed schedule, used to seed the
-  /// next PB attempt's branching phases (PbFormulation::seedPhases).
-  /// Empty = no hint yet.
-  std::vector<int> PhaseHint;
 };
 
 } // namespace modsched

@@ -4,7 +4,7 @@
 
 #include "graph/DependenceGraph.h"
 #include "ilpsched/SolutionCache.h"
-#include "ilpsched/WorkerState.h"
+#include "lp/SolveContext.h"
 #include "machine/MachineModel.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
@@ -240,7 +240,7 @@ struct Server::Connection {
 Server::Server(ServerOptions Options) : Opts(std::move(Options)) {
   Pool = std::make_unique<ThreadPool>(Opts.Workers);
   for (int I = 0; I < Opts.Workers; ++I)
-    FreeStates.push_back(std::make_unique<SchedulerWorkerState>());
+    FreeContexts.push_back(std::make_unique<lp::SolveContext>());
 }
 
 Server::~Server() {
@@ -251,18 +251,18 @@ Server::~Server() {
     ::close(ListenFd);
 }
 
-std::unique_ptr<SchedulerWorkerState> Server::borrowWorkerState() {
+std::unique_ptr<lp::SolveContext> Server::borrowContext() {
   std::lock_guard<std::mutex> Lock(Mu);
-  assert(!FreeStates.empty() &&
+  assert(!FreeContexts.empty() &&
          "more concurrent solve tasks than pool workers");
-  std::unique_ptr<SchedulerWorkerState> S = std::move(FreeStates.back());
-  FreeStates.pop_back();
-  return S;
+  std::unique_ptr<lp::SolveContext> Ctx = std::move(FreeContexts.back());
+  FreeContexts.pop_back();
+  return Ctx;
 }
 
-void Server::returnWorkerState(std::unique_ptr<SchedulerWorkerState> State) {
+void Server::returnContext(std::unique_ptr<lp::SolveContext> Ctx) {
   std::lock_guard<std::mutex> Lock(Mu);
-  FreeStates.push_back(std::move(State));
+  FreeContexts.push_back(std::move(Ctx));
 }
 
 void Server::drain() {
@@ -300,7 +300,7 @@ std::string Server::statsResponse() const {
   return Out;
 }
 
-void Server::runRequest(const Request &Req, SchedulerWorkerState &Worker,
+void Server::runRequest(const Request &Req, lp::SolveContext &Ctx,
                         const std::shared_ptr<Connection> &Conn,
                         const CancellationToken &Cancel) {
   // Payload parsing happens here on the worker, off the reader thread:
@@ -355,16 +355,15 @@ void Server::runRequest(const Request &Req, SchedulerWorkerState &Worker,
 
   // Arm the worker's persistent context for this request: absolute
   // deadline plus the connection's cancellation token. Restored below —
-  // the workspace (and PB session) are what persist, never budgets.
-  Worker.Ctx.DeadlineSeconds =
-      monotonicSeconds() + SOpts.TimeLimitSeconds;
-  Worker.Ctx.Cancel = Cancel;
+  // the workspace is what persists, never budgets.
+  Ctx.DeadlineSeconds = monotonicSeconds() + SOpts.TimeLimitSeconds;
+  Ctx.Cancel = Cancel;
 
   OptimalModuloScheduler Scheduler(*M, SOpts);
-  ScheduleResult R = Scheduler.schedule(*G, &Worker);
+  ScheduleResult R = Scheduler.schedule(*G, &Ctx);
 
-  Worker.Ctx.DeadlineSeconds = lp::NoDeadline;
-  Worker.Ctx.Cancel = CancellationToken();
+  Ctx.DeadlineSeconds = lp::NoDeadline;
+  Ctx.Cancel = CancellationToken();
 
   const char *Status = "unsolved";
   if (R.Found)
@@ -451,9 +450,9 @@ void Server::admit(Request Req, const std::shared_ptr<Connection> &Conn) {
   }
 
   Pool->submit([this, Req = std::move(Req), Conn, Source]() {
-    std::unique_ptr<SchedulerWorkerState> State = borrowWorkerState();
-    runRequest(Req, *State, Conn, Source->token());
-    returnWorkerState(std::move(State));
+    std::unique_ptr<lp::SolveContext> Ctx = borrowContext();
+    runRequest(Req, *Ctx, Conn, Source->token());
+    returnContext(std::move(Ctx));
     {
       std::lock_guard<std::mutex> Lock(Mu);
       --InFlight;

@@ -5,6 +5,7 @@
 #include "support/TextScan.h"
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 
 using namespace modsched;
@@ -23,6 +24,11 @@ void emitTerm(std::ostringstream &Out, pb::Lit L, int64_t Coeff,
   }
   Out << (VarCoeff >= 0 ? "+" : "") << VarCoeff << " x" << (L.var() + 1)
       << " ";
+}
+
+/// \p Acc += \p V; false (leaving \p Acc unspecified) on int64 overflow.
+bool checkedAdd(int64_t &Acc, int64_t V) {
+  return !__builtin_add_overflow(Acc, V, &Acc);
 }
 
 /// One statement's left-hand side in signed variable form: the sum of
@@ -133,6 +139,9 @@ std::optional<OpbProblem> modsched::parseOpbFormat(const std::string &Text,
       int64_t Coeff = 0;
       if (!parseSignedDecimal(Tok, Coeff))
         return Fail("malformed coefficient '" + std::string(Tok) + "'");
+      // Normalization negates coefficients; INT64_MIN has no negation.
+      if (Coeff == INT64_MIN)
+        return Fail("coefficient out of range '" + std::string(Tok) + "'");
       if (!In.next(Tok))
         return Fail("dangling coefficient at end of input");
       bool Negated = !Tok.empty() && Tok[0] == '~';
@@ -141,10 +150,14 @@ std::optional<OpbProblem> modsched::parseOpbFormat(const std::string &Text,
       if (Name.size() < 2 || Name[0] != 'x' ||
           !parseSignedDecimal(Name.substr(1), VarNum) || VarNum <= 0)
         return Fail("malformed literal '" + std::string(Tok) + "'");
+      if (VarNum > INT_MAX)
+        return Fail("variable index out of range '" + std::string(Tok) +
+                    "'");
       MaxVar = std::max(MaxVar, int(VarNum));
       if (Negated) {
         Lhs.Terms.push_back({pb::Var(VarNum - 1), -Coeff});
-        Lhs.Constant += Coeff;
+        if (!checkedAdd(Lhs.Constant, Coeff))
+          return Fail("constant term overflows int64");
       } else {
         Lhs.Terms.push_back({pb::Var(VarNum - 1), Coeff});
       }
@@ -157,7 +170,8 @@ std::optional<OpbProblem> modsched::parseOpbFormat(const std::string &Text,
         return Fail("objective must end with ';'");
       for (const std::pair<pb::Var, int64_t> &T : Lhs.Terms)
         P.Objective.push_back({pb::posLit(T.first), T.second});
-      P.ObjectiveConstant += Lhs.Constant;
+      if (!checkedAdd(P.ObjectiveConstant, Lhs.Constant))
+        return Fail("constant term overflows int64");
       continue;
     }
     if (Rel == ";")
@@ -172,26 +186,35 @@ std::optional<OpbProblem> modsched::parseOpbFormat(const std::string &Text,
 
     // Normalize into >=-rows over positive-coefficient literals:
     // sum(c * x) >= d with c < 0 becomes |c| * ~x with d raised by |c|.
+    // Coefficients exclude INT64_MIN, so only the degree can overflow.
     auto PushGe = [&](int64_t Sign) {
       OpbRow Row;
-      Row.Degree = Sign * (Rhs - Lhs.Constant);
+      if (__builtin_sub_overflow(Rhs, Lhs.Constant, &Row.Degree) ||
+          __builtin_mul_overflow(Row.Degree, Sign, &Row.Degree))
+        return false;
       for (const std::pair<pb::Var, int64_t> &T : Lhs.Terms) {
         int64_t C = Sign * T.second;
         if (C >= 0) {
           Row.Terms.push_back({pb::posLit(T.first), C});
         } else {
           Row.Terms.push_back({pb::negLit(T.first), -C});
-          Row.Degree += -C;
+          if (!checkedAdd(Row.Degree, -C))
+            return false;
         }
       }
       P.Rows.push_back(std::move(Row));
+      return true;
     };
-    if (Rel == ">=" || Rel == "=")
-      PushGe(+1);
-    if (Rel == "<=" || Rel == "=")
-      PushGe(-1);
+    if ((Rel == ">=" || Rel == "=") && !PushGe(+1))
+      return Fail("degree overflows int64");
+    if ((Rel == "<=" || Rel == "=") && !PushGe(-1))
+      return Fail("degree overflows int64");
   }
 
+  // The writer's constant comment only offsets a "min:" line; without
+  // one it has nothing to offset (and writeOpbFormat would drop it).
+  if (!P.HasObjective)
+    P.ObjectiveConstant = 0;
   P.NumVars = std::max(P.NumVars, MaxVar);
   return P;
 }

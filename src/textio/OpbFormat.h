@@ -50,7 +50,8 @@ struct OpbProblem {
   /// (OPB objectives carry no constant; see ObjectiveConstant).
   std::vector<std::pair<pb::Lit, int64_t>> Objective;
   /// Constant recovered from the "* objective constant" comment our
-  /// writer emits (0 otherwise); model objective = constant + terms.
+  /// writer emits (0 otherwise, and 0 without a "min:" line); model
+  /// objective = constant + terms.
   int64_t ObjectiveConstant = 0;
   std::vector<OpbRow> Rows;
 };
@@ -67,7 +68,9 @@ std::string writeOpbFormat(const pb::Solver &S,
                            int64_t ObjectiveConstant = 0);
 
 /// Parses OPB text. Accepts ">=" and "=" relations ("=" becomes the two
-/// inequalities). Returns nullopt and fills \p Error on malformed input.
+/// inequalities). Returns nullopt and fills \p Error on malformed input,
+/// including variable indices above INT_MAX and coefficients, constants
+/// or degrees outside int64 (INT64_MIN coefficients included).
 std::optional<OpbProblem> parseOpbFormat(const std::string &Text,
                                          std::string *Error = nullptr);
 

@@ -2,7 +2,8 @@
 //
 // Mutation fuzzing of every text parser a request reaches: machine
 // descriptions (textio/MachineFormat), loops (textio/DdgFormat) and
-// service frames (service/Protocol). Valid seed texts are mutated with
+// service frames (service/Protocol), plus the OPB model exchange format
+// (textio/OpbFormat). Valid seed texts are mutated with
 // byte flips, line drops and duplicates, truncation and token swaps
 // under a fixed seed and a fixed iteration budget, so a failure
 // reproduces exactly. The properties:
@@ -11,15 +12,18 @@
 //   * readFrame honours ProtocolLimits on every frame it accepts and
 //     always reaches EOF;
 //   * every accepted machine and DDG round-trips through
-//     printMachine / printDdg and back to an equal structure.
+//     printMachine / printDdg and back to an equal structure, and every
+//     accepted OPB problem through writeOpbFormat.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ilpsched/PbFormulation.h"
 #include "machine/MachineModel.h"
 #include "service/Protocol.h"
 #include "support/Rng.h"
 #include "textio/DdgFormat.h"
 #include "textio/MachineFormat.h"
+#include "textio/OpbFormat.h"
 #include "workloads/KernelLibrary.h"
 
 #include <gtest/gtest.h>
@@ -40,6 +44,7 @@ constexpr uint64_t FuzzSeed = 0x5eed2026;
 constexpr int MachineIterations = 10000;
 constexpr int DdgIterations = 10000;
 constexpr int FrameIterations = 6000;
+constexpr int OpbIterations = 6000;
 
 /// Bytes that matter to the grammars, plus a NUL and a high byte.
 const char FlipBytes[] = {' ',  '\t', '\n', '\r', '\v', '\f', '#', '@',
@@ -202,6 +207,42 @@ std::vector<std::string> ddgSeeds(const MachineModel &M) {
   return Seeds;
 }
 
+bool sameOpb(const OpbProblem &A, const OpbProblem &B) {
+  if (A.NumVars != B.NumVars || A.HasObjective != B.HasObjective ||
+      A.Objective != B.Objective ||
+      A.ObjectiveConstant != B.ObjectiveConstant ||
+      A.Rows.size() != B.Rows.size())
+    return false;
+  for (size_t I = 0; I < A.Rows.size(); ++I)
+    if (A.Rows[I].Terms != B.Rows[I].Terms ||
+        A.Rows[I].Degree != B.Rows[I].Degree)
+      return false;
+  return true;
+}
+
+/// OPB texts of small PB scheduling models: cardinality rows (the
+/// structured formulation), wide general rows (the traditional Ineq. 4
+/// dependences) and every objective kind, so "min:" lines carry both
+/// unit and II-scaled coefficients.
+std::vector<std::string> opbSeeds() {
+  MachineModel M = MachineModel::example3();
+  const DependenceGraph Loops[] = {paperExample1(M), dotProduct(M)};
+  std::vector<std::string> Seeds;
+  for (const DependenceGraph &G : Loops)
+    for (Objective Obj : {Objective::None, Objective::MinReg,
+                          Objective::MinBuff, Objective::MinLife}) {
+      FormulationOptions Opts;
+      Opts.Obj = Obj;
+      if (Obj == Objective::None)
+        Opts.DepStyle = DependenceStyle::Traditional;
+      PbFormulation F(G, M, 2, Opts);
+      if (F.valid())
+        Seeds.push_back(writeOpbFormat(F.solver(), F.objectiveTerms(),
+                                       F.objectiveConstant()));
+    }
+  return Seeds;
+}
+
 int countLines(const std::string &Text) {
   return static_cast<int>(std::count(Text.begin(), Text.end(), '\n'));
 }
@@ -331,4 +372,27 @@ TEST(ParserFuzz, FramesHonourLimits) {
   }
   EXPECT_GT(Scheds, FrameIterations / 20);
   EXPECT_GT(Errors, FrameIterations / 20);
+}
+
+TEST(ParserFuzz, OpbTextsRoundTrip) {
+  Rng R(FuzzSeed + 3);
+  const std::vector<std::string> Seeds = opbSeeds();
+  ASSERT_FALSE(Seeds.empty());
+  int Accepted = 0;
+  for (int I = 0; I < OpbIterations; ++I) {
+    std::string Text = mutate(Seeds[R.nextBelow(Seeds.size())], R);
+    std::string Error;
+    std::optional<OpbProblem> P = parseOpbFormat(Text, &Error);
+    if (!P) {
+      ASSERT_FALSE(Error.empty());
+      continue;
+    }
+    ++Accepted;
+    std::string Written = writeOpbFormat(*P);
+    std::optional<OpbProblem> Again = parseOpbFormat(Written, &Error);
+    ASSERT_TRUE(Again.has_value()) << Error << "\n" << Written;
+    ASSERT_TRUE(sameOpb(*P, *Again)) << Text << "\n---\n" << Written;
+  }
+  EXPECT_GT(Accepted, OpbIterations / 10);
+  EXPECT_LT(Accepted, OpbIterations);
 }

@@ -291,3 +291,59 @@ TEST(PbBackend, BackendNamesRoundTrip) {
   EXPECT_STREQ(toString(SchedulerBackend::Ilp), "ilp");
   EXPECT_STREQ(toString(SchedulerBackend::Pb), "pb");
 }
+
+TEST(PbBackend, PinnedEffortOnKernels) {
+  // Exact model shape and CDCL effort of the PB backend on a few
+  // kernels under every objective. Each attempt builds its PB model
+  // into a private solver, so the counts depend only on the encoding
+  // (variable and row order) and the solver's search; a change to
+  // either moves them. The conflict budget keeps censored entries
+  // deterministic too (the model shape is only reported for a solved
+  // loop, so censored entries pin it as 0).
+  struct Pin {
+    DependenceGraph (*Kernel)(const MachineModel &);
+    Objective Obj;
+    int Variables, Constraints;
+    int64_t Conflicts, Propagations;
+  };
+  const Pin Pins[] = {
+      {livermore1, Objective::None, 84, 117, 8, 297},
+      {livermore1, Objective::MinReg, 201, 295, 3668, 87387},
+      {livermore1, Objective::MinBuff, 117, 190, 128, 2107},
+      {livermore1, Objective::MinLife, 0, 0, 20002, 497399},
+      {livermore5, Objective::None, 50, 83, 8, 164},
+      {livermore5, Objective::MinReg, 107, 185, 7, 175},
+      {livermore5, Objective::MinBuff, 65, 129, 5, 150},
+      {livermore5, Objective::MinLife, 98, 170, 3717, 56518},
+      {stencil3, Objective::None, 66, 89, 2, 100},
+      {stencil3, Objective::MinReg, 171, 227, 3802, 84524},
+      {stencil3, Objective::MinBuff, 106, 147, 237, 3506},
+      {stencil3, Objective::MinLife, 0, 0, 20000, 465033},
+      {secondOrderRecurrence, Objective::None, 62, 107, 6, 114},
+      {secondOrderRecurrence, Objective::MinReg, 131, 249, 1703, 25435},
+      {secondOrderRecurrence, Objective::MinBuff, 76, 177, 7, 130},
+      {secondOrderRecurrence, Objective::MinLife, 122, 231, 9015, 128112},
+      {backSubstitution, Objective::None, 60, 90, 6, 145},
+      {backSubstitution, Objective::MinReg, 148, 224, 3446, 57088},
+      {backSubstitution, Objective::MinBuff, 82, 143, 9, 207},
+      {backSubstitution, Objective::MinLife, 0, 0, 20001, 338966},
+  };
+  MachineModel M = MachineModel::cydraLike();
+  for (const Pin &P : Pins) {
+    const DependenceGraph G = P.Kernel(M);
+    SchedulerOptions Opts = backendOpts(SchedulerBackend::Pb, P.Obj);
+    Opts.Search = IiSearchKind::Sequential;
+    Opts.NodeLimit = 20000;
+    Opts.TimeLimitSeconds = 60.0;
+    Opts.Explain = false;
+    Opts.Cache = false;
+    ScheduleResult R = OptimalModuloScheduler(M, Opts).schedule(G);
+    const std::string What = G.name() + " " + toString(P.Obj);
+    ASSERT_FALSE(R.TimedOut) << What;
+    EXPECT_EQ(R.Found, !R.NodeLimitHit) << What;
+    EXPECT_EQ(R.Variables, P.Variables) << What;
+    EXPECT_EQ(R.Constraints, P.Constraints) << What;
+    EXPECT_EQ(R.PbConflicts, P.Conflicts) << What;
+    EXPECT_EQ(R.PbPropagations, P.Propagations) << What;
+  }
+}

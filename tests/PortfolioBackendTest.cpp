@@ -2,13 +2,12 @@
 //
 // The portfolio backend races the ILP branch-and-bound and the CDCL
 // pseudo-Boolean engine per II attempt, with cross-engine incumbent
-// exchange and a persistent PB session. Its committed verdicts must be
-// bit-exact with the sequential single-engine backends regardless of
-// race timing — these tests enforce that differential three ways
-// (portfolio vs ILP vs PB), plus the race invariants themselves: loser
-// cancellation, winner bookkeeping, bound-exchange soundness (a shared
-// incumbent must never cut off the true optimum), persistent-vs-fresh
-// PB session equivalence, and the ParallelRace composition.
+// exchange. Its committed verdicts must be bit-exact with the
+// sequential single-engine backends regardless of race timing — these
+// tests enforce that differential three ways (portfolio vs ILP vs PB),
+// plus the race invariants themselves: loser cancellation, winner
+// bookkeeping, bound-exchange soundness (a shared incumbent must never
+// cut off the true optimum), and the ParallelRace composition.
 //
 // Budgets stay small: on a single-core host the race time-slices, so a
 // portfolio attempt costs roughly the sum of what its engines burn
@@ -226,39 +225,6 @@ TEST(PortfolioBackend, SharedIncumbentBeatsIlpOwnIncumbent) {
 }
 
 //===----------------------------------------------------------------------===//
-// Persistent PB session: fresh-vs-reused equivalence
-//===----------------------------------------------------------------------===//
-
-TEST(PortfolioBackend, PersistentPbSessionMatchesFresh) {
-  // The persistent session only changes how the PB worker searches
-  // (carried clauses, activity, phases) — never what it concludes. A/B
-  // the toggle on loops whose II ladder has several steps so the
-  // session actually carries state across attempts.
-  MachineModel M = MachineModel::cydraLike();
-  for (const DependenceGraph &G :
-       {secondOrderRecurrence(M), livermore5(M), stencil3(M)}) {
-    SchedulerOptions Fresh = backendOpts(SchedulerBackend::Portfolio,
-                                         Objective::MinBuff);
-    Fresh.PortfolioPersistentPb = false;
-    SchedulerOptions Reused = Fresh;
-    Reused.PortfolioPersistentPb = true;
-    ScheduleResult A = OptimalModuloScheduler(M, Fresh).schedule(G);
-    ScheduleResult B = OptimalModuloScheduler(M, Reused).schedule(G);
-    if (A.TimedOut || A.NodeLimitHit || B.TimedOut || B.NodeLimitHit)
-      continue;
-    ASSERT_EQ(A.Found, B.Found) << G.name();
-    if (!A.Found)
-      continue;
-    EXPECT_EQ(A.II, B.II) << G.name();
-    EXPECT_NEAR(A.SecondaryObjective, B.SecondaryObjective, 1e-6)
-        << G.name();
-    EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value()) << G.name();
-    checkRaceInvariants(A);
-    checkRaceInvariants(B);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Eligibility sit-outs
 //===----------------------------------------------------------------------===//
 
@@ -315,7 +281,7 @@ TEST(PortfolioBackend, TinyNoObjEncodingSitsIlpOut) {
 //===----------------------------------------------------------------------===//
 
 TEST(PortfolioBackend, ParallelRaceMatchesSequential) {
-  // The II race on top of the engine race: per-slot PortfolioStates are
+  // The II race on top of the engine race: per-slot race pools are
   // reused across waves and the commit scan stays deterministic, so the
   // committed II/objective must match the sequential portfolio search.
   MachineModel M = MachineModel::cydraLike();

@@ -13,8 +13,9 @@
 //     hardening test).
 //   * End-to-end serveStream: solves over stdin/stdout-style streams,
 //     cache-served replay on resubmission, admission shedding when
-//     stopping, graceful drain on QUIT, and a daemon that keeps
-//     serving after a mid-request disconnect.
+//     stopping, graceful drain on QUIT, a daemon that keeps serving
+//     after a mid-request disconnect, and one portfolio-backend worker
+//     serving several loops back to back with the ILP's verdicts.
 //   * Unix-domain socket smoke: listen, accept, PING, shut down.
 //
 //===----------------------------------------------------------------------===//
@@ -23,8 +24,10 @@
 #include "machine/MachineModel.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
+#include "sched/Verifier.h"
 #include "textio/DdgFormat.h"
 #include "textio/MachineFormat.h"
+#include "workloads/KernelLibrary.h"
 
 #include <gtest/gtest.h>
 
@@ -534,6 +537,80 @@ TEST(ServiceServer, SolvesAndServesFromCacheOnResubmission) {
   EXPECT_EQ(Stats.Completed, 2);
   EXPECT_GE(Stats.CacheHits, 1);
   EXPECT_EQ(Stats.Shed, 0);
+}
+
+/// The "times" array of an ok reply's schedule object.
+std::vector<int> scheduleTimes(const std::string &Line) {
+  std::vector<int> Times;
+  std::size_t At = Line.find("\"times\":[");
+  if (At == std::string::npos)
+    return Times;
+  std::istringstream In(Line.substr(At + 9));
+  int T = 0;
+  char Sep = ',';
+  while (Sep == ',' && In >> T >> Sep)
+    Times.push_back(T);
+  return Times;
+}
+
+TEST(ServiceServer, PortfolioWorkerServesLoopsBackToBack) {
+  // One worker, portfolio backend, cache off: every request is a fresh
+  // race on the same worker, right after the previous loop's. Each
+  // reply must carry the sequential ILP's verdict and a schedule the
+  // verifier accepts.
+  MachineModel M = MachineModel::cydraLike();
+  struct Case {
+    DependenceGraph G;
+    Objective Obj;
+    const char *ObjName;
+  };
+  const Case Cases[] = {
+      {dotProduct(M), Objective::None, "noobj"},
+      {secondOrderRecurrence(M), Objective::MinReg, "minreg"},
+      {backSubstitution(M), Objective::MinBuff, "minbuff"},
+      {stencil3(M), Objective::MinBuff, "minbuff"},
+      {livermore1(M), Objective::MinLife, "minlife"},
+      {fir4(M), Objective::None, "noobj"},
+  };
+  std::string Input;
+  for (size_t I = 0; I < std::size(Cases); ++I) {
+    std::string Ddg = printDdg(Cases[I].G, M);
+    Input += "SCHED id=k" + std::to_string(I) + " machine=cydra objective=" +
+             Cases[I].ObjName + "\nDDG " + std::to_string(countLines(Ddg)) +
+             "\n" + Ddg + "END\n";
+  }
+  ServerOptions O = quickOptions();
+  O.Backend = SchedulerBackend::Portfolio;
+  O.Cache = false;
+  Server S(O);
+  std::vector<std::string> Lines = serve(S, Input + "QUIT\n");
+  ASSERT_EQ(Lines.size(), std::size(Cases));
+
+  for (size_t I = 0; I < std::size(Cases); ++I) {
+    const Case &C = Cases[I];
+    const std::string &Line = Lines[I];
+    ASSERT_EQ(field(Line, "id"), "k" + std::to_string(I)) << Line;
+    ASSERT_EQ(field(Line, "status"), "ok") << Line;
+    EXPECT_EQ(field(Line, "cache_hit"), "false") << Line;
+
+    SchedulerOptions Ilp;
+    Ilp.Backend = SchedulerBackend::Ilp;
+    Ilp.Formulation.Obj = C.Obj;
+    Ilp.TimeLimitSeconds = 20.0;
+    Ilp.Cache = false;
+    ScheduleResult R = OptimalModuloScheduler(M, Ilp).schedule(C.G);
+    ASSERT_TRUE(R.Found) << C.G.name();
+    EXPECT_EQ(field(Line, "ii"), std::to_string(R.II)) << Line;
+    EXPECT_NEAR(std::stod(field(Line, "secondary")), R.SecondaryObjective,
+                1e-6)
+        << Line;
+
+    std::vector<int> Times = scheduleTimes(Line);
+    ASSERT_EQ(int(Times.size()), C.G.numOperations()) << Line;
+    ModuloSchedule Served(std::stoi(field(Line, "ii")), std::move(Times));
+    EXPECT_FALSE(verifySchedule(C.G, M, Served).has_value()) << Line;
+  }
+  EXPECT_EQ(S.stats().Completed, int64_t(std::size(Cases)));
 }
 
 TEST(ServiceServer, BadPayloadsGetStructuredErrors) {

@@ -215,13 +215,29 @@ TEST(OpbFormat, ParseNormalizesRelationsAndLiterals) {
 }
 
 TEST(OpbFormat, ParseReportsMalformedInput) {
-  std::string Error;
-  EXPECT_FALSE(parseOpbFormat("+1 y1 >= 1 ;", &Error).has_value());
-  EXPECT_NE(Error.find("literal"), std::string::npos);
-  EXPECT_FALSE(parseOpbFormat("+1 x1 >= ;", &Error).has_value());
-  EXPECT_FALSE(parseOpbFormat("+1 x1 >= 1", &Error).has_value());
-  EXPECT_FALSE(parseOpbFormat("bogus x1 >= 1 ;", &Error).has_value());
-  EXPECT_FALSE(parseOpbFormat("+1 x1 ;", &Error).has_value());
+  const std::pair<const char *, const char *> Cases[] = {
+      {"+1 y1 >= 1 ;", "malformed literal 'y1'"},
+      {"+1 x1 >= ;", "malformed right-hand side"},
+      {"+1 x1 >= 1", "constraint not terminated by ';'"},
+      {"bogus x1 >= 1 ;", "malformed coefficient 'bogus'"},
+      {"+1 x1 ;", "constraint without relation"},
+      // Integer overflow and narrowing: an index past INT_MAX must not
+      // wrap onto a small variable, INT64_MIN has no negation, and the
+      // folded ~x constants must not overflow.
+      {"1 x4294967297 >= 1 ;", "variable index out of range 'x4294967297'"},
+      {"-9223372036854775808 x1 >= 0 ;",
+       "coefficient out of range '-9223372036854775808'"},
+      {"9223372036854775807 ~x1 +9223372036854775807 ~x2 >= 0 ;",
+       "constant term overflows int64"},
+      {"1 x1 <= -9223372036854775808 ;", "degree overflows int64"},
+      {"-9223372036854775807 x1 >= 9223372036854775807 ;",
+       "degree overflows int64"},
+  };
+  for (const auto &[Text, Expected] : Cases) {
+    std::string Error;
+    EXPECT_FALSE(parseOpbFormat(Text, &Error).has_value()) << Text;
+    EXPECT_EQ(Error, Expected) << Text;
+  }
 }
 
 TEST(OpbFormat, SchedulingModelRoundTrips) {
