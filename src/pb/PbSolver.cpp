@@ -10,6 +10,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace modsched {
 namespace pb {
@@ -27,6 +28,74 @@ telemetry::Counter StatLearned("pb", "learned",
 
 /// The undefined-literal sentinel used by conflict analysis.
 const Lit UndefLit = Lit();
+
+//===----------------------------------------------------------------------===//
+// Constraint store layout
+//
+// A constraint at word offset R of Solver::Store occupies
+//   R + HdrSize       literal count N
+//   R + HdrFlags      FlagLinear | FlagLearned | FlagDeleted, and while
+//                     compactStore() runs, the constraint's new offset
+//                     in the bits above FlagBits
+//   R + HdrDegree     degree (int64_t, two words)
+//   R + HdrActivity   deletion activity (double, two words)
+//   R + HdrWords      N literals, one Lit::index() per word
+// and a general PB row continues, at T = R + HdrWords + N, with
+//   T + TailMaxSum    sum of all coefficients (int64_t)
+//   T + TailFalseSum  sum of coefficients of false literals (int64_t)
+//   T + TailCoeffs    N coefficients (int64_t each), aligned with the
+//                     literals and sorted by decreasing value.
+// Multi-word fields are read and written with memcpy, never through a
+// reinterpreted pointer.
+//===----------------------------------------------------------------------===//
+
+using Word = uint32_t;
+
+constexpr size_t HdrSize = 0;
+constexpr size_t HdrFlags = 1;
+constexpr size_t HdrDegree = 2;
+constexpr size_t HdrActivity = 4;
+constexpr size_t HdrWords = 6;
+constexpr size_t TailMaxSum = 0;
+constexpr size_t TailFalseSum = 2;
+constexpr size_t TailCoeffs = 4;
+
+constexpr Word FlagLinear = 1;
+constexpr Word FlagLearned = 2;
+constexpr Word FlagDeleted = 4;
+constexpr unsigned FlagBits = 3;
+constexpr Word FlagMask = (Word(1) << FlagBits) - 1;
+/// Store size limit, so that compactStore() can park any offset above
+/// the flag bits.
+constexpr size_t MaxStoreWords = size_t(1) << (32 - FlagBits);
+
+template <typename T> T loadField(const Word *P) {
+  static_assert(sizeof(T) == 2 * sizeof(Word), "two-word field");
+  T V;
+  std::memcpy(&V, P, sizeof(T));
+  return V;
+}
+
+template <typename T> void storeField(Word *P, T V) {
+  static_assert(sizeof(T) == 2 * sizeof(Word), "two-word field");
+  std::memcpy(P, &V, sizeof(T));
+}
+
+size_t numLits(const Word *C) { return C[HdrSize]; }
+bool isLinear(const Word *C) { return C[HdrFlags] & FlagLinear; }
+int64_t degreeOf(const Word *C) { return loadField<int64_t>(C + HdrDegree); }
+Lit litOf(Word W) { return Lit::fromIndex(int(W)); }
+/// First word of a linear row's tail (max-sum, false-sum, coefficients).
+const Word *tailOf(const Word *C) { return C + HdrWords + numLits(C); }
+Word *tailOf(Word *C) { return C + HdrWords + numLits(C); }
+int64_t coeffOf(const Word *Tail, size_t I) {
+  return loadField<int64_t>(Tail + TailCoeffs + 2 * I);
+}
+/// Words the constraint at \p C occupies.
+size_t wordsOf(const Word *C) {
+  size_t N = numLits(C);
+  return HdrWords + N + (isLinear(C) ? TailCoeffs + 2 * N : 0);
+}
 
 /// Finite Luby subsequence value: luby(I) for the 1-based restart index,
 /// over the sequence 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
@@ -76,7 +145,7 @@ Var Solver::newVar() {
 }
 
 void Solver::ensureVarCapacity() {
-  Value.resize(VarCount, 0);
+  LitValue.resize(2 * VarCount, 0);
   Level.resize(VarCount, 0);
   Reason.resize(VarCount, NoCref);
   TrailPos.resize(VarCount, -1);
@@ -231,8 +300,7 @@ bool Solver::addLinear(std::vector<std::pair<Lit, int64_t>> Terms,
   // simplification against the current root assignment.
   Export.push_back({Merged, Degree});
 
-  Cref Out = NoCref;
-  if (!addNormalized(std::move(Merged), Degree, /*Learned=*/false, &Out))
+  if (!addNormalized(std::move(Merged), Degree))
     Ok = false;
   if (Ok && QHead < Trail.size() && propagate() != NoCref)
     Ok = false;
@@ -240,7 +308,7 @@ bool Solver::addLinear(std::vector<std::pair<Lit, int64_t>> Terms,
 }
 
 bool Solver::addNormalized(std::vector<std::pair<Lit, int64_t>> Terms,
-                           int64_t Degree, bool Learned, Cref *Out) {
+                           int64_t Degree) {
   // Simplify against the root-level assignment.
   size_t W = 0;
   for (size_t I = 0; I < Terms.size(); ++I) {
@@ -282,16 +350,14 @@ bool Solver::addNormalized(std::vector<std::pair<Lit, int64_t>> Terms,
       break;
     }
 
-  Constraint C;
-  C.Learned = Learned;
-  C.Degree = Degree;
-  C.Lits.reserve(Terms.size());
+  Cref Ref;
   if (AllUnit) {
-    C.K = Kind::Card;
-    for (const auto &T : Terms)
-      C.Lits.push_back(T.first);
+    Ref = allocConstraint(Terms.size(), /*Linear=*/false, /*Learned=*/false,
+                          Degree, 0.0);
+    Word *Lits = &Store[size_t(Ref) + HdrWords];
+    for (size_t I = 0; I < Terms.size(); ++I)
+      Lits[I] = Word(Terms[I].first.index());
   } else {
-    C.K = Kind::Linear;
     // Sort by decreasing coefficient so propagation and reason
     // extraction scan the heaviest terms first.
     std::sort(Terms.begin(), Terms.end(),
@@ -299,48 +365,61 @@ bool Solver::addNormalized(std::vector<std::pair<Lit, int64_t>> Terms,
                  const std::pair<Lit, int64_t> &B) {
                 return A.second > B.second;
               });
-    C.Coeffs.reserve(Terms.size());
-    for (const auto &T : Terms) {
-      C.Lits.push_back(T.first);
-      C.Coeffs.push_back(T.second);
+    Ref = allocConstraint(Terms.size(), /*Linear=*/true, /*Learned=*/false,
+                          Degree, 0.0);
+    Word *C = &Store[size_t(Ref)];
+    Word *Tail = tailOf(C);
+    for (size_t I = 0; I < Terms.size(); ++I) {
+      C[HdrWords + I] = Word(Terms[I].first.index());
+      storeField(Tail + TailCoeffs + 2 * I, Terms[I].second);
     }
-    C.MaxSum = MaxSum;
-    C.FalseSum = 0;
+    storeField(Tail + TailMaxSum, MaxSum);
+    storeField(Tail + TailFalseSum, int64_t(0));
   }
-
-  Cref Ref = allocConstraint(std::move(C));
   attachConstraint(Ref);
-  if (Out)
-    *Out = Ref;
 
   // A fresh linear row may propagate immediately (slack smaller than
   // some coefficient even with nothing false yet).
-  Constraint &CC = Arena[size_t(Ref)];
-  if (CC.K == Kind::Linear) {
-    int64_t Slack = CC.MaxSum - CC.Degree;
-    for (size_t I = 0; I < CC.Lits.size() && CC.Coeffs[I] > Slack; ++I)
-      if (litValue(CC.Lits[I]) == 0)
-        uncheckedEnqueue(CC.Lits[I], Ref);
+  if (!AllUnit) {
+    int64_t Slack = MaxSum - Degree;
+    for (size_t I = 0; I < Terms.size() && Terms[I].second > Slack; ++I)
+      if (litValue(Terms[I].first) == 0)
+        uncheckedEnqueue(Terms[I].first, Ref);
   }
   return true;
 }
 
-Solver::Cref Solver::allocConstraint(Constraint C) {
-  Arena.push_back(std::move(C));
-  return Cref(Arena.size() - 1);
+Solver::Cref Solver::allocConstraint(size_t NumLits, bool Linear,
+                                     bool Learned, int64_t Degree,
+                                     double InitialActivity) {
+  size_t Ref = Store.size();
+  size_t Words = HdrWords + NumLits + (Linear ? TailCoeffs + 2 * NumLits : 0);
+  assert(Ref + Words <= MaxStoreWords && "constraint store overflow");
+  Store.resize(Ref + Words, 0);
+  Word *C = &Store[Ref];
+  C[HdrSize] = Word(NumLits);
+  C[HdrFlags] = (Linear ? FlagLinear : 0) | (Learned ? FlagLearned : 0);
+  storeField(C + HdrDegree, Degree);
+  storeField(C + HdrActivity, InitialActivity);
+  ++NumConstraints;
+  return Cref(Ref);
 }
 
 void Solver::attachConstraint(Cref Ref) {
-  Constraint &C = Arena[size_t(Ref)];
-  if (C.K == Kind::Card) {
-    assert(int64_t(C.Lits.size()) > C.Degree &&
+  const Word *C = &Store[size_t(Ref)];
+  const Word *Lits = C + HdrWords;
+  size_t N = numLits(C);
+  if (!isLinear(C)) {
+    int64_t Degree = degreeOf(C);
+    assert(int64_t(N) > Degree &&
            "cardinality constraint must have slack to be watchable");
     // Watch the first Degree+1 literals.
-    for (int64_t I = 0; I <= C.Degree; ++I)
-      Watches[size_t(C.Lits[size_t(I)].index())].push_back(Ref);
+    for (int64_t I = 0; I <= Degree; ++I)
+      Watches[Lits[I]].push_back(Ref);
   } else {
-    for (size_t I = 0; I < C.Lits.size(); ++I)
-      LinOcc[size_t(C.Lits[I].index())].push_back({Ref, C.Coeffs[I]});
+    const Word *Tail = tailOf(C);
+    for (size_t I = 0; I < N; ++I)
+      LinOcc[Lits[I]].push_back({Ref, coeffOf(Tail, I)});
   }
 }
 
@@ -350,8 +429,10 @@ void Solver::attachConstraint(Cref Ref) {
 
 void Solver::uncheckedEnqueue(Lit P, Cref From) {
   Var V = P.var();
-  assert(Value[size_t(V)] == 0 && "enqueue of an assigned variable");
-  Value[size_t(V)] = P.negated() ? int8_t(-1) : int8_t(1);
+  assert(!assigned(V) && "enqueue of an assigned variable");
+  Lit NotP = ~P;
+  LitValue[size_t(P.index())] = 1;
+  LitValue[size_t(NotP.index())] = -1;
   Level[size_t(V)] = decisionLevel();
   Reason[size_t(V)] = From;
   TrailPos[size_t(V)] = int(Trail.size());
@@ -359,9 +440,10 @@ void Solver::uncheckedEnqueue(Lit P, Cref From) {
   // Keep every linear row's false-sum in lock-step with the trail (not
   // the propagation queue) so a conflict cannot leave sums and trail
   // out of sync across a backtrack.
-  Lit NotP = ~P;
-  for (const auto &Occ : LinOcc[size_t(NotP.index())])
-    Arena[size_t(Occ.first)].FalseSum += Occ.second;
+  for (const auto &Occ : LinOcc[size_t(NotP.index())]) {
+    Word *Sum = tailOf(&Store[size_t(Occ.first)]) + TailFalseSum;
+    storeField(Sum, loadField<int64_t>(Sum) + Occ.second);
+  }
 }
 
 Solver::Cref Solver::propagate() {
@@ -382,36 +464,34 @@ Solver::Cref Solver::propagate() {
 Solver::Cref Solver::propagateCard(Lit False, std::vector<Cref> &Watch) {
   // Visit every cardinality/clause constraint watching the literal that
   // just became false; try to move the watch, else propagate/conflict.
+  const Word FalseW = Word(False.index());
   size_t Keep = 0;
   Cref Conflict = NoCref;
   for (size_t I = 0; I < Watch.size(); ++I) {
     Cref Ref = Watch[I];
-    Constraint &C = Arena[size_t(Ref)];
-    if (C.Deleted)
-      continue; // Lazy watch cleanup for reduced learned clauses.
     if (Conflict != NoCref) {
       Watch[Keep++] = Ref;
       continue;
     }
-    size_t WatchCount = size_t(C.Degree) + 1;
+    Word *C = &Store[size_t(Ref)];
+    Word *Lits = C + HdrWords;
+    size_t N = numLits(C);
+    size_t WatchCount = size_t(degreeOf(C)) + 1;
     // Locate the false watched literal.
-    size_t Pos = WatchCount;
-    for (size_t J = 0; J < WatchCount; ++J)
-      if (C.Lits[J] == False) {
-        Pos = J;
-        break;
-      }
+    size_t Pos = 0;
+    while (Pos < WatchCount && Lits[Pos] != FalseW)
+      ++Pos;
     assert(Pos < WatchCount && "watched literal not in the watch set");
     // Try to find a non-false replacement outside the watch set.
     size_t Repl = 0;
-    for (size_t J = WatchCount; J < C.Lits.size(); ++J)
-      if (litValue(C.Lits[J]) >= 0) {
+    for (size_t J = WatchCount; J < N; ++J)
+      if (LitValue[Lits[J]] >= 0) {
         Repl = J;
         break;
       }
     if (Repl != 0) {
-      std::swap(C.Lits[Pos], C.Lits[Repl]);
-      Watches[size_t(C.Lits[Pos].index())].push_back(Ref);
+      std::swap(Lits[Pos], Lits[Repl]);
+      Watches[Lits[Pos]].push_back(Ref);
       continue; // Dropped from this watch list.
     }
     // No replacement: every unwatched literal is false, so all other
@@ -420,11 +500,11 @@ Solver::Cref Solver::propagateCard(Lit False, std::vector<Cref> &Watch) {
     for (size_t J = 0; J < WatchCount && Conflict == NoCref; ++J) {
       if (J == Pos)
         continue;
-      int8_t V = litValue(C.Lits[J]);
+      int8_t V = LitValue[Lits[J]];
       if (V < 0)
         Conflict = Ref;
       else if (V == 0)
-        uncheckedEnqueue(C.Lits[J], Ref);
+        uncheckedEnqueue(litOf(Lits[J]), Ref);
     }
   }
   Watch.resize(Keep);
@@ -437,15 +517,19 @@ Solver::Cref Solver::propagateLinearAssign(Lit P) {
   Cref Conflict = NoCref;
   Lit NotP = ~P;
   for (const auto &Occ : LinOcc[size_t(NotP.index())]) {
-    Constraint &C = Arena[size_t(Occ.first)];
-    int64_t Slack = C.MaxSum - C.FalseSum - C.Degree;
+    const Word *C = &Store[size_t(Occ.first)];
+    const Word *Lits = C + HdrWords;
+    const Word *Tail = tailOf(C);
+    size_t N = numLits(C);
+    int64_t Slack = loadField<int64_t>(Tail + TailMaxSum) -
+                    loadField<int64_t>(Tail + TailFalseSum) - degreeOf(C);
     if (Slack < 0) {
       Conflict = Occ.first;
       break;
     }
-    for (size_t I = 0; I < C.Lits.size() && C.Coeffs[I] > Slack; ++I)
-      if (litValue(C.Lits[I]) == 0)
-        uncheckedEnqueue(C.Lits[I], Occ.first);
+    for (size_t I = 0; I < N && coeffOf(Tail, I) > Slack; ++I)
+      if (LitValue[Lits[I]] == 0)
+        uncheckedEnqueue(litOf(Lits[I]), Occ.first);
   }
   return Conflict;
 }
@@ -458,10 +542,13 @@ void Solver::cancelUntil(int TargetLevel) {
     Lit P = Trail[I - 1];
     Var V = P.var();
     Lit NotP = ~P;
-    for (const auto &Occ : LinOcc[size_t(NotP.index())])
-      Arena[size_t(Occ.first)].FalseSum -= Occ.second;
+    for (const auto &Occ : LinOcc[size_t(NotP.index())]) {
+      Word *Sum = tailOf(&Store[size_t(Occ.first)]) + TailFalseSum;
+      storeField(Sum, loadField<int64_t>(Sum) - Occ.second);
+    }
     SavedPhase[size_t(V)] = uint8_t(!P.negated());
-    Value[size_t(V)] = 0;
+    LitValue[size_t(P.index())] = 0;
+    LitValue[size_t(NotP.index())] = 0;
     Reason[size_t(V)] = NoCref;
     heapInsert(V);
   }
@@ -482,43 +569,68 @@ void Solver::reasonClause(Cref Ref, Lit P, std::vector<Lit> &Out) {
   // P on the trail may participate, keeping the implication graph
   // acyclic.
   Out.clear();
-  const Constraint &C = Arena[size_t(Ref)];
+  const Word *C = &Store[size_t(Ref)];
+  const Word *Lits = C + HdrWords;
+  size_t N = numLits(C);
   int Before = P == UndefLit ? int(Trail.size()) : TrailPos[size_t(P.var())];
-  if (C.K == Kind::Card) {
+  if (!isLinear(C)) {
     // At least Degree of the literals must be true, so listing the
     // false ones (>= n-Degree of them for a reason, more for a
     // conflict) yields an implied clause.
-    for (Lit L : C.Lits)
+    for (size_t I = 0; I < N; ++I) {
+      Lit L = litOf(Lits[I]);
       if (litValue(L) < 0 && TrailPos[size_t(L.var())] < Before)
         Out.push_back(L);
+    }
   } else {
     // Greedy PB reason: false literals, largest coefficients first,
     // until the remaining terms cannot reach the degree (minus P's own
     // coefficient when explaining a propagation).
-    int64_t Need = C.MaxSum - C.Degree;
+    const Word *Tail = tailOf(C);
+    int64_t Need = loadField<int64_t>(Tail + TailMaxSum) - degreeOf(C);
     if (P != UndefLit)
-      for (size_t I = 0; I < C.Lits.size(); ++I)
-        if (C.Lits[I] == P) {
-          Need -= C.Coeffs[I];
+      for (size_t I = 0; I < N; ++I)
+        if (litOf(Lits[I]) == P) {
+          Need -= coeffOf(Tail, I);
           break;
         }
     int64_t Got = 0;
-    for (size_t I = 0; I < C.Lits.size() && Got <= Need; ++I) {
-      Lit L = C.Lits[I];
+    for (size_t I = 0; I < N && Got <= Need; ++I) {
+      Lit L = litOf(Lits[I]);
       if (L != P && litValue(L) < 0 && TrailPos[size_t(L.var())] < Before) {
         Out.push_back(L);
-        Got += C.Coeffs[I];
+        Got += coeffOf(Tail, I);
       }
     }
     assert(Got > Need && "PB reason extraction fell short of the slack");
   }
 }
 
+template <typename Fn>
+void Solver::forEachReasonLit(Cref Ref, Lit P, Fn Visit) {
+  const Word *C = &Store[size_t(Ref)];
+  if (isLinear(C) || degreeOf(C) != 1) {
+    reasonClause(Ref, P, ReasonScratch);
+    for (Lit Q : ReasonScratch)
+      if (!Visit(Q))
+        return;
+    return;
+  }
+  // A clause: every literal but P is false and was assigned before P (a
+  // backjump that unassigns one of them unassigns P as well), and a
+  // conflicting clause is false throughout, so its literals are the
+  // reason as they stand.
+  const Word *Lits = C + HdrWords;
+  for (size_t I = 0, N = numLits(C); I < N; ++I)
+    if (litOf(Lits[I]) != P && !Visit(litOf(Lits[I])))
+      return;
+}
+
 int Solver::analyze(Cref Conflict, std::vector<Lit> &Learnt) {
   assert(decisionLevel() > 0 && "analysis requires a decision to undo");
   Learnt.clear();
   Learnt.push_back(UndefLit); // Slot for the asserting literal.
-  std::vector<Var> ToClear;
+  SeenVars.clear();
 
   int PathCount = 0;
   Lit P = UndefLit;
@@ -527,19 +639,19 @@ int Solver::analyze(Cref Conflict, std::vector<Lit> &Learnt) {
   do {
     assert(Confl != NoCref && "resolved literal lacks a reason");
     bumpConstraint(Confl);
-    reasonClause(Confl, P, ReasonScratch);
-    for (Lit Q : ReasonScratch) {
+    forEachReasonLit(Confl, P, [&](Lit Q) {
       Var V = Q.var();
       if (Seen[size_t(V)] || Level[size_t(V)] == 0)
-        continue;
+        return true;
       Seen[size_t(V)] = 1;
-      ToClear.push_back(V);
+      SeenVars.push_back(V);
       bumpVar(V);
       if (Level[size_t(V)] >= decisionLevel())
         ++PathCount;
       else
         Learnt.push_back(Q);
-    }
+      return true;
+    });
     // Walk back to the next marked literal on the trail.
     while (!Seen[size_t(Trail[size_t(Index - 1)].var())])
       --Index;
@@ -564,7 +676,7 @@ int Solver::analyze(Cref Conflict, std::vector<Lit> &Learnt) {
     BtLevel = Level[size_t(Learnt[1].var())];
   }
 
-  for (Var V : ToClear)
+  for (Var V : SeenVars)
     Seen[size_t(V)] = 0;
   return BtLevel;
 }
@@ -581,13 +693,11 @@ void Solver::minimizeLearnt(std::vector<Lit> &Learnt) {
     Cref R = Reason[size_t(V)];
     bool Redundant = false;
     if (R != NoCref) {
-      reasonClause(R, ~Learnt[I], ReasonScratch);
       Redundant = true;
-      for (Lit Q : ReasonScratch)
-        if (!Seen[size_t(Q.var())] && Level[size_t(Q.var())] > 0) {
-          Redundant = false;
-          break;
-        }
+      forEachReasonLit(R, ~Learnt[I], [&](Lit Q) {
+        Redundant = Seen[size_t(Q.var())] || Level[size_t(Q.var())] == 0;
+        return Redundant;
+      });
     }
     if (!Redundant)
       Learnt[W++] = Learnt[I];
@@ -618,10 +728,11 @@ void Solver::analyzeFinal(Lit FailedAssumption, std::vector<Lit> &OutCore) {
       assert(Level[size_t(V)] > 0 && "root literal cannot be a decision");
       OutCore.push_back(T);
     } else {
-      reasonClause(Reason[size_t(V)], T, ReasonScratch);
-      for (Lit Q : ReasonScratch)
+      forEachReasonLit(Reason[size_t(V)], T, [&](Lit Q) {
         if (Level[size_t(Q.var())] > 0)
           Seen[size_t(Q.var())] = 1;
+        return true;
+      });
     }
   }
   Seen[size_t(FailedAssumption.var())] = 0;
@@ -637,36 +748,38 @@ void Solver::recordLearnt(const std::vector<Lit> &Learnt) {
     uncheckedEnqueue(Learnt[0], NoCref);
     return;
   }
-  Constraint C;
-  C.K = Kind::Card;
-  C.Learned = true;
-  C.Degree = 1;
-  C.Activity = ConstraintInc;
-  C.Lits = Learnt;
-  Cref Ref = allocConstraint(std::move(C));
+  Cref Ref = allocConstraint(Learnt.size(), /*Linear=*/false,
+                             /*Learned=*/true, 1, ConstraintInc);
+  Word *Lits = &Store[size_t(Ref) + HdrWords];
+  for (size_t I = 0; I < Learnt.size(); ++I)
+    Lits[I] = Word(Learnt[I].index());
   attachConstraint(Ref);
   Learnts.push_back(Ref);
   uncheckedEnqueue(Learnt[0], Ref);
 }
 
 bool Solver::locked(Cref Ref) const {
-  const Constraint &C = Arena[size_t(Ref)];
-  for (Lit L : C.Lits) {
-    Var V = L.var();
-    if (Value[size_t(V)] != 0 && Reason[size_t(V)] == Ref)
+  const Word *C = &Store[size_t(Ref)];
+  const Word *Lits = C + HdrWords;
+  for (size_t I = 0, N = numLits(C); I < N; ++I) {
+    Var V = litOf(Lits[I]).var();
+    if (assigned(V) && Reason[size_t(V)] == Ref)
       return true;
   }
   return false;
 }
 
 void Solver::bumpConstraint(Cref Ref) {
-  Constraint &C = Arena[size_t(Ref)];
-  if (!C.Learned)
+  Word *C = &Store[size_t(Ref)];
+  if (!(C[HdrFlags] & FlagLearned))
     return;
-  C.Activity += ConstraintInc;
-  if (C.Activity > 1e20) {
-    for (Cref L : Learnts)
-      Arena[size_t(L)].Activity *= 1e-20;
+  double Bumped = loadField<double>(C + HdrActivity) + ConstraintInc;
+  storeField(C + HdrActivity, Bumped);
+  if (Bumped > 1e20) {
+    for (Cref L : Learnts) {
+      Word *A = &Store[size_t(L) + HdrActivity];
+      storeField(A, loadField<double>(A) * 1e-20);
+    }
     ConstraintInc *= 1e-20;
   }
 }
@@ -674,26 +787,89 @@ void Solver::bumpConstraint(Cref Ref) {
 void Solver::reduceLearnts() {
   // Drop the lower-activity half of the learned database, keeping
   // binary and locked (currently-propagating) clauses.
-  std::sort(Learnts.begin(), Learnts.end(), [this](Cref A, Cref B) {
-    return Arena[size_t(A)].Activity < Arena[size_t(B)].Activity;
+  auto ActivityOf = [this](Cref Ref) {
+    return loadField<double>(&Store[size_t(Ref) + HdrActivity]);
+  };
+  std::sort(Learnts.begin(), Learnts.end(), [&](Cref A, Cref B) {
+    return ActivityOf(A) < ActivityOf(B);
   });
   size_t Target = Learnts.size() / 2;
   size_t Removed = 0, W = 0;
   for (size_t I = 0; I < Learnts.size(); ++I) {
     Cref Ref = Learnts[I];
-    Constraint &C = Arena[size_t(Ref)];
-    if (Removed < Target && C.Lits.size() > 2 && !locked(Ref)) {
-      C.Deleted = true; // Watches are cleaned lazily.
-      C.Lits.clear();
-      C.Lits.shrink_to_fit();
+    if (Removed < Target && numLits(&Store[size_t(Ref)]) > 2 &&
+        !locked(Ref)) {
+      Store[size_t(Ref) + HdrFlags] |= FlagDeleted;
       ++Removed;
     } else {
       Learnts[W++] = Ref;
     }
   }
   Learnts.resize(W);
+  if (Removed > 0)
+    compactStore();
   // Let the database grow a little between reductions.
   LearntAdjust += LearntAdjust / 10;
+}
+
+void Solver::compactStore() {
+  // A sliding compaction in three passes: park each survivor's new
+  // offset in its flags word, remap every reference through it while
+  // the old headers are still in place, then slide the survivors down.
+  size_t To = 0;
+  for (size_t From = 0; From < Store.size();) {
+    Word *C = &Store[From];
+    size_t Words = wordsOf(C);
+    if (!(C[HdrFlags] & FlagDeleted)) {
+      C[HdrFlags] |= Word(To) << FlagBits;
+      To += Words;
+    } else {
+      --NumConstraints;
+    }
+    From += Words;
+  }
+  auto Deleted = [this](Cref Ref) {
+    return (Store[size_t(Ref) + HdrFlags] & FlagDeleted) != 0;
+  };
+  auto Relocate = [&](Cref Ref) {
+    assert(!Deleted(Ref) && "reference to a deleted constraint");
+    return Cref(Store[size_t(Ref) + HdrFlags] >> FlagBits);
+  };
+
+  // Dropping deleted watches keeps the surviving ones in order, exactly
+  // as skipping them during propagation would.
+  for (std::vector<Cref> &List : Watches) {
+    size_t Keep = 0;
+    for (Cref Ref : List)
+      if (!Deleted(Ref))
+        List[Keep++] = Relocate(Ref);
+    List.resize(Keep);
+  }
+  for (auto &List : LinOcc)
+    for (auto &Occ : List)
+      Occ.first = Relocate(Occ.first);
+  for (Cref &Ref : Learnts)
+    Ref = Relocate(Ref);
+  // Only assigned variables carry a reason, and reduceLearnts() never
+  // deletes a constraint that is one.
+  for (Cref &Ref : Reason)
+    if (Ref != NoCref)
+      Ref = Relocate(Ref);
+
+  // Each survivor lands at or before its old offset, so going in store
+  // order never overwrites a header not yet read.
+  for (size_t From = 0; From < Store.size();) {
+    Word *C = &Store[From];
+    size_t Words = wordsOf(C);
+    if (!(C[HdrFlags] & FlagDeleted)) {
+      size_t Dest = C[HdrFlags] >> FlagBits;
+      C[HdrFlags] &= FlagMask;
+      if (Dest != From)
+        std::copy(C, C + Words, &Store[Dest]);
+    }
+    From += Words;
+  }
+  Store.resize(To);
 }
 
 //===----------------------------------------------------------------------===//
@@ -703,7 +879,7 @@ void Solver::reduceLearnts() {
 Lit Solver::pickBranchLit() {
   while (!Heap.empty()) {
     Var V = heapPop();
-    if (Value[size_t(V)] == 0)
+    if (!assigned(V))
       return Lit(V, !SavedPhase[size_t(V)]);
   }
   return UndefLit;
@@ -777,7 +953,7 @@ SolveStatus Solver::search(int64_t ConflictBudget,
         // All variables assigned: a model.
         Model.assign(VarCount, 0);
         for (size_t V = 0; V < VarCount; ++V)
-          Model[V] = uint8_t(Value[V] > 0);
+          Model[V] = uint8_t(LitValue[2 * V] > 0);
         return SolveStatus::Sat;
       }
       ++Stats.Decisions;
@@ -796,7 +972,7 @@ SolveStatus Solver::solve(const std::vector<Lit> &Assumptions) {
   } else {
     cancelUntil(0);
     if (LearntAdjust == 0)
-      LearntAdjust = std::max<int64_t>(2000, int64_t(Arena.size()));
+      LearntAdjust = std::max<int64_t>(2000, int64_t(NumConstraints));
     int64_t ConflictsLeft =
         ConflictLimit >= 0 ? ConflictLimit : int64_t(1) << 62;
     int64_t RestartIndex = 0;

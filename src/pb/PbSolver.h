@@ -28,6 +28,16 @@
 ///    false literals, largest coefficients first, restricted to
 ///    assignments that precede the propagation. Learned clauses are
 ///    minimized against their own reasons and scored for deletion.
+///  * Constraint store: every constraint lives inline in one contiguous
+///    array of 32-bit words, addressed by its word offset. A six-word
+///    header (literal count, kind/learned/deleted flags, 64-bit degree,
+///    double activity) is followed by the literals; a general PB row
+///    then keeps its max-sum, false-sum and 64-bit coefficients inline
+///    too. A learned clause is appended in place, and learned-database
+///    reduction compacts the store in place, preserving constraint
+///    order, and remaps every watch, occurrence, learned and reason
+///    reference to the new offsets. Assignment values are kept per
+///    literal, so reading a literal's value is one byte load.
 ///  * Search: VSIDS-style activity branching over a binary heap with
 ///    phase saving, Luby-sequence restarts, and activity-based learned
 ///    database reduction.
@@ -112,7 +122,11 @@ struct SolverStats {
   int64_t Propagations = 0; ///< Literals propagated.
   int64_t Decisions = 0;    ///< Branching decisions.
   int64_t Restarts = 0;     ///< Luby restarts taken.
-  int64_t Learned = 0;      ///< Learned clauses retained (pre-reduction).
+  /// Clauses learned: one per conflict analyzed above decision level 0,
+  /// units included, and never decreased by database reduction. It
+  /// equals Conflicts except for a conflict at the root, which ends the
+  /// search instead of producing a clause.
+  int64_t Learned = 0;
 };
 
 /// One original (non-learned) constraint in normalized "sum of
@@ -220,33 +234,15 @@ private:
   // Constraint store
   //===--------------------------------------------------------------------===//
 
-  enum class Kind : uint8_t {
-    Card,   ///< All coefficients 1; degree 1 is a plain clause.
-    Linear, ///< General saturated-coefficient PB row.
-  };
-
-  struct Constraint {
-    Kind K = Kind::Card;
-    bool Learned = false;
-    bool Deleted = false;
-    double Activity = 0.0;
-    int64_t Degree = 0;
-    /// For Card, the first Degree+1 positions are the watched set.
-    std::vector<Lit> Lits;
-    /// Linear only; aligned with Lits, sorted by decreasing coefficient.
-    std::vector<int64_t> Coeffs;
-    /// Linear only: sum of all coefficients (cached).
-    int64_t MaxSum = 0;
-    /// Linear only: sum of coefficients of currently-false literals,
-    /// maintained by propagation and unwound on backtrack.
-    int64_t FalseSum = 0;
-  };
-
-  /// Constraint reference: index into the arena. -1 = no constraint.
+  /// Constraint reference: word offset of the constraint's header in
+  /// Store. -1 = no constraint. Offsets change when reduceLearnts()
+  /// compacts the store; every reference is remapped then.
   using Cref = int;
   static constexpr Cref NoCref = -1;
 
-  std::vector<Constraint> Arena;
+  /// All constraints, back to back (layout in PbSolver.cpp).
+  std::vector<uint32_t> Store;
+  size_t NumConstraints = 0; ///< Constraints currently in Store.
   std::vector<Cref> Learnts; ///< Learned (clause) constraints, live subset.
   std::vector<ExportRow> Export;
 
@@ -255,8 +251,9 @@ private:
   //===--------------------------------------------------------------------===//
 
   size_t VarCount = 0;
-  /// Per-variable value: 0 = unassigned, 1 = true, -1 = false.
-  std::vector<int8_t> Value;
+  /// Per-literal value, indexed by Lit::index(): 0 = unassigned,
+  /// 1 = true, -1 = false.
+  std::vector<int8_t> LitValue;
   std::vector<int> Level;        ///< Decision level of assignment.
   std::vector<Cref> Reason;      ///< Propagating constraint, NoCref = decision.
   std::vector<int> TrailPos;     ///< Position on the trail.
@@ -269,10 +266,9 @@ private:
   bool Ok = true;
 
   /// Value of literal \p L: 0 unassigned, 1 true, -1 false.
-  int8_t litValue(Lit L) const {
-    int8_t V = Value[size_t(L.var())];
-    return L.negated() ? int8_t(-V) : V;
-  }
+  int8_t litValue(Lit L) const { return LitValue[size_t(L.index())]; }
+  /// True when variable \p V is assigned.
+  bool assigned(Var V) const { return LitValue[2 * size_t(V)] != 0; }
 
   int decisionLevel() const { return int(TrailLim.size()); }
 
@@ -315,15 +311,17 @@ private:
 
   void ensureVarCapacity();
   bool addNormalized(std::vector<std::pair<Lit, int64_t>> Terms,
-                     int64_t Degree, bool Learned, Cref *Out);
-  Cref allocConstraint(Constraint C);
+                     int64_t Degree);
+  /// Appends a constraint with \p NumLits zeroed literal slots (and
+  /// coefficient slots when \p Linear) and returns its reference.
+  Cref allocConstraint(size_t NumLits, bool Linear, bool Learned,
+                       int64_t Degree, double InitialActivity);
   void attachConstraint(Cref C);
   void uncheckedEnqueue(Lit P, Cref From);
   /// Runs unit propagation; returns the conflicting constraint or NoCref.
   Cref propagate();
   Cref propagateCard(Lit False, std::vector<Cref> &Watch);
   Cref propagateLinearAssign(Lit P);
-  void undoLinearAssign(Lit P);
   void cancelUntil(int TargetLevel);
   /// 1UIP analysis of \p Conflict; fills \p Learnt (asserting literal
   /// first) and returns the backtrack level.
@@ -333,8 +331,15 @@ private:
   /// Clause-form reason for \p P propagated by \p C (or the conflict
   /// clause when P is undefined): false literals only, PB-aware.
   void reasonClause(Cref C, Lit P, std::vector<Lit> &Out);
+  /// Calls \p Visit on each literal of that reason, in order, until it
+  /// returns false. A clause's literals are read in place; other
+  /// constraints go through reasonClause() and ReasonScratch.
+  template <typename Fn> void forEachReasonLit(Cref C, Lit P, Fn Visit);
   void recordLearnt(const std::vector<Lit> &Learnt);
   void reduceLearnts();
+  /// Removes deleted constraints from Store in place and remaps every
+  /// reference to the survivors' new offsets.
+  void compactStore();
   bool locked(Cref C) const;
   void bumpConstraint(Cref C);
   Lit pickBranchLit();
@@ -345,6 +350,7 @@ private:
   bool budgetExpired(int64_t ConflictsLeft) const;
 
   std::vector<uint8_t> Seen; ///< Per-variable analysis scratch.
+  std::vector<Var> SeenVars; ///< Variables analyze() marked in Seen.
   std::vector<Lit> ReasonScratch;
   double ConstraintInc = 1.0;
   int64_t LearntAdjust = 0; ///< Reduce learned DB when Learnts exceeds this.

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 using namespace modsched;
@@ -270,6 +271,96 @@ TEST(PbSolver, SelectorGatedBoundTightening) {
     Assumps.push_back(negLit(Sel));
   }
   EXPECT_EQ(Best, 3) << "optimum of the window cover is one per window";
+}
+
+TEST(PbSolver, PinnedSearchAcrossReductions) {
+  // Pins the solver's own search, independent of any formulation: a
+  // fixed-seed random 3-SAT instance on 150 variables plus one
+  // cardinality row of degree 6 and one wide-coefficient linear row,
+  // minimized by a selector-gated descent on sum(x). The run takes five
+  // learned-database reductions, all above decision level 0, and an
+  // OnRestart hook appends an ungated bound after learned clauses exist,
+  // so later reductions move an original row too. Storage and speed
+  // changes must leave every value below as it is; a change to any of
+  // them means the search itself changed.
+  const int N = 150;
+  std::mt19937 Rng(21); // mt19937's raw output is fixed by the standard.
+  auto Pick = [&](uint32_t Mod) { return uint32_t(Rng() % Mod); };
+  Solver S;
+  auto V = makeVars(S, N);
+  auto RandLit = [&] {
+    Var X = V[Pick(uint32_t(N))]; // Draw the variable before the sign.
+    return Lit(X, Pick(2) != 0);
+  };
+  for (int C = 0; C < 580; ++C)
+    ASSERT_TRUE(S.addClause({RandLit(), RandLit(), RandLit()}));
+  std::vector<Lit> CardLits;
+  for (int K = 0; K < 20; ++K)
+    CardLits.push_back(posLit(V[Pick(uint32_t(N))]));
+  ASSERT_TRUE(S.addAtLeast(CardLits, 6));
+  std::vector<std::pair<Lit, int64_t>> Wide;
+  for (int K = 0; K < 24; ++K)
+    Wide.push_back({RandLit(), int64_t(1 + Pick(1000))});
+  ASSERT_TRUE(S.addLinear(Wide, 6000));
+
+  // sum(x) <= Bound, as sum(~x) >= N - Bound, optionally gated by Sel.
+  auto BoundTerms = [&](Var Sel) {
+    std::vector<std::pair<Lit, int64_t>> Terms;
+    for (Var X : V)
+      Terms.push_back({negLit(X), 1});
+    if (Sel >= 0)
+      Terms.push_back({posLit(Sel), int64_t(N)});
+    return Terms;
+  };
+  int64_t FirstCost = -1;
+  int HookAdds = 0;
+  S.OnRestart = [&] {
+    if (FirstCost < 0 || HookAdds > 0 || S.stats().Conflicts < 3000)
+      return;
+    ++HookAdds;
+    EXPECT_TRUE(S.addLinear(BoundTerms(-1), int64_t(N) - FirstCost));
+  };
+
+  std::vector<std::string> Verdicts;
+  std::vector<int64_t> Costs;
+  std::vector<Lit> Assumps;
+  for (;;) {
+    SolveStatus St = S.solve(Assumps);
+    Verdicts.push_back(toString(St));
+    if (St != SolveStatus::Sat)
+      break;
+    int64_t Cost = 0;
+    for (Var X : V)
+      Cost += S.modelValue(X);
+    Costs.push_back(Cost);
+    if (FirstCost < 0)
+      FirstCost = Cost;
+    Var Sel = S.newVar();
+    ASSERT_TRUE(S.addLinear(BoundTerms(Sel), int64_t(N) - Cost + 1));
+    Assumps.push_back(negLit(Sel));
+  }
+
+  EXPECT_EQ(HookAdds, 1);
+  std::vector<std::string> ExpectVerdicts(14, "sat");
+  ExpectVerdicts.push_back("unsat");
+  EXPECT_EQ(Verdicts, ExpectVerdicts);
+  std::vector<int64_t> ExpectCosts;
+  for (int64_t C = 66; C >= 53; --C)
+    ExpectCosts.push_back(C);
+  EXPECT_EQ(Costs, ExpectCosts);
+  std::vector<Var> CoreVars;
+  for (Lit L : S.unsatCore()) {
+    EXPECT_TRUE(L.negated()) << "core literal is not an assumption";
+    CoreVars.push_back(L.var());
+  }
+  EXPECT_EQ(CoreVars,
+            (std::vector<Var>{155, 156, 157, 158, 159, 160, 161, 162, 163}));
+  const SolverStats &St = S.stats();
+  EXPECT_EQ(St.Conflicts, 8139);
+  EXPECT_EQ(St.Propagations, 256272);
+  EXPECT_EQ(St.Decisions, 10206);
+  EXPECT_EQ(St.Restarts, 42);
+  EXPECT_EQ(St.Learned, 8139);
 }
 
 TEST(PbSolver, ConflictLimitReportsLimit) {
