@@ -8,10 +8,8 @@
 #include "support/Json.h"
 #include "support/Statistics.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "workloads/SyntheticGenerator.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
@@ -93,15 +91,9 @@ BenchConfig BenchConfig::fromEnv() {
   if (const char *E = std::getenv("MODSCHED_BENCH_WARMSTART"))
     if (parseEnvInt("MODSCHED_BENCH_WARMSTART", E, 0, 1, V))
       Config.WarmStart = V != 0;
-  if (const char *E = std::getenv("MODSCHED_BENCH_JOBS"))
-    if (parseEnvInt("MODSCHED_BENCH_JOBS", E, 1, 256, V))
-      Config.Jobs = static_cast<int>(V);
   if (const char *E = std::getenv("MODSCHED_BENCH_EXPLAIN"))
     if (parseEnvInt("MODSCHED_BENCH_EXPLAIN", E, 0, 1, V))
       Config.Explain = V != 0;
-  if (const char *E = std::getenv("MODSCHED_BENCH_CACHE"))
-    if (parseEnvInt("MODSCHED_BENCH_CACHE", E, 0, 1, V))
-      Config.Cache = V != 0;
   if (const char *E = std::getenv("MODSCHED_BENCH_ENGINE")) {
     if (std::strcmp(E, "dense") == 0)
       Config.Engine = lp::SimplexEngine::Dense;
@@ -204,11 +196,14 @@ bench::runOptimal(const MachineModel &M,
   Opts.Cache = Config.Cache;
   OptimalModuloScheduler Scheduler(M, Opts);
 
+  std::vector<LoopRecord> Records;
+  Records.reserve(Suite.size());
+  for (const DependenceGraph &G : Suite)
+    Records.push_back(LoopRecord::fromResult(G, Scheduler.schedule(G), &M));
+
   // One-line forensics summary after the sweep: how the infeasible II
   // attempts were explained (the acceptance metric is <5% unexplained).
-  auto PrintExplainSummary = [&](const std::vector<LoopRecord> &Records) {
-    if (!Config.Explain)
-      return;
+  if (Config.Explain) {
     int64_t Cycle = 0, Resource = 0, Window = 0, Unexplained = 0;
     for (const LoopRecord &R : Records) {
       Unexplained += R.UnexplainedAttempts;
@@ -237,34 +232,7 @@ bench::runOptimal(const MachineModel &M,
                 static_cast<long long>(Resource),
                 static_cast<long long>(Window),
                 static_cast<long long>(Unexplained));
-  };
-
-  std::vector<LoopRecord> Records(Suite.size());
-  const int Jobs = std::max(1, Config.Jobs);
-  if (Jobs == 1 || Suite.size() <= 1) {
-    for (size_t I = 0; I < Suite.size(); ++I)
-      Records[I] = LoopRecord::fromResult(Suite[I],
-                                          Scheduler.schedule(Suite[I]), &M);
-    PrintExplainSummary(Records);
-    return Records;
   }
-
-  // Parallel per-loop sweep (MODSCHED_BENCH_JOBS): one task per loop on
-  // a fixed pool. The scheduler is reentrant — every attempt solves
-  // under its own SolveContext and worker-thread telemetry accumulates
-  // in per-thread shards — and each task writes only its own record
-  // slot, so the output vector keeps suite order deterministically.
-  // Wall-clock censoring is per loop exactly as in the serial sweep,
-  // but loops now compete for cores; use the node-limit censor when
-  // cross-machine determinism matters.
-  ThreadPool Pool(Jobs);
-  for (size_t I = 0; I < Suite.size(); ++I)
-    Pool.submit([&Records, &Suite, &Scheduler, &M, I]() {
-      Records[I] = LoopRecord::fromResult(Suite[I],
-                                          Scheduler.schedule(Suite[I]), &M);
-    });
-  Pool.wait();
-  PrintExplainSummary(Records);
   return Records;
 }
 
@@ -415,14 +383,14 @@ void emitRecord(json::JsonWriter &W, const LoopRecord &R) {
     W.key("variables").value(A.Variables);
     W.key("constraints").value(A.Constraints);
     W.key("seconds").value(A.Seconds);
-    // Portfolio race outcome (schema v7): the engine whose verdict was
-    // committed ("ilp" / "pb"; empty on non-conclusive attempts and
-    // under single-engine backends) and the cross-engine incumbent
-    // exchanges the attempt performed.
+    // Portfolio race outcome: the engine whose verdict was committed
+    // ("ilp" / "pb"; empty on non-conclusive attempts and under
+    // single-engine backends) and the cross-engine incumbent exchanges
+    // the attempt performed.
     W.key("winner").value(A.Winner);
     W.key("bound_exchanges").value(A.BoundExchanges);
-    // Forensics (schema v6). Always emitted so consumers need no
-    // key-existence branching; defaults mean "no evidence".
+    // Forensics. Always emitted so consumers need no key-existence
+    // branching; defaults mean "no evidence".
     W.key("witness").value(A.Explain ? witnessName(A.Explain->Kind)
                                      : witnessName(WitnessKind::None));
     W.key("witness_source")
@@ -474,7 +442,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(9);
+  W.key("schema_version").value(10);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));
@@ -485,15 +453,14 @@ std::string BenchJson::write() const {
   W.key("node_limit").value(Cfg.NodeLimit);
   W.key("large_cap").value(Cfg.LargeCap);
   W.key("warm_start").value(Cfg.WarmStart);
-  W.key("jobs").value(Cfg.Jobs);
   W.key("engine").value(lp::toString(Cfg.Engine));
   W.key("backend").value(toString(Cfg.Backend));
   W.key("explain").value(Cfg.Explain);
   W.key("cache").value(Cfg.Cache);
   W.endObject();
-  // Solution-cache counter snapshot (schema v8): process-lifetime
-  // ilpsched/cache.* telemetry at write time. All zero in cache-off
-  // runs; a second identical sweep in one process shows the hits.
+  // Solution-cache counter snapshot: process-lifetime ilpsched/cache.*
+  // telemetry at write time. All zero in cache-off runs; a second
+  // identical sweep in one process shows the hits.
   W.key("cache_counters").beginObject();
   for (const char *Name : {"hits", "misses", "inserts", "evictions"}) {
     telemetry::Counter *C =
@@ -501,10 +468,10 @@ std::string BenchJson::write() const {
     W.key(Name).value(C ? C->value() : int64_t(0));
   }
   W.endObject();
-  // Service-bench replay summary (schema v9, optional): present only
-  // when the experiment drove the scheduling service (bench/
-  // service_bench). Status keys are the protocol's closed status set;
-  // the validator rejects anything else.
+  // Service-bench replay summary (optional): present only when the
+  // experiment drove the scheduling service (bench/service_bench).
+  // Status keys are the protocol's closed status set; the validator
+  // rejects anything else.
   if (Service) {
     W.key("service").beginObject();
     W.key("requests").value(Service->Requests);

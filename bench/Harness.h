@@ -28,18 +28,11 @@
 ///                             sharing) — the knob behind backend A/B
 ///                             runs; the compiled-in default follows
 ///                             MODSCHED_BACKEND
-///   MODSCHED_BENCH_JOBS       worker threads for the per-loop sweep
-///                             (default 1 = serial; loops are scheduled
-///                             concurrently, records stay in suite order)
 ///   MODSCHED_BENCH_EXPLAIN    0 disables solve forensics (default 1:
 ///                             every infeasible II attempt carries a
 ///                             re-verified witness and every solved one
 ///                             an optimality audit; see
 ///                             docs/OBSERVABILITY.md)
-///   MODSCHED_BENCH_CACHE      1 enables the content-addressed solution
-///                             cache (default 0 so effort columns
-///                             measure the solver; the compiled-in
-///                             default follows MODSCHED_CACHE)
 ///
 /// Malformed or out-of-range values are rejected with a warning on
 /// stderr and the compiled-in default is kept — "MODSCHED_BENCH_LOOPS=
@@ -50,8 +43,7 @@
 /// below); the directory is overridden with
 ///   MODSCHED_BENCH_RESULTS_DIR  output directory (default bench_results)
 /// and the solver-level observability switches (docs/OBSERVABILITY.md)
-/// compose freely with any bench run (MODSCHED_BENCH_JOBS included —
-/// worker-thread telemetry merges through the thread shards):
+/// compose freely with any bench run:
 ///   MODSCHED_TRACE=<file>     Chrome trace_event (.json) / JSONL trace
 ///   MODSCHED_STATS=1          counter/timer report on stderr at exit
 ///
@@ -95,21 +87,14 @@ struct BenchConfig {
   /// OptimalScheduler.h). Formulations the PB backend cannot encode
   /// fall back to ILP per attempt with a one-time warning.
   SchedulerBackend Backend = defaultSchedulerBackend();
-  /// Worker threads for the per-loop sweep (MODSCHED_BENCH_JOBS). One
-  /// loop is one task; with >1 the sweep runs on a ThreadPool, each
-  /// attempt under its own SolveContext, and the record vector keeps
-  /// suite order regardless of completion order.
-  int Jobs = 1;
   /// Solve forensics (SchedulerOptions::Explain): infeasibility
   /// witnesses and optimality audits on every attempt record.
   /// MODSCHED_BENCH_EXPLAIN=0 turns it off for overhead A/B runs.
   bool Explain = true;
-  /// Content-addressed solution cache (SchedulerOptions::Cache). Off by
-  /// default so effort columns (nodes, iterations, conflicts) measure
-  /// the solver, not cache replay; MODSCHED_BENCH_CACHE=1 turns it on
-  /// (the compiled-in default follows MODSCHED_CACHE). Cache-served
-  /// records report cache_hit=true with zero solver effort and are
-  /// excluded from solver-time comparisons by scripts/bench_compare.py.
+  /// Content-addressed solution cache (SchedulerOptions::Cache). Follows
+  /// MODSCHED_CACHE, off by default so effort columns (nodes,
+  /// iterations, conflicts) measure the solver, not cache replay.
+  /// Cache-served records report cache_hit=true with zero solver effort.
   bool Cache = defaultCacheEnabled();
 
   /// Reads the MODSCHED_BENCH_* environment overrides. Invalid values
@@ -139,12 +124,12 @@ struct LoopRecord {
   int64_t PbConflicts = 0;
   int64_t PbPropagations = 0;
   /// Warm-started / cold node LP solves and the iterations spent inside
-  /// warm solves (see MipResult; zeros for pre-warm-start records).
+  /// warm solves (see MipResult).
   int64_t WarmLpSolves = 0;
   int64_t ColdLpSolves = 0;
   int64_t WarmLpIterations = 0;
   /// Basis refactorizations / eta nonzeros summed over all node LPs
-  /// (see MipResult; zeros for dense-engine and pre-sparse records).
+  /// (see MipResult; zeros under the dense engine).
   int64_t LpRefactorizations = 0;
   int64_t LpEtaNonzeros = 0;
   int Variables = 0;
@@ -193,7 +178,8 @@ struct LoopRecord {
 std::vector<DependenceGraph> benchSuite(const MachineModel &M,
                                         const BenchConfig &Config);
 
-/// Runs one optimal-scheduler configuration over the whole suite.
+/// Runs one optimal-scheduler configuration over the whole suite, one
+/// loop after another.
 std::vector<LoopRecord> runOptimal(const MachineModel &M,
                                    const std::vector<DependenceGraph> &Suite,
                                    Objective Obj, DependenceStyle Dep,
@@ -223,9 +209,9 @@ commonlySolved(const std::vector<std::vector<LoopRecord>> &RecordSets);
 /// Closed-loop service benchmark summary (bench/service_bench): QPS,
 /// latency percentiles, cache behavior and admission-control outcomes
 /// of one request-replay phase, emitted as the optional top-level
-/// "service" object of the artifact (schema v9). Status keys must come
-/// from the service protocol's closed status set ("ok", "timeout",
-/// "node_limit", "unsolved", "cancelled", "error", "retry_after") —
+/// "service" object of the artifact. Status keys must come from the
+/// service protocol's closed status set ("ok", "timeout", "node_limit",
+/// "unsolved", "cancelled", "error", "retry_after") —
 /// scripts/check_bench_json.py rejects unknown strings.
 struct ServiceSummary {
   std::int64_t Requests = 0;    ///< Requests submitted (incl. shed).
@@ -248,32 +234,9 @@ struct ServiceSummary {
 /// produced, and call write() before exiting. The artifact is
 ///   <dir>/BENCH_<experiment>.json
 /// with <dir> = $MODSCHED_BENCH_RESULTS_DIR or "bench_results" (created
-/// if missing). The schema (schema_version 9: adds the optional
-/// top-level "service" object — requests / shed / errors / cache_hits,
-/// qps, p50_ms / p95_ms / p99_ms, cache_hit_rate and the statuses
-/// histogram of one service-bench replay, with status keys validated
-/// against the protocol's closed status set; version 8 added
-/// config.cache, the
-/// per-record cache_hit flag (true = schedule replayed from the
-/// solution cache, zero solver effort, empty attempts), and the
-/// top-level cache counter object {hits, misses, inserts, evictions}
-/// snapshotted from the ilpsched/cache.* telemetry at write time;
-/// version 7 added "portfolio" as a
-/// config.backend value and the per-attempt winner ("ilp" / "pb",
-/// empty on non-conclusive attempts and under single-engine backends)
-/// and bound_exchanges fields; version 6 added config.explain, the
-/// per-record explained_attempts / unexplained_attempts counts, and the
-/// per-attempt witness / witness_source / witness_verified /
-/// witness_detail / proof / gap / root_bound / trajectory forensics
-/// fields; version 5 added config.backend and the per-record
-/// pb_conflicts / pb_propagations CDCL counters plus the per-attempt
-/// pb_conflicts; version 4 added config.engine and the per-record
-/// refactorizations / eta_nnz factorization counters; version 3 added
-/// config.jobs, the per-record node_limit_hit flag / "node_limit"
-/// status, and the per-attempt cancelled flag; version 2 added the
-/// warm-start solve counters) is validated by
-/// scripts/check_bench_json.py — which still accepts versions 2
-/// through 8 — and documented in docs/OBSERVABILITY.md.
+/// if missing). The artifact carries schema_version 10, the only
+/// version scripts/check_bench_json.py accepts; docs/OBSERVABILITY.md
+/// documents its fields.
 class BenchJson {
 public:
   explicit BenchJson(std::string Experiment);
@@ -286,7 +249,7 @@ public:
   void addMetric(std::string Key, double Value);
 
   /// Registers the service-bench replay summary, emitted as the
-  /// top-level "service" object (schema v9; absent when never set).
+  /// top-level "service" object (absent when never set).
   void setServiceSummary(ServiceSummary Summary);
 
   /// Adds one labelled set of per-loop records (one per scheduler

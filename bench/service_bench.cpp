@@ -22,7 +22,7 @@
 //   phase 4 (abuse):    the malformed-request corpus; the daemon must
 //                       reply with structured errors and never abort.
 //
-// Emits BENCH_service.json (schema v9 "service" object: qps, latency
+// Emits BENCH_service.json (its "service" object: qps, latency
 // percentiles, cache hit rate, shed count, status histogram) through
 // bench/Harness, and exits nonzero when the steady-state cache rate
 // falls below 90% or any cached verdict drifts from the fresh solve —
@@ -178,7 +178,7 @@ int main() {
   Config.Cache = true;
 
   service::ServerOptions SOpts;
-  SOpts.Workers = std::max(1, Config.Jobs);
+  SOpts.Workers = 1;
   SOpts.QueueLimit = 4; // Tiny on purpose: phase 3 must shed.
   SOpts.ClientInFlightLimit = 4;
   SOpts.DefaultTimeLimitSeconds = Config.TimeLimitSeconds;

@@ -1,71 +1,45 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 2-9).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 10).
 
-Schema 9 (this version) extends schema 8 with the scheduling-service
-replay summary: an OPTIONAL top-level "service" object (present only
-when the experiment drove the scheduling service, i.e. bench/
-service_bench) carrying requests / shed / errors / cache_hits counters,
-qps and p50_ms / p95_ms / p99_ms latency percentiles, a cache_hit_rate
-in [0, 1], and a "statuses" histogram whose keys MUST come from the
-protocol's closed response-status set (ok, timeout, node_limit,
-unsolved, cancelled, error, retry_after) — an unknown status string is
-rejected, catching drift between service/Server.cpp's status mapping
-and consumers.
-Schema 8 extends schema 7 with the solution-cache
-fields: the config's cache flag (the MODSCHED_BENCH_CACHE /
-MODSCHED_CACHE knob), a per-record cache_hit flag (true = the schedule
-was replayed from the content-addressed solution cache; such a record
-must be solved and must report ZERO solver effort — no attempts, no
-nodes, no iterations, no PB conflicts — anything else is rejected),
-and a top-level cache_counters object with the hits / misses / inserts
-/ evictions ilpsched/cache.* telemetry snapshot.
-Schema 7 extended schema 6 with the portfolio-backend
-fields: "portfolio" joins the accepted config.backend strings (the
-MODSCHED_BENCH_BACKEND / MODSCHED_BACKEND knob) and every attempt
-carries a winner string ("ilp" or "pb" for a conclusive verdict
-committed by that engine; empty on censored/cancelled attempts and
-under single-engine backends — anything else is rejected) plus a
-bound_exchanges count of cross-engine incumbent exchanges.
-Schema 6 extended schema 5 with the solve-forensics
-fields: the config's explain flag (the MODSCHED_BENCH_EXPLAIN knob),
-per-record explained_attempts / unexplained_attempts counters, and
-per-attempt witness / witness_source / witness_verified /
-witness_detail infeasibility-explanation fields plus the proof / gap /
-root_bound / trajectory optimality-audit fields (trajectory entries
-are {seconds, nodes, incumbent, has_incumbent, bound} objects).
-Schema 5 extended schema 4 with the exact-backend fields:
-the config's backend string (the MODSCHED_BENCH_BACKEND /
-MODSCHED_BACKEND knob, "ilp" or "pb"), per-record pb_conflicts /
-pb_propagations counters (CDCL conflicts and unit propagations summed
-over all PB solves; zeros under the ILP backend), and a per-attempt
-pb_conflicts counter.
-Schema 4 extended schema 3 with the LP-engine fields: the
-config's engine string (the MODSCHED_BENCH_ENGINE / MODSCHED_LP_ENGINE
-knob, "dense" or "sparse_revised") and per-record refactorizations /
-eta_nnz factorization counters (basis refactorizations and product-form
-eta nonzeros summed over all node LPs; zeros under the dense engine).
-Schema 3 extended schema 2 with concurrency fields: the
-config's jobs count (the MODSCHED_BENCH_JOBS knob), a per-record
-node_limit_hit flag with its "node_limit" status, and a per-attempt
-cancelled flag (set on II attempts stopped by a lower-II race winner).
-Schema 2 extended schema 1 with the warm-start solver fields: per-record
-warm_solves / cold_solves / warm_iterations counters and the config's
-warm_start flag (the MODSCHED_BENCH_WARMSTART A/B knob). Legacy
-artifacts still validate; each version's keys are required only when
-the file declares at least that schema_version.
+bench/Harness.cpp's BenchJson writes one schema, documented in
+docs/OBSERVABILITY.md, and this checker accepts exactly that version.
+Besides key presence and types it enforces:
+
+* record and attempt statuses, witnesses, witness sources, proofs,
+  winners, engines and backends come from closed sets;
+* a cache_hit record replays a previous verified solve: it must be
+  solved and report zero solver effort (no attempts, nodes, iterations,
+  PB conflicts or propagations);
+* the optional "service" object (bench/service_bench) keys its
+  "statuses" histogram by the protocol's closed response-status set
+  (service/Protocol.h, docs/SERVICE.md).
 
 Stdlib-only. Usage:
 
     python3 scripts/check_bench_json.py bench_results/*.json
+    python3 scripts/check_bench_json.py --self-test
 
-Exits 0 iff every file conforms to the schema documented in
-docs/OBSERVABILITY.md, printing one line per file. Intended for CI and
-for catching drift between bench/Harness.cpp's emitter and consumers.
+Exits 0 iff every file conforms, printing one line per file.
+--self-test checks a valid in-memory artifact and doctored copies of it,
+each of which must be rejected.
 """
 
+import copy
 import json
 import numbers
 import sys
+
+SCHEMA_VERSION = 10
+
+TOP_KEYS = {
+    "schema_version": numbers.Integral,
+    "experiment": str,
+    "generated_unix": numbers.Integral,
+    "config": dict,
+    "cache_counters": dict,
+    "metrics": dict,
+    "record_sets": list,
+}
 
 CONFIG_KEYS = {
     "synthetic_loops": numbers.Integral,
@@ -74,31 +48,18 @@ CONFIG_KEYS = {
     "node_limit": numbers.Integral,
     "large_cap": numbers.Integral,
     "warm_start": bool,
-}
-
-# Keys required only when schema_version >= 3.
-CONFIG_KEYS_V3 = {
-    "jobs": numbers.Integral,
-}
-
-# Keys required only when schema_version >= 4.
-CONFIG_KEYS_V4 = {
     "engine": str,
-}
-
-# Keys required only when schema_version >= 5.
-CONFIG_KEYS_V5 = {
     "backend": str,
-}
-
-# Keys required only when schema_version >= 6.
-CONFIG_KEYS_V6 = {
     "explain": bool,
+    "cache": bool,
 }
 
-# Keys required only when schema_version >= 8.
-CONFIG_KEYS_V8 = {
-    "cache": bool,
+# Snapshot of the ilpsched/cache.* telemetry counters at write time.
+CACHE_COUNTER_KEYS = {
+    "hits": numbers.Integral,
+    "misses": numbers.Integral,
+    "inserts": numbers.Integral,
+    "evictions": numbers.Integral,
 }
 
 RECORD_KEYS = {
@@ -106,14 +67,20 @@ RECORD_KEYS = {
     "n": numbers.Integral,
     "solved": bool,
     "timed_out": bool,
+    "node_limit_hit": bool,
+    "cache_hit": bool,
     "status": str,
     "ii": numbers.Integral,
     "mii": numbers.Integral,
     "nodes": numbers.Integral,
     "iterations": numbers.Integral,
+    "pb_conflicts": numbers.Integral,
+    "pb_propagations": numbers.Integral,
     "warm_solves": numbers.Integral,
     "cold_solves": numbers.Integral,
     "warm_iterations": numbers.Integral,
+    "refactorizations": numbers.Integral,
+    "eta_nnz": numbers.Integral,
     "variables": numbers.Integral,
     "constraints": numbers.Integral,
     "seconds": numbers.Real,
@@ -121,43 +88,46 @@ RECORD_KEYS = {
     "max_live": numbers.Integral,
     "total_lifetime": numbers.Integral,
     "buffers": numbers.Integral,
+    "explained_attempts": numbers.Integral,
+    "unexplained_attempts": numbers.Integral,
     "attempts": list,
 }
 
-RECORD_KEYS_V3 = {
-    "node_limit_hit": bool,
-}
-
-RECORD_KEYS_V4 = {
-    "refactorizations": numbers.Integral,
-    "eta_nnz": numbers.Integral,
-}
-
-RECORD_KEYS_V5 = {
+ATTEMPT_KEYS = {
+    "ii": numbers.Integral,
+    "status": str,
+    "window_infeasible": bool,
+    "scheduled": bool,
+    "cancelled": bool,
+    "nodes": numbers.Integral,
+    "iterations": numbers.Integral,
     "pb_conflicts": numbers.Integral,
-    "pb_propagations": numbers.Integral,
+    "variables": numbers.Integral,
+    "constraints": numbers.Integral,
+    "seconds": numbers.Real,
+    "winner": str,
+    "bound_exchanges": numbers.Integral,
+    "witness": str,
+    "witness_source": str,
+    "witness_verified": bool,
+    "witness_detail": str,
+    "proof": str,
+    "gap": numbers.Real,
+    "root_bound": numbers.Real,
+    "trajectory": list,
 }
 
-RECORD_KEYS_V6 = {
-    "explained_attempts": numbers.Integral,
-    "unexplained_attempts": numbers.Integral,
+TRAJECTORY_KEYS = {
+    "seconds": numbers.Real,
+    "nodes": numbers.Integral,
+    "incumbent": numbers.Real,
+    "has_incumbent": bool,
+    "bound": numbers.Real,
 }
 
-RECORD_KEYS_V8 = {
-    "cache_hit": bool,
-}
-
-# Snapshot of the ilpsched/cache.* telemetry counters at write time.
-CACHE_COUNTER_KEYS_V8 = {
-    "hits": numbers.Integral,
-    "misses": numbers.Integral,
-    "inserts": numbers.Integral,
-    "evictions": numbers.Integral,
-}
-
-# Optional top-level "service" object (schema 9): the scheduling-service
-# replay summary emitted by bench/service_bench.
-SERVICE_KEYS_V9 = {
+# Optional top-level "service" object: the scheduling-service replay
+# summary emitted by bench/service_bench.
+SERVICE_KEYS = {
     "requests": numbers.Integral,
     "shed": numbers.Integral,
     "errors": numbers.Integral,
@@ -170,75 +140,19 @@ SERVICE_KEYS_V9 = {
     "statuses": dict,
 }
 
-# The protocol's closed response-status set (service/Protocol.h and
-# docs/SERVICE.md). "statuses" histogram keys must come from here.
-SERVICE_STATUSES_V9 = {"ok", "timeout", "node_limit", "unsolved",
-                       "cancelled", "error", "retry_after"}
-
-ATTEMPT_KEYS = {
-    "ii": numbers.Integral,
-    "status": str,
-    "window_infeasible": bool,
-    "scheduled": bool,
-    "nodes": numbers.Integral,
-    "iterations": numbers.Integral,
-    "variables": numbers.Integral,
-    "constraints": numbers.Integral,
-    "seconds": numbers.Real,
-}
-
-ATTEMPT_KEYS_V3 = {
-    "cancelled": bool,
-}
-
-ATTEMPT_KEYS_V5 = {
-    "pb_conflicts": numbers.Integral,
-}
-
-ATTEMPT_KEYS_V6 = {
-    "witness": str,
-    "witness_source": str,
-    "witness_verified": bool,
-    "witness_detail": str,
-    "proof": str,
-    "gap": numbers.Real,
-    "root_bound": numbers.Real,
-    "trajectory": list,
-}
-
-ATTEMPT_KEYS_V7 = {
-    "winner": str,
-    "bound_exchanges": numbers.Integral,
-}
-
-TRAJECTORY_KEYS_V6 = {
-    "seconds": numbers.Real,
-    "nodes": numbers.Integral,
-    "incumbent": numbers.Real,
-    "has_incumbent": bool,
-    "bound": numbers.Real,
-}
-
-STATUSES_V2 = {"solved", "timeout", "unsolved"}
-STATUSES_V3 = STATUSES_V2 | {"node_limit"}
-
-# Per-attempt solver verdicts (ilp::toString(MipStatus)). Checked at
-# every schema version: the emitter has printed these strings since
-# schema 2, and an unknown verdict used to slip through unvalidated.
+STATUSES = {"solved", "timeout", "node_limit", "unsolved"}
+# Per-attempt solver verdicts (ilp::toString(MipStatus)).
 ATTEMPT_STATUSES = {"optimal", "infeasible", "limit", "cancelled"}
-
-ENGINES_V4 = {"dense", "sparse_revised"}
-
-BACKENDS_V5 = {"ilp", "pb"}
-BACKENDS_V7 = BACKENDS_V5 | {"portfolio"}
-
+ENGINES = {"dense", "sparse_revised"}
+BACKENDS = {"ilp", "pb", "portfolio"}
 # Per-attempt committed engine under the portfolio backend; empty means
 # "no conclusive verdict" or a single-engine backend.
-WINNERS_V7 = {"", "ilp", "pb"}
-
-WITNESSES_V6 = {"cycle", "resource", "window", "none"}
-WITNESS_SOURCES_V6 = {"graph", "farkas", "core", "none"}
-PROOFS_V6 = {"", "optimal", "first_solution", "censored"}
+WINNERS = {"", "ilp", "pb"}
+WITNESSES = {"cycle", "resource", "window", "none"}
+WITNESS_SOURCES = {"graph", "farkas", "core", "none"}
+PROOFS = {"", "optimal", "first_solution", "censored"}
+SERVICE_STATUSES = {"ok", "timeout", "node_limit", "unsolved",
+                    "cancelled", "error", "retry_after"}
 
 
 class SchemaError(Exception):
@@ -263,93 +177,62 @@ def check_keys(obj, spec, where):
                               f"got {type(value).__name__}")
 
 
-def check_record(record, where, version):
+def check_member(obj, key, allowed, where):
+    if obj[key] not in allowed:
+        raise SchemaError(f"{where}.{key}: {obj[key]!r} not in "
+                          f"{sorted(allowed)}")
+
+
+def check_record(record, where):
     check_keys(record, RECORD_KEYS, where)
-    if version >= 3:
-        check_keys(record, RECORD_KEYS_V3, where)
-    if version >= 4:
-        check_keys(record, RECORD_KEYS_V4, where)
-    if version >= 5:
-        check_keys(record, RECORD_KEYS_V5, where)
-    if version >= 6:
-        check_keys(record, RECORD_KEYS_V6, where)
-    if version >= 8:
-        check_keys(record, RECORD_KEYS_V8, where)
-        if record["cache_hit"]:
-            # A cache-served record replays a previous verified solve;
-            # it must never masquerade as solver work.
-            if not record["solved"]:
+    check_member(record, "status", STATUSES, where)
+    if record["cache_hit"]:
+        # A cache-served record replays a previous verified solve; it
+        # must never masquerade as solver work.
+        if not record["solved"]:
+            raise SchemaError(f"{where}: cache_hit=true but solved=false")
+        if record["attempts"]:
+            raise SchemaError(f"{where}: cache_hit=true but "
+                              f"{len(record['attempts'])} solver "
+                              f"attempt(s) reported")
+        for effort in ("nodes", "iterations", "pb_conflicts",
+                       "pb_propagations"):
+            if record[effort]:
                 raise SchemaError(f"{where}: cache_hit=true but "
-                                  f"solved=false")
-            if record["attempts"]:
-                raise SchemaError(f"{where}: cache_hit=true but "
-                                  f"{len(record['attempts'])} solver "
-                                  f"attempt(s) reported")
-            for effort in ("nodes", "iterations", "pb_conflicts",
-                           "pb_propagations"):
-                if record[effort]:
-                    raise SchemaError(f"{where}: cache_hit=true but "
-                                      f"{effort}={record[effort]}")
-    statuses = STATUSES_V3 if version >= 3 else STATUSES_V2
-    if record["status"] not in statuses:
-        raise SchemaError(f"{where}.status: {record['status']!r} not in "
-                          f"{sorted(statuses)}")
+                                  f"{effort}={record[effort]}")
     if record["solved"] and record["status"] != "solved":
         raise SchemaError(f"{where}: solved=true but status="
                           f"{record['status']!r}")
-    if version >= 3:
-        if record["status"] == "node_limit" and not record["node_limit_hit"]:
-            raise SchemaError(f"{where}: status='node_limit' but "
-                              f"node_limit_hit=false")
-        if record["timed_out"] and record["status"] not in {"timeout",
-                                                            "solved"}:
-            raise SchemaError(f"{where}: timed_out=true but status="
-                              f"{record['status']!r} (timeout wins over "
-                              f"node_limit)")
+    if record["status"] == "node_limit" and not record["node_limit_hit"]:
+        raise SchemaError(f"{where}: status='node_limit' but "
+                          f"node_limit_hit=false")
+    if record["timed_out"] and record["status"] not in {"timeout", "solved"}:
+        raise SchemaError(f"{where}: timed_out=true but status="
+                          f"{record['status']!r} (timeout wins over "
+                          f"node_limit)")
     for i, attempt in enumerate(record["attempts"]):
-        awhere = f"{where}.attempts[{i}]"
-        check_keys(attempt, ATTEMPT_KEYS, awhere)
-        if attempt["status"] not in ATTEMPT_STATUSES:
-            raise SchemaError(f"{awhere}.status: {attempt['status']!r} not "
-                              f"in {sorted(ATTEMPT_STATUSES)}")
-        if version >= 3:
-            check_keys(attempt, ATTEMPT_KEYS_V3, awhere)
-        if version >= 5:
-            check_keys(attempt, ATTEMPT_KEYS_V5, awhere)
-        if version >= 6:
-            check_attempt_forensics(attempt, awhere)
-        if version >= 7:
-            check_keys(attempt, ATTEMPT_KEYS_V7, awhere)
-            if attempt["winner"] not in WINNERS_V7:
-                raise SchemaError(f"{awhere}.winner: "
-                                  f"{attempt['winner']!r} not in "
-                                  f"{sorted(WINNERS_V7)}")
-            if attempt["winner"] and attempt["cancelled"]:
-                raise SchemaError(f"{awhere}: cancelled attempt claims "
-                                  f"winner={attempt['winner']!r}")
+        check_attempt(attempt, f"{where}.attempts[{i}]")
 
 
-def check_attempt_forensics(attempt, awhere):
-    check_keys(attempt, ATTEMPT_KEYS_V6, awhere)
-    if attempt["witness"] not in WITNESSES_V6:
-        raise SchemaError(f"{awhere}.witness: {attempt['witness']!r} not in "
-                          f"{sorted(WITNESSES_V6)}")
-    if attempt["witness_source"] not in WITNESS_SOURCES_V6:
-        raise SchemaError(f"{awhere}.witness_source: "
-                          f"{attempt['witness_source']!r} not in "
-                          f"{sorted(WITNESS_SOURCES_V6)}")
-    if attempt["proof"] not in PROOFS_V6:
-        raise SchemaError(f"{awhere}.proof: {attempt['proof']!r} not in "
-                          f"{sorted(PROOFS_V6)}")
+def check_attempt(attempt, where):
+    check_keys(attempt, ATTEMPT_KEYS, where)
+    check_member(attempt, "status", ATTEMPT_STATUSES, where)
+    check_member(attempt, "winner", WINNERS, where)
+    check_member(attempt, "witness", WITNESSES, where)
+    check_member(attempt, "witness_source", WITNESS_SOURCES, where)
+    check_member(attempt, "proof", PROOFS, where)
+    if attempt["winner"] and attempt["cancelled"]:
+        raise SchemaError(f"{where}: cancelled attempt claims "
+                          f"winner={attempt['winner']!r}")
     if attempt["witness"] != "none" and attempt["witness_source"] == "none":
-        raise SchemaError(f"{awhere}: witness={attempt['witness']!r} but "
+        raise SchemaError(f"{where}: witness={attempt['witness']!r} but "
                           f"witness_source='none'")
     for t, sample in enumerate(attempt["trajectory"]):
-        check_keys(sample, TRAJECTORY_KEYS_V6, f"{awhere}.trajectory[{t}]")
+        check_keys(sample, TRAJECTORY_KEYS, f"{where}.trajectory[{t}]")
 
 
 def check_service(service):
-    check_keys(service, SERVICE_KEYS_V9, "$.service")
+    check_keys(service, SERVICE_KEYS, "$.service")
     for key in ("requests", "shed", "errors", "cache_hits"):
         if service[key] < 0:
             raise SchemaError(f"$.service.{key}: negative count "
@@ -359,9 +242,9 @@ def check_service(service):
                           f"{service['cache_hit_rate']} outside [0, 1]")
     for status, count in service["statuses"].items():
         swhere = f"$.service.statuses[{status!r}]"
-        if status not in SERVICE_STATUSES_V9:
+        if status not in SERVICE_STATUSES:
             raise SchemaError(f"{swhere}: unknown status (want one of "
-                              f"{sorted(SERVICE_STATUSES_V9)})")
+                              f"{sorted(SERVICE_STATUSES)})")
         if isinstance(count, bool) or not isinstance(count, numbers.Integral):
             raise SchemaError(f"{swhere}: expected integer, got "
                               f"{type(count).__name__}")
@@ -369,50 +252,19 @@ def check_service(service):
             raise SchemaError(f"{swhere}: negative count {count}")
 
 
-def check_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    check_keys(doc, {
-        "schema_version": numbers.Integral,
-        "experiment": str,
-        "generated_unix": numbers.Integral,
-        "config": dict,
-        "metrics": dict,
-        "record_sets": list,
-    }, "$")
-    version = doc["schema_version"]
-    if version not in (2, 3, 4, 5, 6, 7, 8, 9):
-        raise SchemaError(f"$.schema_version: expected 2 through 9, got "
-                          f"{version}")
+def check_doc(doc):
+    """Validates one parsed artifact; returns (record sets, records)."""
+    check_keys(doc, TOP_KEYS, "$")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise SchemaError(f"$.schema_version: expected {SCHEMA_VERSION}, "
+                          f"got {doc['schema_version']}")
     if not doc["experiment"]:
         raise SchemaError("$.experiment: empty string")
     check_keys(doc["config"], CONFIG_KEYS, "$.config")
-    if version >= 3:
-        check_keys(doc["config"], CONFIG_KEYS_V3, "$.config")
-    if version >= 4:
-        check_keys(doc["config"], CONFIG_KEYS_V4, "$.config")
-        if doc["config"]["engine"] not in ENGINES_V4:
-            raise SchemaError(f"$.config.engine: "
-                              f"{doc['config']['engine']!r} not in "
-                              f"{sorted(ENGINES_V4)}")
-    if version >= 5:
-        check_keys(doc["config"], CONFIG_KEYS_V5, "$.config")
-        backends = BACKENDS_V7 if version >= 7 else BACKENDS_V5
-        if doc["config"]["backend"] not in backends:
-            raise SchemaError(f"$.config.backend: "
-                              f"{doc['config']['backend']!r} not in "
-                              f"{sorted(backends)}")
-    if version >= 6:
-        check_keys(doc["config"], CONFIG_KEYS_V6, "$.config")
-    if version >= 8:
-        check_keys(doc["config"], CONFIG_KEYS_V8, "$.config")
-        check_keys(doc, {"cache_counters": dict}, "$")
-        check_keys(doc["cache_counters"], CACHE_COUNTER_KEYS_V8,
-                   "$.cache_counters")
+    check_member(doc["config"], "engine", ENGINES, "$.config")
+    check_member(doc["config"], "backend", BACKENDS, "$.config")
+    check_keys(doc["cache_counters"], CACHE_COUNTER_KEYS, "$.cache_counters")
     if "service" in doc:
-        if version < 9:
-            raise SchemaError(f"$.service: present but schema_version="
-                              f"{version} predates it (want >= 9)")
         check_service(doc["service"])
     for key, value in doc["metrics"].items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -423,14 +275,92 @@ def check_file(path):
         where = f"$.record_sets[{s}]"
         check_keys(record_set, {"label": str, "records": list}, where)
         for r, record in enumerate(record_set["records"]):
-            check_record(record, f"{where}.records[{r}]", version)
+            check_record(record, f"{where}.records[{r}]")
             n_records += 1
     return len(doc["record_sets"]), n_records
 
 
+def check_file(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return check_doc(json.load(handle))
+
+
+def _defaults(spec):
+    zero = {bool: False, numbers.Integral: 0, numbers.Real: 0.0, str: "",
+            list: [], dict: {}}
+    return {key: copy.copy(zero[kind]) for key, kind in spec.items()}
+
+
+def _valid_artifact():
+    """A minimal artifact built from the key tables above, so it tracks
+    them: one solved record with an optimal attempt, one cache hit, and
+    a service summary."""
+    attempt = _defaults(ATTEMPT_KEYS)
+    attempt.update(status="optimal", scheduled=True, witness="none",
+                   witness_source="none", proof="optimal")
+    attempt["trajectory"] = [_defaults(TRAJECTORY_KEYS)]
+    solved = _defaults(RECORD_KEYS)
+    solved.update(name="loop0", n=4, solved=True, status="solved", ii=2,
+                  mii=2, nodes=3, attempts=[attempt])
+    hit = _defaults(RECORD_KEYS)
+    hit.update(name="loop0", n=4, solved=True, cache_hit=True,
+               status="solved", ii=2, mii=2)
+    doc = _defaults(TOP_KEYS)
+    doc.update(schema_version=SCHEMA_VERSION, experiment="self_test")
+    doc["config"] = _defaults(CONFIG_KEYS)
+    doc["config"].update(engine="sparse_revised", backend="ilp")
+    doc["cache_counters"] = _defaults(CACHE_COUNTER_KEYS)
+    doc["record_sets"] = [{"label": "first", "records": [solved]},
+                          {"label": "second", "records": [hit]}]
+    doc["service"] = _defaults(SERVICE_KEYS)
+    doc["service"]["statuses"] = {"ok": 1, "retry_after": 1}
+    return doc
+
+
+def self_test():
+    """Returns 0 iff the valid artifact passes and every doctored copy
+    is rejected."""
+    def doctor(edit):
+        doc = _valid_artifact()
+        edit(doc)
+        return doc
+
+    def record(doc, s):
+        return doc["record_sets"][s]["records"][0]
+
+    cases = [
+        ("schema 9", lambda d: d.update(schema_version=9)),
+        ("cache hit with nodes > 0",
+         lambda d: record(d, 1).update(nodes=5)),
+        ("unknown attempt status",
+         lambda d: record(d, 0)["attempts"][0].update(status="feasible")),
+        ("unknown service status",
+         lambda d: d["service"]["statuses"].update(busy=1)),
+    ]
+    failures = 0
+    try:
+        check_doc(_valid_artifact())
+        print("ok   valid v10 artifact accepted")
+    except SchemaError as err:
+        print(f"FAIL valid v10 artifact rejected: {err}")
+        failures += 1
+    for name, edit in cases:
+        try:
+            check_doc(doctor(edit))
+        except SchemaError as err:
+            print(f"ok   {name} rejected: {err}")
+        else:
+            print(f"FAIL {name} accepted")
+            failures += 1
+    return 1 if failures else 0
+
+
 def main(argv):
+    if argv[1:] == ["--self-test"]:
+        return self_test()
     if len(argv) < 2:
-        print(f"usage: {argv[0]} BENCH_*.json...", file=sys.stderr)
+        print(f"usage: {argv[0]} BENCH_*.json... | --self-test",
+              file=sys.stderr)
         return 2
     failures = 0
     for path in argv[1:]:

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <ostream>
 #include <streambuf>
 
@@ -571,9 +572,22 @@ bool Server::listenUnix(const std::string &Path, std::string *Error) {
 
 void Server::acceptLoop() {
   assert(ListenFd >= 0 && "acceptLoop requires a successful listenUnix");
-  std::vector<std::thread> Handlers;
+  // One thread per connection. A finished handler keeps its stack until
+  // it is joined, so every pass joins the handlers that are done.
+  struct Handler {
+    std::atomic<bool> Done{false};
+    std::thread Thread;
+  };
+  std::list<Handler> Handlers; // Stable addresses: each thread holds &Done.
+  auto JoinIfDone = [](Handler &H) {
+    if (!H.Done.load(std::memory_order_acquire))
+      return false;
+    H.Thread.join();
+    return true;
+  };
   int64_t NextConn = 0;
   while (!stopping()) {
+    Handlers.remove_if(JoinIfDone);
     pollfd P{ListenFd, POLLIN, 0};
     int N = ::poll(&P, 1, /*timeout_ms=*/200);
     if (N <= 0)
@@ -582,7 +596,8 @@ void Server::acceptLoop() {
     if (Fd < 0)
       continue;
     std::string ClientId = "sock:" + std::to_string(NextConn++);
-    Handlers.emplace_back([this, Fd, ClientId]() {
+    Handler &H = Handlers.emplace_back();
+    H.Thread = std::thread([this, Fd, ClientId, &Done = H.Done]() {
       // Handler threads record service/* counters; every non-main
       // recording thread needs a telemetry shard (support/Telemetry.h
       // thread model).
@@ -594,9 +609,16 @@ void Server::acceptLoop() {
       serveStream(In, Out, ClientId);
       Out.flush();
       ::close(Fd);
+      {
+        // The id names this connection only, and serveStream returned
+        // with nothing of it in flight: drop its admission entry.
+        std::lock_guard<std::mutex> Lock(Mu);
+        ClientInFlight.erase(ClientId);
+      }
+      Done.store(true, std::memory_order_release);
     });
   }
-  for (std::thread &T : Handlers)
-    T.join();
+  for (Handler &H : Handlers)
+    H.Thread.join();
   drain();
 }

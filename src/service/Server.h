@@ -117,8 +117,9 @@ public:
   /// socket file is replaced). False + \p Error on failure.
   bool listenUnix(const std::string &Path, std::string *Error);
 
-  /// Accepts and serves socket connections (one handler thread each)
-  /// until requestShutdown(); then drains and joins the handlers.
+  /// Accepts and serves socket connections (one handler thread each,
+  /// joined once it finishes) until requestShutdown(); then drains and
+  /// joins the remaining handlers.
   /// Requires a successful listenUnix first.
   void acceptLoop();
 

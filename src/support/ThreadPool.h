@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A minimal fixed-size thread pool for the reentrant solve pipeline:
-/// the speculative parallel II search races scheduling attempts on it,
-/// and the bench harness runs per-loop sweeps across it
-/// (MODSCHED_BENCH_JOBS). Each worker installs a telemetry thread shard
+/// the speculative parallel II search and the portfolio backend race
+/// scheduling attempts on it, and the scheduling service runs its
+/// solve workers on one. Each worker installs a telemetry thread shard
 /// (support/Telemetry.h) for its lifetime, so counters and phase timers
 /// recorded from pool tasks accumulate without atomics on the hot path
 /// and merge into the process registry when the pool is destroyed.

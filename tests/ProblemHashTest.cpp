@@ -21,6 +21,7 @@
 #include "sched/Problem.h"
 #include "sched/Verifier.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 #include "workloads/SyntheticGenerator.h"
 
 #include <gtest/gtest.h>
@@ -365,28 +366,58 @@ TEST(SolutionCacheTest, DifferentialPortfolio) {
 }
 
 TEST(SolutionCacheTest, EndToEndSecondRunHits) {
+  // A repeated sweep in one process: every loop the first run solves
+  // cleanly must be replayed from the cache on the second, for an
+  // objective-free and a secondary-objective sweep. Censoring is by
+  // node budget only, so the set of clean solves is machine-independent.
   MachineModel M = MachineModel::vliw2();
-  DependenceGraph G = makeLoop(11, M);
+  std::vector<DependenceGraph> Loops;
+  for (uint64_t Seed : {11u, 12u, 13u, 14u, 15u, 16u})
+    Loops.push_back(makeLoop(Seed, M));
+  telemetry::Counter *Hits = telemetry::findCounter("ilpsched/cache.hits");
+  ASSERT_NE(Hits, nullptr);
   SolutionCache::global().clear();
 
-  SchedulerOptions Opts;
-  Opts.Formulation.Obj = Objective::MinBuff;
-  Opts.Cache = true;
-  OptimalModuloScheduler Sched(M, Opts);
-  ScheduleResult First = Sched.schedule(G);
-  if (!First.Found || First.TimedOut || First.NodeLimitHit)
-    GTEST_SKIP() << "solve censored";
-  EXPECT_FALSE(First.CacheHit);
+  for (Objective Obj : {Objective::None, Objective::MinBuff}) {
+    SCOPED_TRACE(toString(Obj));
+    SchedulerOptions Opts;
+    Opts.Formulation.Obj = Obj;
+    Opts.Cache = true;
+    Opts.NodeLimit = 5000;
+    Opts.TimeLimitSeconds = 3600.0;
+    OptimalModuloScheduler Sched(M, Opts);
 
-  ScheduleResult Second = Sched.schedule(G);
-  ASSERT_TRUE(Second.Found);
-  EXPECT_TRUE(Second.CacheHit);
-  EXPECT_EQ(Second.II, First.II);
-  EXPECT_EQ(Second.SecondaryObjective, First.SecondaryObjective);
-  EXPECT_TRUE(Second.Attempts.empty())
-      << "cache hits must not synthesize solver attempts";
-  EXPECT_EQ(Second.Nodes, 0);
-  EXPECT_FALSE(verifySchedule(G, M, Second.Schedule).has_value());
+    std::vector<ScheduleResult> First;
+    for (const DependenceGraph &G : Loops) {
+      First.push_back(Sched.schedule(G));
+      EXPECT_FALSE(First.back().CacheHit);
+    }
+    const int64_t Hits0 = Hits->value();
+    int Clean = 0;
+    for (size_t I = 0; I < Loops.size(); ++I) {
+      SCOPED_TRACE(Loops[I].name());
+      ScheduleResult Second = Sched.schedule(Loops[I]);
+      const ScheduleResult &A = First[I];
+      // Only clean conclusive solves are cacheable; censored loops
+      // legitimately re-run the solver.
+      if (!A.Found || A.TimedOut || A.NodeLimitHit)
+        continue;
+      ++Clean;
+      ASSERT_TRUE(Second.Found);
+      EXPECT_TRUE(Second.CacheHit);
+      EXPECT_EQ(Second.II, A.II);
+      EXPECT_EQ(Second.SecondaryObjective, A.SecondaryObjective);
+      EXPECT_TRUE(Second.Attempts.empty())
+          << "cache hits must not synthesize solver attempts";
+      EXPECT_EQ(Second.Nodes, 0);
+      EXPECT_EQ(Second.SimplexIterations, 0);
+      EXPECT_EQ(Second.PbConflicts, 0);
+      EXPECT_EQ(Second.PbPropagations, 0);
+      EXPECT_FALSE(verifySchedule(Loops[I], M, Second.Schedule).has_value());
+    }
+    EXPECT_GE(Clean, 4) << "too few clean solves to exercise the cache";
+    EXPECT_EQ(Hits->value() - Hits0, Clean);
+  }
   SolutionCache::global().clear();
 }
 

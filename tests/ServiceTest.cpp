@@ -672,39 +672,96 @@ TEST(ServiceServer, PingStatsAndGracefulQuit) {
   EXPECT_TRUE(SawSolve) << "QUIT must still drain the admitted request";
 }
 
-TEST(ServiceServer, UnixSocketSmoke) {
-  std::string Path =
-      "/tmp/modsched-servicetest-" + std::to_string(::getpid()) + ".sock";
-  Server S(quickOptions());
-  std::string Error;
-  ASSERT_TRUE(S.listenUnix(Path, &Error)) << Error;
-  std::thread Acceptor([&S] { S.acceptLoop(); });
-
+/// Connects to the Unix socket at \p Path, sends \p Msg, half-closes
+/// and returns everything the server wrote before closing.
+std::string socketExchange(const std::string &Path, const std::string &Msg) {
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(Fd, 0);
+  EXPECT_GE(Fd, 0);
+  if (Fd < 0)
+    return "";
   sockaddr_un Addr{};
   Addr.sun_family = AF_UNIX;
-  ASSERT_LT(Path.size(), sizeof(Addr.sun_path));
+  EXPECT_LT(Path.size(), sizeof(Addr.sun_path));
   std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
-            0)
-      << std::strerror(errno);
-
-  const char Msg[] = "PING\nQUIT\n";
-  ASSERT_EQ(::send(Fd, Msg, sizeof(Msg) - 1, MSG_NOSIGNAL),
-            static_cast<ssize_t>(sizeof(Msg) - 1));
-  ::shutdown(Fd, SHUT_WR);
   std::string Reply;
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    ADD_FAILURE() << "connect: " << std::strerror(errno);
+    ::close(Fd);
+    return Reply;
+  }
+  EXPECT_EQ(::send(Fd, Msg.data(), Msg.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(Msg.size()));
+  ::shutdown(Fd, SHUT_WR);
   char Buf[256];
   ssize_t N;
   while ((N = ::read(Fd, Buf, sizeof(Buf))) > 0)
     Reply.append(Buf, static_cast<std::size_t>(N));
   ::close(Fd);
+  return Reply;
+}
+
+std::string testSocketPath() {
+  return "/tmp/modsched-servicetest-" + std::to_string(::getpid()) + ".sock";
+}
+
+/// This process's virtual address-space size in kB (VmSize), or -1.
+long vmSizeKb() {
+  std::FILE *F = std::fopen("/proc/self/status", "r");
+  if (!F)
+    return -1;
+  long Kb = -1;
+  char Line[256];
+  while (std::fgets(Line, sizeof(Line), F))
+    if (std::sscanf(Line, "VmSize: %ld kB", &Kb) == 1)
+      break;
+  std::fclose(F);
+  return Kb;
+}
+
+TEST(ServiceServer, UnixSocketSmoke) {
+  std::string Path = testSocketPath();
+  Server S(quickOptions());
+  std::string Error;
+  ASSERT_TRUE(S.listenUnix(Path, &Error)) << Error;
+  std::thread Acceptor([&S] { S.acceptLoop(); });
+
+  std::string Reply = socketExchange(Path, "PING\nQUIT\n");
   EXPECT_NE(Reply.find("\"pong\":true"), std::string::npos) << Reply;
 
   S.requestShutdown();
   Acceptor.join();
   ::unlink(Path.c_str());
+}
+
+TEST(ServiceServer, SequentialSocketConnectionsDoNotGrowAddressSpace) {
+  // Each connection runs on its own handler thread with a multi-MB
+  // stack. A daemon that joins handlers only at shutdown grows by one
+  // stack per connection served; finished handlers must be reaped.
+  std::string Path = testSocketPath();
+  Server S(quickOptions());
+  std::string Error;
+  ASSERT_TRUE(S.listenUnix(Path, &Error)) << Error;
+  std::thread Acceptor([&S] { S.acceptLoop(); });
+
+  // Warm-up connections first, so one-time costs (a malloc arena for
+  // handler threads, the thread-stack cache) land before the baseline.
+  for (int I = 0; I < 4; ++I)
+    EXPECT_NE(socketExchange(Path, "PING\nQUIT\n").find("\"pong\":true"),
+              std::string::npos);
+  const long Before = vmSizeKb();
+  for (int I = 0; I < 64; ++I)
+    EXPECT_NE(socketExchange(Path, "PING\nQUIT\n").find("\"pong\":true"),
+              std::string::npos);
+  const long After = vmSizeKb();
+
+  S.requestShutdown();
+  Acceptor.join();
+  ::unlink(Path.c_str());
+  if (Before < 0 || After < 0)
+    GTEST_SKIP() << "no /proc/self/status VmSize";
+  EXPECT_LT(After - Before, 64L * 1024)
+      << "VmSize grew " << (After - Before) / 1024
+      << " MB over 64 sequential connections";
 }
 
 } // namespace
