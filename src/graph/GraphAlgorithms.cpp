@@ -5,8 +5,8 @@
 #include "support/Hash.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
+#include <utility>
 
 using namespace modsched;
 
@@ -191,20 +191,41 @@ std::optional<int> modsched::minScheduleLength(const DependenceGraph &G,
 
 namespace {
 
-/// Shared refinement state: adjacency in CSR-ish form plus the WL loop.
+/// Individualization-refinement search for a canonical node order. Every
+/// buffer is sized once per search and reused: the adjacency is one CSR
+/// array, one id stack holds the partition of every node on the current
+/// DFS path, and leaf forms are built into two buffers that trade places
+/// when a smaller leaf appears.
 class CanonicalSearch {
 public:
   CanonicalSearch(int NumNodes, const std::vector<uint64_t> &NodeColors,
                   const std::vector<CanonicalEdge> &Edges,
                   int64_t StepBudget)
       : N(NumNodes), NodeColors(NodeColors), Edges(Edges),
-        Budget(StepBudget) {
-    Out.resize(N);
-    In.resize(N);
-    for (int E = 0; E < static_cast<int>(Edges.size()); ++E) {
-      Out[Edges[E].Src].push_back(E);
-      In[Edges[E].Dst].push_back(E);
+        Budget(StepBudget), OrbitBudget(StepBudget),
+        RoundCost(NumNodes + static_cast<int64_t>(Edges.size())) {
+    // Node V's out-arcs are Arcs[Start[2V], Start[2V+1]), its in-arcs
+    // Arcs[Start[2V+1], Start[2V+2]). Count each list's end, then fill
+    // the lists back to front.
+    Start.assign(2 * static_cast<size_t>(N) + 1, 0);
+    for (const CanonicalEdge &E : Edges) {
+      ++Start[2 * E.Src];
+      ++Start[2 * E.Dst + 1];
     }
+    for (int I = 1; I <= 2 * N; ++I)
+      Start[I] += Start[I - 1];
+    Arcs.resize(2 * Edges.size());
+    for (const CanonicalEdge &E : Edges) {
+      Arcs[--Start[2 * E.Src]] = {E.Dst, E.Color};
+      Arcs[--Start[2 * E.Dst + 1]] = {E.Src, E.Color};
+    }
+    IdMix.resize(N);
+    Keys.resize(N);
+    IdStack.resize(2 * static_cast<size_t>(N)); // The root and a child.
+    BestOrder.resize(N);
+    CandOrder.resize(N);
+    CandForm.reserve(N + 2 * Edges.size());
+    EdgeKeys.reserve(Edges.size());
   }
 
   CanonicalLabeling run() {
@@ -216,9 +237,10 @@ public:
     }
 
     // Initial partition from the caller's node colors, then refine.
-    std::vector<uint64_t> Sig(NodeColors);
-    std::vector<int> Ids = denseIds(Sig);
-    refine(Ids);
+    std::vector<int> RootIds(N);
+    for (int V = 0; V < N; ++V)
+      Keys[V] = {NodeColors[V], V};
+    int Classes = refine(RootIds.data(), rankKeys(RootIds.data()));
 
     // The invariant hash depends only on the stable color multiset plus
     // the (edge color, endpoint color) multiset — never on the tie-break
@@ -226,13 +248,13 @@ public:
     // budget trips.
     uint64_t NodeAcc = 0;
     for (int V = 0; V < N; ++V)
-      NodeAcc = hashUnordered(NodeAcc, hashMix(Ids[V] + 1));
+      NodeAcc = hashUnordered(NodeAcc, hashMix(RootIds[V] + 1));
     uint64_t EdgeAcc = 0;
     for (const CanonicalEdge &E : Edges) {
       uint64_t H = hashMix(0x65646765u); // "edge"
       H = hashCombine(H, E.Color);
-      H = hashCombine(H, Ids[E.Src] + 1);
-      H = hashCombine(H, Ids[E.Dst] + 1);
+      H = hashCombine(H, RootIds[E.Src] + 1);
+      H = hashCombine(H, RootIds[E.Dst] + 1);
       EdgeAcc = hashUnordered(EdgeAcc, H);
     }
     uint64_t Inv = hashMix(0x63616e6fu); // "cano"
@@ -242,12 +264,16 @@ public:
     Result.InvariantHash = Inv;
 
     // Individualization-refinement: explore every way of splitting the
-    // first non-singleton class and keep the lexicographically smallest
-    // complete form. Correct without automorphism pruning (min over all
-    // leaves); the step budget bounds the worst case.
-    dfs(Ids);
+    // first non-singleton class and keep the first lexicographically
+    // smallest complete form, skipping children that a recorded
+    // automorphism maps onto an explored sibling. The root node refines
+    // its (already stable) partition once more, which renumbers it.
+    if (!Exhausted) {
+      std::copy(RootIds.begin(), RootIds.end(), IdStack.begin());
+      dfs(0, Classes);
+    }
 
-    if (!BestOrder.empty()) {
+    if (HaveBest) {
       for (int Pos = 0; Pos < N; ++Pos)
         Result.CanonicalIndex[BestOrder[Pos]] = Pos;
       Result.Exact = !Exhausted;
@@ -258,7 +284,7 @@ public:
       for (int V = 0; V < N; ++V)
         Order[V] = V;
       std::sort(Order.begin(), Order.end(), [&](int A, int B) {
-        return std::make_pair(Ids[A], A) < std::make_pair(Ids[B], B);
+        return std::make_pair(RootIds[A], A) < std::make_pair(RootIds[B], B);
       });
       for (int Pos = 0; Pos < N; ++Pos)
         Result.CanonicalIndex[Order[Pos]] = Pos;
@@ -268,144 +294,268 @@ public:
   }
 
 private:
-  /// Renumbers arbitrary 64-bit signatures to dense ids by sorted hash
-  /// value — rank by value, not first occurrence, so the numbering is
-  /// relabeling-invariant.
-  std::vector<int> denseIds(const std::vector<uint64_t> &Sig) {
-    std::vector<uint64_t> Sorted(Sig);
-    std::sort(Sorted.begin(), Sorted.end());
-    Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
-    std::vector<int> Ids(N);
-    for (int V = 0; V < N; ++V)
-      Ids[V] = static_cast<int>(
-          std::lower_bound(Sorted.begin(), Sorted.end(), Sig[V]) -
-          Sorted.begin());
-    return Ids;
-  }
+  /// One CSR entry: the node at the other end of an edge and its color.
+  struct Arc {
+    int Node;
+    uint64_t Color;
+  };
 
-  static int numClasses(const std::vector<int> &Ids) {
-    return Ids.empty() ? 0 : *std::max_element(Ids.begin(), Ids.end()) + 1;
-  }
+  /// Per-depth state of the tree node on the current DFS path.
+  struct Level {
+    /// The child being searched.
+    int Child = -1;
+    /// The node's explored children are Explored[ExploredBegin, next
+    /// level's ExploredBegin).
+    size_t ExploredBegin = 0;
+    /// Union-find over nodes (allocated once a second child is
+    /// considered): orbits of the recorded automorphisms that fix the
+    /// node's individualized prefix pointwise.
+    std::vector<int> Orbit;
+    /// Recorded automorphisms already merged into Orbit.
+    size_t Merged = 0;
+  };
 
-  /// One WL refinement to fixpoint over \p Ids. Densifies first: dfs()
-  /// individualizes by mapping class c to 2c+1 (2c for the singled-out
-  /// node), so incoming ids may be sparse, and everything downstream —
-  /// numClasses, the per-class counts, and the discrete-leaf
-  /// Order[Ids[V]] write — indexes by id value. Value-ranking keeps the
-  /// densification relabeling-invariant.
-  void refine(std::vector<int> &Ids) {
-    {
-      std::vector<uint64_t> AsSig(Ids.begin(), Ids.end());
-      Ids = denseIds(AsSig);
+  int *ids(int Depth) { return IdStack.data() + size_t(Depth) * N; }
+
+  /// Writes the dense rank of Keys[V].first to Ids[V] — ranked by value,
+  /// not first occurrence, so the numbering is relabeling-invariant —
+  /// and returns the number of distinct values.
+  int rankKeys(int *Ids) {
+    std::sort(Keys.begin(), Keys.end(),
+              [](const std::pair<uint64_t, int> &A,
+                 const std::pair<uint64_t, int> &B) {
+                return A.first < B.first;
+              });
+    int Rank = 0;
+    for (int I = 0; I < N; ++I) {
+      if (I > 0 && Keys[I].first != Keys[I - 1].first)
+        ++Rank;
+      Ids[Keys[I].second] = Rank;
     }
-    int Classes = numClasses(Ids);
-    std::vector<uint64_t> Sig(N);
+    return Rank + 1;
+  }
+
+  /// WL refinement to fixpoint of the dense partition \p Ids with
+  /// \p Classes classes, in place. Returns the final class count, or -1
+  /// when the step budget runs out (Ids then holds the last full round).
+  /// A round that splits nothing still renumbers the classes.
+  int refine(int *Ids, int Classes) {
     for (int Round = 0; Round < N && Classes < N; ++Round) {
-      Budget -= N + static_cast<int64_t>(Edges.size());
+      Budget -= RoundCost;
       if (Budget < 0) {
         Exhausted = true;
-        return;
+        return -1;
       }
+      for (int V = 0; V < N; ++V)
+        IdMix[V] = hashMix(Ids[V] + 1);
       for (int V = 0; V < N; ++V) {
         uint64_t OutAcc = 0, InAcc = 0;
-        for (int E : Out[V])
+        for (int A = Start[2 * V]; A < Start[2 * V + 1]; ++A)
           OutAcc = hashUnordered(
-              OutAcc, hashCombine(Edges[E].Color, Ids[Edges[E].Dst] + 1));
-        for (int E : In[V])
+              OutAcc, hashCombineMixed(Arcs[A].Color, IdMix[Arcs[A].Node]));
+        for (int A = Start[2 * V + 1]; A < Start[2 * V + 2]; ++A)
           InAcc = hashUnordered(
-              InAcc, hashCombine(Edges[E].Color, Ids[Edges[E].Src] + 1));
-        uint64_t H = hashMix(Ids[V] + 1);
-        H = hashCombine(H, OutAcc);
-        H = hashCombine(H, InAcc);
-        Sig[V] = H;
+              InAcc, hashCombineMixed(Arcs[A].Color, IdMix[Arcs[A].Node]));
+        Keys[V] = {hashCombine(hashCombine(IdMix[V], OutAcc), InAcc), V};
       }
-      std::vector<int> Next = denseIds(Sig);
-      int NextClasses = numClasses(Next);
-      Ids = std::move(Next);
+      int NextClasses = rankKeys(Ids);
       if (NextClasses == Classes)
-        return; // Stable partition.
+        return Classes; // Stable partition.
       Classes = NextClasses;
     }
+    return Classes;
   }
 
-  /// Complete form of a discrete (all-singleton) coloring: node colors in
-  /// canonical order, then sorted edge tuples in canonical index space.
-  std::vector<uint64_t> leafForm(const std::vector<int> &Order) const {
-    std::vector<int> Pos(N);
-    for (int P = 0; P < N; ++P)
-      Pos[Order[P]] = P;
-    std::vector<uint64_t> Form;
-    Form.reserve(N + 3 * Edges.size() + 1);
-    Form.push_back(static_cast<uint64_t>(N));
-    for (int P = 0; P < N; ++P)
-      Form.push_back(NodeColors[Order[P]]);
-    std::vector<std::array<uint64_t, 3>> Tuples;
-    Tuples.reserve(Edges.size());
-    for (const CanonicalEdge &E : Edges)
-      Tuples.push_back({static_cast<uint64_t>(Pos[E.Src]),
-                        static_cast<uint64_t>(Pos[E.Dst]), E.Color});
-    std::sort(Tuples.begin(), Tuples.end());
-    for (const auto &T : Tuples) {
-      Form.push_back(T[0]);
-      Form.push_back(T[1]);
-      Form.push_back(T[2]);
-    }
-    return Form;
-  }
-
-  void dfs(std::vector<int> Ids) {
-    refine(Ids);
-    if (Exhausted && !BestOrder.empty())
-      return; // Keep the first complete leaf found before exhaustion.
-
-    // Find the smallest non-singleton color class.
-    int Classes = numClasses(Ids);
-    std::vector<int> Count(Classes, 0);
+  /// Scores the discrete partition \p Ids (Ids[V] = V's position) of the
+  /// tree node at \p Depth. The form is the node colors in canonical
+  /// order, then the sorted ((src, dst) position pair, color) edge keys;
+  /// a form equal to the best one yields an automorphism.
+  void leaf(const int *Ids, int Depth) {
     for (int V = 0; V < N; ++V)
-      ++Count[Ids[V]];
-    int Target = -1;
-    for (int C = 0; C < Classes; ++C)
-      if (Count[C] > 1) {
-        Target = C;
-        break;
-      }
-
-    if (Target < 0) {
-      // Discrete: a complete candidate labeling.
-      std::vector<int> Order(N);
-      for (int V = 0; V < N; ++V)
-        Order[Ids[V]] = V;
-      std::vector<uint64_t> Form = leafForm(Order);
-      if (BestOrder.empty() || Form < BestForm) {
-        BestForm = std::move(Form);
-        BestOrder = std::move(Order);
-      }
+      CandOrder[Ids[V]] = V;
+    CandForm.clear();
+    for (int P = 0; P < N; ++P)
+      CandForm.push_back(NodeColors[CandOrder[P]]);
+    EdgeKeys.clear();
+    for (const CanonicalEdge &E : Edges)
+      EdgeKeys.push_back({(static_cast<uint64_t>(Ids[E.Src]) << 32) |
+                              static_cast<uint64_t>(Ids[E.Dst]),
+                          E.Color});
+    std::sort(EdgeKeys.begin(), EdgeKeys.end());
+    for (const auto &[Key, Color] : EdgeKeys) {
+      CandForm.push_back(Key);
+      CandForm.push_back(Color);
+    }
+    if (!HaveBest || CandForm < BestForm) {
+      HaveBest = true;
+      BestForm.swap(CandForm);
+      BestOrder.swap(CandOrder);
       return;
     }
-    if (Exhausted)
+    if (CandForm != BestForm || OrbitBudget <= 0)
       return;
+    // Mapping each node to the best leaf's node at its position is an
+    // automorphism Gamma, since the two leaves render the same form. Keep
+    // the nodes it moves.
+    size_t Begin = Moves.size();
+    for (int V = 0; V < N; ++V)
+      if (BestOrder[Ids[V]] != V)
+        Moves.push_back({V, BestOrder[Ids[V]]});
+    OrbitBudget -= static_cast<int64_t>(Moves.size() - Begin);
+    if (Moves.size() == Begin)
+      return;
+    AutoEnd.push_back(Moves.size());
 
-    // Individualize each member of the target class in turn: move it to
-    // a fresh class just below its old class (Ids doubled, member odd).
+    // If Gamma fixes the path down to an ancestor and maps the ancestor's
+    // current child onto an explored sibling, the rest of that child's
+    // subtree mirrors explored leaves: return to the ancestor.
+    for (int D = 0; D < Depth; ++D) {
+      int Child = Levels[D].Child, Image = BestOrder[Ids[Child]];
+      auto First = Explored.begin() + Levels[D].ExploredBegin;
+      auto Last = Explored.begin() + Levels[D + 1].ExploredBegin;
+      OrbitBudget -= (Last - First) + 1;
+      if (std::find(First, Last, Image) != Last) {
+        AbortTo = D;
+        return;
+      }
+      if (Image != Child)
+        return;
+    }
+  }
+
+  static int findRoot(std::vector<int> &Parent, int V) {
+    while (Parent[V] != V)
+      V = Parent[V] = Parent[Parent[V]];
+    return V;
+  }
+
+  /// True when \p V lies in the orbit of an explored child of the node at
+  /// \p Depth under the recorded automorphisms that fix the node's
+  /// individualized prefix pointwise. Such an automorphism maps the node
+  /// onto itself and the explored child's subtree onto V's, leaf forms
+  /// included, so V's subtree holds no leaf that is smaller than, or
+  /// equal to and earlier than, one already seen.
+  bool inExploredOrbit(int Depth, int V) {
+    Level &L = Levels[Depth];
+    if (L.Orbit.empty()) {
+      L.Orbit.resize(N);
+      for (int W = 0; W < N; ++W)
+        L.Orbit[W] = W;
+      L.Merged = 0;
+    }
+    for (; L.Merged < AutoEnd.size() && OrbitBudget > 0; ++L.Merged) {
+      auto First = Moves.begin() + (L.Merged ? AutoEnd[L.Merged - 1] : 0);
+      auto Last = Moves.begin() + AutoEnd[L.Merged];
+      OrbitBudget -= Last - First;
+      if (std::any_of(First, Last, [&](const std::pair<int, int> &M) {
+            return InPrefix[M.first];
+          }))
+        continue;
+      for (auto It = First; It != Last; ++It) {
+        int A = findRoot(L.Orbit, It->first);
+        int B = findRoot(L.Orbit, It->second);
+        if (A != B)
+          L.Orbit[std::max(A, B)] = std::min(A, B);
+      }
+    }
+    int Root = findRoot(L.Orbit, V);
+    for (size_t I = L.ExploredBegin; I < Explored.size(); ++I)
+      if (findRoot(L.Orbit, Explored[I]) == Root)
+        return true;
+    return false;
+  }
+
+  /// Searches the tree node at \p Depth, whose partition (with
+  /// \p Classes classes) is at ids(Depth).
+  void dfs(int Depth, int Classes) {
+    Classes = refine(ids(Depth), Classes);
+    if (Classes < 0)
+      return; // Keep the first complete leaf found before exhaustion.
+    if (Classes == N) {
+      leaf(ids(Depth), Depth);
+      return;
+    }
+
+    // Target the smallest non-singleton color class: the first run of
+    // equal signatures in Keys, which the refinement round that produced
+    // these ids left sorted.
+    int Target = 0;
+    for (int I = 1; Keys[I].first != Keys[I - 1].first; ++I)
+      ++Target;
+
+    if (static_cast<int>(Levels.size()) < Depth + 2)
+      Levels.resize(Depth + 2);
+    Levels[Depth].ExploredBegin = Explored.size();
+    Levels[Depth].Orbit.clear();
+    if (IdStack.size() < size_t(Depth + 2) * N)
+      IdStack.resize(size_t(Depth + 2) * N);
+    if (InPrefix.empty())
+      InPrefix.assign(N, false);
+
+    // Individualize each member of the target class in turn: it becomes
+    // class Target and the rest of its old class and every later class
+    // shift up by one (ids stay dense).
     for (int V = 0; V < N && !Exhausted; ++V) {
+      const int *Ids = ids(Depth); // Deeper levels may grow the stack.
       if (Ids[V] != Target)
         continue;
-      std::vector<int> Child(N);
+      if (Explored.size() > Levels[Depth].ExploredBegin &&
+          inExploredOrbit(Depth, V))
+        continue;
+      int *Child = ids(Depth + 1);
       for (int W = 0; W < N; ++W)
-        Child[W] = 2 * Ids[W] + 1;
-      Child[V] = 2 * Target;
-      dfs(std::move(Child));
+        Child[W] = Ids[W] < Target ? Ids[W] : Ids[W] + 1;
+      Child[V] = Target;
+      InPrefix[V] = true;
+      Levels[Depth].Child = V;
+      Levels[Depth + 1].ExploredBegin = Explored.size();
+      dfs(Depth + 1, Classes + 1);
+      InPrefix[V] = false;
+      Explored.resize(Levels[Depth + 1].ExploredBegin);
+      if (AbortTo >= 0) {
+        if (AbortTo < Depth)
+          return;
+        AbortTo = -1;
+      }
+      Explored.push_back(V);
     }
   }
 
   const int N;
   const std::vector<uint64_t> &NodeColors;
   const std::vector<CanonicalEdge> &Edges;
-  std::vector<std::vector<int>> Out, In;
   int64_t Budget;
+  /// Bounds the orbit bookkeeping, which the step budget does not see:
+  /// once spent, no automorphism is recorded or merged and the search
+  /// prunes with the orbits it has. Pruning only ever skips work, so
+  /// this never changes the result or when the step budget trips.
+  int64_t OrbitBudget;
+  const int64_t RoundCost;
   bool Exhausted = false;
-  std::vector<uint64_t> BestForm;
-  std::vector<int> BestOrder;
+
+  std::vector<int> Start;
+  std::vector<Arc> Arcs;
+  std::vector<uint64_t> IdMix;
+  std::vector<std::pair<uint64_t, int>> Keys;
+  std::vector<int> IdStack;
+  /// Marks the nodes individualized on the current DFS path.
+  std::vector<char> InPrefix;
+  /// Explored children of the nodes on the current DFS path, level after
+  /// level.
+  std::vector<int> Explored;
+  /// Depth the search is returning to after a leaf's automorphism showed
+  /// the rest of the path's subtree to be a mirror image, or -1.
+  int AbortTo = -1;
+  std::vector<Level> Levels;
+
+  bool HaveBest = false;
+  std::vector<uint64_t> BestForm, CandForm;
+  std::vector<int> BestOrder, CandOrder;
+  std::vector<std::pair<uint64_t, uint64_t>> EdgeKeys;
+  /// Recorded automorphisms as (node, image) pairs of the nodes each one
+  /// moves; automorphism I ends at Moves[AutoEnd[I]].
+  std::vector<std::pair<int, int>> Moves;
+  std::vector<size_t> AutoEnd;
 };
 
 } // namespace

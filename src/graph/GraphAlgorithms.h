@@ -91,11 +91,13 @@ struct CanonicalLabeling {
 /// Computes a canonical node order for a colored directed multigraph:
 /// iterative Weisfeiler-Leman color refinement over (node color, in/out
 /// edge-color x neighbor-color multisets), then individualization-
-/// refinement over the remaining symmetric orbits, keeping the
-/// lexicographically smallest complete form. \p StepBudget bounds the
-/// total refinement work (roughly node-visits); graphs whose symmetry
-/// exhausts it come back with Exact == false. Deterministic for a fixed
-/// input; invariant under node relabeling when Exact.
+/// refinement over the remaining symmetric orbits, keeping the first
+/// lexicographically smallest complete form and skipping subtrees that
+/// the automorphisms found along the way map onto explored ones.
+/// \p StepBudget bounds the total refinement work (roughly node-visits);
+/// graphs whose symmetry exhausts it come back with Exact == false.
+/// Deterministic for a fixed input; invariant under node relabeling when
+/// Exact.
 CanonicalLabeling canonicalLabeling(int NumNodes,
                                     const std::vector<uint64_t> &NodeColors,
                                     const std::vector<CanonicalEdge> &Edges,

@@ -210,10 +210,10 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
                           C.TimeBudget, &RP->Ctx, RP->W.Attempt,
                           &RP->Hooks};
       RP->W.Schedule = RP->E->solveAttempt(Lane);
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        RP->W.Done = true;
-      }
+      // Notify under the lock: once Done is visible and Mu released, the
+      // coordinator may return and destroy the Cv on its frame.
+      std::lock_guard<std::mutex> Lock(Mu);
+      RP->W.Done = true;
       Cv.notify_all();
     });
   }

@@ -35,10 +35,9 @@ std::optional<int> MachineModel::findOpClass(std::string_view Name) const {
   return std::nullopt;
 }
 
-uint64_t MachineModel::opClassSignature(int C) const {
-  assert(C >= 0 && C < numOpClasses() && "opclass index out of range");
+MachineModel::Signature MachineModel::signature() const {
   // Canonical resource ids: rank by first appearance in any class's usage
-  // list. Machines are tiny, so recomputing per call is noise.
+  // list.
   std::vector<int> CanonId(Resources.size(), -1);
   int Next = 0;
   for (const OpClass &Cls : Classes)
@@ -46,34 +45,40 @@ uint64_t MachineModel::opClassSignature(int C) const {
       if (CanonId[U.Resource] < 0)
         CanonId[U.Resource] = Next++;
 
-  const OpClass &Cls = Classes[C];
+  Signature Sig;
+  Sig.OpClass.reserve(Classes.size());
+  size_t MaxUses = 0;
+  for (const OpClass &Cls : Classes)
+    MaxUses = std::max(MaxUses, Cls.Usages.size());
   std::vector<std::array<int, 3>> Uses;
-  Uses.reserve(Cls.Usages.size());
-  for (const ResourceUsage &U : Cls.Usages)
-    Uses.push_back({CanonId[U.Resource], Resources[U.Resource].Count,
-                    U.Cycle});
-  std::sort(Uses.begin(), Uses.end());
+  Uses.reserve(MaxUses);
+  for (const OpClass &Cls : Classes) {
+    Uses.clear();
+    for (const ResourceUsage &U : Cls.Usages)
+      Uses.push_back({CanonId[U.Resource], Resources[U.Resource].Count,
+                      U.Cycle});
+    std::sort(Uses.begin(), Uses.end());
+    uint64_t H = hashMix(0x6f70636cu); // "opcl"
+    H = hashCombine(H,
+                    static_cast<uint64_t>(static_cast<int64_t>(Cls.Latency)));
+    H = hashCombine(H, Uses.size());
+    for (const auto &U : Uses)
+      for (int Field : U)
+        H = hashCombine(H,
+                        static_cast<uint64_t>(static_cast<int64_t>(Field)));
+    Sig.OpClass.push_back(H);
+  }
 
-  uint64_t H = hashMix(0x6f70636cu); // "opcl"
-  H = hashCombine(H, static_cast<uint64_t>(static_cast<int64_t>(Cls.Latency)));
-  H = hashCombine(H, Uses.size());
-  for (const auto &U : Uses)
-    for (int Field : U)
-      H = hashCombine(H, static_cast<uint64_t>(static_cast<int64_t>(Field)));
-  return H;
-}
-
-uint64_t MachineModel::digest() const {
   uint64_t H = hashMix(0x6d616368u); // "mach"
   uint64_t Pool = 0;
   for (const ResourceType &R : Resources)
     Pool = hashUnordered(Pool, static_cast<uint64_t>(R.Count));
   H = hashCombine(H, Pool);
-  uint64_t Cls = 0;
-  for (int C = 0; C < numOpClasses(); ++C)
-    Cls = hashUnordered(Cls, opClassSignature(C));
-  H = hashCombine(H, Cls);
-  return H;
+  uint64_t ClassAcc = 0;
+  for (uint64_t ClassSig : Sig.OpClass)
+    ClassAcc = hashUnordered(ClassAcc, ClassSig);
+  Sig.Digest = hashCombine(H, ClassAcc);
+  return Sig;
 }
 
 std::string MachineModel::toString() const {

@@ -78,24 +78,26 @@ public:
   /// Looks an operation class up by name.
   std::optional<int> findOpClass(std::string_view Name) const;
 
-  /// Scheduling-relevant signature of operation class \p C: a 64-bit
-  /// digest of its latency and its resource usages, where each usage is
-  /// identified by the used resource's INSTANCE COUNT and a canonical
-  /// resource id (the resource's rank by first appearance in any class's
-  /// usage list, a deterministic bijection on the used resources). Names
-  /// never enter the digest: renaming a unit or an opclass leaves the
-  /// signature unchanged, while changing a latency, a usage cycle, or an
-  /// instance count changes it.
-  uint64_t opClassSignature(int C) const;
+  /// Scheduling-relevant identity of the machine, names excluded.
+  struct Signature {
+    /// OpClass[C]: digest of class C's latency and its resource usages,
+    /// where each usage is identified by the used resource's INSTANCE
+    /// COUNT and a canonical resource id (the resource's rank by first
+    /// appearance in any class's usage list, a deterministic bijection
+    /// on the used resources). Renaming a unit or an opclass leaves it
+    /// unchanged; changing a latency, a usage cycle, or an instance
+    /// count changes it.
+    std::vector<uint64_t> OpClass;
+    /// Digest of the whole machine: the resource (count) multiset and
+    /// the class signatures, both folded UNORDERED. Two machines that
+    /// differ only in resource/class names digest equal. Graph nodes
+    /// carry their own class signature, so the digest only needs to pin
+    /// down the resource pool.
+    uint64_t Digest = 0;
+  };
 
-  /// Canonical digest of the whole machine: order-insensitive over the
-  /// resource (count) multiset and order-sensitive over nothing that
-  /// depends on naming. Two machines that differ only in resource/class
-  /// names (or in opclass table order, when paired with per-node
-  /// signatures) digest equal. Class signatures are folded in UNORDERED
-  /// because graph nodes carry their own opClassSignature — the machine
-  /// digest only needs to pin down the resource pool.
-  uint64_t digest() const;
+  /// Computes every class signature and the digest in one pass.
+  Signature signature() const;
 
   /// Machine name for reports.
   const std::string &name() const { return MachineName; }

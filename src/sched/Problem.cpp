@@ -63,39 +63,44 @@ uint64_t asWord(int Value) {
 
 void Problem::computeCanonical() const {
   const int N = G.numOperations();
+  const std::vector<VirtualRegister> &Registers = G.registers();
 
-  // RegisterOf[op] = register defined by op, or -1.
+  // RegisterOf[op] = register defined by op, or -1. Defs are unique
+  // (DependenceGraph::ensureRegister).
   std::vector<int> RegisterOf(N, -1);
-  for (int R = 0; R < G.numRegisters(); ++R)
-    RegisterOf[G.registers()[R].Def] = R;
+  size_t NumUses = 0;
+  for (int R = 0; R < G.numRegisters(); ++R) {
+    RegisterOf[Registers[R].Def] = R;
+    NumUses += Registers[R].Uses.size();
+  }
 
   // Node colors: the opclass signature (latency + canonical resource
   // usages — names excluded) plus the register-def shape of the node.
   // Register USES become colored edges below, so two defs differ here
   // only in whether they own a register and whether it is unconsumed
   // (an unconsumed register is still live for one cycle).
+  const MachineModel::Signature MachineSig = M.signature();
   std::vector<uint64_t> Colors(N);
   for (int Op = 0; Op < N; ++Op) {
     uint64_t H = hashMix(0x6e6f6465u); // "node"
-    H = hashCombine(H, M.opClassSignature(G.operation(Op).OpClass));
+    H = hashCombine(H, MachineSig.OpClass[G.operation(Op).OpClass]);
     int Reg = RegisterOf[Op];
     H = hashCombine(H, Reg < 0 ? 0u : 1u);
-    H = hashCombine(H,
-                    (Reg >= 0 && G.registers()[Reg].Uses.empty()) ? 1u : 0u);
+    H = hashCombine(H, (Reg >= 0 && Registers[Reg].Uses.empty()) ? 1u : 0u);
     Colors[Op] = H;
   }
 
   // Edge colors: scheduling edges by (latency, distance); register uses
   // by use distance (def -> consumer).
   std::vector<CanonicalEdge> Edges;
-  Edges.reserve(G.numSchedEdges());
+  Edges.reserve(G.numSchedEdges() + NumUses);
   for (const SchedEdge &E : G.schedEdges()) {
     uint64_t H = hashMix(0x73656467u); // "sedg"
     H = hashCombine(H, asWord(E.Latency));
     H = hashCombine(H, asWord(E.Distance));
     Edges.push_back({E.Src, E.Dst, H});
   }
-  for (const VirtualRegister &R : G.registers())
+  for (const VirtualRegister &R : Registers)
     for (const RegisterUse &U : R.Uses) {
       uint64_t H = hashMix(0x72656775u); // "regu"
       H = hashCombine(H, asWord(U.Distance));
@@ -110,14 +115,15 @@ void Problem::computeCanonical() const {
   // canonical indices. Sorting makes the rendering independent of the
   // original edge/register insertion order.
   Form.clear();
+  Form.reserve(3 + N + 4 * size_t(G.numSchedEdges()) +
+               2 * (size_t(G.numRegisters()) + NumUses) + 2);
   Form.push_back(asWord(N));
   Form.push_back(asWord(G.numSchedEdges()));
   Form.push_back(asWord(G.numRegisters()));
 
-  std::vector<uint64_t> NodeWords(N);
+  Form.resize(Form.size() + N);
   for (int Op = 0; Op < N; ++Op)
-    NodeWords[CanonIndex[Op]] = Colors[Op];
-  Form.insert(Form.end(), NodeWords.begin(), NodeWords.end());
+    Form[3 + CanonIndex[Op]] = Colors[Op];
 
   std::vector<std::array<uint64_t, 4>> EdgeTuples;
   EdgeTuples.reserve(G.numSchedEdges());
@@ -128,27 +134,30 @@ void Problem::computeCanonical() const {
   for (const auto &T : EdgeTuples)
     Form.insert(Form.end(), T.begin(), T.end());
 
-  std::vector<std::vector<uint64_t>> RegTuples;
-  RegTuples.reserve(G.numRegisters());
-  for (const VirtualRegister &R : G.registers()) {
-    std::vector<std::array<uint64_t, 2>> Uses;
-    Uses.reserve(R.Uses.size());
+  // Register tuples (def, use count, sorted (consumer, distance) pairs)
+  // in lexicographic order. Their defs are unique, so that is the order
+  // of their defs' canonical indices.
+  // RegisterOf is done with: reuse it indexed by canonical position.
+  std::vector<int> &RegisterAt = RegisterOf;
+  std::fill(RegisterAt.begin(), RegisterAt.end(), -1);
+  for (int R = 0; R < G.numRegisters(); ++R)
+    RegisterAt[CanonIndex[Registers[R].Def]] = R;
+  std::vector<std::array<uint64_t, 2>> Uses;
+  for (int Pos = 0; Pos < N; ++Pos) {
+    if (RegisterAt[Pos] < 0)
+      continue;
+    const VirtualRegister &R = Registers[RegisterAt[Pos]];
+    Uses.clear();
     for (const RegisterUse &U : R.Uses)
       Uses.push_back({asWord(CanonIndex[U.Consumer]), asWord(U.Distance)});
     std::sort(Uses.begin(), Uses.end());
-    std::vector<uint64_t> Tuple;
-    Tuple.reserve(2 + 2 * Uses.size());
-    Tuple.push_back(asWord(CanonIndex[R.Def]));
-    Tuple.push_back(Uses.size());
+    Form.push_back(asWord(Pos));
+    Form.push_back(Uses.size());
     for (const auto &U : Uses)
-      Tuple.insert(Tuple.end(), U.begin(), U.end());
-    RegTuples.push_back(std::move(Tuple));
+      Form.insert(Form.end(), U.begin(), U.end());
   }
-  std::sort(RegTuples.begin(), RegTuples.end());
-  for (const auto &T : RegTuples)
-    Form.insert(Form.end(), T.begin(), T.end());
 
-  Form.push_back(M.digest());
+  Form.push_back(MachineSig.Digest);
   Form.push_back(optionsDigest(Opts));
 
   uint64_t H = hashMix(0x70726f62u); // "prob"

@@ -31,10 +31,16 @@ inline uint64_t hashMix(uint64_t X) {
   return X ^ (X >> 31);
 }
 
+/// hashCombine() of a value the caller already passed through hashMix():
+/// lets a loop that feeds one value into many seeds mix it once.
+inline uint64_t hashCombineMixed(uint64_t Seed, uint64_t MixedValue) {
+  return hashMix(Seed ^ (MixedValue + 0x9e3779b97f4a7c15ull + (Seed << 6) +
+                         (Seed >> 2)));
+}
+
 /// Order-SENSITIVE combination: feeds \p Value into running hash \p Seed.
 inline uint64_t hashCombine(uint64_t Seed, uint64_t Value) {
-  return hashMix(Seed ^ (hashMix(Value) + 0x9e3779b97f4a7c15ull +
-                         (Seed << 6) + (Seed >> 2)));
+  return hashCombineMixed(Seed, hashMix(Value));
 }
 
 /// Order-INSENSITIVE combination: commutative and associative, so a

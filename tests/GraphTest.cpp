@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 using namespace modsched;
 
@@ -167,4 +168,72 @@ TEST(Validate, RejectsBadRegisterUse) {
   // Manually corrupting is not exposed; validate a healthy graph instead
   // and check the negative-distance rejection path via a direct edge.
   EXPECT_FALSE(G.validate().has_value());
+}
+
+//===----------------------------------------------------------------------===//
+// Canonical labeling of symmetric graphs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Count disjoint directed paths of \p Length nodes, every node and
+/// edge the same color: the automorphism group permutes whole paths.
+void identicalPaths(int Count, int Length, int &N,
+                    std::vector<uint64_t> &Colors,
+                    std::vector<CanonicalEdge> &Edges) {
+  N = Count * Length;
+  Colors.assign(size_t(N), 7);
+  Edges.clear();
+  for (int P = 0; P < Count; ++P)
+    for (int I = 0; I + 1 < Length; ++I)
+      Edges.push_back({P * Length + I, P * Length + I + 1, 3});
+}
+
+/// The canonical form of a labeling: node colors in canonical order,
+/// then the sorted edge tuples in canonical index space.
+std::vector<uint64_t> formOf(const CanonicalLabeling &L,
+                             const std::vector<uint64_t> &Colors,
+                             const std::vector<CanonicalEdge> &Edges) {
+  std::vector<uint64_t> Form(Colors.size());
+  for (size_t V = 0; V < Colors.size(); ++V)
+    Form[size_t(L.CanonicalIndex[V])] = Colors[V];
+  std::vector<std::array<uint64_t, 3>> Tuples;
+  for (const CanonicalEdge &E : Edges)
+    Tuples.push_back({uint64_t(L.CanonicalIndex[size_t(E.Src)]),
+                      uint64_t(L.CanonicalIndex[size_t(E.Dst)]), E.Color});
+  std::sort(Tuples.begin(), Tuples.end());
+  for (const auto &T : Tuples)
+    Form.insert(Form.end(), T.begin(), T.end());
+  return Form;
+}
+
+/// Labels the paths graph and a reversed-id copy of it under \p Budget;
+/// both must be exact and agree on the canonical form.
+void expectSymmetricGraphExact(int Count, int Length, int64_t Budget) {
+  int N = 0;
+  std::vector<uint64_t> Colors;
+  std::vector<CanonicalEdge> Edges;
+  identicalPaths(Count, Length, N, Colors, Edges);
+  CanonicalLabeling L = canonicalLabeling(N, Colors, Edges, Budget);
+  EXPECT_TRUE(L.Exact) << Count << " x " << Length;
+
+  std::vector<CanonicalEdge> Reversed(Edges.rbegin(), Edges.rend());
+  for (CanonicalEdge &E : Reversed) {
+    E.Src = N - 1 - E.Src;
+    E.Dst = N - 1 - E.Dst;
+  }
+  CanonicalLabeling R = canonicalLabeling(N, Colors, Reversed, Budget);
+  EXPECT_TRUE(R.Exact) << Count << " x " << Length << " reversed";
+  EXPECT_EQ(L.InvariantHash, R.InvariantHash);
+  EXPECT_EQ(formOf(L, Colors, Edges), formOf(R, Colors, Reversed));
+}
+
+} // namespace
+
+TEST(CanonicalLabeling, IdenticalIndependentNodesAreExact) {
+  expectSymmetricGraphExact(/*Count=*/12, /*Length=*/1, /*Budget=*/20000);
+}
+
+TEST(CanonicalLabeling, IdenticalChainsAreExact) {
+  expectSymmetricGraphExact(/*Count=*/6, /*Length=*/3, /*Budget=*/20000);
 }

@@ -16,12 +16,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "graph/GraphAlgorithms.h"
+#include "graph/Unroll.h"
 #include "ilpsched/OptimalScheduler.h"
 #include "ilpsched/SolutionCache.h"
 #include "sched/Problem.h"
 #include "sched/Verifier.h"
+#include "support/Hash.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
+#include "workloads/KernelLibrary.h"
 #include "workloads/SyntheticGenerator.h"
 
 #include <gtest/gtest.h>
@@ -287,6 +291,142 @@ TEST(ProblemHashTest, SingleResourceCountPerturbationChangesHash) {
   Problem A(G, M, FOpts), B(G, M2, FOpts);
   EXPECT_NE(A.canonicalForm(), B.canonicalForm());
   EXPECT_NE(A.canonicalHash(), B.canonicalHash());
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned canonical outputs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+template <typename Range> uint64_t foldAll(uint64_t Acc, const Range &Words) {
+  Acc = hashCombine(Acc, uint64_t(Words.size()));
+  for (auto W : Words)
+    Acc = hashCombine(Acc, static_cast<uint64_t>(W));
+  return Acc;
+}
+
+} // namespace
+
+TEST(ProblemHashTest, PinnedCanonicalOutputs) {
+  // Every output of the canonical layer, folded over a seeded corpus
+  // into one word. A rewrite of the labeling search may make it cheaper
+  // but must not move any of these values: cache entries written by
+  // one build are looked up by the next.
+  uint64_t Fold = hashMix(0x70696e73u); // "pins"
+  int Problems = 0, Graphs = 0;
+
+  // Generator loops of up to 14 ops, each under 4 relabelings.
+  for (const MachineModel &M : {MachineModel::cydraLike(),
+                                MachineModel::vliw2()}) {
+    for (uint64_t Seed = 0; Seed < 24; ++Seed) {
+      DependenceGraph G = makeLoop(Seed, M);
+      Rng R(Seed * 977 + 5);
+      for (int Relabel = 0; Relabel < 4; ++Relabel) {
+        DependenceGraph G2 =
+            relabelGraph(G, randomPermutation(G.numOperations(), R), R);
+        FormulationOptions FOpts;
+        FOpts.Obj = static_cast<Objective>(Relabel);
+        Problem P(G2, M, FOpts);
+        ASSERT_TRUE(P.hashExact()) << M.name() << " seed " << Seed;
+        Fold = hashCombine(Fold, P.canonicalHash());
+        Fold = hashCombine(Fold, P.hashExact());
+        Fold = foldAll(Fold, P.canonicalIndex());
+        Fold = foldAll(Fold, P.canonicalForm());
+        ++Problems;
+      }
+    }
+  }
+
+  // Random colored multigraphs (self-loops and parallel edges allowed)
+  // under the default step budget. The contract pins exact labelings
+  // only, so every draw has at least N edges: nine or more isolated
+  // twins could come back inexact from an older search, and those are
+  // the symmetric-loop tests' business.
+  for (uint64_t Seed = 0; Seed < 400; ++Seed) {
+    Rng R(Seed * 7919 + 3);
+    int N = 1 + int(R.nextBelow(12));
+    int NodeColorCount = 1 + int(R.nextBelow(3));
+    std::vector<uint64_t> Colors(size_t(N), 0);
+    for (uint64_t &C : Colors)
+      C = R.nextBelow(uint64_t(NodeColorCount));
+    std::vector<CanonicalEdge> Edges(size_t(N) +
+                                     R.nextBelow(uint64_t(N + 1)));
+    for (CanonicalEdge &E : Edges) {
+      E.Src = int(R.nextBelow(uint64_t(N)));
+      E.Dst = int(R.nextBelow(uint64_t(N)));
+      E.Color = 1 + R.nextBelow(2);
+    }
+    CanonicalLabeling L = canonicalLabeling(N, Colors, Edges);
+    ASSERT_TRUE(L.Exact) << "multigraph seed " << Seed;
+    Fold = hashCombine(Fold, L.InvariantHash);
+    Fold = hashCombine(Fold, L.Exact);
+    Fold = foldAll(Fold, L.CanonicalIndex);
+    ++Graphs;
+  }
+
+  EXPECT_EQ(Problems, 192);
+  EXPECT_EQ(Graphs, 400);
+  EXPECT_EQ(Fold, 0x022d63b10fba36a9ull) << std::hex << "fold 0x" << Fold;
+}
+
+//===----------------------------------------------------------------------===//
+// Symmetric loops
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Count independent copies of one op of class \p Class.
+DependenceGraph identicalOps(const MachineModel &M, int Count,
+                             const char *Class = opclasses::Add) {
+  DependenceGraph G;
+  G.setName("identical-ops");
+  for (int I = 0; I < Count; ++I)
+    G.addOperation("a" + std::to_string(I), *M.findOpClass(Class));
+  return G;
+}
+
+/// \p Count independent load -> add -> store chains.
+DependenceGraph identicalChains(const MachineModel &M, int Count) {
+  DependenceGraph G;
+  G.setName("identical-chains");
+  for (int I = 0; I < Count; ++I) {
+    std::string S = std::to_string(I);
+    int Ld = G.addOperation("ld" + S, *M.findOpClass(opclasses::Load));
+    int Add = G.addOperation("add" + S, *M.findOpClass(opclasses::Add));
+    int St = G.addOperation("st" + S, *M.findOpClass(opclasses::Store));
+    G.addFlowDependence(Ld, Add, M.opClass(G.operation(Ld).OpClass).Latency,
+                        0);
+    G.addFlowDependence(Add, St,
+                        M.opClass(G.operation(Add).OpClass).Latency, 0);
+  }
+  return G;
+}
+
+/// Every relabeling of \p G must hash exactly to one value.
+void expectRelabelingsHashEqual(const DependenceGraph &G,
+                                const MachineModel &M, uint64_t Seed) {
+  FormulationOptions FOpts;
+  Problem Base(G, M, FOpts);
+  ASSERT_TRUE(Base.hashExact()) << G.name();
+  Rng R(Seed);
+  for (int Relabel = 0; Relabel < 4; ++Relabel) {
+    DependenceGraph G2 =
+        relabelGraph(G, randomPermutation(G.numOperations(), R), R);
+    Problem P(G2, M, FOpts);
+    ASSERT_TRUE(P.hashExact()) << G.name() << " relabeling " << Relabel;
+    EXPECT_EQ(P.canonicalHash(), Base.canonicalHash()) << G.name();
+    EXPECT_EQ(P.canonicalForm(), Base.canonicalForm()) << G.name();
+  }
+}
+
+} // namespace
+
+TEST(ProblemHashTest, SymmetricLoopsHashExactlyAcrossRelabelings) {
+  MachineModel M = MachineModel::cydraLike();
+  expectRelabelingsHashEqual(identicalOps(M, 12), M, 1);
+  expectRelabelingsHashEqual(identicalChains(M, 6), M, 2);
+  expectRelabelingsHashEqual(unrollLoop(daxpy(M), 4), M, 3);
 }
 
 //===----------------------------------------------------------------------===//

@@ -539,6 +539,30 @@ TEST(ServiceServer, SolvesAndServesFromCacheOnResubmission) {
   EXPECT_EQ(Stats.Shed, 0);
 }
 
+TEST(ServiceServer, SymmetricLoopIsServedFromCacheOnResubmission) {
+  // Twelve identical independent ops: the most symmetric loop a client
+  // can send. Its canonical hash must be exact, or no resubmission of it
+  // could ever be a cache hit.
+  MachineModel M = MachineModel::example3();
+  DependenceGraph G;
+  G.setName("twelve");
+  for (int I = 0; I < 12; ++I)
+    G.addOperation("a" + std::to_string(I), *M.findOpClass(opclasses::Add));
+  std::string Ddg = printDdg(G, M);
+  std::string Frame = "machine=example3\nDDG " +
+                      std::to_string(countLines(Ddg)) + "\n" + Ddg + "END\n";
+  Server S(quickOptions());
+  std::vector<std::string> Lines = serve(
+      S, "SCHED id=s1 " + Frame + "SCHED id=s2 " + Frame + "QUIT\n");
+  ASSERT_EQ(Lines.size(), 2u);
+  ASSERT_EQ(field(Lines[0], "id"), "s1") << Lines[0];
+  EXPECT_EQ(field(Lines[0], "status"), "ok") << Lines[0];
+  EXPECT_EQ(field(Lines[0], "cache_hit"), "false") << Lines[0];
+  EXPECT_EQ(field(Lines[1], "status"), "ok") << Lines[1];
+  EXPECT_EQ(field(Lines[1], "cache_hit"), "true")
+      << "symmetric resubmission not served from cache: " << Lines[1];
+}
+
 /// The "times" array of an ok reply's schedule object.
 std::vector<int> scheduleTimes(const std::string &Line) {
   std::vector<int> Times;
