@@ -94,18 +94,6 @@ BenchConfig BenchConfig::fromEnv() {
   if (const char *E = std::getenv("MODSCHED_BENCH_EXPLAIN"))
     if (parseEnvInt("MODSCHED_BENCH_EXPLAIN", E, 0, 1, V))
       Config.Explain = V != 0;
-  if (const char *E = std::getenv("MODSCHED_BENCH_ENGINE")) {
-    if (std::strcmp(E, "dense") == 0)
-      Config.Engine = lp::SimplexEngine::Dense;
-    else if (std::strcmp(E, "sparse") == 0 ||
-             std::strcmp(E, "sparse_revised") == 0)
-      Config.Engine = lp::SimplexEngine::SparseRevised;
-    else
-      std::fprintf(stderr,
-                   "warning: ignoring MODSCHED_BENCH_ENGINE='%s' "
-                   "(expected dense|sparse); keeping %s\n",
-                   E, lp::toString(Config.Engine));
-  }
   if (const char *E = std::getenv("MODSCHED_BENCH_BACKEND")) {
     if (std::strcmp(E, "ilp") == 0)
       Config.Backend = SchedulerBackend::Ilp;
@@ -190,7 +178,6 @@ bench::runOptimal(const MachineModel &M,
   Opts.TimeLimitSeconds = Config.TimeLimitSeconds;
   Opts.NodeLimit = Config.NodeLimit;
   Opts.WarmStart = Config.WarmStart;
-  Opts.LpEngine = Config.Engine;
   Opts.Backend = Config.Backend;
   Opts.Explain = Config.Explain;
   Opts.Cache = Config.Cache;
@@ -442,7 +429,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(10);
+  W.key("schema_version").value(11);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));
@@ -453,7 +440,6 @@ std::string BenchJson::write() const {
   W.key("node_limit").value(Cfg.NodeLimit);
   W.key("large_cap").value(Cfg.LargeCap);
   W.key("warm_start").value(Cfg.WarmStart);
-  W.key("engine").value(lp::toString(Cfg.Engine));
   W.key("backend").value(toString(Cfg.Backend));
   W.key("explain").value(Cfg.Explain);
   W.key("cache").value(Cfg.Cache);

@@ -18,9 +18,6 @@
 ///   MODSCHED_BENCH_SEED       suite seed (default 20260705)
 ///   MODSCHED_BENCH_WARMSTART  0 disables warm-started node LPs (default 1;
 ///                             the knob behind warm-vs-cold A/B runs)
-///   MODSCHED_BENCH_ENGINE     LP engine for every node LP: "sparse" (the
-///                             default, also "sparse_revised") or "dense"
-///                             — the knob behind sparse-vs-dense A/B runs
 ///   MODSCHED_BENCH_BACKEND    exact engine behind every attempt: "ilp"
 ///                             (LP-based branch-and-bound), "pb" (CDCL
 ///                             pseudo-Boolean), or "portfolio" (both
@@ -75,10 +72,6 @@ struct BenchConfig {
   /// Warm-start node LPs from the parent basis (SchedulerOptions::
   /// WarmStart); MODSCHED_BENCH_WARMSTART=0 turns it off for A/B runs.
   bool WarmStart = true;
-  /// LP engine for every node LP (SchedulerOptions::LpEngine);
-  /// MODSCHED_BENCH_ENGINE=dense|sparse overrides for A/B runs. The
-  /// compiled-in default follows MODSCHED_LP_ENGINE (lp/Simplex.h).
-  lp::SimplexEngine Engine = lp::defaultSimplexEngine();
   /// Exact engine behind every attempt (SchedulerOptions::Backend):
   /// ILP branch-and-bound, the CDCL pseudo-Boolean solver, or the
   /// portfolio racing both with cross-engine bound sharing.
@@ -234,7 +227,7 @@ struct ServiceSummary {
 /// produced, and call write() before exiting. The artifact is
 ///   <dir>/BENCH_<experiment>.json
 /// with <dir> = $MODSCHED_BENCH_RESULTS_DIR or "bench_results" (created
-/// if missing). The artifact carries schema_version 10, the only
+/// if missing). The artifact carries schema_version 11, the only
 /// version scripts/check_bench_json.py accepts; docs/OBSERVABILITY.md
 /// documents its fields.
 class BenchJson {

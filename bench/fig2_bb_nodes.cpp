@@ -24,10 +24,9 @@ int main() {
   MachineModel M = MachineModel::cydraLike();
   std::vector<DependenceGraph> Suite = benchSuite(M, Config);
   std::printf("Figure 2: average branch-and-bound nodes "
-              "(suite: %zu loops, %.1fs/loop budget, backend=%s, "
-              "engine=%s)\n\n",
+              "(suite: %zu loops, %.1fs/loop budget, backend=%s)\n\n",
               Suite.size(), Config.TimeLimitSeconds,
-              toString(Config.Backend), lp::toString(Config.Engine));
+              toString(Config.Backend));
 
   const Objective Objs[] = {Objective::None, Objective::MinBuff,
                             Objective::MinLife, Objective::MinReg};

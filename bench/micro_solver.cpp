@@ -244,39 +244,6 @@ BENCHMARK(BM_MipWarmStart)
     ->Arg(1) // warm dual simplex from the parent basis
     ->Unit(benchmark::kMillisecond);
 
-void BM_SparseVsDense(benchmark::State &State) {
-  // A/B ablation of the LP engine: identical branch-and-bound search
-  // with every node LP solved by the dense explicit tableau (Arg 0) or
-  // the sparse revised simplex with the LU-factorized basis (Arg 1).
-  // Warm starts are on in both arms, so the delta isolates the
-  // per-pivot linear algebra. Results land in BENCH_micro_solver.json
-  // as BM_SparseVsDense/{0,1} records with the refactorizations /
-  // eta_nnz factorization counters (sparse arm only).
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = benchLoop(M);
-  MipOptions Opts;
-  Opts.Lp.Engine = State.range(0) != 0 ? lp::SimplexEngine::SparseRevised
-                                       : lp::SimplexEngine::Dense;
-  MipResult Last;
-  for (auto _ : State) {
-    Last = solveLoop(M, G, Objective::MinReg, DependenceStyle::Structured,
-                     Opts);
-    benchmark::DoNotOptimize(Last.Objective);
-  }
-  State.counters["bb_nodes"] = static_cast<double>(Last.Nodes);
-  State.counters["simplex_iters"] =
-      static_cast<double>(Last.SimplexIterations);
-  State.counters["refactorizations"] =
-      static_cast<double>(Last.LpRefactorizations);
-  State.counters["eta_nnz"] = static_cast<double>(Last.LpEtaNonzeros);
-  recordSolve("BM_SparseVsDense/" + std::to_string(State.range(0)), G,
-              Last);
-}
-BENCHMARK(BM_SparseVsDense)
-    ->Arg(0) // dense explicit tableau at every node
-    ->Arg(1) // sparse revised simplex (LU + eta updates)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_PbVsIlp(benchmark::State &State) {
   // A/B smoke of the exact backends: the full II search on the fixed
   // 12-op loop solved by LP-based branch-and-bound (Arg 0) or by the
@@ -447,18 +414,6 @@ int main(int argc, char **argv) {
                      static_cast<double>(Warm->WarmLpSolves) /
                          static_cast<double>(WarmLps));
   }
-
-  // Headline sparse-vs-dense metrics from the BM_SparseVsDense arms.
-  const bench::LoopRecord *Dense = nullptr, *Sparse = nullptr;
-  for (const bench::LoopRecord &R : solveRecords()) {
-    if (R.Name == "BM_SparseVsDense/0")
-      Dense = &R;
-    if (R.Name == "BM_SparseVsDense/1")
-      Sparse = &R;
-  }
-  if (Dense && Sparse && Sparse->Seconds > 0)
-    Json.addMetric("sparse_vs_dense_time_speedup",
-                   Dense->Seconds / Sparse->Seconds);
 
   // Headline PB-vs-ILP metrics from the BM_PbVsIlp A/B arms. The
   // agreement metric is 1.0 iff both backends solved and returned the

@@ -19,10 +19,9 @@ int main() {
   MachineModel M = MachineModel::cydraLike();
   std::vector<DependenceGraph> Suite = benchSuite(M, Config);
   std::printf("Table 2: measurements with TRADITIONAL scheduling "
-              "constraints (suite: %zu loops, %.1fs/loop, backend=%s, "
-              "engine=%s)\n\n",
+              "constraints (suite: %zu loops, %.1fs/loop, backend=%s)\n\n",
               Suite.size(), Config.TimeLimitSeconds,
-              toString(Config.Backend), lp::toString(Config.Engine));
+              toString(Config.Backend));
 
   BenchJson Json("table2_traditional");
   Json.setConfig(Config);

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 10).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 11).
 
 bench/Harness.cpp's BenchJson writes one schema, documented in
 docs/OBSERVABILITY.md, and this checker accepts exactly that version.
 Besides key presence and types it enforces:
 
 * record and attempt statuses, witnesses, witness sources, proofs,
-  winners, engines and backends come from closed sets;
+  winners and backends come from closed sets;
 * a cache_hit record replays a previous verified solve: it must be
   solved and report zero solver effort (no attempts, nodes, iterations,
   PB conflicts or propagations);
@@ -29,7 +29,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 TOP_KEYS = {
     "schema_version": numbers.Integral,
@@ -48,7 +48,6 @@ CONFIG_KEYS = {
     "node_limit": numbers.Integral,
     "large_cap": numbers.Integral,
     "warm_start": bool,
-    "engine": str,
     "backend": str,
     "explain": bool,
     "cache": bool,
@@ -143,7 +142,6 @@ SERVICE_KEYS = {
 STATUSES = {"solved", "timeout", "node_limit", "unsolved"}
 # Per-attempt solver verdicts (ilp::toString(MipStatus)).
 ATTEMPT_STATUSES = {"optimal", "infeasible", "limit", "cancelled"}
-ENGINES = {"dense", "sparse_revised"}
 BACKENDS = {"ilp", "pb", "portfolio"}
 # Per-attempt committed engine under the portfolio backend; empty means
 # "no conclusive verdict" or a single-engine backend.
@@ -261,7 +259,6 @@ def check_doc(doc):
     if not doc["experiment"]:
         raise SchemaError("$.experiment: empty string")
     check_keys(doc["config"], CONFIG_KEYS, "$.config")
-    check_member(doc["config"], "engine", ENGINES, "$.config")
     check_member(doc["config"], "backend", BACKENDS, "$.config")
     check_keys(doc["cache_counters"], CACHE_COUNTER_KEYS, "$.cache_counters")
     if "service" in doc:
@@ -308,7 +305,7 @@ def _valid_artifact():
     doc = _defaults(TOP_KEYS)
     doc.update(schema_version=SCHEMA_VERSION, experiment="self_test")
     doc["config"] = _defaults(CONFIG_KEYS)
-    doc["config"].update(engine="sparse_revised", backend="ilp")
+    doc["config"].update(backend="ilp")
     doc["cache_counters"] = _defaults(CACHE_COUNTER_KEYS)
     doc["record_sets"] = [{"label": "first", "records": [solved]},
                           {"label": "second", "records": [hit]}]
@@ -329,7 +326,9 @@ def self_test():
         return doc["record_sets"][s]["records"][0]
 
     cases = [
-        ("schema 9", lambda d: d.update(schema_version=9)),
+        ("schema 10 (config.engine)",
+         lambda d: (d.update(schema_version=10),
+                    d["config"].update(engine="sparse_revised"))),
         ("cache hit with nodes > 0",
          lambda d: record(d, 1).update(nodes=5)),
         ("unknown attempt status",
@@ -340,9 +339,9 @@ def self_test():
     failures = 0
     try:
         check_doc(_valid_artifact())
-        print("ok   valid v10 artifact accepted")
+        print("ok   valid v11 artifact accepted")
     except SchemaError as err:
-        print(f"FAIL valid v10 artifact rejected: {err}")
+        print(f"FAIL valid v11 artifact rejected: {err}")
         failures += 1
     for name, edit in cases:
         try:

@@ -238,7 +238,7 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
   // scope — no per-node remaining-time arithmetic), and every node LP
   // reuses the context's persistent workspace. With depth-first search
   // the preferred child is solved immediately after its parent, so the
-  // workspace tableau usually still realizes the parent basis and the
+  // workspace engine usually still realizes the parent basis and the
   // warm start skips refactorization entirely.
   lp::DeadlineScope Deadline(Ctx, Opts.TimeLimitSeconds);
   lp::SimplexOptions LpOpts = Opts.Lp;

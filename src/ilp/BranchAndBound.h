@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A branch-and-bound mixed-integer programming solver built on the dense
+/// A branch-and-bound mixed-integer programming solver built on the
 /// simplex in src/lp. It substitutes for the commercial CPLEX solver used
 /// in the paper and exposes the two statistics the paper's evaluation
 /// revolves around: the number of branch-and-bound nodes visited and the

@@ -65,8 +65,7 @@ const char *toString(SchedulerBackend Backend);
 
 /// Backend selected by the MODSCHED_BACKEND environment variable
 /// ("ilp" | "pb" | "portfolio"; unset or unrecognized values keep Ilp,
-/// the latter with a one-time warning). Read once and cached, like
-/// lp::defaultSimplexEngine.
+/// the latter with a one-time warning). Read once and cached.
 SchedulerBackend defaultSchedulerBackend();
 
 /// Default for SchedulerOptions::Explain, from the MODSCHED_EXPLAIN
@@ -120,9 +119,9 @@ struct SchedulerOptions {
   /// benchmark A/B, see bench/micro_solver).
   bool WarmStart = true;
   /// LP engine executing every node LP (forwarded to
-  /// ilp::MipOptions::Lp.Engine; ablation knob for the sparse-vs-dense
-  /// benchmark A/B, see bench/micro_solver and EXPERIMENTS.md E10).
-  lp::SimplexEngine LpEngine = lp::defaultSimplexEngine();
+  /// ilp::MipOptions::Lp.Engine). Dense selects the cold-only reference
+  /// engine, which the differential tests compare against.
+  lp::SimplexEngine LpEngine = lp::SimplexEngine::SparseRevised;
   /// II search strategy.
   IiSearchKind Search = IiSearchKind::Sequential;
   /// Worker threads for IiSearchKind::ParallelRace (also the II window

@@ -1,12 +1,10 @@
-//===- lp/Simplex.cpp - Bounded-variable primal/dual simplex --------------===//
+//===- lp/Simplex.cpp - LP solve front end and dense reference engine -----===//
 //
-// Dense bounded-variable simplex with two entry points: a two-phase
-// primal for cold solves and a warm-startable dual simplex for re-solves
-// from an exported basis after bound tightenings (the branch-and-bound
-// pattern). See Simplex.h for an overview, Chvatal, "Linear
-// Programming", ch. 8 for bounded-variable primal simplex, and
-// Koberstein's "The dual simplex method" for the dual ratio test with
-// boxed variables.
+// SimplexSolver's solve flow over the sparse revised simplex engine
+// (lp/SparseRevisedSimplex.cpp), plus the dense tableau reference
+// engine: a cold two-phase bounded-variable primal simplex kept as the
+// oracle of the LP differential tests. See Chvatal, "Linear
+// Programming", ch. 8 for the bounded-variable primal simplex.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,12 +16,8 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace {
 
@@ -61,11 +55,6 @@ modsched::telemetry::Counter
 modsched::telemetry::PhaseTimer TimeSolve("lp", "simplex.solve",
                                           "wall time in LP solves");
 
-/// Process-unique stamp source for exported bases. Atomic: concurrent
-/// solve attempts (each under its own SolveContext) stamp bases from
-/// their own threads.
-std::atomic<uint64_t> NextBasisId{0};
-
 } // namespace
 
 using namespace modsched;
@@ -95,86 +84,25 @@ const char *lp::toString(SimplexEngine Engine) {
   return "unknown";
 }
 
-SimplexEngine lp::defaultSimplexEngine() {
-  static const SimplexEngine Cached = [] {
-    const char *Env = std::getenv("MODSCHED_LP_ENGINE");
-    if (!Env || !*Env)
-      return SimplexEngine::SparseRevised;
-    if (std::strcmp(Env, "dense") == 0)
-      return SimplexEngine::Dense;
-    if (std::strcmp(Env, "sparse") == 0 ||
-        std::strcmp(Env, "sparse_revised") == 0)
-      return SimplexEngine::SparseRevised;
-    std::fprintf(stderr,
-                 "modsched: unrecognized MODSCHED_LP_ENGINE='%s' "
-                 "(want dense|sparse); keeping sparse_revised\n",
-                 Env);
-    return SimplexEngine::SparseRevised;
-  }();
-  return Cached;
-}
-
-uint64_t lp::detail::takeBasisStamp() {
-  return NextBasisId.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 namespace {
 
-/// Where a column currently rests (shared with the sparse engine so
-/// exported bases are interchangeable; see lp::ColState).
+/// Where a column currently rests (the encoding lp::Basis also uses).
 using ColStatus = lp::ColState;
 
-/// Reduced-cost sign tolerance for accepting a starting basis as
-/// dual-feasible (slightly looser than OptTol to absorb drift
-/// accumulated across chained warm solves).
-constexpr double DualFeasTol = 1e-6;
-
-/// The working tableau for one or more solves. Columns are laid out as
-/// [structural | slack | artificial]. The object is reusable: initCold /
-/// tryInitWarm re-seed it for the next solve while recycling every
-/// buffer, which is what SimplexWorkspace persists across the
-/// branch-and-bound node loop.
+/// The dense reference engine: an explicit m x n tableau (O(m*n) per
+/// pivot) for one cold solve. Columns are laid out as [structural |
+/// slack | artificial].
 class Tableau {
 public:
-  /// Seeds a cold solve: slack/artificial starting basis for phase 1.
-  void initCold(const Model &M, const std::vector<double> &Lower,
-                const std::vector<double> &Upper, const SimplexOptions &Opts);
-
-  /// Seeds a warm solve from \p B. Returns false (leaving the object in
-  /// need of initCold) when the basis cannot be realized: shape
-  /// mismatch, singular refactorization, or dual infeasibility beyond
-  /// tolerance. On success the tableau realizes \p B with the new
-  /// bounds, either in place (when the workspace still held it) or via
-  /// refactorization from the original constraint matrix.
-  bool tryInitWarm(const Model &M, const std::vector<double> &Lower,
-                   const std::vector<double> &Upper, const Basis &B,
-                   const SimplexOptions &Opts);
+  /// Seeds a cold solve of \p M under \p Lower / \p Upper: the
+  /// slack/artificial starting basis for phase 1. \p Ctx (may be null)
+  /// supplies the deadline and cancellation token.
+  Tableau(const Model &M, const std::vector<double> &Lower,
+          const std::vector<double> &Upper, const SimplexOptions &Opts,
+          const SolveContext *Ctx);
 
   /// Runs phase 1 (if needed) and phase 2. Returns the final status.
   LpStatus run();
-
-  /// Runs the dual simplex until primal feasibility, then a primal
-  /// clean-up pass. Requires tryInitWarm to have succeeded.
-  LpStatus runWarm();
-
-  /// Exports the current (optimal) basis. Returns false when a
-  /// degenerate artificial column is basic and cannot be pivoted out.
-  bool extractBasis(Basis &Out);
-
-  /// Stamps \p B (and the tableau) with a fresh identity after a
-  /// successful extractBasis, enabling O(1) reuse detection.
-  void stamp(Basis &B) {
-    B.Id = lp::detail::takeBasisStamp();
-    CurrentStamp = B.Id;
-  }
-
-  /// Installs the per-attempt solve environment observed by
-  /// budgetExceeded() (deadline + cancellation); null detaches.
-  void setContext(const SolveContext *Ctx) { CtxP = Ctx; }
-
-  /// Marks the tableau as not realizing any exported basis (after a
-  /// non-optimal end state or a failed extraction).
-  void invalidateStamp() { CurrentStamp = 0; }
 
   /// Extracts the values of the structural variables.
   std::vector<double> structuralValues() const;
@@ -184,12 +112,10 @@ public:
   int64_t boundFlips() const { return Flips; }
   int64_t refactorizations() const { return Refactors; }
   int64_t phase1Iterations() const { return Phase1Iters; }
-  int64_t dualIterations() const { return DualIters; }
+  /// A cold solve runs no dual simplex.
+  int64_t dualIterations() const { return 0; }
   /// Product-form eta nonzeros: the dense tableau has no eta file.
   int64_t etaNonzeros() const { return 0; }
-  /// True when the last tryInitWarm took the rebuild-from-matrix path
-  /// (counted as a basis rebuild by the caller's telemetry).
-  bool didRebuildBasis() const { return DidRebuild; }
   /// Rows supporting the infeasibility certificate of the last solve
   /// (with SimplexOptions::CollectFarkas; may contain duplicates).
   const std::vector<int> &farkasRows() const { return FarkasSupport; }
@@ -198,10 +124,6 @@ private:
   /// Runs the primal simplex loop with the current cost row until
   /// optimality, unboundedness, or the iteration limit.
   LpStatus iterate(bool PhaseOne);
-
-  /// Runs the dual simplex loop until primal feasibility, infeasibility,
-  /// or the iteration limit. Requires a dual-feasible basis.
-  LpStatus dualIterate();
 
   /// Records the model rows appearing in tableau row \p Row's slack
   /// columns — the support of the Farkas certificate \p Row encodes.
@@ -214,15 +136,6 @@ private:
         FarkasSupport.push_back(Col - NumStruct);
   }
 
-  /// Shared per-solve bookkeeping for initCold / tryInitWarm.
-  void beginSolve(const Model &M, const SimplexOptions &Opts);
-
-  /// Lays out bounds/objective/statuses and the raw (unreduced) tableau
-  /// for \p M with no artificial columns; basis assignment left to the
-  /// caller.
-  void buildRaw(const Model &M, const std::vector<double> &Lower,
-                const std::vector<double> &Upper);
-
   /// Rebuilds CostRow[j] = Cost[j] - sum_i Cost[Basis[i]] * Tab(i, j).
   void rebuildCostRow();
 
@@ -234,15 +147,6 @@ private:
   /// column of \p LeaveRow, updating Rhs and CostRow. Does not touch
   /// Status / Basis / BasicValue (callers differ there).
   void applyPivot(int LeaveRow, int Enter);
-
-  /// Re-rests any nonbasic column whose resting bound is no longer
-  /// finite (or that was free and now has finite bounds) on a bound
-  /// compatible with its reduced-cost sign.
-  void snapNonbasicToBounds();
-
-  /// True when every nonbasic column's reduced cost has the sign its
-  /// status requires (within DualFeasTol).
-  bool dualFeasible() const;
 
   /// Chooses the entering column, or -1 at optimality.
   int chooseEntering(bool Bland) const;
@@ -280,8 +184,8 @@ private:
     return 0.0;
   }
 
-  const SimplexOptions *OptsP = nullptr;
-  const Model *ModelP = nullptr; ///< Model of the current tableau state.
+  const SimplexOptions *OptsP;
+  const SolveContext *CtxP; ///< Deadline + cancellation, or null.
   int NumRows = 0;
   int NumStruct = 0;
   int NumCols = 0; ///< structural + slack + artificial.
@@ -296,87 +200,20 @@ private:
   std::vector<ColStatus> Status;  ///< Per-column status.
   std::vector<int> Basis;         ///< Basis[row] = column index.
   std::vector<double> BasicValue; ///< Current value of Basis[row].
-  std::vector<int> Scratch;      ///< Refactorization work list.
   std::vector<int> FarkasSupport; ///< Certificate rows (CollectFarkas).
   int64_t Iters = 0;
   int64_t Degenerate = 0;  ///< Pivots with ~zero step length.
   int64_t Flips = 0;       ///< Pure bound-flip pivots.
   int64_t Refactors = 0;   ///< refreshBasicValues() calls.
   int64_t Phase1Iters = 0; ///< Pivots spent in phase 1.
-  int64_t DualIters = 0;   ///< Pivots spent in the dual simplex.
-  /// Pivots accumulated in Tab since the last build from the original
-  /// constraint matrix; bounds tableau drift across chained warm solves.
-  int64_t PivotsSinceFactor = 0;
-  /// Whether the last tryInitWarm rebuilt the tableau from the matrix.
-  bool DidRebuild = false;
-  /// Id of the exported basis this tableau currently realizes (0 =
-  /// none). See Basis::Id.
-  uint64_t CurrentStamp = 0;
-  /// Per-attempt solve environment (deadline + cancellation), or null.
-  /// Borrowed from the caller of SimplexSolver::solve for its duration.
-  const SolveContext *CtxP = nullptr;
   Stopwatch Clock;
 };
 
-void Tableau::beginSolve(const Model &M, const SimplexOptions &Opts) {
-  OptsP = &Opts;
-  Iters = Degenerate = Flips = Refactors = Phase1Iters = DualIters = 0;
-  FarkasSupport.clear();
-  Clock.reset();
-  NumRows = M.numConstraints();
-  NumStruct = M.numVariables();
-  FirstArtificial = NumStruct + NumRows;
-}
-
-void Tableau::buildRaw(const Model &M, const std::vector<double> &Lower,
-                       const std::vector<double> &Upper) {
-  Obj.assign(Lower.size(), 0.0);
-  for (int Col = 0; Col < NumStruct; ++Col)
-    Obj[Col] = M.variable(Col).Objective;
-
-  // Column bounds: structural variables first, then one slack per row.
-  Lo.assign(Lower.begin(), Lower.end());
-  Up.assign(Upper.begin(), Upper.end());
-  Lo.resize(FirstArtificial);
-  Up.resize(FirstArtificial);
-  for (int Row = 0; Row < NumRows; ++Row) {
-    int SlackCol = NumStruct + Row;
-    switch (M.constraint(Row).Sense) {
-    case ConstraintSense::LE:
-      Lo[SlackCol] = 0.0;
-      Up[SlackCol] = infinity();
-      break;
-    case ConstraintSense::GE:
-      Lo[SlackCol] = -infinity();
-      Up[SlackCol] = 0.0;
-      break;
-    case ConstraintSense::EQ:
-      Lo[SlackCol] = 0.0;
-      Up[SlackCol] = 0.0;
-      break;
-    }
-  }
-  NumCols = FirstArtificial;
-
-  Tab.assign(size_t(NumRows) * NumCols, 0.0);
-  Rhs.assign(NumRows, 0.0);
-  for (int Row = 0; Row < NumRows; ++Row) {
-    const Constraint &C = M.constraint(Row);
-    for (const Term &T : C.Terms)
-      tab(Row, T.first) += T.second;
-    tab(Row, NumStruct + Row) = 1.0; // Slack.
-    Rhs[Row] = C.Rhs;
-  }
-  PivotsSinceFactor = 0;
-}
-
-void Tableau::initCold(const Model &M, const std::vector<double> &Lower,
-                       const std::vector<double> &Upper,
-                       const SimplexOptions &Opts) {
-  beginSolve(M, Opts);
-  ModelP = &M;
-  CurrentStamp = 0;
-
+Tableau::Tableau(const Model &M, const std::vector<double> &Lower,
+                 const std::vector<double> &Upper, const SimplexOptions &Opts,
+                 const SolveContext *Ctx)
+    : OptsP(&Opts), CtxP(Ctx), NumRows(M.numConstraints()),
+      NumStruct(M.numVariables()), FirstArtificial(NumStruct + NumRows) {
   Obj.assign(size_t(NumStruct), 0.0);
   for (int Col = 0; Col < NumStruct; ++Col)
     Obj[Col] = M.variable(Col).Objective;
@@ -475,94 +312,9 @@ void Tableau::initCold(const Model &M, const std::vector<double> &Lower,
       tab(Row, Basis[Row]) = 1.0; // Artificial column, already scaled.
     Rhs[Row] = Scale * C.Rhs;
   }
-  PivotsSinceFactor = 0;
 
   Cost.assign(NumCols, 0.0);
   CostRow.assign(NumCols, 0.0);
-}
-
-bool Tableau::tryInitWarm(const Model &M, const std::vector<double> &Lower,
-                          const std::vector<double> &Upper,
-                          const lp::Basis &B, const SimplexOptions &Opts) {
-  // Shape check: the basis must describe this model's column layout.
-  int Rows = M.numConstraints();
-  int Struct = M.numVariables();
-  if (static_cast<int>(B.BasicCols.size()) != Rows ||
-      static_cast<int>(B.ColStatus.size()) != Struct + Rows)
-    return false;
-
-  // Fast path: the workspace tableau still realizes exactly this basis
-  // (the child-after-parent pattern of depth-first branch-and-bound).
-  // Only the bounds changed, and the tableau (B^-1 A) does not depend on
-  // bounds — rebind them and go. Guarded by a drift budget: after enough
-  // chained pivots, refactorize from the original matrix instead.
-  bool Reused = false;
-  DidRebuild = false;
-  if (B.Id != 0 && B.Id == CurrentStamp && ModelP == &M &&
-      NumRows == Rows && NumStruct == Struct &&
-      PivotsSinceFactor < Opts.WarmRebuildPivots) {
-    beginSolve(M, Opts);
-    CurrentStamp = 0; // Tableau is about to diverge from any export.
-    std::copy(Lower.begin(), Lower.end(), Lo.begin());
-    std::copy(Upper.begin(), Upper.end(), Up.begin());
-    Reused = true;
-  } else {
-    // Refactorization path: rebuild the raw tableau (no artificials) and
-    // row-reduce the requested basic columns to the identity, choosing
-    // pivot rows greedily by magnitude for stability.
-    DidRebuild = true;
-    beginSolve(M, Opts);
-    ModelP = &M;
-    CurrentStamp = 0;
-    buildRaw(M, Lower, Upper);
-
-    Status.assign(NumCols, ColStatus::AtLower);
-    for (int Col = 0; Col < NumCols; ++Col)
-      Status[Col] = static_cast<ColStatus>(B.ColStatus[Col]);
-
-    Cost.assign(NumCols, 0.0);
-    CostRow.assign(NumCols, 0.0); // Zero during elimination pivots.
-
-    Basis.assign(NumRows, -1);
-    BasicValue.assign(NumRows, 0.0);
-    Scratch.clear();
-    for (int Col : B.BasicCols) {
-      if (Col < 0 || Col >= NumCols ||
-          Status[Col] != ColStatus::Basic)
-        return false; // Corrupt basis.
-      Scratch.push_back(Col);
-    }
-    for (int Col : Scratch) {
-      int BestRow = -1;
-      double BestMag = OptsP->PivotTol;
-      for (int Row = 0; Row < NumRows; ++Row) {
-        if (Basis[Row] >= 0)
-          continue;
-        double Mag = std::abs(tab(Row, Col));
-        if (Mag > BestMag) {
-          BestMag = Mag;
-          BestRow = Row;
-        }
-      }
-      if (BestRow < 0)
-        return false; // Numerically singular under the new row order.
-      Basis[BestRow] = Col;
-      applyPivot(BestRow, Col);
-      ++Refactors;
-    }
-  }
-
-  // Phase-2 costs and reduced costs. On the reused path Cost/CostRow are
-  // already current (the previous solve ended in phase 2); rebuild on the
-  // refactorized path.
-  if (!Reused) {
-    std::copy(Obj.begin(), Obj.begin() + NumStruct, Cost.begin());
-    rebuildCostRow();
-  }
-
-  snapNonbasicToBounds();
-  refreshBasicValues();
-  return dualFeasible();
 }
 
 void Tableau::rebuildCostRow() {
@@ -623,63 +375,6 @@ void Tableau::applyPivot(int LeaveRow, int Enter) {
       CostRow[Col] -= CostFactor * PivRow[Col];
     CostRow[Enter] = 0.0;
   }
-  ++PivotsSinceFactor;
-}
-
-void Tableau::snapNonbasicToBounds() {
-  for (int Col = 0; Col < NumCols; ++Col) {
-    switch (Status[Col]) {
-    case ColStatus::Basic:
-      continue;
-    case ColStatus::AtLower:
-      if (std::isfinite(Lo[Col]))
-        continue;
-      break;
-    case ColStatus::AtUpper:
-      if (std::isfinite(Up[Col]))
-        continue;
-      break;
-    case ColStatus::Free:
-      if (!std::isfinite(Lo[Col]) && !std::isfinite(Up[Col]))
-        continue;
-      break;
-    }
-    // Re-rest on a finite bound compatible with the reduced-cost sign
-    // (cr >= 0 prefers the lower bound, cr <= 0 the upper); the
-    // dual-feasibility check after snapping rejects incompatible cases.
-    bool LoOk = std::isfinite(Lo[Col]), UpOk = std::isfinite(Up[Col]);
-    if (LoOk && (CostRow[Col] >= 0.0 || !UpOk))
-      Status[Col] = ColStatus::AtLower;
-    else if (UpOk)
-      Status[Col] = ColStatus::AtUpper;
-    else
-      Status[Col] = ColStatus::Free;
-  }
-}
-
-bool Tableau::dualFeasible() const {
-  for (int Col = 0; Col < NumCols; ++Col) {
-    if (Status[Col] == ColStatus::Basic || Lo[Col] == Up[Col])
-      continue;
-    double Cr = CostRow[Col];
-    switch (Status[Col]) {
-    case ColStatus::AtLower:
-      if (Cr < -DualFeasTol)
-        return false;
-      break;
-    case ColStatus::AtUpper:
-      if (Cr > DualFeasTol)
-        return false;
-      break;
-    case ColStatus::Free:
-      if (std::abs(Cr) > DualFeasTol)
-        return false;
-      break;
-    case ColStatus::Basic:
-      break;
-    }
-  }
-  return true;
 }
 
 int Tableau::chooseEntering(bool Bland) const {
@@ -830,130 +525,6 @@ LpStatus Tableau::iterate(bool PhaseOne) {
   }
 }
 
-LpStatus Tableau::dualIterate() {
-  int DegenerateRun = 0;
-  bool Bland = false;
-  for (;;) {
-    if (budgetExceeded())
-      return LpStatus::IterationLimit;
-
-    // Leaving row: the most-violated basic variable (its bound violation
-    // is the dual pricing score).
-    int LeaveRow = -1;
-    double BestViol = OptsP->FeasTol;
-    bool ViolUpper = false;
-    for (int Row = 0; Row < NumRows; ++Row) {
-      int BV = Basis[Row];
-      double V = BasicValue[Row];
-      double Below = Lo[BV] - V;
-      double Above = V - Up[BV];
-      if (Below > BestViol) {
-        BestViol = Below;
-        LeaveRow = Row;
-        ViolUpper = false;
-      }
-      if (Above > BestViol) {
-        BestViol = Above;
-        LeaveRow = Row;
-        ViolUpper = true;
-      }
-    }
-    if (LeaveRow < 0)
-      return LpStatus::Optimal; // Primal feasible again.
-
-    // Entering column: must be able to move (in its allowed direction)
-    // so the violated basic value heads back toward its bound; among
-    // candidates, the smallest dual ratio |reduced cost| / |alpha| keeps
-    // every other reduced cost's sign after the pivot. Ties prefer the
-    // larger |alpha| (stability), or the smallest index under the
-    // Bland-style anti-cycling fallback.
-    int Enter = -1;
-    double BestRatio = infinity();
-    double BestAlpha = 0.0;
-    double EnterDir = 0.0;
-    const double *LeavePtr = &Tab[size_t(LeaveRow) * NumCols];
-    for (int Col = 0; Col < NumCols; ++Col) {
-      if (Status[Col] == ColStatus::Basic || Lo[Col] == Up[Col])
-        continue;
-      double Alpha = LeavePtr[Col];
-      if (std::abs(Alpha) <= OptsP->PivotTol)
-        continue;
-      // Moving Col by t*D changes BasicValue[LeaveRow] by -t*D*Alpha;
-      // a violated upper bound needs a decrease, a lower an increase.
-      double D;
-      if (Status[Col] == ColStatus::Free) {
-        D = ViolUpper ? (Alpha > 0 ? 1.0 : -1.0)
-                      : (Alpha > 0 ? -1.0 : 1.0);
-      } else {
-        D = Status[Col] == ColStatus::AtLower ? 1.0 : -1.0;
-        bool Helps = ViolUpper ? D * Alpha > 0 : D * Alpha < 0;
-        if (!Helps)
-          continue;
-      }
-      double Cr = CostRow[Col];
-      double AbsCr = Status[Col] == ColStatus::AtLower
-                         ? std::max(0.0, Cr)
-                         : Status[Col] == ColStatus::AtUpper
-                               ? std::max(0.0, -Cr)
-                               : std::abs(Cr);
-      double Ratio = AbsCr / std::abs(Alpha);
-      bool Take = false;
-      if (Enter < 0 || Ratio < BestRatio - 1e-12)
-        Take = true;
-      else if (Ratio <= BestRatio + 1e-12)
-        Take = Bland ? Col < Enter
-                     : std::abs(Alpha) > std::abs(BestAlpha);
-      if (Take) {
-        Enter = Col;
-        BestRatio = std::min(Ratio, BestRatio);
-        BestAlpha = Alpha;
-        EnterDir = D;
-      }
-    }
-    if (Enter < 0) {
-      // No movement of any nonbasic column can repair the violated row:
-      // the row itself certifies emptiness of the bound box (a Farkas
-      // certificate independent of the reduced costs).
-      recordFarkasRow(LeaveRow);
-      return LpStatus::Infeasible;
-    }
-
-    ++Iters;
-    ++DualIters;
-    if (BestRatio <= OptsP->OptTol) {
-      ++Degenerate;
-      if (++DegenerateRun > OptsP->DegenerateLimit)
-        Bland = true;
-    } else {
-      DegenerateRun = 0;
-      Bland = false;
-    }
-
-    // Step length: drive the leaving variable exactly onto its violated
-    // bound. The entering variable may overshoot its own far bound — it
-    // then becomes the (smaller) primal infeasibility of a later dual
-    // pivot, which is standard for the bounded-variable dual simplex.
-    double T = BestViol / std::abs(tab(LeaveRow, Enter));
-    for (int Row = 0; Row < NumRows; ++Row) {
-      double Alpha = tab(Row, Enter);
-      if (Alpha != 0.0)
-        BasicValue[Row] -= EnterDir * T * Alpha;
-    }
-
-    int Leave = Basis[LeaveRow];
-    double EnterValue = restingValue(Enter) + EnterDir * T;
-    Status[Leave] = ViolUpper ? ColStatus::AtUpper : ColStatus::AtLower;
-    Status[Enter] = ColStatus::Basic;
-    Basis[LeaveRow] = Enter;
-    BasicValue[LeaveRow] = EnterValue;
-
-    applyPivot(LeaveRow, Enter);
-
-    if (Iters % 256 == 0)
-      refreshBasicValues();
-  }
-}
-
 LpStatus Tableau::run() {
   if (NumCols > FirstArtificial) {
     // Phase 1: minimize the sum of the artificial columns.
@@ -998,55 +569,6 @@ LpStatus Tableau::run() {
   return S;
 }
 
-LpStatus Tableau::runWarm() {
-  LpStatus S = dualIterate();
-  if (S != LpStatus::Optimal)
-    return S;
-  // Primal clean-up: the dual loop restored primal feasibility; a primal
-  // pass from the (rebuilt) reduced costs polishes any drifted
-  // optimality violations — usually zero pivots.
-  S = iterate(/*PhaseOne=*/false);
-  if (S == LpStatus::Optimal)
-    refreshBasicValues();
-  return S;
-}
-
-bool Tableau::extractBasis(lp::Basis &Out) {
-  // Drive any residual degenerate artificial out of the basis with a
-  // zero-step pivot so the exported basis only references structural and
-  // slack columns (which a re-solve can rebuild from the model).
-  for (int Row = 0; Row < NumRows; ++Row) {
-    if (Basis[Row] < FirstArtificial)
-      continue;
-    int Best = -1;
-    double BestMag = OptsP->PivotTol;
-    for (int Col = 0; Col < FirstArtificial; ++Col) {
-      if (Status[Col] == ColStatus::Basic)
-        continue;
-      double Mag = std::abs(tab(Row, Col));
-      if (Mag > BestMag) {
-        BestMag = Mag;
-        Best = Col;
-      }
-    }
-    if (Best < 0)
-      return false; // Structurally redundant row; basis not exportable.
-    double EnterValue = restingValue(Best);
-    Status[Basis[Row]] = ColStatus::AtLower; // Artificial rests at [0,0].
-    Status[Best] = ColStatus::Basic;
-    Basis[Row] = Best;
-    BasicValue[Row] = EnterValue;
-    applyPivot(Row, Best);
-  }
-
-  Out.ColStatus.resize(FirstArtificial);
-  for (int Col = 0; Col < FirstArtificial; ++Col)
-    Out.ColStatus[Col] = static_cast<uint8_t>(Status[Col]);
-  Out.BasicCols.assign(Basis.begin(), Basis.end());
-  Out.Id = 0; // Caller stamps.
-  return true;
-}
-
 std::vector<double> Tableau::structuralValues() const {
   std::vector<double> X(NumStruct, 0.0);
   for (int Col = 0; Col < NumStruct; ++Col)
@@ -1058,51 +580,52 @@ std::vector<double> Tableau::structuralValues() const {
   return X;
 }
 
-} // namespace
+/// Copies \p E's effort counters, Farkas support and (when optimal)
+/// solution into a fresh LpResult and adds them to the lp/* counters.
+/// \p EngineT is Tableau or SparseRevisedSimplex.
+template <typename EngineT>
+LpResult collectResult(const EngineT &E, LpStatus S, const Model &M,
+                       const SimplexOptions &Opts) {
+  LpResult Result;
+  Result.Iterations = E.iterations();
+  Result.DegeneratePivots = E.degeneratePivots();
+  Result.BoundFlips = E.boundFlips();
+  Result.Refactorizations = E.refactorizations();
+  Result.Phase1Iterations = E.phase1Iterations();
+  Result.DualIterations = E.dualIterations();
+  Result.EtaNonzeros = E.etaNonzeros();
+  Result.Status = S;
 
-//===----------------------------------------------------------------------===//
-// SimplexWorkspace
-//===----------------------------------------------------------------------===//
-
-struct SimplexWorkspace::State {
-  /// Dense engine state: the explicit tableau.
-  Tableau T;
-  /// Sparse engine state: compiled matrix + LU factorization + scratch.
-  /// Both live side by side so a solve sequence may switch engines (a
-  /// basis stamped by one engine simply takes the other's rebuild path).
-  SparseRevisedSimplex Sparse;
-};
-
-SimplexWorkspace::SimplexWorkspace() : S(std::make_unique<State>()) {}
-SimplexWorkspace::~SimplexWorkspace() = default;
-SimplexWorkspace::SimplexWorkspace(SimplexWorkspace &&) noexcept = default;
-SimplexWorkspace &
-SimplexWorkspace::operator=(SimplexWorkspace &&) noexcept = default;
-
-//===----------------------------------------------------------------------===//
-// SimplexSolver
-//===----------------------------------------------------------------------===//
-
-LpResult SimplexSolver::solve(const Model &M) {
-  std::vector<double> Lower, Upper;
-  M.getBounds(Lower, Upper);
-  return solve(M, Lower, Upper);
+  StatIterations += Result.Iterations;
+  StatDegenerate += Result.DegeneratePivots;
+  StatFlips += Result.BoundFlips;
+  StatRefactor += Result.Refactorizations;
+  if (S == LpStatus::Infeasible) {
+    ++StatInfeasible;
+    if (Opts.CollectFarkas) {
+      Result.FarkasRows = E.farkasRows();
+      std::sort(Result.FarkasRows.begin(), Result.FarkasRows.end());
+      Result.FarkasRows.erase(
+          std::unique(Result.FarkasRows.begin(), Result.FarkasRows.end()),
+          Result.FarkasRows.end());
+    }
+  }
+  if (S == LpStatus::Optimal) {
+    Result.Values = E.structuralValues();
+    Result.Objective = M.evaluateObjective(Result.Values);
+  }
+  return Result;
 }
 
-namespace {
-
-/// Engine-generic solve flow: warm attempt (with cold fallback), the
-/// appropriate run loop, telemetry, and basis export. \p EngineT is
-/// Tableau or SparseRevisedSimplex — both expose the same lifecycle
-/// (setContext / initCold / tryInitWarm / run / runWarm / extractBasis /
-/// stamp / invalidateStamp / structuralValues and the stat accessors).
-template <typename EngineT>
-LpResult solveWithEngine(EngineT &E, const Model &M,
-                         const std::vector<double> &Lower,
-                         const std::vector<double> &Upper,
-                         const SimplexOptions &Opts, SolveContext *Ctx,
-                         const Basis *Start, bool Persistent) {
-  LpResult Result;
+/// The production solve flow: warm attempt (with cold fallback), the
+/// matching run loop, telemetry, and basis export. \p Persistent means
+/// \p E lives in a caller's workspace, which is what makes an exported
+/// basis reusable.
+LpResult solveSparse(SparseRevisedSimplex &E, const Model &M,
+                     const std::vector<double> &Lower,
+                     const std::vector<double> &Upper,
+                     const SimplexOptions &Opts, SolveContext *Ctx,
+                     const Basis *Start, bool Persistent) {
   E.setContext(Ctx);
 
   bool Warm = false;
@@ -1124,53 +647,44 @@ LpResult solveWithEngine(EngineT &E, const Model &M,
     ++StatColdSolves;
   }
 
-  Result.Iterations = E.iterations();
-  Result.DegeneratePivots = E.degeneratePivots();
-  Result.BoundFlips = E.boundFlips();
-  Result.Refactorizations = E.refactorizations();
-  Result.Phase1Iterations = E.phase1Iterations();
-  Result.DualIterations = E.dualIterations();
-  Result.EtaNonzeros = E.etaNonzeros();
+  LpResult Result = collectResult(E, S, M, Opts);
   Result.WarmStarted = Warm;
-  Result.Status = S;
-
-  StatIterations += Result.Iterations;
-  StatDegenerate += Result.DegeneratePivots;
-  StatFlips += Result.BoundFlips;
-  StatRefactor += Result.Refactorizations;
   if (Warm)
     StatWarmIterations += Result.Iterations;
-  if (S == LpStatus::Infeasible) {
-    ++StatInfeasible;
-    if (Opts.CollectFarkas) {
-      Result.FarkasRows = E.farkasRows();
-      std::sort(Result.FarkasRows.begin(), Result.FarkasRows.end());
-      Result.FarkasRows.erase(
-          std::unique(Result.FarkasRows.begin(), Result.FarkasRows.end()),
-          Result.FarkasRows.end());
-    }
-  }
-
-  if (S != LpStatus::Optimal) {
-    if (Persistent)
-      E.invalidateStamp();
+  if (!Persistent)
     return Result;
-  }
-  Result.Values = E.structuralValues();
-  Result.Objective = M.evaluateObjective(Result.Values);
 
-  // Export the optimal basis for future warm starts (workspace callers
-  // only: the stamp ties it to the persisted engine state).
-  if (Persistent) {
-    if (E.extractBasis(Result.FinalBasis))
-      E.stamp(Result.FinalBasis);
-    else
-      E.invalidateStamp();
-  }
+  // Export the optimal basis for future warm starts; the stamp ties it
+  // to the persisted engine state.
+  if (S == LpStatus::Optimal && E.extractBasis(Result.FinalBasis))
+    E.stamp(Result.FinalBasis);
+  else
+    E.invalidateStamp();
   return Result;
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// SimplexWorkspace
+//===----------------------------------------------------------------------===//
+
+SimplexWorkspace::SimplexWorkspace()
+    : Sparse(std::make_unique<SparseRevisedSimplex>()) {}
+SimplexWorkspace::~SimplexWorkspace() = default;
+SimplexWorkspace::SimplexWorkspace(SimplexWorkspace &&) noexcept = default;
+SimplexWorkspace &
+SimplexWorkspace::operator=(SimplexWorkspace &&) noexcept = default;
+
+//===----------------------------------------------------------------------===//
+// SimplexSolver
+//===----------------------------------------------------------------------===//
+
+LpResult SimplexSolver::solve(const Model &M) {
+  std::vector<double> Lower, Upper;
+  M.getBounds(Lower, Upper);
+  return solve(M, Lower, Upper);
+}
 
 LpResult SimplexSolver::solve(const Model &M,
                               const std::vector<double> &Lower,
@@ -1189,17 +703,20 @@ LpResult SimplexSolver::solve(const Model &M,
       return LpResult(); // Status defaults to Infeasible.
     }
 
+  if (Opts.Engine == SimplexEngine::Dense) {
+    // The reference engine always solves cold on a local tableau.
+    Tableau T(M, Lower, Upper, Opts, Ctx);
+    LpStatus S = T.run();
+    ++StatColdSolves;
+    return collectResult(T, S, M, Opts);
+  }
+
   // Context-less calls get a one-shot local engine (and no deadline or
   // cancellation to observe).
-  SimplexWorkspace *Workspace = Ctx ? &Ctx->Workspace : nullptr;
-  if (Opts.Engine == SimplexEngine::SparseRevised) {
-    SparseRevisedSimplex Local;
-    SparseRevisedSimplex &E = Workspace ? Workspace->S->Sparse : Local;
-    return solveWithEngine(E, M, Lower, Upper, Opts, Ctx, Start,
-                           Workspace != nullptr);
-  }
-  Tableau Local;
-  Tableau &E = Workspace ? Workspace->S->T : Local;
-  return solveWithEngine(E, M, Lower, Upper, Opts, Ctx, Start,
-                         Workspace != nullptr);
+  if (Ctx)
+    return solveSparse(*Ctx->Workspace.Sparse, M, Lower, Upper, Opts, Ctx,
+                       Start, /*Persistent=*/true);
+  SparseRevisedSimplex Local;
+  return solveSparse(Local, M, Lower, Upper, Opts, nullptr, Start,
+                     /*Persistent=*/false);
 }

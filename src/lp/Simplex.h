@@ -1,19 +1,30 @@
-//===- lp/Simplex.h - Bounded-variable primal simplex ------------*- C++ -*-===//
+//===- lp/Simplex.h - Bounded-variable simplex solver ------------*- C++ -*-===//
 //
 // Part of the modsched project (PLDI'97 optimal modulo scheduling repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dense bounded-variable simplex solver with two entry points: a
-/// two-phase primal simplex for cold solves and a warm-startable dual
-/// simplex for re-solves from a known basis after bound changes. It is
-/// the LP engine underneath the branch-and-bound MIP solver (src/ilp)
-/// that substitutes for the CPLEX solver used in the paper — including
+/// The LP solver underneath the branch-and-bound MIP solver (src/ilp)
+/// that substitutes for the CPLEX solver used in the paper, including
 /// CPLEX's defining trick of never cold-starting an LP inside the
 /// branch-and-bound tree.
 ///
-/// Implementation notes:
+/// SimplexSolver runs one of two engines (SimplexOptions::Engine):
+///  * SparseRevised, the production engine (lp/SparseRevisedSimplex.h):
+///    a two-phase bounded-variable primal simplex for cold solves and a
+///    dual simplex for warm re-solves. An optimal solve given a
+///    SolveContext exports its Basis; a later solve of the same model
+///    with tightened bounds (exactly the state after a branch-and-bound
+///    bound change) restarts from that basis, which is still
+///    dual-feasible, and runs the dual simplex until primal feasibility
+///    is restored, typically in a handful of pivots.
+///  * Dense, the reference engine: an explicit tableau running the same
+///    two-phase primal, cold on every solve. It ignores a start basis
+///    and never exports one. The LP differential tests use it as their
+///    oracle.
+///
+/// Shared conventions:
 ///  * Every constraint row gets a slack variable with bounds encoding the
 ///    sense (LE: [0, inf), GE: (-inf, 0], EQ: [0, 0]); the system becomes
 ///    Ax + Is = b.
@@ -21,18 +32,11 @@
 ///    free); phase 1 introduces artificial columns only for rows whose
 ///    slack cannot absorb the initial residual, and minimizes the sum of
 ///    artificials.
-///  * Pricing is Dantzig (most negative reduced cost) with an automatic
-///    switch to Bland's rule after a run of degenerate pivots, which
-///    guarantees termination.
+///  * Pricing is Dantzig (most negative reduced cost; the sparse engine
+///    scans a candidate list first) with an automatic switch to Bland's
+///    rule after a run of degenerate pivots, which guarantees
+///    termination.
 ///  * The ratio test handles bound flips of the entering variable.
-///  * Warm starts: an optimal solve can export its Basis; a later solve
-///    of the same model with tightened bounds (exactly the state after a
-///    branch-and-bound bound change) restarts from that basis — which is
-///    still dual-feasible — and runs the dual simplex until primal
-///    feasibility is restored, typically in a handful of pivots. When the
-///    caller also passes a persistent SimplexWorkspace the tableau is
-///    reused in place (no refactorization at all) whenever the workspace
-///    still holds the requested basis.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,24 +65,18 @@ enum class LpStatus {
 /// Returns a printable name for \p Status.
 const char *toString(LpStatus Status);
 
-/// Which LP engine executes a solve. Dense is the original explicit
-/// m x n tableau (O(m*n) per pivot); SparseRevised is the revised
+/// Which LP engine executes a solve. SparseRevised is the revised
 /// simplex over a compiled sparse matrix with an LU-factorized basis and
-/// eta updates (lp/SparseRevisedSimplex.h) — the fast path for the
-/// paper's 0-1-structured models.
+/// eta updates (lp/SparseRevisedSimplex.h), the production engine. Dense
+/// is the cold-only explicit m x n tableau (O(m*n) per pivot) that the
+/// LP differential tests compare it against.
 enum class SimplexEngine : uint8_t { Dense, SparseRevised };
 
 /// Returns a printable name for \p Engine ("dense" / "sparse_revised").
 const char *toString(SimplexEngine Engine);
 
-/// The process-default engine: SparseRevised, overridable once at
-/// startup with MODSCHED_LP_ENGINE=dense|sparse (unrecognized values
-/// warn to stderr and keep the default). Read lazily and cached.
-SimplexEngine defaultSimplexEngine();
-
-/// Where a column rests in an exported simplex basis. Shared by both
-/// engines (Basis::ColStatus stores these raw values), which is what
-/// makes bases interchangeable across the engine seam.
+/// Where a column rests in a simplex basis (Basis::ColStatus stores
+/// these raw values).
 enum class ColState : uint8_t { Basic, AtLower, AtUpper, Free };
 
 /// Tuning knobs for the simplex solver.
@@ -100,13 +98,13 @@ struct SimplexOptions {
   /// Number of consecutive degenerate pivots before switching to Bland's
   /// rule.
   int DegenerateLimit = 512;
-  /// Dense-tableau drift guard for warm starts: after this many pivots
-  /// have accumulated in a workspace tableau since its last fresh
-  /// factorization, the next warm solve refactorizes from the original
-  /// constraint matrix instead of reusing the tableau in place.
+  /// Drift guard for warm starts: after this many pivots have
+  /// accumulated in a workspace engine since its last fresh
+  /// factorization, the next warm solve refactorizes the requested basis
+  /// from the constraint matrix instead of reusing the engine state.
   int64_t WarmRebuildPivots = 4096;
   /// Engine executing the solve (see SimplexEngine).
-  SimplexEngine Engine = defaultSimplexEngine();
+  SimplexEngine Engine = SimplexEngine::SparseRevised;
   /// Sparse engine: refactorize the basis after this many product-form
   /// eta updates.
   int RefactorEtaLimit = 64;
@@ -124,27 +122,30 @@ struct SimplexOptions {
 /// slack] column plus the basic column of each row. Treat as opaque —
 /// the fields are only meaningful to SimplexSolver::solve, and only for
 /// re-solves of the same model (same constraints; bounds may differ).
-/// Produced by an optimal solve that was given a SimplexWorkspace.
+/// Produced by an optimal sparse-engine solve that was given a
+/// SolveContext.
 struct Basis {
   /// Per-column resting status (internal encoding), structural columns
   /// first, then one slack per row.
   std::vector<uint8_t> ColStatus;
   /// BasicCols[row] = column index basic in that row.
   std::vector<int> BasicCols;
-  /// Workspace stamp identifying the tableau state this basis was
+  /// Workspace stamp identifying the engine state this basis was
   /// extracted from (0 = none); lets a warm solve detect in O(1) that
-  /// the workspace tableau already realizes this basis.
+  /// the workspace engine already realizes this basis.
   uint64_t Id = 0;
 
   bool empty() const { return BasicCols.empty(); }
 };
 
-/// Persistent scratch state for a sequence of solves: the dense tableau,
-/// pricing and ratio-test buffers, and the identity of the basis the
-/// tableau currently realizes. Hoisting one workspace out of the
-/// branch-and-bound node loop eliminates the per-node tableau
-/// reallocation and enables zero-refactorization warm starts whenever
-/// consecutive solves walk parent -> child in the search tree.
+class SparseRevisedSimplex; // lp/SparseRevisedSimplex.h
+
+/// Persistent state for a sequence of sparse-engine solves: the compiled
+/// matrix, the basis factorization, scratch buffers, and the identity of
+/// the basis the engine currently realizes. Hoisting one workspace out
+/// of the branch-and-bound node loop eliminates per-node reallocation
+/// and enables zero-refactorization warm starts whenever consecutive
+/// solves walk parent -> child in the search tree.
 class SimplexWorkspace {
 public:
   SimplexWorkspace();
@@ -156,8 +157,7 @@ public:
 
 private:
   friend class SimplexSolver;
-  struct State;
-  std::unique_ptr<State> S;
+  std::unique_ptr<SparseRevisedSimplex> Sparse;
 };
 
 /// Result of an LP solve.
@@ -177,8 +177,8 @@ struct LpResult {
   int64_t DegeneratePivots = 0;
   /// Entering-variable bound flips (pivots that changed no basis entry).
   int64_t BoundFlips = 0;
-  /// Periodic refreshes of the basic values from the tableau (the dense
-  /// analogue of a basis refactorization).
+  /// Basis (re)factorizations (sparse engine), or periodic refreshes of
+  /// the basic values from the tableau (dense engine).
   int64_t Refactorizations = 0;
   /// Pivots spent in phase 1 (driving artificials out of the basis).
   int64_t Phase1Iterations = 0;
@@ -199,14 +199,15 @@ struct LpResult {
   std::vector<int> FarkasRows;
   /// The optimal basis of this solve, exportable to warm-start a later
   /// solve of the same model with tightened bounds. Only populated when
-  /// Status == Optimal and the solve was given a SimplexWorkspace; empty
-  /// when the final basis is not reusable (e.g. a residual degenerate
-  /// artificial could not be pivoted out).
+  /// Status == Optimal and a sparse-engine solve was given a
+  /// SolveContext; empty when the final basis is not reusable (e.g. a
+  /// residual degenerate artificial could not be pivoted out) and for
+  /// every dense-engine solve.
   Basis FinalBasis;
 };
 
-/// Dense bounded-variable simplex: two-phase primal for cold solves,
-/// dual simplex for warm re-solves from an exported basis.
+/// Bounded-variable simplex: two-phase primal for cold solves, dual
+/// simplex for warm re-solves from an exported basis (see file comment).
 class SimplexSolver {
 public:
   explicit SimplexSolver(SimplexOptions Options = {}) : Opts(Options) {}
@@ -219,19 +220,20 @@ public:
   /// copying the whole model).
   ///
   /// \p Ctx, when non-null, supplies the per-attempt solve environment
-  /// (lp/SolveContext.h): its workspace persists the tableau and scratch
-  /// buffers across calls (and enables FinalBasis export), its deadline
+  /// (lp/SolveContext.h): its workspace persists the sparse engine's
+  /// state across calls (and enables FinalBasis export), its deadline
   /// bounds this solve's wall-clock, and its cancellation token is
   /// polled every 64 pivots (both report LpStatus::IterationLimit; the
   /// caller disambiguates by asking the context). \p Start, when
   /// non-null and non-empty, requests a warm start from that basis: the
-  /// solver reuses the workspace tableau in place when it still
+  /// sparse engine reuses its workspace state in place when it still
   /// realizes the basis (otherwise refactorizes from the constraint
   /// matrix) and runs the dual simplex, which is exact for the
   /// branch-and-bound pattern of a dual-feasible but primal-infeasible
   /// basis after a bound tightening. Falls back to the cold two-phase
   /// primal whenever the basis is unusable (stale shape, singular
-  /// refactorization, or dual infeasibility beyond tolerance).
+  /// refactorization, or dual infeasibility beyond tolerance). The
+  /// dense engine ignores \p Start and always solves cold.
   LpResult solve(const Model &M, const std::vector<double> &Lower,
                  const std::vector<double> &Upper,
                  SolveContext *Ctx = nullptr,
@@ -240,13 +242,6 @@ public:
 private:
   SimplexOptions Opts;
 };
-
-namespace detail {
-/// Draws a fresh process-unique basis stamp. Both engines stamp
-/// exported bases from this shared atomic source, so a stamp uniquely
-/// identifies one engine state across the whole process.
-uint64_t takeBasisStamp();
-} // namespace detail
 
 } // namespace lp
 } // namespace modsched

@@ -47,8 +47,9 @@ inline constexpr double NoDeadline = 1e30;
 /// token, so wrapping a single-threaded call site in a local context is
 /// behavior-preserving.
 struct SolveContext {
-  /// Persistent tableau / scratch buffers, reused by every LP solved
-  /// under this context (the warm-start path of the B&B node loop).
+  /// Persistent sparse-engine state and scratch buffers, reused by
+  /// every LP solved under this context (the warm-start path of the B&B
+  /// node loop).
   SimplexWorkspace Workspace;
 
   /// Absolute wall-clock deadline on the modsched::monotonicSeconds()

@@ -2,11 +2,11 @@
 //
 // Revised simplex over a compiled sparse matrix: LU-factorized basis
 // with product-form eta updates (lp/LuFactor), incremental reduced
-// costs, and candidate-list partial pricing. The pivot rules
-// deliberately mirror lp/Simplex.cpp's dense Tableau (same tolerances,
-// same tie-breaks, same Bland anti-cycling fallback, same two-phase /
-// dual-simplex structure) so the engines are interchangeable and
-// differential-testable; only the linear algebra underneath differs.
+// costs, and candidate-list partial pricing. The primal pivot rules
+// deliberately mirror lp/Simplex.cpp's dense reference Tableau (same
+// tolerances, same tie-breaks, same Bland anti-cycling fallback, same
+// two-phase structure) so the engines are differential-testable; only
+// the linear algebra underneath differs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -37,8 +38,14 @@ modsched::telemetry::Counter StatBtran("lp", "factor.btran_solves",
                                        "BTRAN solves");
 
 /// Reduced-cost sign tolerance for accepting a starting basis as
-/// dual-feasible (matches the dense engine).
+/// dual-feasible (slightly looser than OptTol to absorb drift
+/// accumulated across chained warm solves).
 constexpr double DualFeasTol = 1e-6;
+
+/// Process-unique stamp source for exported bases. Atomic: concurrent
+/// solve attempts (each under its own SolveContext) stamp bases from
+/// their own threads.
+std::atomic<uint64_t> NextBasisId{0};
 
 /// Partial pricing: size of the candidate list refilled from the
 /// rotating column scan.
@@ -643,8 +650,8 @@ LpStatus SparseRevisedSimplex::dualIterate() {
     if (LeaveRow < 0)
       return LpStatus::Optimal; // Primal feasible again.
 
-    // Dual ratio test over the (hyper-sparse) pivot row; mirrors the
-    // dense engine's candidate filter, ratio, and tie-breaks.
+    // Dual ratio test over the (hyper-sparse) pivot row: the textbook
+    // bounded-variable candidate filter, ratio, and tie-breaks.
     computeAlphaRow(LeaveRow);
     int Enter = -1;
     double BestRatio = infinity();
@@ -680,10 +687,10 @@ LpStatus SparseRevisedSimplex::dualIterate() {
       else if (Ratio <= BestRatio + 1e-12)
         // Order-independent tie-break (AlphaRow.Idx is in scatter
         // order): maximize (|alpha|, -column) lexicographically, the
-        // choice the dense engine's ascending column scan makes. On
-        // the zero-objective LPs of feasibility-only scheduling MIPs
-        // every ratio ties at 0 and the pivot row is all +-1, so this
-        // is what keeps both engines diving through the same vertices.
+        // choice an ascending column scan makes. On the zero-objective
+        // LPs of feasibility-only scheduling MIPs every ratio ties at 0
+        // and the pivot row is all +-1, so this fixes which vertices
+        // the dive visits.
         Take = Bland ? Col < Enter
                      : (std::abs(Alpha) > std::abs(BestAlpha) ||
                         (std::abs(Alpha) == std::abs(BestAlpha) &&
@@ -804,7 +811,7 @@ LpStatus SparseRevisedSimplex::runWarm() {
 
 bool SparseRevisedSimplex::extractBasis(Basis &Out) {
   // Drive any residual degenerate artificial out of the basis with a
-  // zero-step pivot, as the dense engine does, so the exported basis
+  // zero-step pivot, so the exported basis
   // only references structural and slack columns.
   for (int Row = 0; Row < NumRows; ++Row) {
     if (BasisCol[Row] < FirstArtificial)
@@ -849,7 +856,7 @@ bool SparseRevisedSimplex::extractBasis(Basis &Out) {
 }
 
 void SparseRevisedSimplex::stamp(Basis &B) {
-  B.Id = detail::takeBasisStamp();
+  B.Id = NextBasisId.fetch_add(1, std::memory_order_relaxed) + 1;
   CurrentStamp = B.Id;
 }
 

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Sparse revised simplex engine for the bounded-variable LPs of the
-/// scheduling formulations. Where the dense engine (lp/Simplex.cpp)
+/// scheduling formulations, and the production engine of
+/// SimplexSolver. Where the dense reference engine (lp/Simplex.cpp)
 /// carries an explicit m x n tableau and pays O(m*n) per pivot, this
 /// engine keeps only:
 ///
@@ -26,11 +27,9 @@
 /// plus the nonzeros actually touched, instead of the dense engine's
 /// O(m*n) tableau update.
 ///
-/// The class mirrors the dense Tableau's lifecycle (initCold /
-/// tryInitWarm / run / runWarm / extractBasis) so SimplexSolver can
-/// drive either engine through one code path; bases are interchangeable
-/// between engines (same ColState encoding), so a warm start can cross
-/// the engine seam via the refactorization path.
+/// SimplexSolver drives the lifecycle: initCold + run for a cold solve,
+/// tryInitWarm + runWarm for a warm one, then extractBasis + stamp to
+/// export the optimal basis.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,12 +64,12 @@ public:
                 const std::vector<double> &Upper, const SimplexOptions &Opts);
 
   /// Seeds a warm solve from \p B; false means the caller must fall
-  /// back to initCold + run. Mirrors the dense engine: an O(1) reuse
-  /// path when this engine still realizes the stamped basis (only the
-  /// bounds are rebound; the factorization and reduced costs survive),
-  /// otherwise a refactorization of the requested basis from the
-  /// compiled matrix. Fails on shape mismatch, a singular basis, or
-  /// dual infeasibility beyond tolerance.
+  /// back to initCold + run. Takes an O(1) reuse path when this engine
+  /// still realizes the stamped basis (only the bounds are rebound; the
+  /// factorization and reduced costs survive), otherwise refactorizes
+  /// the requested basis from the compiled matrix. Fails on shape
+  /// mismatch, a singular basis, or dual infeasibility beyond
+  /// tolerance.
   bool tryInitWarm(const Model &M, const std::vector<double> &Lower,
                    const std::vector<double> &Upper, const Basis &B,
                    const SimplexOptions &Opts);
@@ -86,8 +85,8 @@ public:
   /// basic artificial cannot be pivoted out.
   bool extractBasis(Basis &Out);
 
-  /// Stamps \p B and this engine's state with a fresh shared identity
-  /// (same stamp space as the dense engine).
+  /// Stamps \p B and this engine's state with a fresh process-unique
+  /// identity.
   void stamp(Basis &B);
 
   /// Marks the engine state as not realizing any exported basis.
@@ -165,7 +164,7 @@ private:
 
   /// How the primal loop prices entering columns. Escalates on
   /// degenerate streaks: candidate-list partial pricing by default, a
-  /// full Dantzig scan (the dense engine's rule) once a streak shows
+  /// full Dantzig scan (the dense engine's only rule) once a streak shows
   /// the candidate window is stalling, and Bland's smallest-index
   /// anti-cycling rule past SimplexOptions::DegenerateLimit.
   enum class Pricing { Partial, Dantzig, Bland };

@@ -572,8 +572,11 @@ bool Server::listenUnix(const std::string &Path, std::string *Error) {
 
 void Server::acceptLoop() {
   assert(ListenFd >= 0 && "acceptLoop requires a successful listenUnix");
-  // One thread per connection. A finished handler keeps its stack until
-  // it is joined, so every pass joins the handlers that are done.
+  // One thread per connection. A finished handler keeps its stack (and
+  // its malloc arena) until it is joined, so every pass joins the
+  // handlers that are done, after the poll: a sequential client's
+  // previous handler has then exited before the next one is spawned,
+  // which reuses its stack and arena instead of adding another.
   struct Handler {
     std::atomic<bool> Done{false};
     std::thread Thread;
@@ -587,9 +590,9 @@ void Server::acceptLoop() {
   };
   int64_t NextConn = 0;
   while (!stopping()) {
-    Handlers.remove_if(JoinIfDone);
     pollfd P{ListenFd, POLLIN, 0};
     int N = ::poll(&P, 1, /*timeout_ms=*/200);
+    Handlers.remove_if(JoinIfDone);
     if (N <= 0)
       continue; // Timeout or EINTR: re-check the stop flag.
     int Fd = ::accept(ListenFd, nullptr, nullptr);
@@ -608,14 +611,17 @@ void Server::acceptLoop() {
       std::ostream Out(&OutBuf);
       serveStream(In, Out, ClientId);
       Out.flush();
-      ::close(Fd);
       {
         // The id names this connection only, and serveStream returned
         // with nothing of it in flight: drop its admission entry.
         std::lock_guard<std::mutex> Lock(Mu);
         ClientInFlight.erase(ClientId);
       }
+      // Mark the handler reapable before closing: the close lets a
+      // sequential client reconnect at once, and the accept loop must
+      // then see this handler as done.
       Done.store(true, std::memory_order_release);
+      ::close(Fd);
     });
   }
   for (Handler &H : Handlers)

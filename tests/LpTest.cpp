@@ -2,6 +2,7 @@
 
 #include "lp/Model.h"
 #include "lp/Simplex.h"
+#include "lp/SolveContext.h"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,16 @@ using namespace modsched::lp;
 
 namespace {
 
-LpResult solveModel(const Model &M) {
-  SimplexSolver S;
-  return S.solve(M);
-}
+/// The Simplex.* cases run once per engine: the production sparse
+/// engine and the dense reference engine the differential tests trust.
+class Simplex : public ::testing::TestWithParam<SimplexEngine> {
+protected:
+  SimplexSolver solver(SimplexOptions Opts = {}) const {
+    Opts.Engine = GetParam();
+    return SimplexSolver(Opts);
+  }
+  LpResult solveModel(const Model &M) const { return solver().solve(M); }
+};
 
 } // namespace
 
@@ -65,7 +72,7 @@ TEST(Model, ZeroOneStructureCheck) {
   EXPECT_FALSE(M.isZeroOneStructured());
 }
 
-TEST(Simplex, UnconstrainedBoundsOnly) {
+TEST_P(Simplex, UnconstrainedBoundsOnly) {
   // minimize -x with x in [0, 7]: optimum at the upper bound.
   Model M;
   M.addVariable("x", 0, 7, -1.0);
@@ -75,7 +82,7 @@ TEST(Simplex, UnconstrainedBoundsOnly) {
   EXPECT_DOUBLE_EQ(R.Values[0], 7.0);
 }
 
-TEST(Simplex, ClassicTwoVariable) {
+TEST_P(Simplex, ClassicTwoVariable) {
   // maximize 3x + 5y st x<=4, 2y<=12, 3x+2y<=18 (Dantzig's example).
   // As minimization of -3x-5y; optimum (2, 6) value -36.
   Model M;
@@ -91,7 +98,7 @@ TEST(Simplex, ClassicTwoVariable) {
   EXPECT_NEAR(R.Values[Y], 6.0, 1e-6);
 }
 
-TEST(Simplex, EqualityConstraintNeedsPhase1) {
+TEST_P(Simplex, EqualityConstraintNeedsPhase1) {
   // minimize x + y st x + y = 10, x - y >= 2; optimum (6,4) -> 10.
   Model M;
   int X = M.addVariable("x", 0, infinity(), 1.0);
@@ -105,14 +112,14 @@ TEST(Simplex, EqualityConstraintNeedsPhase1) {
   EXPECT_GE(R.Values[X] - R.Values[Y], 2.0 - 1e-6);
 }
 
-TEST(Simplex, DetectsInfeasibility) {
+TEST_P(Simplex, DetectsInfeasibility) {
   Model M;
   int X = M.addVariable("x", 0, 5);
   M.addConstraint({{X, 1.0}}, ConstraintSense::GE, 6.0);
   EXPECT_EQ(solveModel(M).Status, LpStatus::Infeasible);
 }
 
-TEST(Simplex, DetectsInfeasibleEqualitySystem) {
+TEST_P(Simplex, DetectsInfeasibleEqualitySystem) {
   Model M;
   int X = M.addVariable("x", 0, infinity());
   int Y = M.addVariable("y", 0, infinity());
@@ -121,7 +128,7 @@ TEST(Simplex, DetectsInfeasibleEqualitySystem) {
   EXPECT_EQ(solveModel(M).Status, LpStatus::Infeasible);
 }
 
-TEST(Simplex, DetectsUnbounded) {
+TEST_P(Simplex, DetectsUnbounded) {
   Model M;
   int X = M.addVariable("x", 0, infinity(), -1.0);
   int Y = M.addVariable("y", 0, infinity(), 0.0);
@@ -129,7 +136,7 @@ TEST(Simplex, DetectsUnbounded) {
   EXPECT_EQ(solveModel(M).Status, LpStatus::Unbounded);
 }
 
-TEST(Simplex, NegativeLowerBounds) {
+TEST_P(Simplex, NegativeLowerBounds) {
   // minimize x st x >= -3 (bound), x >= -10 (constraint).
   Model M;
   int X = M.addVariable("x", -3.0, infinity(), 1.0);
@@ -139,7 +146,7 @@ TEST(Simplex, NegativeLowerBounds) {
   EXPECT_NEAR(R.Values[X], -3.0, 1e-6);
 }
 
-TEST(Simplex, FreeVariable) {
+TEST_P(Simplex, FreeVariable) {
   // minimize x st x >= -17.5 via constraint; x free.
   Model M;
   int X = M.addVariable("x", -infinity(), infinity(), 1.0);
@@ -149,7 +156,7 @@ TEST(Simplex, FreeVariable) {
   EXPECT_NEAR(R.Values[X], -17.5, 1e-6);
 }
 
-TEST(Simplex, BoundFlipPath) {
+TEST_P(Simplex, BoundFlipPath) {
   // maximize x + y with x,y in [0,1] and x + y <= 1.5: optimum 1.5.
   Model M;
   int X = M.addVariable("x", 0, 1, -1.0);
@@ -160,7 +167,7 @@ TEST(Simplex, BoundFlipPath) {
   EXPECT_NEAR(R.Objective, -1.5, 1e-6);
 }
 
-TEST(Simplex, DegenerateVertexTerminates) {
+TEST_P(Simplex, DegenerateVertexTerminates) {
   // A classic degenerate LP; must terminate (Bland fallback).
   Model M;
   int X = M.addVariable("x", 0, infinity(), -0.75);
@@ -177,10 +184,10 @@ TEST(Simplex, DegenerateVertexTerminates) {
   EXPECT_NEAR(R.Objective, -0.05, 1e-6); // Beale's example optimum -1/20.
 }
 
-TEST(Simplex, SolveWithOverriddenBounds) {
+TEST_P(Simplex, SolveWithOverriddenBounds) {
   Model M;
   int X = M.addVariable("x", 0, 10, -1.0);
-  SimplexSolver S;
+  SimplexSolver S = solver();
   LpResult R = S.solve(M, {2.0}, {5.0});
   ASSERT_EQ(R.Status, LpStatus::Optimal);
   EXPECT_NEAR(R.Values[X], 5.0, 1e-6);
@@ -188,7 +195,7 @@ TEST(Simplex, SolveWithOverriddenBounds) {
   EXPECT_EQ(S.solve(M, {6.0}, {5.0}).Status, LpStatus::Infeasible);
 }
 
-TEST(Simplex, EqualityWithNegativeRhs) {
+TEST_P(Simplex, EqualityWithNegativeRhs) {
   // minimize y st -x - y = -4, x <= 1 => y >= 3.
   Model M;
   int X = M.addVariable("x", 0, 1, 0.0);
@@ -199,7 +206,7 @@ TEST(Simplex, EqualityWithNegativeRhs) {
   EXPECT_NEAR(R.Objective, 3.0, 1e-6);
 }
 
-TEST(Simplex, ZeroConstraintModel) {
+TEST_P(Simplex, ZeroConstraintModel) {
   Model M;
   M.addVariable("x", 1.0, 4.0, 2.0);
   M.addVariable("y", -2.0, 2.0, -3.0);
@@ -208,7 +215,7 @@ TEST(Simplex, ZeroConstraintModel) {
   EXPECT_NEAR(R.Objective, 2.0 * 1.0 - 3.0 * 2.0, 1e-9);
 }
 
-TEST(Simplex, ReportsIterations) {
+TEST_P(Simplex, ReportsIterations) {
   Model M;
   int X = M.addVariable("x", 0, infinity(), -3.0);
   int Y = M.addVariable("y", 0, infinity(), -5.0);
@@ -219,10 +226,10 @@ TEST(Simplex, ReportsIterations) {
   EXPECT_GT(R.Iterations, 0);
 }
 
-TEST(Simplex, IterationLimitReported) {
+TEST_P(Simplex, IterationLimitReported) {
   SimplexOptions Opts;
   Opts.MaxIterations = 1;
-  SimplexSolver S(Opts);
+  SimplexSolver S = solver(Opts);
   Model M;
   int X = M.addVariable("x", 0, infinity(), -3.0);
   int Y = M.addVariable("y", 0, infinity(), -5.0);
@@ -232,21 +239,69 @@ TEST(Simplex, IterationLimitReported) {
   EXPECT_EQ(S.solve(M).Status, LpStatus::IterationLimit);
 }
 
-TEST(Simplex, DeadlineReportsLimit) {
+TEST_P(Simplex, DeadlineReportsLimit) {
   SimplexOptions Opts;
   Opts.TimeLimitSeconds = -1.0; // Already expired: deterministic.
-  SimplexSolver S(Opts);
+  SimplexSolver S = solver(Opts);
   Model M;
   int X = M.addVariable("x", 0, infinity(), -1.0);
   M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
   EXPECT_EQ(S.solve(M).Status, LpStatus::IterationLimit);
 }
 
-TEST(Simplex, StatusNames) {
+TEST_P(Simplex, ContextDeadlineAndCancellationReportLimit) {
+  Model M;
+  int X = M.addVariable("x", 0, infinity(), -1.0);
+  M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
+  std::vector<double> Lower, Upper;
+  M.getBounds(Lower, Upper);
+  SolveContext Expired;
+  Expired.DeadlineSeconds = -1.0;
+  EXPECT_EQ(solver().solve(M, Lower, Upper, &Expired).Status,
+            LpStatus::IterationLimit);
+  CancellationSource Source;
+  SolveContext Cancelled;
+  Cancelled.Cancel = Source.token();
+  Source.cancel();
+  EXPECT_EQ(solver().solve(M, Lower, Upper, &Cancelled).Status,
+            LpStatus::IterationLimit);
+}
+
+TEST(LpNames, StatusAndEngine) {
   EXPECT_STREQ(toString(LpStatus::Optimal), "optimal");
   EXPECT_STREQ(toString(LpStatus::Infeasible), "infeasible");
   EXPECT_STREQ(toString(LpStatus::Unbounded), "unbounded");
   EXPECT_STREQ(toString(LpStatus::IterationLimit), "iteration-limit");
+  EXPECT_STREQ(toString(SimplexEngine::Dense), "dense");
+  EXPECT_STREQ(toString(SimplexEngine::SparseRevised), "sparse_revised");
+}
+
+TEST(DenseSimplex, NeverWarmStartsOrExportsABasis) {
+  // The dense engine is a cold-only oracle: handed a context and a
+  // valid start basis (the sparse engine's optimum of the same model),
+  // it still solves cold and exports nothing.
+  Model M;
+  int X = M.addVariable("x", 0, 10, -1.0);
+  int Y = M.addVariable("y", 0, 10, -2.0);
+  M.addConstraint({{X, 1.0}, {Y, 2.0}}, ConstraintSense::LE, 13.0);
+  M.addConstraint({{X, 1.0}, {Y, -1.0}}, ConstraintSense::LE, 4.0);
+  std::vector<double> Lower, Upper;
+  M.getBounds(Lower, Upper);
+  SolveContext Ctx;
+  LpResult Parent = SimplexSolver().solve(M, Lower, Upper, &Ctx);
+  ASSERT_EQ(Parent.Status, LpStatus::Optimal);
+  ASSERT_FALSE(Parent.FinalBasis.empty());
+
+  SimplexOptions Opts;
+  Opts.Engine = SimplexEngine::Dense;
+  Upper[Y] = 3.0;
+  LpResult Child =
+      SimplexSolver(Opts).solve(M, Lower, Upper, &Ctx, &Parent.FinalBasis);
+  ASSERT_EQ(Child.Status, LpStatus::Optimal);
+  EXPECT_FALSE(Child.WarmStarted);
+  EXPECT_EQ(Child.DualIterations, 0);
+  EXPECT_TRUE(Child.FinalBasis.empty());
+  EXPECT_NEAR(Child.Objective, -13.0, 1e-9); // x = 7, y = 3.
 }
 
 TEST(Model, ToStringRendersEverything) {
@@ -271,7 +326,7 @@ TEST(Model, InfeasibilityReasonsAreDescriptive) {
   EXPECT_NE(Why.find("cap"), std::string::npos);
 }
 
-TEST(Simplex, ManyDegenerateEqualities) {
+TEST_P(Simplex, ManyDegenerateEqualities) {
   // A chain of equalities sharing a value: stress phase 1 + degeneracy.
   Model M;
   const int N = 30;
@@ -282,12 +337,12 @@ TEST(Simplex, ManyDegenerateEqualities) {
     M.addConstraint({{Vars[I], 1.0}, {Vars[I + 1], -1.0}},
                     ConstraintSense::EQ, 0.0);
   M.addConstraint({{Vars[0], 1.0}}, ConstraintSense::GE, 3.0);
-  LpResult R = SimplexSolver().solve(M);
+  LpResult R = solveModel(M);
   ASSERT_EQ(R.Status, LpStatus::Optimal);
   EXPECT_NEAR(R.Objective, 3.0 * N, 1e-6);
 }
 
-TEST(Simplex, FeasibilityCheckerAgrees) {
+TEST_P(Simplex, FeasibilityCheckerAgrees) {
   Model M;
   int X = M.addVariable("x", 0, infinity(), -3.0);
   int Y = M.addVariable("y", 0, infinity(), -5.0);
@@ -299,3 +354,11 @@ TEST(Simplex, FeasibilityCheckerAgrees) {
   std::string Why;
   EXPECT_TRUE(M.isFeasible(R.Values, 1e-6, &Why)) << Why;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, Simplex,
+    ::testing::Values(SimplexEngine::SparseRevised, SimplexEngine::Dense),
+    [](const ::testing::TestParamInfo<SimplexEngine> &Info) {
+      return std::string(Info.param == SimplexEngine::Dense ? "Dense"
+                                                            : "Sparse");
+    });

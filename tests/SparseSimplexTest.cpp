@@ -525,41 +525,6 @@ TEST(SparseSimplex, WarmStartChainsMatchDenseCold) {
       << "sparse warm starts fell back to cold too often";
 }
 
-TEST(SparseSimplex, BasisCrossesEngineSeam) {
-  // A basis stamped by one engine warm-starts the other: the stamp
-  // cannot match the other engine's state, so the refactorization path
-  // realizes it (or cleanly falls back), and both must agree with a
-  // cold solve on the tightened child.
-  Model M;
-  int X = M.addVariable("x", 0, 10, -1.0);
-  int Y = M.addVariable("y", 0, 10, -2.0);
-  M.addConstraint({{X, 1.0}, {Y, 2.0}}, ConstraintSense::LE, 13.0);
-  M.addConstraint({{X, 1.0}, {Y, -1.0}}, ConstraintSense::LE, 4.0);
-  std::vector<double> Lower, Upper;
-  M.getBounds(Lower, Upper);
-
-  for (bool DenseFirst : {true, false}) {
-    SimplexEngine First =
-        DenseFirst ? SimplexEngine::Dense : SimplexEngine::SparseRevised;
-    SimplexEngine Second =
-        DenseFirst ? SimplexEngine::SparseRevised : SimplexEngine::Dense;
-    SolveContext Ctx;
-    LpResult Parent =
-        makeSolver(First).solve(M, Lower, Upper, &Ctx);
-    ASSERT_EQ(Parent.Status, LpStatus::Optimal);
-    ASSERT_FALSE(Parent.FinalBasis.empty());
-
-    std::vector<double> Lo = Lower, Up = Upper;
-    Up[Y] = 3.0;
-    LpResult Child = makeSolver(Second).solve(M, Lo, Up, &Ctx,
-                                              &Parent.FinalBasis);
-    LpResult Cold = makeSolver(Second).solve(M, Lo, Up);
-    ASSERT_EQ(Child.Status, LpStatus::Optimal)
-        << (DenseFirst ? "dense->sparse" : "sparse->dense");
-    EXPECT_NEAR(Child.Objective, Cold.Objective, 1e-9);
-  }
-}
-
 TEST(SparseSimplex, BealeCyclingLpTerminatesUnderBland) {
   // Beale's classic cycling example: Dantzig pricing cycles forever at
   // the degenerate origin vertex without an anti-cycling guard. Force
@@ -647,8 +612,9 @@ TEST(SparseSimplex, DifferentialOnFormulationModels) {
 TEST(SparseSimplex, EndToEndSchedulerMatchesDense) {
   // Full scheduler equality: same II and same secondary objective under
   // both engines, across the kernel library. (The search trees may
-  // differ node-for-node — LP degeneracy admits multiple optimal bases
-  // — but the certified optima may not.)
+  // differ node-for-node — LP degeneracy admits multiple optimal bases,
+  // and the dense engine solves every node LP cold — but the certified
+  // optima may not.)
   MachineModel M = MachineModel::example3();
   int Compared = 0;
   for (const DependenceGraph &G : allKernels(M)) {
@@ -658,7 +624,7 @@ TEST(SparseSimplex, EndToEndSchedulerMatchesDense) {
          {SimplexEngine::Dense, SimplexEngine::SparseRevised}) {
       SchedulerOptions Opts;
       Opts.Formulation.Obj = Objective::MinReg;
-      Opts.TimeLimitSeconds = 30.0;
+      Opts.TimeLimitSeconds = 10.0;
       Opts.LpEngine = Engine;
       Results[Idx++] = OptimalModuloScheduler(M, Opts).schedule(G);
     }
