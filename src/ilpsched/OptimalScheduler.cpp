@@ -240,7 +240,6 @@ ScheduleResult OptimalModuloScheduler::schedule(const DependenceGraph &G,
                              {{"ops", int64_t(G.numOperations())}});
   Stopwatch Watch;
   ScheduleResult Result;
-  Result.Mii = mii(G, M);
 
   Problem P(G, M, Opts.Formulation);
   const uint64_t RequestKey = SolutionCache::requestKey(Opts);
@@ -257,6 +256,7 @@ ScheduleResult OptimalModuloScheduler::schedule(const DependenceGraph &G,
       Result.Found = true;
       Result.CacheHit = true;
       Result.II = Hit->II;
+      Result.Mii = Hit->Mii;
       Result.SecondaryObjective = Hit->SecondaryObjective;
       Result.Schedule = std::move(Hit->Schedule);
       Result.Seconds = Watch.seconds();
@@ -274,6 +274,10 @@ ScheduleResult OptimalModuloScheduler::schedule(const DependenceGraph &G,
       return Result;
     }
 
+  // MII depends on the problem alone, so a hit above reports the
+  // stored one; only a miss computes it, before the II search starts
+  // from it.
+  Result.Mii = mii(G, M);
   std::unique_ptr<IiSearchStrategy> Search =
       makeIiSearchStrategy(Opts.Search, Opts.SearchJobs);
   Search->search(*this, P, Result, Ctx);

@@ -80,6 +80,7 @@ SolutionCache::lookup(const Problem &P, uint64_t RequestKey) {
     for (std::size_t Op = 0; Op != CanonIndex.size(); ++Op)
       Times[Op] = E.CanonTimes[std::size_t(CanonIndex[Op])];
     H.II = E.II;
+    H.Mii = E.Mii;
     H.SecondaryObjective = E.SecondaryObjective;
     H.Schedule = ModuloSchedule(E.II, std::move(Times));
   }
@@ -122,6 +123,7 @@ void SolutionCache::insert(const Problem &P, uint64_t RequestKey,
   for (std::size_t Op = 0; Op != CanonIndex.size(); ++Op)
     E.CanonTimes[std::size_t(CanonIndex[Op])] = R.Schedule.time(int(Op));
   E.II = R.II;
+  E.Mii = R.Mii;
   E.SecondaryObjective = R.SecondaryObjective;
 
   std::lock_guard<std::mutex> Lock(Mu);

@@ -76,10 +76,14 @@ public:
 
   /// What a hit yields: the replayed schedule (already permuted into
   /// the requesting Problem's node ids and verifier-checked) plus the
-  /// verdict scalars.
+  /// verdict scalars. Mii is the stored solve's: the full-form match
+  /// covers every input of mii() (per-op class signatures, edge
+  /// latencies and distances, the machine digest), so it is the
+  /// requesting Problem's MII too.
   struct Hit {
     ModuloSchedule Schedule;
     int II = 0;
+    int Mii = 0;
     double SecondaryObjective = 0.0;
   };
 
@@ -109,6 +113,7 @@ private:
     std::vector<uint64_t> Form; ///< Full canonical form (collision check).
     std::vector<int> CanonTimes; ///< Start times in canonical node order.
     int II = 0;
+    int Mii = 0;
     double SecondaryObjective = 0.0;
   };
 

@@ -13,6 +13,7 @@ using namespace modsched;
 int MachineModel::addResource(std::string Name, int Count) {
   assert(Count > 0 && "resource must have at least one instance");
   Resources.push_back({std::move(Name), Count});
+  SignatureMemo.reset();
   return static_cast<int>(Resources.size()) - 1;
 }
 
@@ -25,6 +26,7 @@ int MachineModel::addOpClass(std::string Name, int Latency,
     (void)U;
   }
   Classes.push_back({std::move(Name), Latency, std::move(Usages)});
+  SignatureMemo.reset();
   return static_cast<int>(Classes.size()) - 1;
 }
 
@@ -36,6 +38,8 @@ std::optional<int> MachineModel::findOpClass(std::string_view Name) const {
 }
 
 MachineModel::Signature MachineModel::signature() const {
+  if (SignatureMemo)
+    return *SignatureMemo;
   // Canonical resource ids: rank by first appearance in any class's usage
   // list.
   std::vector<int> CanonId(Resources.size(), -1);
@@ -79,6 +83,12 @@ MachineModel::Signature MachineModel::signature() const {
     ClassAcc = hashUnordered(ClassAcc, ClassSig);
   Sig.Digest = hashCombine(H, ClassAcc);
   return Sig;
+}
+
+const MachineModel::Signature &MachineModel::memoizeSignature() {
+  if (!SignatureMemo)
+    SignatureMemo = signature();
+  return *SignatureMemo;
 }
 
 std::string MachineModel::toString() const {

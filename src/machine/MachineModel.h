@@ -96,8 +96,20 @@ public:
     uint64_t Digest = 0;
   };
 
-  /// Computes every class signature and the digest in one pass.
+  /// Every class signature and the digest: the memo if
+  /// memoizeSignature() filled one, else computed in one pass. Never
+  /// writes, so threads sharing a const model may call it.
   Signature signature() const;
+
+  /// Computes the signature once and keeps it; signature() and
+  /// memoizedSignature() serve it until addResource/addOpClass drops
+  /// it. Call before the model is shared: this is the only write.
+  const Signature &memoizeSignature();
+
+  /// The memo memoizeSignature() filled, or nullptr.
+  const Signature *memoizedSignature() const {
+    return SignatureMemo ? &*SignatureMemo : nullptr;
+  }
 
   /// Machine name for reports.
   const std::string &name() const { return MachineName; }
@@ -120,6 +132,7 @@ private:
   std::string MachineName = "machine";
   std::vector<ResourceType> Resources;
   std::vector<OpClass> Classes;
+  std::optional<Signature> SignatureMemo;
 };
 
 /// Canonical operation-class names shared by every built-in machine, so

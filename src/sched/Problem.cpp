@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <optional>
 
 using namespace modsched;
 
@@ -79,7 +80,12 @@ void Problem::computeCanonical() const {
   // Register USES become colored edges below, so two defs differ here
   // only in whether they own a register and whether it is unconsumed
   // (an unconsumed register is still live for one cycle).
-  const MachineModel::Signature MachineSig = M.signature();
+  // A model shared across requests carries its signature memoized.
+  std::optional<MachineModel::Signature> FreshSig;
+  const MachineModel::Signature *Memo = M.memoizedSignature();
+  if (!Memo)
+    Memo = &FreshSig.emplace(M.signature());
+  const MachineModel::Signature &MachineSig = *Memo;
   std::vector<uint64_t> Colors(N);
   for (int Op = 0; Op < N; ++Op) {
     uint64_t H = hashMix(0x6e6f6465u); // "node"

@@ -13,11 +13,13 @@
 #include "textio/DdgFormat.h"
 #include "textio/MachineFormat.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <istream>
 #include <list>
 #include <ostream>
@@ -50,6 +52,12 @@ telemetry::Counter StatCacheHits("service", "cache_hits",
                                  "solution cache");
 telemetry::Counter StatCancelled("service", "cancelled",
                                  "Requests cancelled by client disconnect");
+telemetry::Counter StatInternHits("service", "machine_intern.hits",
+                                  "Inline MACHINE payloads served by an "
+                                  "interned model (no parse)");
+telemetry::Counter StatInternMisses("service", "machine_intern.misses",
+                                    "Inline MACHINE payloads parsed (not "
+                                    "interned yet, or malformed)");
 
 /// Strict env parsing in the bench/Harness style: malformed values warn
 /// on stderr and keep the compiled-in default.
@@ -100,6 +108,31 @@ bool parseEnvBool(const char *Name, bool Default) {
                "modsched: invalid %s='%s' (want 0|1|on|off); keeping %s\n",
                Name, Env, Default ? "on" : "off");
   return Default;
+}
+
+/// Seals \p M for sharing between concurrent requests: its signature
+/// is memoized while it is still private, so no reader ever writes.
+std::shared_ptr<const MachineModel> shareMachine(MachineModel M) {
+  M.memoizeSignature();
+  return std::make_shared<const MachineModel>(std::move(M));
+}
+
+/// The model `machine=<Name>` names, built once per process; nullptr
+/// for a name the protocol does not define.
+std::shared_ptr<const MachineModel> builtinMachine(const std::string &Name) {
+  if (Name == "example3") {
+    static const auto M = shareMachine(MachineModel::example3());
+    return M;
+  }
+  if (Name == "cydra") {
+    static const auto M = shareMachine(MachineModel::cydraLike());
+    return M;
+  }
+  if (Name == "vliw2") {
+    static const auto M = shareMachine(MachineModel::vliw2());
+    return M;
+  }
+  return nullptr;
 }
 
 /// Renders a 64-bit content address the way the forensics docs write
@@ -273,7 +306,56 @@ void Server::drain() {
 
 ServerStats Server::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Stat;
+  ServerStats S = Stat;
+  S.MachinesInterned = static_cast<std::int64_t>(Machines.size());
+  return S;
+}
+
+std::shared_ptr<const MachineModel>
+Server::internMachine(const std::string &Text, std::string *Error) {
+  const std::size_t Hash = std::hash<std::string>()(Text);
+  auto Find = [&]() -> InternedMachine * {
+    for (InternedMachine &E : Machines)
+      if (E.Hash == Hash && E.Text == Text) {
+        E.LastUse = ++InternClock;
+        return &E;
+      }
+    return nullptr;
+  };
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (InternedMachine *E = Find()) {
+      ++Stat.MachineInternHits;
+      ++StatInternHits;
+      return E->Model;
+    }
+  }
+
+  // Parsed off the lock: a large payload must not stall admission.
+  ++StatInternMisses;
+  std::optional<MachineModel> Parsed = parseMachine(Text, Error);
+  if (!Parsed)
+    return nullptr;
+  InternedMachine Entry{Hash, Text, shareMachine(std::move(*Parsed)), 0};
+
+  std::lock_guard<std::mutex> Lock(Mu);
+  // Another worker may have interned the same bytes meanwhile: keep one
+  // model per text.
+  if (InternedMachine *E = Find())
+    return E->Model;
+  InternedMachine *Slot;
+  if (Machines.size() < MaxInternedMachines) {
+    Slot = &Machines.emplace_back();
+  } else {
+    Slot = &*std::min_element(Machines.begin(), Machines.end(),
+                              [](const InternedMachine &A,
+                                 const InternedMachine &B) {
+                                return A.LastUse < B.LastUse;
+                              });
+  }
+  Entry.LastUse = ++InternClock;
+  *Slot = std::move(Entry);
+  return Slot->Model;
 }
 
 std::string Server::statsResponse() const {
@@ -292,6 +374,8 @@ std::string Server::statsResponse() const {
   W.key("completed").value(S.Completed);
   W.key("cache_hits").value(S.CacheHits);
   W.key("cancelled").value(S.Cancelled);
+  W.key("machines_interned").value(S.MachinesInterned);
+  W.key("machine_intern_hits").value(S.MachineInternHits);
   W.key("workers").value(Opts.Workers);
   W.key("queue_limit").value(Opts.QueueLimit);
   W.key("cache_entries")
@@ -305,19 +389,12 @@ void Server::runRequest(const Request &Req, lp::SolveContext &Ctx,
                         const std::shared_ptr<Connection> &Conn,
                         const CancellationToken &Cancel) {
   // Payload parsing happens here on the worker, off the reader thread:
-  // a hostile payload costs its own budget, not the connection's.
+  // a hostile payload costs its own budget, not the connection's. A
+  // machine text seen before is not parsed again (internMachine).
   std::string Error;
-  std::optional<MachineModel> M;
-  if (!Req.BuiltinMachine.empty()) {
-    if (Req.BuiltinMachine == "example3")
-      M = MachineModel::example3();
-    else if (Req.BuiltinMachine == "cydra")
-      M = MachineModel::cydraLike();
-    else if (Req.BuiltinMachine == "vliw2")
-      M = MachineModel::vliw2();
-  } else {
-    M = parseMachine(Req.MachineText, &Error);
-  }
+  std::shared_ptr<const MachineModel> M =
+      Req.BuiltinMachine.empty() ? internMachine(Req.MachineText, &Error)
+                                 : builtinMachine(Req.BuiltinMachine);
   if (!M) {
     ++StatErrors;
     {

@@ -84,7 +84,8 @@ struct ServerOptions {
   static ServerOptions fromEnv();
 };
 
-/// Monotonic counters mirrored by the service/* telemetry.
+/// Monotonic counters mirrored by the service/* telemetry, plus the
+/// machine intern table's size.
 struct ServerStats {
   std::int64_t Connections = 0; ///< Streams served (stdio or socket).
   std::int64_t Requests = 0;    ///< SCHED frames received (incl. bad).
@@ -94,6 +95,11 @@ struct ServerStats {
   std::int64_t Completed = 0;   ///< Solve tasks finished (any status).
   std::int64_t CacheHits = 0;   ///< Completed requests served from cache.
   std::int64_t Cancelled = 0;   ///< Requests cancelled by disconnect.
+  /// Inline MACHINE payloads served by an interned model (no parse).
+  std::int64_t MachineInternHits = 0;
+  /// Interned machine models held now, at most
+  /// Server::MaxInternedMachines (a gauge, not a counter).
+  std::int64_t MachinesInterned = 0;
 };
 
 /// The daemon. One instance per process; destruction drains.
@@ -142,6 +148,19 @@ public:
 
   const ServerOptions &options() const { return Opts; }
 
+  /// Most MACHINE payloads internMachine keeps; past it the least
+  /// recently used one is dropped.
+  static constexpr std::size_t MaxInternedMachines = 16;
+
+  /// The model for MACHINE payload \p Text. A payload with these exact
+  /// bytes parsed before is served from the intern table without a
+  /// parse; otherwise the text is parsed, its signature memoized, and
+  /// the model interned. The model is immutable and shared by every
+  /// request that names the same bytes. Returns nullptr and sets
+  /// \p Error when the text does not parse; failures are not interned.
+  std::shared_ptr<const MachineModel> internMachine(const std::string &Text,
+                                                    std::string *Error);
+
 private:
   struct Connection; // Per-stream response mutex + in-flight tracking.
 
@@ -169,6 +188,17 @@ private:
   int InFlight = 0; ///< Queued + running solve tasks.
   std::map<std::string, int> ClientInFlight;
   ServerStats Stat;
+
+  /// One interned MACHINE payload: the hash picks the entry, the full
+  /// byte compare against Text confirms it.
+  struct InternedMachine {
+    std::size_t Hash = 0;
+    std::string Text;
+    std::shared_ptr<const MachineModel> Model;
+    std::uint64_t LastUse = 0; ///< InternClock at the latest hit.
+  };
+  std::vector<InternedMachine> Machines; ///< At most MaxInternedMachines.
+  std::uint64_t InternClock = 0;
 
   int ListenFd = -1;
 };

@@ -58,3 +58,54 @@ TEST(MachineModel, ToStringListsEverything) {
   EXPECT_NE(S.find("mem"), std::string::npos);
   EXPECT_NE(S.find("load"), std::string::npos);
 }
+
+namespace {
+
+void expectSameSignature(const MachineModel::Signature &A,
+                         const MachineModel::Signature &B,
+                         const std::string &What) {
+  EXPECT_EQ(A.OpClass, B.OpClass) << What;
+  EXPECT_EQ(A.Digest, B.Digest) << What;
+}
+
+} // namespace
+
+TEST(MachineModel, MemoizedSignatureEqualsFreshComputation) {
+  for (const MachineModel &Built : {MachineModel::example3(),
+                                    MachineModel::cydraLike(),
+                                    MachineModel::vliw2()}) {
+    const MachineModel::Signature Fresh = Built.signature();
+    MachineModel M = Built;
+    EXPECT_EQ(M.memoizedSignature(), nullptr) << M.name();
+    const MachineModel::Signature &Memo = M.memoizeSignature();
+    ASSERT_EQ(M.memoizedSignature(), &Memo) << M.name();
+    expectSameSignature(Memo, Fresh, M.name() + " memo");
+    expectSameSignature(M.signature(), Fresh, M.name() + " served memo");
+    // A second call keeps the first memo.
+    EXPECT_EQ(&M.memoizeSignature(), &Memo) << M.name();
+
+    MachineModel Copy = M;
+    ASSERT_NE(Copy.memoizedSignature(), nullptr) << M.name();
+    expectSameSignature(*Copy.memoizedSignature(), Fresh, M.name() + " copy");
+    MachineModel Moved = std::move(Copy);
+    ASSERT_NE(Moved.memoizedSignature(), nullptr) << M.name();
+    expectSameSignature(*Moved.memoizedSignature(), Fresh,
+                        M.name() + " move");
+  }
+}
+
+TEST(MachineModel, MutationDropsMemoizedSignature) {
+  MachineModel M = MachineModel::vliw2();
+  const uint64_t Before = M.memoizeSignature().Digest;
+  int R = M.addResource("extra", 3);
+  EXPECT_EQ(M.memoizedSignature(), nullptr) << "addResource kept the memo";
+  EXPECT_NE(M.signature().Digest, Before);
+
+  const uint64_t WithResource = M.memoizeSignature().Digest;
+  M.addOpClass("extraop", 2, {{R, 0}});
+  EXPECT_EQ(M.memoizedSignature(), nullptr) << "addOpClass kept the memo";
+  const MachineModel::Signature Fresh = M.signature();
+  EXPECT_NE(Fresh.Digest, WithResource);
+  EXPECT_EQ(Fresh.OpClass.size(), size_t(M.numOpClasses()));
+  expectSameSignature(M.memoizeSignature(), Fresh, "after addOpClass");
+}

@@ -16,11 +16,15 @@
 //     stopping, graceful drain on QUIT, a daemon that keeps serving
 //     after a mid-request disconnect, and one portfolio-backend worker
 //     serving several loops back to back with the ILP's verdicts.
+//   * Machine interning: a repeated MACHINE text reuses one model, a
+//     one-byte variant gets its own, the table stays at its bound, bad
+//     text is never interned, and two workers share one model.
 //   * Unix-domain socket smoke: listen, accept, PING, shut down.
 //
 //===----------------------------------------------------------------------===//
 
 #include "graph/DependenceGraph.h"
+#include "ilpsched/SolutionCache.h"
 #include "machine/MachineModel.h"
 #include "service/Protocol.h"
 #include "service/Server.h"
@@ -36,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -694,6 +699,166 @@ TEST(ServiceServer, PingStatsAndGracefulQuit) {
   }
   EXPECT_TRUE(SawStats);
   EXPECT_TRUE(SawSolve) << "QUIT must still drain the admitted request";
+}
+
+/// A SCHED frame carrying \p MachineText inline and the example loop.
+std::string inlineFrame(const std::string &Id, const std::string &MachineText,
+                        const std::string &Extra = "") {
+  std::string Ddg = exampleDdg();
+  return "SCHED id=" + Id + (Extra.empty() ? "" : " " + Extra) +
+         "\nMACHINE " + std::to_string(countLines(MachineText)) + "\n" +
+         MachineText + "DDG " + std::to_string(countLines(Ddg)) + "\n" +
+         Ddg + "END\n";
+}
+
+TEST(ServiceServer, RepeatedMachineTextReusesTheSameModel) {
+  const std::string Text = printMachine(MachineModel::example3());
+  Server S(quickOptions());
+  std::vector<std::string> Lines =
+      serve(S, inlineFrame("a", Text) + inlineFrame("b", Text) + "QUIT\n");
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(field(Lines[0], "status"), "ok") << Lines[0];
+  EXPECT_EQ(field(Lines[1], "status"), "ok") << Lines[1];
+  EXPECT_EQ(field(Lines[0], "mii"), field(Lines[1], "mii"));
+  const std::string Stats = S.statsResponse();
+  EXPECT_EQ(field(Stats, "machines_interned"), "1") << Stats;
+  EXPECT_EQ(field(Stats, "machine_intern_hits"), "1") << Stats;
+
+  std::string Error;
+  std::shared_ptr<const MachineModel> A = S.internMachine(Text, &Error);
+  std::shared_ptr<const MachineModel> B = S.internMachine(Text, &Error);
+  ASSERT_NE(A, nullptr) << Error;
+  EXPECT_EQ(A, B) << "the same bytes were parsed into a second model";
+  EXPECT_NE(A->memoizedSignature(), nullptr)
+      << "an interned model must carry its signature memoized";
+  EXPECT_EQ(S.stats().MachineInternHits, 3);
+  EXPECT_EQ(S.stats().MachinesInterned, 1);
+}
+
+TEST(ServiceServer, OneByteMachineVariantGetsItsOwnModel) {
+  // example3 with its mul latency 4 -> 5: one byte apart. The variant
+  // must be answered exactly as a server that never saw the original
+  // answers it, MII included.
+  const std::string Text = printMachine(MachineModel::example3());
+  std::string Variant = Text;
+  const std::size_t At = Variant.find("mul latency=4");
+  ASSERT_NE(At, std::string::npos) << Text;
+  Variant[At + 12] = '5';
+
+  // The solution cache is process-wide: empty it before each server, so
+  // both solve the variant rather than replay it.
+  SolutionCache::global().clear();
+  Server Fresh(quickOptions());
+  std::vector<std::string> Alone =
+      serve(Fresh, inlineFrame("v", Variant) + "QUIT\n");
+  ASSERT_EQ(Alone.size(), 1u);
+  SolutionCache::global().clear();
+  Server S(quickOptions());
+  std::vector<std::string> Lines = serve(
+      S, inlineFrame("o", Text) + inlineFrame("v", Variant) + "QUIT\n");
+  ASSERT_EQ(Lines.size(), 2u);
+  ASSERT_EQ(field(Lines[1], "id"), "v") << Lines[1];
+  for (const char *Key : {"status", "mii", "ii", "secondary", "cache_hit",
+                          "canonical_hash"})
+    EXPECT_EQ(field(Lines[1], Key), field(Alone[0], Key))
+        << Key << "\n" << Lines[1] << "\n" << Alone[0];
+  EXPECT_NE(field(Lines[0], "canonical_hash"),
+            field(Lines[1], "canonical_hash"))
+      << "the variant was scheduled on the original's model";
+
+  std::string Error;
+  EXPECT_NE(S.internMachine(Text, &Error), S.internMachine(Variant, &Error));
+  EXPECT_EQ(S.stats().MachinesInterned, 2);
+}
+
+TEST(ServiceServer, InternTableStaysAtItsBound) {
+  const std::string Base = printMachine(MachineModel::vliw2());
+  const std::size_t Body = Base.find('\n');
+  auto Named = [&](std::size_t I) {
+    return "machine m" + std::to_string(I) + Base.substr(Body);
+  };
+  const std::size_t Bound = Server::MaxInternedMachines;
+  Server S(quickOptions());
+  std::string Error;
+  std::vector<std::shared_ptr<const MachineModel>> Models;
+  for (std::size_t I = 0; I < Bound + 4; ++I) {
+    Models.push_back(S.internMachine(Named(I), &Error));
+    ASSERT_NE(Models.back(), nullptr) << Error;
+    EXPECT_LE(S.stats().MachinesInterned, std::int64_t(Bound));
+  }
+  EXPECT_EQ(S.stats().MachinesInterned, std::int64_t(Bound));
+  EXPECT_EQ(S.stats().MachineInternHits, 0);
+
+  // The newest text is still held; the oldest was dropped for it.
+  EXPECT_EQ(S.internMachine(Named(Bound + 3), &Error), Models.back());
+  EXPECT_EQ(S.stats().MachineInternHits, 1);
+  EXPECT_NE(S.internMachine(Named(0), &Error), Models.front());
+  EXPECT_EQ(S.stats().MachineInternHits, 1);
+  EXPECT_EQ(S.stats().MachinesInterned, std::int64_t(Bound));
+}
+
+TEST(ServiceServer, BadMachineTextIsRejectedEveryTime) {
+  const std::string Bad = "machine m\nresource r x1\n"
+                          "class a latency=1 uses=q@0\n";
+  Server S(quickOptions());
+  std::string Input;
+  for (int I = 0; I < 3; ++I)
+    Input += inlineFrame("b" + std::to_string(I), Bad);
+  std::vector<std::string> Lines = serve(S, Input + "QUIT\n");
+  ASSERT_EQ(Lines.size(), 3u);
+  for (const std::string &L : Lines) {
+    EXPECT_EQ(field(L, "status"), "error") << L;
+    EXPECT_EQ(field(L, "error"), "bad machine: line 3: unknown resource q")
+        << L;
+  }
+  EXPECT_EQ(S.stats().MachinesInterned, 0);
+  EXPECT_EQ(S.stats().MachineInternHits, 0);
+  EXPECT_EQ(S.stats().Errors, 3);
+}
+
+TEST(ServiceServer, TwoWorkersShareOneInternedModel) {
+  // Two clients on two workers send the same machine text at once: the
+  // solves run concurrently on one shared model (the sanitizer builds
+  // check that sharing), and it is interned once.
+  const std::string Text = printMachine(MachineModel::example3());
+  const char *Objectives[] = {"noobj", "minreg", "minbuff", "minlife"};
+  ServerOptions O = quickOptions();
+  O.Workers = 2;
+  Server S(O);
+  std::vector<std::string> Replies[2];
+  std::vector<std::thread> Clients;
+  for (int C = 0; C < 2; ++C)
+    Clients.emplace_back([&, C] {
+      std::string Input;
+      for (const char *Obj : Objectives)
+        Input += inlineFrame(std::to_string(C) + Obj, Text,
+                             std::string("objective=") + Obj);
+      Replies[C] = serve(S, Input + "QUIT\n", "client" + std::to_string(C));
+    });
+  for (std::thread &T : Clients)
+    T.join();
+
+  // Two workers may finish one client's requests out of order.
+  auto Reply = [&](int C, const char *Obj) {
+    for (const std::string &L : Replies[C])
+      if (field(L, "id") == std::to_string(C) + Obj)
+        return L;
+    return std::string();
+  };
+  for (int C = 0; C < 2; ++C) {
+    ASSERT_EQ(Replies[C].size(), std::size(Objectives));
+    for (const std::string &L : Replies[C])
+      EXPECT_EQ(field(L, "status"), "ok") << L;
+  }
+  for (const char *Obj : Objectives)
+    for (const char *Key : {"mii", "ii", "secondary"})
+      EXPECT_EQ(field(Reply(0, Obj), Key), field(Reply(1, Obj), Key))
+          << Reply(0, Obj) << "\n" << Reply(1, Obj);
+  const ServerStats Stats = S.stats();
+  EXPECT_EQ(Stats.MachinesInterned, 1);
+  // Both workers may parse the text before either interns it.
+  EXPECT_GE(Stats.MachineInternHits,
+            std::int64_t(2 * std::size(Objectives)) - O.Workers);
 }
 
 /// Connects to the Unix socket at \p Path, sends \p Msg, half-closes
