@@ -7,14 +7,12 @@
 #include "support/Format.h"
 #include "support/Json.h"
 #include "support/Statistics.h"
-#include "support/Telemetry.h"
 #include "workloads/SyntheticGenerator.h"
 
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <filesystem>
 
@@ -95,12 +93,8 @@ BenchConfig BenchConfig::fromEnv() {
     if (parseEnvInt("MODSCHED_BENCH_EXPLAIN", E, 0, 1, V))
       Config.Explain = V != 0;
   if (const char *E = std::getenv("MODSCHED_BENCH_BACKEND")) {
-    if (std::strcmp(E, "ilp") == 0)
-      Config.Backend = SchedulerBackend::Ilp;
-    else if (std::strcmp(E, "pb") == 0)
-      Config.Backend = SchedulerBackend::Pb;
-    else if (std::strcmp(E, "portfolio") == 0)
-      Config.Backend = SchedulerBackend::Portfolio;
+    if (std::optional<SchedulerBackend> B = parseSchedulerBackend(E))
+      Config.Backend = *B;
     else
       std::fprintf(stderr,
                    "warning: ignoring MODSCHED_BENCH_BACKEND='%s' "
@@ -125,7 +119,6 @@ LoopRecord LoopRecord::fromResult(const DependenceGraph &G,
   Rec.Solved = R.Found;
   Rec.TimedOut = R.TimedOut;
   Rec.NodeLimitHit = R.NodeLimitHit;
-  Rec.CacheHit = R.CacheHit;
   Rec.II = R.II;
   Rec.Mii = R.Mii;
   Rec.Nodes = R.Nodes;
@@ -180,7 +173,6 @@ bench::runOptimal(const MachineModel &M,
   Opts.WarmStart = Config.WarmStart;
   Opts.Backend = Config.Backend;
   Opts.Explain = Config.Explain;
-  Opts.Cache = Config.Cache;
   OptimalModuloScheduler Scheduler(M, Opts);
 
   std::vector<LoopRecord> Records;
@@ -311,10 +303,6 @@ void bench::printPaperTableBlock(const std::string &SchedulerName,
 BenchJson::BenchJson(std::string Experiment)
     : Experiment(std::move(Experiment)) {}
 
-void BenchJson::setServiceSummary(ServiceSummary Summary) {
-  Service = std::move(Summary);
-}
-
 void BenchJson::addMetric(std::string Key, double Value) {
   Metrics.emplace_back(std::move(Key), Value);
 }
@@ -333,7 +321,6 @@ void emitRecord(json::JsonWriter &W, const LoopRecord &R) {
   W.key("solved").value(R.Solved);
   W.key("timed_out").value(R.TimedOut);
   W.key("node_limit_hit").value(R.NodeLimitHit);
-  W.key("cache_hit").value(R.CacheHit);
   W.key("status").value(R.status());
   W.key("ii").value(R.II);
   W.key("mii").value(R.Mii);
@@ -429,7 +416,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(11);
+  W.key("schema_version").value(12);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));
@@ -442,39 +429,7 @@ std::string BenchJson::write() const {
   W.key("warm_start").value(Cfg.WarmStart);
   W.key("backend").value(toString(Cfg.Backend));
   W.key("explain").value(Cfg.Explain);
-  W.key("cache").value(Cfg.Cache);
   W.endObject();
-  // Solution-cache counter snapshot: process-lifetime ilpsched/cache.*
-  // telemetry at write time. All zero in cache-off runs; a second
-  // identical sweep in one process shows the hits.
-  W.key("cache_counters").beginObject();
-  for (const char *Name : {"hits", "misses", "inserts", "evictions"}) {
-    telemetry::Counter *C =
-        telemetry::findCounter(std::string("ilpsched/cache.") + Name);
-    W.key(Name).value(C ? C->value() : int64_t(0));
-  }
-  W.endObject();
-  // Service-bench replay summary (optional): present only when the
-  // experiment drove the scheduling service (bench/service_bench).
-  // Status keys are the protocol's closed status set; the validator
-  // rejects anything else.
-  if (Service) {
-    W.key("service").beginObject();
-    W.key("requests").value(Service->Requests);
-    W.key("shed").value(Service->Shed);
-    W.key("errors").value(Service->Errors);
-    W.key("cache_hits").value(Service->CacheHits);
-    W.key("qps").value(Service->Qps);
-    W.key("p50_ms").value(Service->P50Ms);
-    W.key("p95_ms").value(Service->P95Ms);
-    W.key("p99_ms").value(Service->P99Ms);
-    W.key("cache_hit_rate").value(Service->CacheHitRate);
-    W.key("statuses").beginObject();
-    for (const auto &[Status, Count] : Service->Statuses)
-      W.key(Status).value(Count);
-    W.endObject();
-    W.endObject();
-  }
   W.key("metrics").beginObject();
   for (const auto &[Key, Value] : Metrics)
     W.key(Key).value(Value);

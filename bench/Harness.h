@@ -23,8 +23,7 @@
 ///                             pseudo-Boolean), or "portfolio" (both
 ///                             raced per II with cross-engine bound
 ///                             sharing) — the knob behind backend A/B
-///                             runs; the compiled-in default follows
-///                             MODSCHED_BACKEND
+///                             runs (default ilp)
 ///   MODSCHED_BENCH_EXPLAIN    0 disables solve forensics (default 1:
 ///                             every infeasible II attempt carries a
 ///                             re-verified witness and every solved one
@@ -53,8 +52,6 @@
 #include "ilpsched/OptimalScheduler.h"
 #include "machine/MachineModel.h"
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,20 +72,14 @@ struct BenchConfig {
   /// Exact engine behind every attempt (SchedulerOptions::Backend):
   /// ILP branch-and-bound, the CDCL pseudo-Boolean solver, or the
   /// portfolio racing both with cross-engine bound sharing.
-  /// MODSCHED_BENCH_BACKEND=ilp|pb|portfolio overrides for A/B runs;
-  /// the compiled-in default follows MODSCHED_BACKEND (ilpsched/
-  /// OptimalScheduler.h). Formulations the PB backend cannot encode
-  /// fall back to ILP per attempt with a one-time warning.
-  SchedulerBackend Backend = defaultSchedulerBackend();
+  /// MODSCHED_BENCH_BACKEND=ilp|pb|portfolio overrides for A/B runs.
+  /// Formulations the PB backend cannot encode fall back to ILP per
+  /// attempt with a one-time warning.
+  SchedulerBackend Backend = SchedulerBackend::Ilp;
   /// Solve forensics (SchedulerOptions::Explain): infeasibility
   /// witnesses and optimality audits on every attempt record.
   /// MODSCHED_BENCH_EXPLAIN=0 turns it off for overhead A/B runs.
   bool Explain = true;
-  /// Content-addressed solution cache (SchedulerOptions::Cache). Follows
-  /// MODSCHED_CACHE, off by default so effort columns (nodes,
-  /// iterations, conflicts) measure the solver, not cache replay.
-  /// Cache-served records report cache_hit=true with zero solver effort.
-  bool Cache = defaultCacheEnabled();
 
   /// Reads the MODSCHED_BENCH_* environment overrides. Invalid values
   /// warn on stderr and keep the defaults above.
@@ -104,10 +95,6 @@ struct LoopRecord {
   /// Node budget exhausted (deterministic censoring, distinct from the
   /// machine-dependent wall-clock timeout; both can be set).
   bool NodeLimitHit = false;
-  /// Served from the solution cache: the schedule was replayed from a
-  /// previous verified solve of a canonically identical problem; every
-  /// solver-effort field below is 0 and Attempts is empty.
-  bool CacheHit = false;
   int II = 0;
   int Mii = 0;
   int64_t Nodes = 0;
@@ -199,27 +186,6 @@ void printPortfolioSummary(const std::string &Label,
 std::vector<int>
 commonlySolved(const std::vector<std::vector<LoopRecord>> &RecordSets);
 
-/// Closed-loop service benchmark summary (bench/service_bench): QPS,
-/// latency percentiles, cache behavior and admission-control outcomes
-/// of one request-replay phase, emitted as the optional top-level
-/// "service" object of the artifact. Status keys must come from the
-/// service protocol's closed status set ("ok", "timeout", "node_limit",
-/// "unsolved", "cancelled", "error", "retry_after") —
-/// scripts/check_bench_json.py rejects unknown strings.
-struct ServiceSummary {
-  std::int64_t Requests = 0;    ///< Requests submitted (incl. shed).
-  std::int64_t Shed = 0;        ///< retry_after replies.
-  std::int64_t Errors = 0;      ///< error replies.
-  std::int64_t CacheHits = 0;   ///< ok replies served from the cache.
-  double Qps = 0.0;             ///< Completed requests per second.
-  double P50Ms = 0.0;           ///< Median end-to-end latency.
-  double P95Ms = 0.0;
-  double P99Ms = 0.0;
-  double CacheHitRate = 0.0;    ///< CacheHits / ok replies (0 when none).
-  /// Response-status histogram over every reply received.
-  std::map<std::string, std::int64_t> Statuses;
-};
-
 /// Machine-readable result artifact for one experiment binary.
 ///
 /// Usage: construct with the experiment name, register the resolved
@@ -227,7 +193,7 @@ struct ServiceSummary {
 /// produced, and call write() before exiting. The artifact is
 ///   <dir>/BENCH_<experiment>.json
 /// with <dir> = $MODSCHED_BENCH_RESULTS_DIR or "bench_results" (created
-/// if missing). The artifact carries schema_version 11, the only
+/// if missing). The artifact carries schema_version 12, the only
 /// version scripts/check_bench_json.py accepts; docs/OBSERVABILITY.md
 /// documents its fields.
 class BenchJson {
@@ -240,10 +206,6 @@ public:
   /// Adds one experiment-specific headline number (coverage, ratios,
   /// ...). Keys should be snake_case.
   void addMetric(std::string Key, double Value);
-
-  /// Registers the service-bench replay summary, emitted as the
-  /// top-level "service" object (absent when never set).
-  void setServiceSummary(ServiceSummary Summary);
 
   /// Adds one labelled set of per-loop records (one per scheduler
   /// configuration, typically).
@@ -258,8 +220,6 @@ private:
   std::string Experiment;
   BenchConfig Cfg;
   std::vector<std::pair<std::string, double>> Metrics;
-  /// Set iff setServiceSummary was called (optional block).
-  std::optional<ServiceSummary> Service;
   struct RecordSet {
     std::string Label;
     std::vector<LoopRecord> Records;

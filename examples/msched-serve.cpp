@@ -11,8 +11,9 @@
 // exits at EOF/QUIT.
 //
 // Every server knob comes from the environment (MODSCHED_SERVICE_*,
-// see docs/SERVICE.md); the process-wide solution cache is ON unless
-// MODSCHED_SERVICE_CACHE=0.
+// see docs/SERVICE.md), the exact backend included
+// (MODSCHED_SERVICE_BACKEND=ilp|pb|portfolio, default ilp); the
+// process-wide solution cache is ON unless MODSCHED_SERVICE_CACHE=0.
 //
 //===----------------------------------------------------------------------===//
 

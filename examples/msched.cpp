@@ -13,12 +13,13 @@
 //   --heuristic                        use the Iterative Modulo Scheduler
 //   --stage-schedule                   run the stage-scheduling post-pass
 //   --time=<seconds>                   per-loop budget (default 60)
+//   --backend=ilp|pb|portfolio         exact engine deciding each II
+//                                      (default ilp)
 //   --explain                          solve forensics: print a verified
 //                                      witness for every infeasible II
 //                                      and the optimality audit trail
 //   --cache                            consult the content-addressed
 //                                      solution cache before solving
-//                                      (equivalent to MODSCHED_CACHE=1)
 //   --simulate=<iterations>            run the pipeline simulator
 //   --emit-code                        emit prologue/kernel/epilogue
 //   --print-model                      dump the ILP in CPLEX LP format
@@ -58,6 +59,7 @@ struct CliOptions {
   std::string FormulationName = "structured";
   std::string KernelName;
   std::string DdgPath;
+  SchedulerBackend Backend = SchedulerBackend::Ilp;
   bool UseHeuristic = false;
   bool InstanceMapped = false;
   bool StageSchedule = false;
@@ -98,6 +100,13 @@ std::optional<CliOptions> parseArgs(int Argc, char **Argv) {
         parseFlag(Arg, "formulation", Opts.FormulationName) ||
         parseFlag(Arg, "kernel", Opts.KernelName))
       continue;
+    if (parseFlag(Arg, "backend", Value)) {
+      std::optional<SchedulerBackend> B = parseSchedulerBackend(Value);
+      if (!B)
+        return std::nullopt;
+      Opts.Backend = *B;
+      continue;
+    }
     if (parseFlag(Arg, "time", Value)) {
       Opts.TimeLimit = std::atof(Value.c_str());
       continue;
@@ -310,10 +319,9 @@ int main(int Argc, char **Argv) {
       : Cli.FormulationName == "loose"     ? DependenceStyle::StructuredLoose
                                            : DependenceStyle::Structured;
   Opts.Formulation.InstanceMapped = Cli.InstanceMapped;
-  if (Cli.Explain)
-    Opts.Explain = true;
-  if (Cli.Cache)
-    Opts.Cache = true;
+  Opts.Backend = Cli.Backend;
+  Opts.Explain = Cli.Explain;
+  Opts.Cache = Cli.Cache;
 
   if (Cli.PrintModel) {
     Formulation F(*Loop, Machine, mii(*Loop, Machine), Opts.Formulation);
@@ -326,10 +334,9 @@ int main(int Argc, char **Argv) {
   OptimalModuloScheduler Scheduler(Machine, Opts);
   ScheduleResult R = Scheduler.schedule(*Loop);
 
-  // Solve forensics: one line per attempt — the verified witness behind
-  // every infeasible II and the optimality evidence of the solved one.
-  // Printed whenever records were collected, so MODSCHED_EXPLAIN=1
-  // works without the flag.
+  // Solve forensics (--explain): one line per attempt — the verified
+  // witness behind every infeasible II and the optimality evidence of
+  // the solved one.
   if (Opts.Explain) {
     std::printf("\nsolve forensics:\n");
     // Cache-served results carry no attempt records (a hit honestly

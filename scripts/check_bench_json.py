@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 11).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 12).
 
 bench/Harness.cpp's BenchJson writes one schema, documented in
 docs/OBSERVABILITY.md, and this checker accepts exactly that version.
@@ -7,12 +7,8 @@ Besides key presence and types it enforces:
 
 * record and attempt statuses, witnesses, witness sources, proofs,
   winners and backends come from closed sets;
-* a cache_hit record replays a previous verified solve: it must be
-  solved and report zero solver effort (no attempts, nodes, iterations,
-  PB conflicts or propagations);
-* the optional "service" object (bench/service_bench) keys its
-  "statuses" histogram by the protocol's closed response-status set
-  (service/Protocol.h, docs/SERVICE.md).
+* a record's status agrees with its solved / timed_out /
+  node_limit_hit flags.
 
 Stdlib-only. Usage:
 
@@ -29,14 +25,13 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 TOP_KEYS = {
     "schema_version": numbers.Integral,
     "experiment": str,
     "generated_unix": numbers.Integral,
     "config": dict,
-    "cache_counters": dict,
     "metrics": dict,
     "record_sets": list,
 }
@@ -50,15 +45,6 @@ CONFIG_KEYS = {
     "warm_start": bool,
     "backend": str,
     "explain": bool,
-    "cache": bool,
-}
-
-# Snapshot of the ilpsched/cache.* telemetry counters at write time.
-CACHE_COUNTER_KEYS = {
-    "hits": numbers.Integral,
-    "misses": numbers.Integral,
-    "inserts": numbers.Integral,
-    "evictions": numbers.Integral,
 }
 
 RECORD_KEYS = {
@@ -67,7 +53,6 @@ RECORD_KEYS = {
     "solved": bool,
     "timed_out": bool,
     "node_limit_hit": bool,
-    "cache_hit": bool,
     "status": str,
     "ii": numbers.Integral,
     "mii": numbers.Integral,
@@ -124,21 +109,6 @@ TRAJECTORY_KEYS = {
     "bound": numbers.Real,
 }
 
-# Optional top-level "service" object: the scheduling-service replay
-# summary emitted by bench/service_bench.
-SERVICE_KEYS = {
-    "requests": numbers.Integral,
-    "shed": numbers.Integral,
-    "errors": numbers.Integral,
-    "cache_hits": numbers.Integral,
-    "qps": numbers.Real,
-    "p50_ms": numbers.Real,
-    "p95_ms": numbers.Real,
-    "p99_ms": numbers.Real,
-    "cache_hit_rate": numbers.Real,
-    "statuses": dict,
-}
-
 STATUSES = {"solved", "timeout", "node_limit", "unsolved"}
 # Per-attempt solver verdicts (ilp::toString(MipStatus)).
 ATTEMPT_STATUSES = {"optimal", "infeasible", "limit", "cancelled"}
@@ -149,8 +119,6 @@ WINNERS = {"", "ilp", "pb"}
 WITNESSES = {"cycle", "resource", "window", "none"}
 WITNESS_SOURCES = {"graph", "farkas", "core", "none"}
 PROOFS = {"", "optimal", "first_solution", "censored"}
-SERVICE_STATUSES = {"ok", "timeout", "node_limit", "unsolved",
-                    "cancelled", "error", "retry_after"}
 
 
 class SchemaError(Exception):
@@ -184,20 +152,6 @@ def check_member(obj, key, allowed, where):
 def check_record(record, where):
     check_keys(record, RECORD_KEYS, where)
     check_member(record, "status", STATUSES, where)
-    if record["cache_hit"]:
-        # A cache-served record replays a previous verified solve; it
-        # must never masquerade as solver work.
-        if not record["solved"]:
-            raise SchemaError(f"{where}: cache_hit=true but solved=false")
-        if record["attempts"]:
-            raise SchemaError(f"{where}: cache_hit=true but "
-                              f"{len(record['attempts'])} solver "
-                              f"attempt(s) reported")
-        for effort in ("nodes", "iterations", "pb_conflicts",
-                       "pb_propagations"):
-            if record[effort]:
-                raise SchemaError(f"{where}: cache_hit=true but "
-                                  f"{effort}={record[effort]}")
     if record["solved"] and record["status"] != "solved":
         raise SchemaError(f"{where}: solved=true but status="
                           f"{record['status']!r}")
@@ -229,27 +183,6 @@ def check_attempt(attempt, where):
         check_keys(sample, TRAJECTORY_KEYS, f"{where}.trajectory[{t}]")
 
 
-def check_service(service):
-    check_keys(service, SERVICE_KEYS, "$.service")
-    for key in ("requests", "shed", "errors", "cache_hits"):
-        if service[key] < 0:
-            raise SchemaError(f"$.service.{key}: negative count "
-                              f"{service[key]}")
-    if not 0.0 <= service["cache_hit_rate"] <= 1.0:
-        raise SchemaError(f"$.service.cache_hit_rate: "
-                          f"{service['cache_hit_rate']} outside [0, 1]")
-    for status, count in service["statuses"].items():
-        swhere = f"$.service.statuses[{status!r}]"
-        if status not in SERVICE_STATUSES:
-            raise SchemaError(f"{swhere}: unknown status (want one of "
-                              f"{sorted(SERVICE_STATUSES)})")
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise SchemaError(f"{swhere}: expected integer, got "
-                              f"{type(count).__name__}")
-        if count < 0:
-            raise SchemaError(f"{swhere}: negative count {count}")
-
-
 def check_doc(doc):
     """Validates one parsed artifact; returns (record sets, records)."""
     check_keys(doc, TOP_KEYS, "$")
@@ -260,9 +193,6 @@ def check_doc(doc):
         raise SchemaError("$.experiment: empty string")
     check_keys(doc["config"], CONFIG_KEYS, "$.config")
     check_member(doc["config"], "backend", BACKENDS, "$.config")
-    check_keys(doc["cache_counters"], CACHE_COUNTER_KEYS, "$.cache_counters")
-    if "service" in doc:
-        check_service(doc["service"])
     for key, value in doc["metrics"].items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise SchemaError(f"$.metrics[{key!r}]: expected number, got "
@@ -290,8 +220,8 @@ def _defaults(spec):
 
 def _valid_artifact():
     """A minimal artifact built from the key tables above, so it tracks
-    them: one solved record with an optimal attempt, one cache hit, and
-    a service summary."""
+    them: one solved record with an optimal attempt and one record
+    censored by its node budget."""
     attempt = _defaults(ATTEMPT_KEYS)
     attempt.update(status="optimal", scheduled=True, witness="none",
                    witness_source="none", proof="optimal")
@@ -299,18 +229,15 @@ def _valid_artifact():
     solved = _defaults(RECORD_KEYS)
     solved.update(name="loop0", n=4, solved=True, status="solved", ii=2,
                   mii=2, nodes=3, attempts=[attempt])
-    hit = _defaults(RECORD_KEYS)
-    hit.update(name="loop0", n=4, solved=True, cache_hit=True,
-               status="solved", ii=2, mii=2)
+    censored = _defaults(RECORD_KEYS)
+    censored.update(name="loop1", n=6, node_limit_hit=True,
+                    status="node_limit", mii=3, nodes=200)
     doc = _defaults(TOP_KEYS)
     doc.update(schema_version=SCHEMA_VERSION, experiment="self_test")
     doc["config"] = _defaults(CONFIG_KEYS)
     doc["config"].update(backend="ilp")
-    doc["cache_counters"] = _defaults(CACHE_COUNTER_KEYS)
     doc["record_sets"] = [{"label": "first", "records": [solved]},
-                          {"label": "second", "records": [hit]}]
-    doc["service"] = _defaults(SERVICE_KEYS)
-    doc["service"]["statuses"] = {"ok": 1, "retry_after": 1}
+                          {"label": "second", "records": [censored]}]
     return doc
 
 
@@ -326,22 +253,20 @@ def self_test():
         return doc["record_sets"][s]["records"][0]
 
     cases = [
-        ("schema 10 (config.engine)",
-         lambda d: (d.update(schema_version=10),
-                    d["config"].update(engine="sparse_revised"))),
-        ("cache hit with nodes > 0",
-         lambda d: record(d, 1).update(nodes=5)),
+        ("schema 11 (config.cache)",
+         lambda d: (d.update(schema_version=11),
+                    d["config"].update(cache=False))),
+        ("node_limit status without node_limit_hit",
+         lambda d: record(d, 1).update(node_limit_hit=False)),
         ("unknown attempt status",
          lambda d: record(d, 0)["attempts"][0].update(status="feasible")),
-        ("unknown service status",
-         lambda d: d["service"]["statuses"].update(busy=1)),
     ]
     failures = 0
     try:
         check_doc(_valid_artifact())
-        print("ok   valid v11 artifact accepted")
+        print("ok   valid v12 artifact accepted")
     except SchemaError as err:
-        print(f"FAIL valid v11 artifact rejected: {err}")
+        print(f"FAIL valid v12 artifact rejected: {err}")
         failures += 1
     for name, edit in cases:
         try:

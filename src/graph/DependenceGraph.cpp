@@ -2,6 +2,8 @@
 
 #include "graph/DependenceGraph.h"
 
+#include "graph/GraphAlgorithms.h"
+
 #include <cassert>
 #include <cstdio>
 
@@ -54,6 +56,9 @@ std::optional<std::string> DependenceGraph::validate() const {
       return std::string(Buf);
     }
   }
+  if (hasZeroDistanceCycle(*this))
+    return std::string("zero-distance dependence cycle: loop is "
+                       "unschedulable");
   std::vector<bool> SeenDef(Ops.size(), false);
   for (const VirtualRegister &R : Registers) {
     if (R.Def < 0 || R.Def >= numOperations())

@@ -93,7 +93,9 @@ public:
   void setName(std::string Name) { LoopName = std::move(Name); }
 
   /// Checks structural invariants: indices in range, distances >= 0,
-  /// register defs unique, every register use backed by an operation.
+  /// no dependence cycle of total distance 0 (such a loop has no
+  /// schedule at any II), register defs unique, every register use
+  /// backed by an operation.
   /// Returns a description of the first problem, or nullopt when valid.
   std::optional<std::string> validate() const;
 

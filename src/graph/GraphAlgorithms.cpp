@@ -122,21 +122,48 @@ modsched::stronglyConnectedComponents(const DependenceGraph &G) {
 }
 
 bool modsched::hasZeroDistanceCycle(const DependenceGraph &G) {
-  // Restrict to distance-0 edges; any SCC of size > 1 (or a self-loop) is
-  // a zero-distance cycle.
-  std::vector<std::vector<int>> Succ(G.numOperations());
-  for (const SchedEdge &E : G.schedEdges()) {
-    if (E.Distance != 0)
-      continue;
-    if (E.Src == E.Dst)
-      return true;
-    Succ[E.Src].push_back(E.Dst);
+  // Kahn's algorithm over the distance-0 edges: a node that is never
+  // released lies on, or downstream of, a zero-distance cycle (a
+  // distance-0 self-loop holds its own node back). One flat buffer holds
+  // the in-degrees, the CSR adjacency and the ready stack.
+  const int N = G.numOperations();
+  int NumZero = 0;
+  for (const SchedEdge &E : G.schedEdges())
+    NumZero += E.Distance == 0;
+  if (NumZero == 0)
+    return false;
+  std::vector<int> Buf(3 * std::size_t(N) + 1 + std::size_t(NumZero), 0);
+  int *InDeg = Buf.data();
+  int *Pos = InDeg + N; // N + 1 CSR offsets.
+  int *Succ = Pos + N + 1;
+  int *Ready = Succ + NumZero;
+  for (const SchedEdge &E : G.schedEdges())
+    if (E.Distance == 0) {
+      ++InDeg[E.Dst];
+      ++Pos[E.Src];
+    }
+  // Pos[V] becomes the end of V's range, then each edge fills its slot
+  // from the back, leaving Pos[V] at the start: V's successors are
+  // Succ[Pos[V] .. Pos[V + 1]).
+  for (int V = 1; V <= N; ++V)
+    Pos[V] += Pos[V - 1];
+  for (const SchedEdge &E : G.schedEdges())
+    if (E.Distance == 0)
+      Succ[--Pos[E.Src]] = E.Dst;
+
+  int Top = 0;
+  for (int V = 0; V < N; ++V)
+    if (InDeg[V] == 0)
+      Ready[Top++] = V;
+  int Released = 0;
+  while (Top > 0) {
+    const int V = Ready[--Top];
+    ++Released;
+    for (int K = Pos[V]; K < Pos[V + 1]; ++K)
+      if (--InDeg[Succ[K]] == 0)
+        Ready[Top++] = Succ[K];
   }
-  TarjanScc Scc(G.numOperations(), Succ);
-  for (const std::vector<int> &Component : Scc.take())
-    if (Component.size() > 1)
-      return true;
-  return false;
+  return Released != N;
 }
 
 bool modsched::hasPositiveCycle(const DependenceGraph &G, int II) {

@@ -16,7 +16,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -35,60 +34,13 @@ const char *modsched::toString(SchedulerBackend Backend) {
   return "unknown";
 }
 
-SchedulerBackend modsched::defaultSchedulerBackend() {
-  static const SchedulerBackend Cached = [] {
-    const char *Env = std::getenv("MODSCHED_BACKEND");
-    if (!Env || !*Env)
-      return SchedulerBackend::Ilp;
-    if (std::strcmp(Env, "ilp") == 0)
-      return SchedulerBackend::Ilp;
-    if (std::strcmp(Env, "pb") == 0)
-      return SchedulerBackend::Pb;
-    if (std::strcmp(Env, "portfolio") == 0)
-      return SchedulerBackend::Portfolio;
-    std::fprintf(stderr,
-                 "modsched: unrecognized MODSCHED_BACKEND='%s' "
-                 "(want ilp|pb|portfolio); keeping ilp\n",
-                 Env);
-    return SchedulerBackend::Ilp;
-  }();
-  return Cached;
-}
-
-bool modsched::defaultExplainEnabled() {
-  static const bool Cached = [] {
-    const char *Env = std::getenv("MODSCHED_EXPLAIN");
-    if (!Env || !*Env)
-      return false;
-    if (std::strcmp(Env, "1") == 0 || std::strcmp(Env, "on") == 0)
-      return true;
-    if (std::strcmp(Env, "0") == 0 || std::strcmp(Env, "off") == 0)
-      return false;
-    std::fprintf(stderr,
-                 "modsched: unrecognized MODSCHED_EXPLAIN='%s' "
-                 "(want 0|1|on|off); keeping off\n",
-                 Env);
-    return false;
-  }();
-  return Cached;
-}
-
-bool modsched::defaultCacheEnabled() {
-  static const bool Cached = [] {
-    const char *Env = std::getenv("MODSCHED_CACHE");
-    if (!Env || !*Env)
-      return false;
-    if (std::strcmp(Env, "1") == 0 || std::strcmp(Env, "on") == 0)
-      return true;
-    if (std::strcmp(Env, "0") == 0 || std::strcmp(Env, "off") == 0)
-      return false;
-    std::fprintf(stderr,
-                 "modsched: unrecognized MODSCHED_CACHE='%s' "
-                 "(want 0|1|on|off); keeping off\n",
-                 Env);
-    return false;
-  }();
-  return Cached;
+std::optional<SchedulerBackend>
+modsched::parseSchedulerBackend(std::string_view Name) {
+  for (SchedulerBackend B : {SchedulerBackend::Ilp, SchedulerBackend::Pb,
+                             SchedulerBackend::Portfolio})
+    if (Name == toString(B))
+      return B;
+  return std::nullopt;
 }
 
 namespace {

@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace modsched {
@@ -63,22 +64,9 @@ enum class SchedulerBackend {
 /// Printable name of \p Backend ("ilp" / "pb" / "portfolio").
 const char *toString(SchedulerBackend Backend);
 
-/// Backend selected by the MODSCHED_BACKEND environment variable
-/// ("ilp" | "pb" | "portfolio"; unset or unrecognized values keep Ilp,
-/// the latter with a one-time warning). Read once and cached.
-SchedulerBackend defaultSchedulerBackend();
-
-/// Default for SchedulerOptions::Explain, from the MODSCHED_EXPLAIN
-/// environment variable ("1"/"on" enables, "0"/"off" disables, unset
-/// disables; unrecognized values warn once to stderr and disable). Read
-/// once and cached.
-bool defaultExplainEnabled();
-
-/// Default for SchedulerOptions::Cache, from the MODSCHED_CACHE
-/// environment variable ("1"/"on" enables, "0"/"off" disables, unset
-/// disables; unrecognized values warn once to stderr and disable). Read
-/// once and cached.
-bool defaultCacheEnabled();
+/// The backend \p Name names, the inverse of toString; nullopt for any
+/// other text.
+std::optional<SchedulerBackend> parseSchedulerBackend(std::string_view Name);
 
 /// How the min-II search walks the tentative IIs (see
 /// ilpsched/IiSearch.h for the strategy implementations).
@@ -100,7 +88,7 @@ struct SchedulerOptions {
   /// node budget: one CDCL conflict counts as one branch-and-bound node
   /// (both are the unit of censored search effort; see
   /// ScheduleResult::budgetNodes).
-  SchedulerBackend Backend = defaultSchedulerBackend();
+  SchedulerBackend Backend = SchedulerBackend::Ilp;
   /// Per-loop wall-clock budget, shared across all tentative IIs (the
   /// paper used 15 minutes).
   double TimeLimitSeconds = 60.0;
@@ -132,7 +120,7 @@ struct SchedulerOptions {
   /// infeasible II attempt and an OptimalityAudit to every solved one.
   /// Zero-cost when off — no Farkas scans, no trajectory samples, no
   /// explanation re-solves.
-  bool Explain = defaultExplainEnabled();
+  bool Explain = false;
   /// Consult the process-wide content-addressed SolutionCache
   /// (ilpsched/SolutionCache.h) before running the II ladder, and
   /// insert clean solves afterwards. Hits are keyed on the canonical
@@ -140,7 +128,7 @@ struct SchedulerOptions {
   /// resource renaming share entries — and every hit is re-verified
   /// through sched/Verifier before being reported. Off by default so
   /// benchmark effort numbers mean what they say.
-  bool Cache = defaultCacheEnabled();
+  bool Cache = false;
 
   // --- Portfolio backend knobs (Backend == SchedulerBackend::Portfolio,
   //     ignored otherwise; see ilpsched/PortfolioAttempt.h) ---

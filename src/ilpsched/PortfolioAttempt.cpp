@@ -21,9 +21,7 @@
 using namespace modsched;
 using namespace modsched::ilp;
 
-void SharedIncumbent::publish(int64_t K, const ModuloSchedule &S,
-                              const char *Src) {
-  (void)Src;
+void SharedIncumbent::publish(int64_t K, const ModuloSchedule &S) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     if (K < Obj) {
@@ -187,10 +185,8 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
     R.Ctx.Cancel = R.Cancel.token();
     if (Exchange) {
       R.Hooks.ExternalBound = &Shared.Bound;
-      const char *Src = R.E->name();
-      R.Hooks.OnIncumbent = [&Shared, Src](int64_t K,
-                                           const ModuloSchedule &S) {
-        Shared.publish(K, S, Src);
+      R.Hooks.OnIncumbent = [&Shared](int64_t K, const ModuloSchedule &S) {
+        Shared.publish(K, S);
       };
     }
     // Each worker sees the loop's budget spend so far (like

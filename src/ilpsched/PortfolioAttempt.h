@@ -55,9 +55,9 @@ struct SharedIncumbent {
   /// pruning cutoff for both engines.
   std::atomic<int64_t> Bound{INT64_MAX};
 
-  /// Records schedule \p S with verified objective \p K found by engine
-  /// \p Src, if it improves on the best recorded one. Thread-safe.
-  void publish(int64_t K, const ModuloSchedule &S, const char *Src);
+  /// Records schedule \p S with verified objective \p K, if it improves
+  /// on the best recorded one. Thread-safe.
+  void publish(int64_t K, const ModuloSchedule &S);
 
   /// Snapshot of the best recorded schedule and its objective (nullopt
   /// when nothing was published). Thread-safe.

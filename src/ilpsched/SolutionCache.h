@@ -24,8 +24,8 @@
 ///     through sched/Verifier before it is reported; a verifier
 ///     rejection is a cache bug and aborts.
 ///
-/// Off by default (SchedulerOptions::Cache / MODSCHED_CACHE) so solver
-/// effort numbers in benchmarks mean what they say; cache-served
+/// Off by default (SchedulerOptions::Cache; the service turns it on) so
+/// solver effort numbers in benchmarks mean what they say; cache-served
 /// results report CacheHit with zero attempts rather than masquerading
 /// as solver work. Counters: ilpsched/cache.{hits,misses,inserts,
 /// evictions} (docs/OBSERVABILITY.md).

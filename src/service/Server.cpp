@@ -110,6 +110,19 @@ bool parseEnvBool(const char *Name, bool Default) {
   return Default;
 }
 
+SchedulerBackend parseEnvBackend(const char *Name, SchedulerBackend Default) {
+  const char *Env = std::getenv(Name);
+  if (!Env || !*Env)
+    return Default;
+  if (std::optional<SchedulerBackend> B = parseSchedulerBackend(Env))
+    return *B;
+  std::fprintf(stderr,
+               "modsched: invalid %s='%s' (want ilp|pb|portfolio); "
+               "keeping %s\n",
+               Name, Env, toString(Default));
+  return Default;
+}
+
 /// Seals \p M for sharing between concurrent requests: its signature
 /// is memoized while it is still private, so no reader ever writes.
 std::shared_ptr<const MachineModel> shareMachine(MachineModel M) {
@@ -229,6 +242,7 @@ ServerOptions ServerOptions::fromEnv() {
   O.DefaultNodeLimit = parseEnvInt("MODSCHED_SERVICE_NODE_LIMIT",
                                    O.DefaultNodeLimit, 1, INT64_MAX);
   O.Cache = parseEnvBool("MODSCHED_SERVICE_CACHE", O.Cache);
+  O.Backend = parseEnvBackend("MODSCHED_SERVICE_BACKEND", O.Backend);
   O.RetryAfterMs = static_cast<int>(parseEnvInt(
       "MODSCHED_SERVICE_RETRY_AFTER_MS", O.RetryAfterMs, 1, 3600000));
   O.Limits.MaxLineBytes = static_cast<std::size_t>(

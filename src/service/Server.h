@@ -69,7 +69,7 @@ struct ServerOptions {
   /// the server — replay is the daemon's whole point.
   bool Cache = true;
   /// Exact engine behind every attempt.
-  SchedulerBackend Backend = defaultSchedulerBackend();
+  SchedulerBackend Backend = SchedulerBackend::Ilp;
   /// Milliseconds suggested to shed clients ("retry_after_ms").
   int RetryAfterMs = 100;
   /// Include the schedule times vector in ok responses.
@@ -79,8 +79,10 @@ struct ServerOptions {
 
   /// Reads the MODSCHED_SERVICE_* environment overrides (WORKERS,
   /// QUEUE, CLIENT_INFLIGHT, TIME_LIMIT, MAX_TIME_LIMIT, NODE_LIMIT,
-  /// CACHE, RETRY_AFTER_MS, MAX_LINE, MAX_PAYLOAD_LINES). Invalid
-  /// values warn on stderr and keep the defaults above.
+  /// CACHE, BACKEND, RETRY_AFTER_MS, MAX_LINE, MAX_PAYLOAD_LINES).
+  /// Invalid values warn on stderr and keep the defaults above. Only
+  /// the msched-serve entry point calls it; the library itself reads
+  /// no configuration from the environment.
   static ServerOptions fromEnv();
 };
 
@@ -105,7 +107,7 @@ struct ServerStats {
 /// The daemon. One instance per process; destruction drains.
 class Server {
 public:
-  explicit Server(ServerOptions Options = ServerOptions::fromEnv());
+  explicit Server(ServerOptions Options);
   ~Server();
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;

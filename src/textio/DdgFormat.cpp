@@ -92,6 +92,8 @@ std::optional<DependenceGraph> modsched::parseDdg(const std::string &Text,
     return fail(Error, LineNo, "unknown directive " + std::string(Directive));
   }
 
+  // A problem of the whole graph (a zero-distance cycle) is reported at
+  // the last line, where the graph is complete.
   if (std::optional<std::string> Problem = G.validate())
     return fail(Error, LineNo, *Problem);
   return G;

@@ -31,7 +31,9 @@ namespace modsched {
 
 /// Parses \p Text into a dependence graph against machine \p M. On
 /// failure returns nullopt and, when provided, fills \p Error with a
-/// line-numbered message.
+/// line-numbered message. A problem of the whole graph that
+/// DependenceGraph::validate finds (a zero-distance dependence cycle)
+/// carries the number of the last line.
 std::optional<DependenceGraph> parseDdg(const std::string &Text,
                                         const MachineModel &M,
                                         std::string *Error = nullptr);

@@ -2,7 +2,6 @@
 
 #include "workloads/SyntheticGenerator.h"
 
-#include "graph/GraphAlgorithms.h"
 #include "workloads/KernelLibrary.h"
 
 #include <algorithm>
@@ -111,8 +110,6 @@ DependenceGraph modsched::generateLoop(const MachineModel &M, Rng &R,
   }
 
   assert(!G.validate() && "generator produced an invalid graph");
-  assert(!hasZeroDistanceCycle(G) &&
-         "generator produced a zero-distance cycle");
   return G;
 }
 

@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestVariant.h"
+
 #include "ilp/BranchAndBound.h"
 #include "ilpsched/IiSearch.h"
 #include "ilpsched/OptimalScheduler.h"
@@ -169,7 +171,7 @@ TEST(Concurrency, TelemetryShardsMergeAcrossThreadPool) {
 namespace {
 
 SchedulerOptions raceOpts(Objective Obj, IiSearchKind Kind, int Jobs) {
-  SchedulerOptions Opts;
+  SchedulerOptions Opts = test::variantOptions();
   Opts.Formulation.Obj = Obj;
   Opts.Formulation.DepStyle = DependenceStyle::Structured;
   Opts.TimeLimitSeconds = 30.0;

@@ -16,6 +16,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestVariant.h"
+
 #include "graph/GraphAlgorithms.h"
 #include "graph/Unroll.h"
 #include "ilpsched/OptimalScheduler.h"
@@ -579,7 +581,7 @@ TEST(SolutionCacheTest, CensoredResultsAreNotInserted) {
 
 TEST(SolutionCacheTest, LruEvictsAtCapacity) {
   MachineModel M = MachineModel::vliw2();
-  SchedulerOptions Opts;
+  SchedulerOptions Opts = test::variantOptions();
   SolutionCache Cache(/*MaxEntries=*/2);
   const uint64_t Key = SolutionCache::requestKey(Opts);
 

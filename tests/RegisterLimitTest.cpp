@@ -8,6 +8,8 @@
 
 #include "ilpsched/OptimalScheduler.h"
 
+#include "TestVariant.h"
+
 #include "sched/RegisterPressure.h"
 #include "sched/Verifier.h"
 #include "support/Rng.h"
@@ -23,7 +25,7 @@ namespace {
 ScheduleResult scheduleWithLimit(const MachineModel &M,
                                  const DependenceGraph &G, int Limit,
                                  Objective Obj = Objective::None) {
-  SchedulerOptions Opts;
+  SchedulerOptions Opts = test::variantOptions();
   Opts.Formulation.Obj = Obj;
   Opts.Formulation.RegisterLimit = Limit;
   Opts.TimeLimitSeconds = 30.0;
@@ -99,7 +101,7 @@ TEST(RegisterLimit, AgreesWithMinRegOptimum) {
   Opts.MaxOps = 7;
   for (int Trial = 0; Trial < 5; ++Trial) {
     DependenceGraph G = generateLoop(M, Rand, Opts);
-    SchedulerOptions MinRegOpts;
+    SchedulerOptions MinRegOpts = test::variantOptions();
     MinRegOpts.Formulation.Obj = Objective::MinReg;
     MinRegOpts.TimeLimitSeconds = 20.0;
     ScheduleResult Best = OptimalModuloScheduler(M, MinRegOpts).schedule(G);

@@ -2,6 +2,8 @@
 
 #include "ilpsched/OptimalScheduler.h"
 
+#include "TestVariant.h"
+
 #include "sched/Mii.h"
 #include "sched/RegisterPressure.h"
 #include "sched/Verifier.h"
@@ -14,7 +16,7 @@ using namespace modsched;
 namespace {
 
 SchedulerOptions makeOpts(Objective Obj, DependenceStyle Dep) {
-  SchedulerOptions Opts;
+  SchedulerOptions Opts = test::variantOptions();
   Opts.Formulation.Obj = Obj;
   Opts.Formulation.DepStyle = Dep;
   Opts.TimeLimitSeconds = 30.0;

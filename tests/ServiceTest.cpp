@@ -13,7 +13,8 @@
 //     hardening test).
 //   * End-to-end serveStream: solves over stdin/stdout-style streams,
 //     cache-served replay on resubmission, admission shedding when
-//     stopping, graceful drain on QUIT, a daemon that keeps serving
+//     stopping, at the queue bound and at the per-client in-flight
+//     cap, graceful drain on QUIT, a daemon that keeps serving
 //     after a mid-request disconnect, and one portfolio-backend worker
 //     serving several loops back to back with the ILP's verdicts.
 //   * Machine interning: a repeated MACHINE text reuses one model, a
@@ -40,6 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -495,13 +497,15 @@ TEST(ServiceServer, PinnedPayloadErrors) {
                       "op a add\nop a mul\nEND\n";
   Input += "SCHED id=d2 machine=example3\nDDG 1\n"
            "edge a b latency=1 omega=0\nEND\n";
+  Input += "SCHED id=d3 machine=example3\nDDG 4\nop a add\nop b add\n"
+           "edge a b latency=1 omega=0\nedge b a latency=1 omega=0\nEND\n";
   Input += "SCHED id=m1\nMACHINE 2\nresource r x1\r\n"
            "class a latency=1 uses=r@0,,q@1\nDDG " +
            std::to_string(countLines(Ddg)) + "\n" + Ddg + "END\n";
   Input += "SCHED id=m2\nMACHINE 1\nmachine m\nDDG " +
            std::to_string(countLines(Ddg)) + "\n" + Ddg + "END\n";
   std::vector<std::string> Lines = serve(S, Input + "QUIT\n");
-  ASSERT_EQ(Lines.size(), 4u);
+  ASSERT_EQ(Lines.size(), 5u);
   std::vector<std::pair<std::string, std::string>> Got;
   for (const std::string &L : Lines)
     Got.push_back({field(L, "id"), field(L, "error")});
@@ -509,6 +513,8 @@ TEST(ServiceServer, PinnedPayloadErrors) {
   const std::vector<std::pair<std::string, std::string>> Want = {
       {"d1", "bad ddg: line 2: duplicate operation name a"},
       {"d2", "bad ddg: line 1: unknown operation in edge"},
+      {"d3", "bad ddg: line 4: zero-distance dependence cycle: loop is "
+             "unschedulable"},
       {"m1", "bad machine: line 2: unknown resource q"},
       {"m2", "bad machine: line 1: machine defines no operation classes"},
   };
@@ -668,6 +674,75 @@ TEST(ServiceServer, ShedsWhenStopping) {
   EXPECT_FALSE(field(Lines[0], "retry_after_ms").empty());
   EXPECT_EQ(S.stats().Shed, 1);
   EXPECT_EQ(S.stats().Accepted, 0);
+}
+
+TEST(ServiceServer, ShedsWhenQueueOrClientCapIsFull) {
+  // One worker and one stream. The first request keeps the worker busy
+  // for its whole 1 s budget: livermore7-eos under the traditional
+  // MinReg formulation is censored even at 20 s, so the rest of the
+  // stream is admitted or shed while it runs, never after. The second
+  // frame fills the last admission slot; every later one is shed.
+  // Admission is bounded twice: by the queue (queued plus running)
+  // and by the client's in-flight cap.
+  MachineModel Cydra = MachineModel::cydraLike();
+  std::string Busy = printDdg(livermore7(Cydra), Cydra);
+  std::string Input = "SCHED id=busy machine=cydra objective=minreg "
+                      "dep=traditional time=1\nDDG " +
+                      std::to_string(countLines(Busy)) + "\n" + Busy +
+                      "END\n";
+  const int Requests = 6;
+  for (int I = 1; I < Requests; ++I)
+    Input += schedFrame("q" + std::to_string(I));
+  Input += "STATS\nQUIT\n";
+
+  struct Cap {
+    const char *Name;
+    int QueueLimit;
+    int ClientInFlightLimit;
+  };
+  for (const Cap &C : {Cap{"queue", 2, 16}, Cap{"client", 16, 2}}) {
+    SCOPED_TRACE(C.Name);
+    ServerOptions O = quickOptions();
+    O.Cache = false;
+    O.QueueLimit = C.QueueLimit;
+    O.ClientInFlightLimit = C.ClientInFlightLimit;
+    Server S(O);
+    std::vector<std::string> Lines = serve(S, Input);
+    // One reply per frame: the STATS reply plus one per SCHED, whether
+    // it was shed at once or answered after it ran.
+    ASSERT_EQ(Lines.size(), size_t(Requests) + 1);
+
+    std::map<std::string, std::string> Status;
+    std::string Stats;
+    for (const std::string &L : Lines) {
+      if (L.find("\"stats\":") != std::string::npos) {
+        Stats = L;
+        continue;
+      }
+      Status[field(L, "id")] = field(L, "status");
+      if (field(L, "status") == "retry_after")
+        EXPECT_EQ(field(L, "retry_after_ms"), std::to_string(O.RetryAfterMs))
+            << L;
+    }
+    ASSERT_EQ(Status.size(), size_t(Requests));
+    EXPECT_EQ(Status["busy"], "timeout") << "the first request must hold "
+                                            "the worker for its budget";
+    EXPECT_EQ(Status["q1"], "ok");
+    for (int I = 2; I < Requests; ++I)
+      EXPECT_EQ(Status["q" + std::to_string(I)], "retry_after") << I;
+
+    // STATS is answered by the reader, after every SCHED frame was
+    // admitted or shed and before the admitted ones finished.
+    EXPECT_EQ(field(Stats, "requests"), std::to_string(Requests)) << Stats;
+    EXPECT_EQ(field(Stats, "accepted"), "2") << Stats;
+    EXPECT_EQ(field(Stats, "shed"), std::to_string(Requests - 2)) << Stats;
+    ServerStats After = S.stats();
+    EXPECT_EQ(After.Requests, Requests);
+    EXPECT_EQ(After.Accepted + After.Shed, After.Requests);
+    EXPECT_EQ(After.Shed, Requests - 2);
+    EXPECT_EQ(After.Completed, After.Accepted);
+    EXPECT_EQ(After.Errors, 0);
+  }
 }
 
 TEST(ServiceServer, SurvivesMidRequestDisconnect) {

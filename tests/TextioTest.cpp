@@ -404,6 +404,21 @@ TEST(DdgFormat, PinnedAcceptRejectAndErrors) {
        "line 2: unknown operation in edge"},
       {"self edge", "op a add\nflow a a latency=1 omega=1\n", true,
        "loop loop\nop a add\nflow a a latency=1 omega=1\n"},
+      // Dependence cycles: one of total distance 0 has no schedule at
+      // any II, so the parser rejects it rather than hand it on.
+      {"zero-distance cycle",
+       std::string(TwoOps) + "edge a b latency=1 omega=0\n"
+                             "edge b a latency=1 omega=0\n",
+       false, "line 4: zero-distance dependence cycle: loop is unschedulable"},
+      {"zero-distance self edge",
+       "op a add\nflow a a latency=0 omega=0\n# end\n", false,
+       "line 3: zero-distance dependence cycle: loop is unschedulable"},
+      {"cycle with distance",
+       std::string(TwoOps) + "edge a b latency=1 omega=0\n"
+                             "edge b a latency=1 omega=1\n",
+       true,
+       "loop loop\nop a add\nop b add\nedge a b latency=1 omega=0\n"
+       "edge b a latency=1 omega=1\n"},
       {"loop arity", "loop\n", false, "line 1: expected: loop <name>"},
       {"loop extra", "loop a b\n", false, "line 1: expected: loop <name>"},
       {"op arity", "op a add x\n", false,
