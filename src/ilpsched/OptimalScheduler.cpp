@@ -187,48 +187,72 @@ OptimalModuloScheduler::scheduleAtIi(const DependenceGraph &G, int II,
 
 ScheduleResult OptimalModuloScheduler::schedule(const DependenceGraph &G,
                                                 lp::SolveContext *Ctx) const {
+  Problem P(G, M, Opts.Formulation);
+  if (std::optional<ScheduleResult> Hit = probeCache(P))
+    return std::move(*Hit);
+  return solve(P, Ctx);
+}
+
+std::optional<ScheduleResult>
+OptimalModuloScheduler::probeCache(const Problem &P) const {
+  if (!Opts.Cache)
+    return std::nullopt;
+  Stopwatch Watch;
+  const uint64_t RequestKey = SolutionCache::requestKey(Opts);
+  std::optional<SolutionCache::Hit> Hit =
+      SolutionCache::global().lookup(P, RequestKey);
+  if (!Hit)
+    return std::nullopt;
+
+  // Served from the cache: the stored canonical solve, re-verified
+  // against THIS graph/machine on lookup. No solver effort fields are
+  // synthesized — a hit honestly reports zero attempts.
+  ScheduleResult Result;
+  Result.Found = true;
+  Result.CacheHit = true;
+  Result.CacheCanonicalHash = P.canonicalHash();
+  Result.CacheRequestKey = RequestKey;
+  Result.II = Hit->II;
+  Result.Mii = Hit->Mii;
+  Result.SecondaryObjective = Hit->SecondaryObjective;
+  Result.Schedule = std::move(Hit->Schedule);
+  Result.Seconds = Watch.seconds();
+  ++StatLoops;
+  ++StatScheduled;
+  if (telemetry::enabled())
+    TimeSchedule.addSample(Result.Seconds);
+  if (telemetry::tracingEnabled())
+    telemetry::instant("ilpsched", "scheduler.done",
+                       {{"mii", Result.Mii},
+                        {"ii", Result.II},
+                        {"found", int64_t(1)},
+                        {"cache_hit", int64_t(1)},
+                        {"timed_out", int64_t(0)},
+                        {"node_limit_hit", int64_t(0)},
+                        {"nodes", int64_t(0)},
+                        {"seconds", Result.Seconds}});
+  return Result;
+}
+
+ScheduleResult OptimalModuloScheduler::solve(const Problem &P,
+                                             lp::SolveContext *Ctx) const {
+  assert(&P.machine() == &M &&
+         "the Problem must be built on this scheduler's machine");
+  const DependenceGraph &G = P.graph();
   ++StatLoops;
   telemetry::TimerScope Time(TimeSchedule,
                              {{"ops", int64_t(G.numOperations())}});
   Stopwatch Watch;
   ScheduleResult Result;
 
-  Problem P(G, M, Opts.Formulation);
   const uint64_t RequestKey = SolutionCache::requestKey(Opts);
   if (Opts.Cache && P.hashExact()) {
     Result.CacheCanonicalHash = P.canonicalHash();
     Result.CacheRequestKey = RequestKey;
   }
-  if (Opts.Cache)
-    if (std::optional<SolutionCache::Hit> Hit =
-            SolutionCache::global().lookup(P, RequestKey)) {
-      // Served from the cache: the stored canonical solve, re-verified
-      // against THIS graph/machine on lookup. No solver effort fields
-      // are synthesized — a hit honestly reports zero attempts.
-      Result.Found = true;
-      Result.CacheHit = true;
-      Result.II = Hit->II;
-      Result.Mii = Hit->Mii;
-      Result.SecondaryObjective = Hit->SecondaryObjective;
-      Result.Schedule = std::move(Hit->Schedule);
-      Result.Seconds = Watch.seconds();
-      ++StatScheduled;
-      if (telemetry::tracingEnabled())
-        telemetry::instant("ilpsched", "scheduler.done",
-                           {{"mii", Result.Mii},
-                            {"ii", Result.II},
-                            {"found", int64_t(1)},
-                            {"cache_hit", int64_t(1)},
-                            {"timed_out", int64_t(0)},
-                            {"node_limit_hit", int64_t(0)},
-                            {"nodes", int64_t(0)},
-                            {"seconds", Result.Seconds}});
-      return Result;
-    }
 
-  // MII depends on the problem alone, so a hit above reports the
-  // stored one; only a miss computes it, before the II search starts
-  // from it.
+  // MII depends on the problem alone, so a cache hit reports the stored
+  // one; only a solve computes it, before the II search starts from it.
   Result.Mii = mii(G, M);
   std::unique_ptr<IiSearchStrategy> Search =
       makeIiSearchStrategy(Opts.Search, Opts.SearchJobs);

@@ -328,9 +328,9 @@ public:
   OptimalModuloScheduler &operator=(const OptimalModuloScheduler &) = delete;
 
   /// Schedules \p G for minimum II (and minimum secondary objective among
-  /// all min-II schedules) using the configured IiSearchKind. With
-  /// SchedulerOptions::Cache, consults the SolutionCache first and
-  /// inserts clean solves afterwards.
+  /// all min-II schedules) using the configured IiSearchKind: probeCache
+  /// then, on a miss, solve. With SchedulerOptions::Cache, the cache is
+  /// consulted first and clean solves are inserted afterwards.
   ///
   /// \p Ctx, when non-null, is a persistent solve context the caller
   /// keeps across calls (one per worker thread, lp/SolveContext.h): its
@@ -341,6 +341,21 @@ public:
   /// contexts, so cross-call reuse only applies to Sequential.
   ScheduleResult schedule(const DependenceGraph &G,
                           lp::SolveContext *Ctx = nullptr) const;
+
+  /// The cache half of schedule(): with SchedulerOptions::Cache on,
+  /// looks \p P up in the SolutionCache under this scheduler's request
+  /// key and returns the re-verified replay (CacheHit set, zero solver
+  /// effort, Seconds = the probe's time). nullopt on a miss, and at once
+  /// with the cache off. Each call is one lookup: a caller that probes
+  /// and then solves must hand the same \p P to solve().
+  std::optional<ScheduleResult> probeCache(const Problem &P) const;
+
+  /// The solve half of schedule(): runs the min-II search on \p P (built
+  /// on this scheduler's machine and formulation options) without
+  /// consulting the cache, then inserts a clean result when
+  /// SchedulerOptions::Cache is on. \p Ctx as for schedule().
+  ScheduleResult solve(const Problem &P,
+                       lp::SolveContext *Ctx = nullptr) const;
 
   /// Solves a single tentative \p II of \p P. Returns nullopt when the
   /// problem is infeasible at this II (or the attempt was censored /

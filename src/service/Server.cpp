@@ -40,16 +40,20 @@ telemetry::Counter StatConnections("service", "connections",
 telemetry::Counter StatRequests("service", "requests",
                                 "SCHED frames received (incl. malformed)");
 telemetry::Counter StatAccepted("service", "accepted",
-                                "Requests admitted to the solve queue");
+                                "Requests admitted (queued, or answered "
+                                "on the reader)");
 telemetry::Counter StatShed("service", "shed",
                             "Requests load-shed with retry_after");
 telemetry::Counter StatErrors("service", "errors",
                               "Error replies (framing or payload)");
 telemetry::Counter StatCompleted("service", "completed",
-                                 "Solve tasks finished (any status)");
+                                 "Requests concluded (any status)");
 telemetry::Counter StatCacheHits("service", "cache_hits",
                                  "Completed requests served from the "
                                  "solution cache");
+telemetry::Counter StatReaderHits("service", "reader_hits",
+                                  "Cache hits answered on the "
+                                  "connection's reader thread");
 telemetry::Counter StatCancelled("service", "cancelled",
                                  "Requests cancelled by client disconnect");
 telemetry::Counter StatInternHits("service", "machine_intern.hits",
@@ -146,6 +150,28 @@ std::shared_ptr<const MachineModel> builtinMachine(const std::string &Name) {
     return M;
   }
   return nullptr;
+}
+
+/// The scheduler options request \p Req asks for under server options
+/// \p Opts. The one place a request becomes SchedulerOptions, so a
+/// frame probed on the reader and one resolved on a worker get the same
+/// cache request key.
+SchedulerOptions requestOptions(const Request &Req, const ServerOptions &Opts) {
+  SchedulerOptions SOpts;
+  SOpts.Formulation.Obj = Req.Obj;
+  SOpts.Formulation.DepStyle = Req.DepStyle;
+  SOpts.Backend = Opts.Backend;
+  SOpts.TimeLimitSeconds =
+      std::min(Req.TimeLimitSeconds > 0 ? Req.TimeLimitSeconds
+                                        : Opts.DefaultTimeLimitSeconds,
+               Opts.MaxTimeLimitSeconds);
+  SOpts.NodeLimit = Req.NodeLimit > 0 ? Req.NodeLimit : Opts.DefaultNodeLimit;
+  if (Req.MaxIiIncrease >= 0)
+    SOpts.MaxIiIncrease = Req.MaxIiIncrease;
+  SOpts.Search = IiSearchKind::Sequential; // Parallelism is across requests.
+  SOpts.Explain = false;
+  SOpts.Cache = Opts.Cache;
+  return SOpts;
 }
 
 /// Renders a 64-bit content address the way the forensics docs write
@@ -279,6 +305,26 @@ struct Server::Connection {
     *Out << Line << '\n';
     Out->flush();
   }
+
+  /// True when none of this connection's requests is queued or running.
+  /// Only the reader adds pending requests, so on the reader an idle
+  /// connection stays idle until it admits the next one.
+  bool idle() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return Pending == 0;
+  }
+};
+
+/// One SCHED request and, once resolved, everything its answer needs.
+/// Resolved and probed once, on the reader or on the worker, and never
+/// moved: Problem and Scheduler refer to G and *M. A job the reader
+/// resolved reaches a worker only as a cache miss.
+struct Server::Job {
+  Request Req;
+  std::shared_ptr<const MachineModel> M;
+  std::optional<DependenceGraph> G;
+  std::optional<OptimalModuloScheduler> Scheduler;
+  std::optional<Problem> P;
 };
 
 //===----------------------------------------------------------------------===//
@@ -387,6 +433,7 @@ std::string Server::statsResponse() const {
   W.key("errors").value(S.Errors);
   W.key("completed").value(S.Completed);
   W.key("cache_hits").value(S.CacheHits);
+  W.key("reader_hits").value(S.ReaderHits);
   W.key("cancelled").value(S.Cancelled);
   W.key("machines_interned").value(S.MachinesInterned);
   W.key("machine_intern_hits").value(S.MachineInternHits);
@@ -399,93 +446,62 @@ std::string Server::statsResponse() const {
   return Out;
 }
 
-void Server::runRequest(const Request &Req, lp::SolveContext &Ctx,
-                        const std::shared_ptr<Connection> &Conn,
-                        const CancellationToken &Cancel) {
-  // Payload parsing happens here on the worker, off the reader thread:
-  // a hostile payload costs its own budget, not the connection's. A
-  // machine text seen before is not parsed again (internMachine).
+bool Server::resolve(Job &J, Connection &Conn) {
+  // A machine text seen before is not parsed again (internMachine).
   std::string Error;
-  std::shared_ptr<const MachineModel> M =
-      Req.BuiltinMachine.empty() ? internMachine(Req.MachineText, &Error)
-                                 : builtinMachine(Req.BuiltinMachine);
-  if (!M) {
+  const char *What = "bad machine: ";
+  J.M = J.Req.BuiltinMachine.empty()
+            ? internMachine(J.Req.MachineText, &Error)
+            : builtinMachine(J.Req.BuiltinMachine);
+  if (J.M) {
+    What = "bad ddg: ";
+    J.G = parseDdg(J.Req.DdgText, *J.M, &Error);
+  }
+  if (!J.G) {
     ++StatErrors;
     {
       std::lock_guard<std::mutex> Lock(Mu);
       ++Stat.Errors;
     }
-    Conn->writeLine(errorResponse(Req.Id, "bad machine: " + Error));
-    return;
+    Conn.writeLine(errorResponse(J.Req.Id, What + Error));
+    return false;
   }
+  J.Scheduler.emplace(*J.M, requestOptions(J.Req, Opts));
+  J.P.emplace(*J.G, *J.M, J.Scheduler->options().Formulation);
+  return true;
+}
 
-  std::optional<DependenceGraph> G = parseDdg(Req.DdgText, *M, &Error);
-  if (!G) {
-    ++StatErrors;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++Stat.Errors;
-    }
-    Conn->writeLine(errorResponse(Req.Id, "bad ddg: " + Error));
-    return;
-  }
-
-  SchedulerOptions SOpts;
-  SOpts.Formulation.Obj = Req.Obj;
-  SOpts.Formulation.DepStyle = Req.DepStyle;
-  SOpts.Backend = Opts.Backend;
-  SOpts.TimeLimitSeconds =
-      std::min(Req.TimeLimitSeconds > 0 ? Req.TimeLimitSeconds
-                                        : Opts.DefaultTimeLimitSeconds,
-               Opts.MaxTimeLimitSeconds);
-  SOpts.NodeLimit = Req.NodeLimit > 0 ? Req.NodeLimit : Opts.DefaultNodeLimit;
-  if (Req.MaxIiIncrease >= 0)
-    SOpts.MaxIiIncrease = Req.MaxIiIncrease;
-  SOpts.Search = IiSearchKind::Sequential; // Parallelism is across requests.
-  SOpts.Explain = false;
-  SOpts.Cache = Opts.Cache;
-
-  // Arm the worker's persistent context for this request: absolute
-  // deadline plus the connection's cancellation token. Restored below —
-  // the workspace is what persists, never budgets.
-  Ctx.DeadlineSeconds = monotonicSeconds() + SOpts.TimeLimitSeconds;
-  Ctx.Cancel = Cancel;
-
-  OptimalModuloScheduler Scheduler(*M, SOpts);
-  ScheduleResult R = Scheduler.schedule(*G, &Ctx);
-
-  Ctx.DeadlineSeconds = lp::NoDeadline;
-  Ctx.Cancel = CancellationToken();
-
-  const char *Status = "unsolved";
-  if (R.Found)
-    Status = "ok";
-  else if (Cancel.cancelled())
-    Status = "cancelled";
-  else if (R.TimedOut)
-    Status = "timeout";
-  else if (R.NodeLimitHit)
-    Status = "node_limit";
-
+void Server::reply(const Job &J, const ScheduleResult &R, const char *Status,
+                   Connection &Conn, bool OnReader) {
   ++StatCompleted;
   if (R.CacheHit)
     ++StatCacheHits;
+  if (OnReader) {
+    ++StatRequests;
+    ++StatAccepted;
+    ++StatReaderHits;
+  }
   {
     std::lock_guard<std::mutex> Lock(Mu);
     ++Stat.Completed;
     if (R.CacheHit)
       ++Stat.CacheHits;
+    if (OnReader) {
+      ++Stat.Requests;
+      ++Stat.Accepted;
+      ++Stat.ReaderHits;
+    }
   }
 
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
   W.key("proto").value(ProtocolVersion);
-  W.key("id").value(Req.Id);
+  W.key("id").value(J.Req.Id);
   W.key("status").value(Status);
-  W.key("loop").value(G->name());
-  W.key("ops").value(static_cast<int>(G->numOperations()));
-  W.key("objective").value(toString(Req.Obj));
+  W.key("loop").value(J.G->name());
+  W.key("ops").value(static_cast<int>(J.G->numOperations()));
+  W.key("objective").value(toString(J.Req.Obj));
   W.key("mii").value(R.Mii);
   W.key("cache_hit").value(R.CacheHit);
   if (R.CacheCanonicalHash != 0) {
@@ -509,10 +525,68 @@ void Server::runRequest(const Request &Req, lp::SolveContext &Ctx,
     }
   }
   W.endObject();
-  Conn->writeLine(Out);
+  Conn.writeLine(Out);
+}
+
+void Server::runRequest(Job &J, lp::SolveContext &Ctx, Connection &Conn,
+                        const CancellationToken &Cancel) {
+  // A request the reader did not resolve is parsed and probed here, on
+  // the worker: its connection was busy, or the cache is off.
+  std::optional<ScheduleResult> R;
+  if (!J.Scheduler) {
+    if (!resolve(J, Conn))
+      return;
+    R = J.Scheduler->probeCache(*J.P);
+  }
+  const OptimalModuloScheduler &Scheduler = *J.Scheduler;
+  if (!R) {
+    // Arm the worker's persistent context for this request: absolute
+    // deadline plus the connection's cancellation token. Restored below
+    // — the workspace is what persists, never budgets.
+    Ctx.DeadlineSeconds =
+        monotonicSeconds() + Scheduler.options().TimeLimitSeconds;
+    Ctx.Cancel = Cancel;
+    R = Scheduler.solve(*J.P, &Ctx);
+    Ctx.DeadlineSeconds = lp::NoDeadline;
+    Ctx.Cancel = CancellationToken();
+  }
+
+  const char *Status = "unsolved";
+  if (R->Found)
+    Status = "ok";
+  else if (Cancel.cancelled())
+    Status = "cancelled";
+  else if (R->TimedOut)
+    Status = "timeout";
+  else if (R->NodeLimitHit)
+    Status = "node_limit";
+  reply(J, *R, Status, Conn, /*OnReader=*/false);
 }
 
 void Server::admit(Request Req, const std::shared_ptr<Connection> &Conn) {
+  auto J = std::make_shared<Job>();
+  J->Req = std::move(Req);
+
+  // On an idle connection the reader resolves and probes the request
+  // itself: a hit is answered here without a worker or a queue slot,
+  // and no reply of this connection can be overtaken by it. A bad
+  // payload is answered here too; a miss goes to a worker with its
+  // parsed loop and Problem.
+  if (Opts.Cache && !stopping() && Conn->idle()) {
+    if (!resolve(*J, *Conn)) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      ++Stat.Requests;
+      ++Stat.Accepted;
+      ++StatRequests;
+      ++StatAccepted;
+      return;
+    }
+    if (std::optional<ScheduleResult> Hit = J->Scheduler->probeCache(*J->P)) {
+      reply(*J, *Hit, "ok", *Conn, /*OnReader=*/true);
+      return;
+    }
+  }
+
   auto Source = std::make_shared<CancellationSource>();
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -524,10 +598,9 @@ void Server::admit(Request Req, const std::shared_ptr<Connection> &Conn) {
     if (stopping() || QueueFull || ClientFull) {
       ++Stat.Shed;
       ++StatShed;
-      // Written outside the admission lock? No: the reply is one line
-      // on the connection's own mutex; holding Mu here is fine (no
-      // lock-order cycle — writeLine never takes Mu).
-      Conn->writeLine(retryAfterResponse(Req.Id, Opts.RetryAfterMs));
+      // The reply is one line on the connection's own mutex; holding Mu
+      // here is fine (no lock-order cycle — writeLine never takes Mu).
+      Conn->writeLine(retryAfterResponse(J->Req.Id, Opts.RetryAfterMs));
       return;
     }
     ++Stat.Accepted;
@@ -541,9 +614,9 @@ void Server::admit(Request Req, const std::shared_ptr<Connection> &Conn) {
     Conn->Active.push_back(Source);
   }
 
-  Pool->submit([this, Req = std::move(Req), Conn, Source]() {
+  Pool->submit([this, J, Conn, Source]() {
     std::unique_ptr<lp::SolveContext> Ctx = borrowContext();
-    runRequest(Req, *Ctx, Conn, Source->token());
+    runRequest(*J, *Ctx, *Conn, Source->token());
     returnContext(std::move(Ctx));
     {
       std::lock_guard<std::mutex> Lock(Mu);

@@ -13,11 +13,19 @@
 /// SolutionCache (on by default here) turns repeated submissions of
 /// canonically equal loops into verified replays.
 ///
+/// A SCHED frame that arrives on a connection with nothing in flight is
+/// resolved (machine, parseDdg) and probed against the cache on the
+/// connection's reader thread; a hit is answered there and never takes
+/// a worker. Misses, frames behind an in-flight request of the same
+/// connection, and every frame with the cache off go to a worker, a
+/// probed miss carrying its parsed loop and Problem along.
+///
 /// Admission control (docs/SERVICE.md): the queue of queued-plus-running
 /// requests is bounded; a full queue or a client exceeding its in-flight
 /// cap gets an immediate "retry_after" reply instead of unbounded
-/// buffering. Responses are one JSON line each, tagged with the request
-/// id; completion order is not arrival order (clients match on id).
+/// buffering. A hit answered on the reader takes no queue slot.
+/// Responses are one JSON line each, tagged with the request id;
+/// completion order is not arrival order (clients match on id).
 ///
 /// Shutdown is a graceful drain: stop admitting, let in-flight solves
 /// finish (their responses are still written), then join the workers.
@@ -91,11 +99,15 @@ struct ServerOptions {
 struct ServerStats {
   std::int64_t Connections = 0; ///< Streams served (stdio or socket).
   std::int64_t Requests = 0;    ///< SCHED frames received (incl. bad).
-  std::int64_t Accepted = 0;    ///< Requests admitted to the queue.
+  /// Requests admitted: queued for a worker or answered on the reader.
+  std::int64_t Accepted = 0;
   std::int64_t Shed = 0;        ///< Requests load-shed (retry_after).
   std::int64_t Errors = 0;      ///< Error replies (parse or payload).
-  std::int64_t Completed = 0;   ///< Solve tasks finished (any status).
+  std::int64_t Completed = 0;   ///< Requests concluded (any status).
   std::int64_t CacheHits = 0;   ///< Completed requests served from cache.
+  /// Cache hits answered on the connection's reader thread (a subset of
+  /// CacheHits that never took a worker or a queue slot).
+  std::int64_t ReaderHits = 0;
   std::int64_t Cancelled = 0;   ///< Requests cancelled by disconnect.
   /// Inline MACHINE payloads served by an interned model (no parse).
   std::int64_t MachineInternHits = 0;
@@ -117,7 +129,10 @@ public:
   /// serialized per line), returns after QUIT or EOF once every
   /// admitted request of this stream has completed. \p ClientId names
   /// the stream for the per-client in-flight cap. EOF with solves still
-  /// in flight cancels them (mid-request disconnect).
+  /// in flight cancels them (mid-request disconnect). The calling thread
+  /// parses payloads and probes the solution cache itself, so a thread
+  /// other than the main one must hold a telemetry::ThreadShardScope
+  /// (acceptLoop's handlers do).
   void serveStream(std::istream &In, std::ostream &Out,
                    const std::string &ClientId);
 
@@ -165,15 +180,28 @@ public:
 
 private:
   struct Connection; // Per-stream response mutex + in-flight tracking.
+  struct Job;        // One SCHED request and its resolved payload.
 
-  /// Admission verdict for one parsed request on \p Conn; either
-  /// submits the solve task or writes the shed/error reply inline.
+  /// Takes one framed SCHED request on \p Conn's reader thread: answers
+  /// a cache hit (or a bad payload) at once when the connection is idle,
+  /// else admits the request to the pool or writes the shed reply.
   void admit(Request Req, const std::shared_ptr<Connection> &Conn);
 
+  /// Resolves \p J's payload: its machine (interned or built in), its
+  /// loop (parseDdg), the scheduler its request configures and the
+  /// Problem. On a bad payload writes the error reply, counts it and
+  /// returns false.
+  bool resolve(Job &J, Connection &Conn);
+
   /// Runs one admitted request on a pool worker.
-  void runRequest(const Request &Req, lp::SolveContext &Ctx,
-                  const std::shared_ptr<Connection> &Conn,
+  void runRequest(Job &J, lp::SolveContext &Ctx, Connection &Conn,
                   const CancellationToken &Cancel);
+
+  /// Counts and writes the reply to resolved request \p J, concluded
+  /// with \p R and \p Status; \p OnReader marks a hit answered on the
+  /// reader (counted as a request, admitted and completed at once).
+  void reply(const Job &J, const ScheduleResult &R, const char *Status,
+             Connection &Conn, bool OnReader);
 
   /// Borrows / returns one persistent worker solve context. At most
   /// Opts.Workers borrows are outstanding (tasks only run on workers).

@@ -301,7 +301,8 @@ private:
 };
 
 /// Accumulated wall-clock time of a named phase, self-registered at
-/// construction. Only TimerScope mutates it, and only while enabled().
+/// construction. Only TimerScope (or a caller that timed the phase
+/// itself, through addSample) mutates it, and only while enabled().
 /// Shares the Counter thread model: plain adds on the owning thread,
 /// shard accumulation on ThreadShardScope threads.
 class PhaseTimer {

@@ -89,21 +89,58 @@ TEST(OptimalScheduler, IiSearchSkipsInfeasibleMii) {
 }
 
 TEST(OptimalScheduler, MinRegNeverWorseThanNoObj) {
+  // Only deterministic budgets censor here: 200 000 nodes (B&B nodes
+  // plus CDCL conflicts) decide every kernel that any backend decides
+  // within 30 s (PB needs 196 833 conflicts on fir4, the ILP 6 316
+  // nodes on hydro2d-fragment), and the wall clock is a safety net far
+  // above what any solve takes, even under a sanitizer. The censored
+  // MinReg solves are pinned by name:
+  //   * PB stops complex-multiply, hydro2d-fragment and livermore7-eos
+  //     at the node budget, the portfolio livermore7-eos (its PB side;
+  //     its ILP side decides hydro2d-fragment);
+  //   * the ILP stops livermore7-eos at node 180, where a node LP runs
+  //     out of its 200 000-pivot budget. B&B reports that as a time
+  //     limit, so ScheduleResult says TimedOut, not NodeLimitHit.
   MachineModel M = MachineModel::example3();
+  const SchedulerBackend Backend = test::variantOptions().Backend;
+  enum class Censor { None, Nodes, Pivots };
+  auto CensorOf = [&](const std::string &Name) {
+    if (Name == "livermore7-eos")
+      return Backend == SchedulerBackend::Ilp ? Censor::Pivots : Censor::Nodes;
+    if ((Name == "complex-multiply" || Name == "hydro2d-fragment") &&
+        Backend == SchedulerBackend::Pb)
+      return Censor::Nodes;
+    return Censor::None;
+  };
   for (const DependenceGraph &G : allKernels(M)) {
-    OptimalModuloScheduler NoObj(
-        M, makeOpts(Objective::None, DependenceStyle::Structured));
-    OptimalModuloScheduler MinReg(
-        M, makeOpts(Objective::MinReg, DependenceStyle::Structured));
-    ScheduleResult A = NoObj.schedule(G);
-    ScheduleResult B = MinReg.schedule(G);
-    if (A.TimedOut || B.TimedOut)
-      continue; // Large kernels may exceed the test budget.
-    ASSERT_TRUE(A.Found && B.Found) << G.name();
-    EXPECT_EQ(A.II, B.II) << G.name(); // Same minimum II.
+    SCOPED_TRACE(G.name());
+    SchedulerOptions NoObjOpts =
+        makeOpts(Objective::None, DependenceStyle::Structured);
+    SchedulerOptions MinRegOpts =
+        makeOpts(Objective::MinReg, DependenceStyle::Structured);
+    for (SchedulerOptions *O : {&NoObjOpts, &MinRegOpts}) {
+      O->NodeLimit = 200000;
+      O->TimeLimitSeconds = 3600.0;
+    }
+    ScheduleResult A = OptimalModuloScheduler(M, NoObjOpts).schedule(G);
+    ScheduleResult B = OptimalModuloScheduler(M, MinRegOpts).schedule(G);
+    ASSERT_TRUE(A.Found);
+    const Censor By = CensorOf(G.name());
+    if (By != Censor::None) {
+      EXPECT_FALSE(B.Found);
+      if (By == Censor::Nodes) {
+        EXPECT_TRUE(B.NodeLimitHit);
+      } else {
+        EXPECT_TRUE(B.TimedOut);
+        EXPECT_FALSE(B.NodeLimitHit);
+        EXPECT_LT(B.Nodes, 1000);
+      }
+      continue;
+    }
+    ASSERT_TRUE(B.Found);
+    EXPECT_EQ(A.II, B.II); // Same minimum II.
     EXPECT_LE(computeRegisterPressure(G, B.Schedule).MaxLive,
-              computeRegisterPressure(G, A.Schedule).MaxLive)
-        << G.name();
+              computeRegisterPressure(G, A.Schedule).MaxLive);
   }
 }
 

@@ -17,6 +17,10 @@
 //     cap, graceful drain on QUIT, a daemon that keeps serving
 //     after a mid-request disconnect, and one portfolio-backend worker
 //     serving several loops back to back with the ILP's verdicts.
+//   * Cache hits on the reader thread: a hit is answered while the only
+//     worker is busy, each request probes the cache once, a hit behind
+//     an in-flight frame of its stream waits for it, and STATS counts
+//     reader hits as accepted and completed.
 //   * Machine interning: a repeated MACHINE text reuses one model, a
 //     one-byte variant gets its own, the table stays at its bound, bad
 //     text is never interned, and two workers share one model.
@@ -30,6 +34,7 @@
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "sched/Verifier.h"
+#include "support/Telemetry.h"
 #include "textio/DdgFormat.h"
 #include "textio/MachineFormat.h"
 #include "workloads/KernelLibrary.h"
@@ -37,6 +42,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -745,6 +752,129 @@ TEST(ServiceServer, ShedsWhenQueueOrClientCapIsFull) {
   }
 }
 
+/// A SCHED frame that holds a worker for its whole 1 s budget:
+/// livermore7-eos under the traditional MinReg formulation is censored
+/// even at 20 s.
+std::string busyFrame(const std::string &Id) {
+  MachineModel Cydra = MachineModel::cydraLike();
+  std::string Busy = printDdg(livermore7(Cydra), Cydra);
+  return "SCHED id=" + Id +
+         " machine=cydra objective=minreg dep=traditional time=1\nDDG " +
+         std::to_string(countLines(Busy)) + "\n" + Busy + "END\n";
+}
+
+/// The merged value of telemetry counter \p Name. Pool workers merge
+/// their shards when they exit, so read it once the server is gone.
+int64_t counterValue(const char *Name) {
+  telemetry::Counter *C = telemetry::findCounter(Name);
+  return C ? C->value() : 0;
+}
+
+TEST(ServiceServer, ReaderAnswersHitWhileTheOnlyWorkerIsBusy) {
+  // Stream A's frame holds the only worker for 1 s. Stream B resubmits
+  // a cached loop meanwhile: its reader answers the hit itself, long
+  // before A's reply.
+  Server S(quickOptions());
+  ASSERT_EQ(serve(S, schedFrame("warm") + "QUIT\n", "warm").size(), 1u);
+  const ServerStats Warm = S.stats();
+
+  std::atomic<bool> ADone{false};
+  std::vector<std::string> ALines;
+  std::thread A([&] {
+    telemetry::ThreadShardScope Shard; // A reader records solver stats.
+    ALines = serve(S, busyFrame("busy") + "QUIT\n", "A");
+    ADone.store(true);
+  });
+  while (S.stats().Accepted == Warm.Accepted)
+    std::this_thread::yield();
+
+  const auto Start = std::chrono::steady_clock::now();
+  std::vector<std::string> BLines = serve(S, schedFrame("hit") + "QUIT\n", "B");
+  const double BSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - Start)
+                              .count();
+  const bool AWasRunning = !ADone.load();
+  A.join();
+
+  ASSERT_EQ(BLines.size(), 1u);
+  EXPECT_EQ(field(BLines[0], "status"), "ok") << BLines[0];
+  EXPECT_EQ(field(BLines[0], "cache_hit"), "true") << BLines[0];
+  EXPECT_TRUE(AWasRunning) << "B's hit waited for A's solve (" << BSeconds
+                           << " s)";
+  EXPECT_LT(BSeconds, 0.5);
+  ASSERT_EQ(ALines.size(), 1u);
+  EXPECT_EQ(field(ALines[0], "status"), "timeout") << ALines[0];
+  EXPECT_EQ(S.stats().ReaderHits, Warm.ReaderHits + 1);
+}
+
+TEST(ServiceServer, OneMissAndOneHitProbeTheCacheOnce) {
+  // A miss resolved and probed on the reader is solved on the worker
+  // without a second lookup; a hit is one lookup on the reader.
+  SolutionCache::global().clear();
+  const int64_t Hits0 = counterValue("ilpsched/cache.hits");
+  const int64_t Misses0 = counterValue("ilpsched/cache.misses");
+  {
+    Server S(quickOptions());
+    std::vector<std::string> Lines = serve(S, schedFrame("miss") + "QUIT\n");
+    ASSERT_EQ(Lines.size(), 1u);
+    EXPECT_EQ(field(Lines[0], "cache_hit"), "false") << Lines[0];
+  }
+  EXPECT_EQ(counterValue("ilpsched/cache.misses") - Misses0, 1);
+  EXPECT_EQ(counterValue("ilpsched/cache.hits") - Hits0, 0);
+  {
+    Server S(quickOptions());
+    std::vector<std::string> Lines = serve(S, schedFrame("hit") + "QUIT\n");
+    ASSERT_EQ(Lines.size(), 1u);
+    EXPECT_EQ(field(Lines[0], "cache_hit"), "true") << Lines[0];
+    EXPECT_EQ(S.stats().ReaderHits, 1);
+  }
+  EXPECT_EQ(counterValue("ilpsched/cache.misses") - Misses0, 1);
+  EXPECT_EQ(counterValue("ilpsched/cache.hits") - Hits0, 1);
+}
+
+TEST(ServiceServer, HitBehindAnInFlightFrameIsAnsweredAfterIt) {
+  // The hit follows a frame the only worker is still running on the
+  // same stream: it queues behind it, so it cannot overtake it.
+  Server S(quickOptions());
+  ASSERT_EQ(serve(S, schedFrame("warm") + "QUIT\n", "warm").size(), 1u);
+  const int64_t ReaderHits0 = S.stats().ReaderHits;
+  std::vector<std::string> Lines =
+      serve(S, busyFrame("busy") + schedFrame("hit") + "QUIT\n");
+  ASSERT_EQ(Lines.size(), 2u);
+  EXPECT_EQ(field(Lines[0], "id"), "busy") << Lines[0];
+  EXPECT_EQ(field(Lines[0], "status"), "timeout") << Lines[0];
+  EXPECT_EQ(field(Lines[1], "id"), "hit") << Lines[1];
+  EXPECT_EQ(field(Lines[1], "cache_hit"), "true") << Lines[1];
+  EXPECT_EQ(S.stats().ReaderHits, ReaderHits0);
+}
+
+TEST(ServiceServer, StatsCountReaderHitsAsAcceptedAndCompleted) {
+  SolutionCache::global().clear(); // So the first frame is a miss.
+  Server S(quickOptions());
+  std::string Input = schedFrame("warm") + "QUIT\n";
+  ASSERT_EQ(serve(S, Input, "warm").size(), 1u);
+  Input.clear();
+  for (int I = 0; I < 3; ++I)
+    Input += schedFrame("h" + std::to_string(I));
+  std::vector<std::string> Lines = serve(S, Input + "STATS\nQUIT\n");
+  ASSERT_EQ(Lines.size(), 4u);
+  for (int I = 0; I < 3; ++I) {
+    EXPECT_EQ(field(Lines[size_t(I)], "id"), "h" + std::to_string(I));
+    EXPECT_EQ(field(Lines[size_t(I)], "cache_hit"), "true")
+        << Lines[size_t(I)];
+  }
+  const std::string &Stats = Lines[3];
+  EXPECT_EQ(field(Stats, "requests"), "4") << Stats;
+  EXPECT_EQ(field(Stats, "accepted"), "4") << Stats;
+  EXPECT_EQ(field(Stats, "shed"), "0") << Stats;
+  EXPECT_EQ(field(Stats, "completed"), "4") << Stats;
+  EXPECT_EQ(field(Stats, "reader_hits"), "3") << Stats;
+  const ServerStats After = S.stats();
+  EXPECT_EQ(After.Accepted + After.Shed, After.Requests);
+  EXPECT_EQ(After.Completed, After.Accepted);
+  EXPECT_EQ(After.CacheHits, 3);
+}
+
 TEST(ServiceServer, SurvivesMidRequestDisconnect) {
   Server S(quickOptions());
   // Stream dies inside a DDG payload: fatal framing error, reply
@@ -904,6 +1034,7 @@ TEST(ServiceServer, TwoWorkersShareOneInternedModel) {
   std::vector<std::thread> Clients;
   for (int C = 0; C < 2; ++C)
     Clients.emplace_back([&, C] {
+      telemetry::ThreadShardScope Shard; // A reader records solver stats.
       std::string Input;
       for (const char *Obj : Objectives)
         Input += inlineFrame(std::to_string(C) + Obj, Text,
