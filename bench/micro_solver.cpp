@@ -3,9 +3,8 @@
 // google-benchmark timings of the solver stack on representative
 // formulations, plus the ablations called out in DESIGN.md:
 //  * structured vs traditional vs structured-without-tightening (Ineq. 19)
-//  * branch-rule variants
-//  * integral-objective bound rounding on/off
 //  * ASAP/ALAP stage-bound tightening on/off
+//  * warm-started vs cold node LPs
 //
 //===----------------------------------------------------------------------===//
 
@@ -159,46 +158,6 @@ void BM_MipTraditional(benchmark::State &State) {
 }
 BENCHMARK(BM_MipTraditional)->Unit(benchmark::kMillisecond);
 
-void BM_BranchRule(benchmark::State &State) {
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = benchLoop(M);
-  MipOptions Opts;
-  Opts.Branching = static_cast<BranchRule>(State.range(0));
-  MipResult Last;
-  for (auto _ : State) {
-    Last = solveLoop(M, G, Objective::MinReg, DependenceStyle::Structured,
-                     Opts);
-    benchmark::DoNotOptimize(Last.Objective);
-  }
-  State.counters["bb_nodes"] = static_cast<double>(Last.Nodes);
-  recordSolve("BM_BranchRule/" + std::to_string(State.range(0)), G, Last);
-}
-BENCHMARK(BM_BranchRule)
-    ->Arg(0) // MostFractional
-    ->Arg(1) // FirstFractional
-    ->Arg(2) // LastFractional
-    ->Unit(benchmark::kMillisecond);
-
-void BM_IntegralObjectiveRounding(benchmark::State &State) {
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = benchLoop(M);
-  MipOptions Opts;
-  Opts.IntegralObjective = State.range(0) != 0;
-  MipResult Last;
-  for (auto _ : State) {
-    Last = solveLoop(M, G, Objective::MinReg, DependenceStyle::Structured,
-                     Opts);
-    benchmark::DoNotOptimize(Last.Objective);
-  }
-  recordSolve("BM_IntegralObjectiveRounding/" +
-                  std::to_string(State.range(0)),
-              G, Last);
-}
-BENCHMARK(BM_IntegralObjectiveRounding)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_StageBoundTightening(benchmark::State &State) {
   MachineModel M = MachineModel::cydraLike();
   DependenceGraph G = benchLoop(M);
@@ -315,23 +274,6 @@ BENCHMARK(BM_PortfolioVsBest)
     ->Arg(1) // PB alone
     ->Arg(2) // portfolio race with bound sharing
     ->Unit(benchmark::kMillisecond);
-
-void BM_NodePresolve(benchmark::State &State) {
-  // Ablation: bound propagation at every branch-and-bound node.
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = benchLoop(M);
-  MipOptions Opts;
-  Opts.NodePresolve = State.range(0) != 0;
-  MipResult Last;
-  for (auto _ : State) {
-    Last = solveLoop(M, G, Objective::MinReg, DependenceStyle::Structured,
-                     Opts);
-    benchmark::DoNotOptimize(Last.Objective);
-  }
-  State.counters["bb_nodes"] = static_cast<double>(Last.Nodes);
-  recordSolve("BM_NodePresolve/" + std::to_string(State.range(0)), G, Last);
-}
-BENCHMARK(BM_NodePresolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_InstanceMapping(benchmark::State &State) {
   // Counting (Ineq. 5) vs instance-mapped ([5]) resource constraints.

@@ -142,11 +142,14 @@ private:
   bool Active;
 };
 
+/// Integrality tolerance: an integer variable within this distance of
+/// an integer counts as integral.
+constexpr double IntegralityTol = 1e-6;
+
 /// Returns the index of the integer variable to branch on, or -1 if \p X
-/// is integral on all integer variables. Only variables of the highest
-/// priority class with a fractional member are considered.
-int pickBranchVariable(const Model &M, const std::vector<double> &X,
-                       double IntTol, BranchRule Rule) {
+/// is integral on all integer variables: the most fractional variable of
+/// the highest priority class with a fractional member.
+int pickBranchVariable(const Model &M, const std::vector<double> &X) {
   int Best = -1;
   double BestScore = -1.0;
   int BestPriority = INT_MIN;
@@ -156,30 +159,17 @@ int pickBranchVariable(const Model &M, const std::vector<double> &X,
       continue;
     double Frac = X[Var] - std::floor(X[Var]);
     double Dist = std::min(Frac, 1.0 - Frac);
-    if (Dist <= IntTol)
+    if (Dist <= IntegralityTol)
       continue;
     if (V.BranchPriority < BestPriority)
       continue;
-    bool HigherClass = V.BranchPriority > BestPriority;
-    if (HigherClass) {
+    if (V.BranchPriority > BestPriority) {
       BestPriority = V.BranchPriority;
-      BestScore = -1.0;
-      Best = Var; // Any fractional var of the new class beats the old.
+      BestScore = -1.0; // Any fractional var of the new class beats the old.
     }
-    switch (Rule) {
-    case BranchRule::FirstFractional:
-      if (HigherClass)
-        break; // Keep the first (smallest-index) one of this class.
-      break;
-    case BranchRule::LastFractional:
+    if (Dist > BestScore) {
+      BestScore = Dist;
       Best = Var;
-      break;
-    case BranchRule::MostFractional:
-      if (Dist > BestScore) {
-        BestScore = Dist;
-        Best = Var;
-      }
-      break;
     }
   }
   return Best;
@@ -204,11 +194,9 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
   double Incumbent = 1e300;
   bool Aborted = false;
 
-  // Lower bound on the objective value implied by an LP bound, after
-  // integral-objective rounding.
-  auto TightenBound = [this](double LpBound) {
-    if (!Opts.IntegralObjective)
-      return LpBound;
+  // Lower bound on the objective value implied by an LP bound: the
+  // objective is integral (MipSolver's precondition), so round up.
+  auto TightenBound = [](double LpBound) {
     return std::ceil(LpBound - 1e-6);
   };
 
@@ -235,11 +223,11 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
   // LP solver state hoisted out of the node loop: the solver's own
   // wall-clock budget is folded into the context deadline once (an
   // absolute deadline on the shared clock, restored on exit by the
-  // scope — no per-node remaining-time arithmetic), and every node LP
-  // reuses the context's persistent workspace. With depth-first search
-  // the preferred child is solved immediately after its parent, so the
-  // workspace engine usually still realizes the parent basis and the
-  // warm start skips refactorization entirely.
+  // scope — the only clock the search and its node LPs check), and
+  // every node LP reuses the context's persistent workspace. With
+  // depth-first search the preferred child is solved immediately after
+  // its parent, so the workspace engine usually still realizes the
+  // parent basis and the warm start skips refactorization entirely.
   lp::DeadlineScope Deadline(Ctx, Opts.TimeLimitSeconds);
   lp::SimplexOptions LpOpts = Opts.Lp;
   if (Opts.CollectFarkas)
@@ -260,7 +248,7 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
       Aborted = true;
       break;
     }
-    if (Watch.seconds() > Opts.TimeLimitSeconds || Ctx.deadlineExpired())
+    if (Ctx.deadlineExpired())
       Result.HitTimeLimit = true;
     if (Result.Nodes >= Opts.NodeLimit)
       Result.HitNodeLimit = true;
@@ -321,25 +309,23 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
       }
     }
 
-    if (Opts.NodePresolve) {
-      PropagationStats PStats;
-      PropagationResult PR = propagateBounds(M, CurLower, CurUpper,
-                                             /*MaxRounds=*/8, &PStats, &Trail);
-      Result.PresolveFixedVariables += PStats.FixedVariables;
-      if (Monitor.active() && PStats.FixedVariables > 0) {
-        BbEventInfo Info = MakeInfo(BbEvent::PresolveFixed);
-        Info.FixedVariables = PStats.FixedVariables;
-        Monitor.notify(Info);
-      }
-      if (PR == PropagationResult::Infeasible) {
-        ++Result.InfeasibleNodes;
-        ++StatInfeasibleNodes;
-        if (Monitor.active())
-          Monitor.notify(MakeInfo(BbEvent::NodeInfeasible));
-        if (IsRoot)
-          break; // Root proved infeasible without an LP.
-        continue;
-      }
+    PropagationStats PStats;
+    PropagationResult PR = propagateBounds(M, CurLower, CurUpper,
+                                           /*MaxRounds=*/8, &PStats, &Trail);
+    Result.PresolveFixedVariables += PStats.FixedVariables;
+    if (Monitor.active() && PStats.FixedVariables > 0) {
+      BbEventInfo Info = MakeInfo(BbEvent::PresolveFixed);
+      Info.FixedVariables = PStats.FixedVariables;
+      Monitor.notify(Info);
+    }
+    if (PR == PropagationResult::Infeasible) {
+      ++Result.InfeasibleNodes;
+      ++StatInfeasibleNodes;
+      if (Monitor.active())
+        Monitor.notify(MakeInfo(BbEvent::NodeInfeasible));
+      if (IsRoot)
+        break; // Root proved infeasible without an LP.
+      continue;
     }
 
     const lp::Basis *Start =
@@ -361,12 +347,16 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
 
     if (Relax.Status == LpStatus::IterationLimit) {
       // Cannot bound this subtree; give up on exactness. The LP reports
-      // the same status for a cancelled context, a deadline expiry, and
-      // a genuine pivot-budget exhaustion — the context disambiguates.
+      // the same status for its three causes — a cancelled context, an
+      // expired deadline, and its pivot cap — and the context tells
+      // them apart. The pivot cap is a deterministic effort budget, like
+      // the node budget.
       if (Ctx.cancelled())
         Result.Cancelled = true;
-      else
+      else if (Ctx.deadlineExpired())
         Result.HitTimeLimit = true;
+      else
+        Result.HitNodeLimit = true;
       Aborted = true;
       IsRoot = false;
       break;
@@ -436,8 +426,7 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
       }
     }
 
-    int BranchVar =
-        pickBranchVariable(M, Relax.Values, Opts.IntTol, Opts.Branching);
+    int BranchVar = pickBranchVariable(M, Relax.Values);
     if (BranchVar < 0) {
       // Integral: new incumbent.
       double Obj = Relax.Objective;
@@ -446,7 +435,7 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
         Result.HasSolution = true;
         Result.Objective = Obj;
         Result.Values = Relax.Values;
-        roundIntegralValues(Result.Values, Opts.IntTol);
+        roundIntegralValues(Result.Values, IntegralityTol);
         ++Result.Incumbents;
         ++StatIncumbents;
         if (Opts.CollectTrajectory)

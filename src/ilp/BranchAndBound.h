@@ -42,12 +42,11 @@ enum class MipStatus {
 /// Returns a printable name for \p Status.
 const char *toString(MipStatus Status);
 
-/// How the branching variable is selected (ablation knob; the default is
-/// what the benchmarks use).
+/// How the branching variable is selected: the variable whose fractional
+/// part is closest to 1/2, within the highest branching-priority class
+/// that has a fractional member.
 enum class BranchRule {
-  MostFractional,  ///< Fractional part closest to 1/2.
-  FirstFractional, ///< Smallest variable index.
-  LastFractional,  ///< Largest variable index.
+  MostFractional, ///< Fractional part closest to 1/2.
 };
 
 /// Kinds of search events reported to a BbObserver (and, when tracing
@@ -101,28 +100,26 @@ struct BbEventInfo {
 /// and search visualization.
 using BbObserver = std::function<void(const BbEventInfo &)>;
 
-/// Budgets and tolerances for the branch-and-bound search.
+/// Budgets and switches of the branch-and-bound search. Node presolve
+/// (bound propagation before every node LP) and LP bound rounding (see
+/// MipSolver) always run.
 struct MipOptions {
-  /// Wall-clock budget in seconds (the paper used 15 minutes per loop).
+  /// Wall-clock budget in seconds (the paper used 15 minutes per loop),
+  /// folded into the SolveContext deadline for the duration of a solve.
   double TimeLimitSeconds = 1e30;
   /// Maximum number of branch-and-bound nodes.
   int64_t NodeLimit = INT64_MAX;
-  /// Integrality tolerance.
-  double IntTol = 1e-6;
-  /// When true (all scheduling objectives are integral), LP bounds are
-  /// rounded up, which tightens pruning. Ablation knob.
-  bool IntegralObjective = true;
   /// Stop at the first integral solution (the paper's NoObj scheduler
   /// "simply returns the first schedule that it finds").
   bool StopAtFirstSolution = false;
-  /// Run bound propagation at every node before the LP (ablation knob).
-  bool NodePresolve = true;
   /// Warm-start each node's LP with the dual simplex from its parent's
   /// optimal basis (ablation knob; the CPLEX behavior the paper relies
   /// on). When false every node LP is a cold two-phase primal solve; the
   /// persistent workspace is used either way, so this isolates the
   /// basis-reuse effect from the allocation hoisting.
   bool WarmStart = true;
+  /// Carried for callers that pass SchedulerOptions::Branching through;
+  /// MostFractional is the only rule.
   BranchRule Branching = BranchRule::MostFractional;
   /// Collect Farkas support rows from infeasible node LPs (forces
   /// SimplexOptions::CollectFarkas on the node LPs) so an Infeasible
@@ -141,10 +138,10 @@ struct MipOptions {
   /// LP bound reaches the cell's value is pruned even before this solve
   /// holds an incumbent of its own. The cell must only tighten
   /// (monotonically decrease) and must be a valid upper bound: some
-  /// solution with objective <= value exists elsewhere. Requires
-  /// IntegralObjective semantics: the cutoff k prunes Bound >= k,
-  /// keeping every strictly better solution reachable. INT64_MAX means
-  /// "no bound yet".
+  /// solution with objective <= value exists elsewhere. Relies on the
+  /// integral objective (see MipSolver): the cutoff k prunes a rounded
+  /// Bound >= k, keeping every strictly better solution reachable.
+  /// INT64_MAX means "no bound yet".
   const std::atomic<int64_t> *ExternalBound = nullptr;
 };
 
@@ -177,12 +174,13 @@ struct MipResult {
   int64_t SimplexIterations = 0;
   /// Wall-clock seconds spent in solve().
   double Seconds = 0.0;
-  /// Why Status == Limit: the node budget was exhausted (distinct from
-  /// wall-clock expiry so censoring is attributed correctly; both can
-  /// be true when the checks trip in the same pass).
+  /// Why Status == Limit: a deterministic effort budget ran out (nodes,
+  /// or one node LP's pivot cap, SimplexOptions::MaxIterations). Kept
+  /// apart from wall-clock expiry so censoring is attributed correctly;
+  /// both can be true when the checks trip in the same pass.
   bool HitNodeLimit = false;
   /// Why Status == Limit: the wall-clock budget / context deadline
-  /// expired (also set when a node LP gave up on its pivot budget).
+  /// expired, between nodes or inside a node LP.
   bool HitTimeLimit = false;
   /// True when the SolveContext's cancellation token stopped the search
   /// (Status == Cancelled).
@@ -244,6 +242,11 @@ struct MipResult {
 /// between solves (all mutable solve state lives on the stack or in the
 /// caller's SolveContext), so one solver — or many — can run any number
 /// of concurrent solves, each under its own context.
+///
+/// Precondition: the objective is integral at every integral point, as
+/// in every scheduling model (it counts registers, buffers or lifetime
+/// cycles). The solver rounds each LP bound up to the next integer
+/// before pruning, so a model that breaks this may lose its optimum.
 class MipSolver {
 public:
   explicit MipSolver(MipOptions Options = {}) : Opts(Options) {}

@@ -100,7 +100,8 @@ struct SchedulerOptions {
   int64_t NodeLimit = INT64_MAX;
   /// Stop trying IIs after MII + MaxIiIncrease.
   int MaxIiIncrease = 64;
-  /// Branch rule forwarded to the MIP solver.
+  /// Branch rule forwarded to the MIP solver (MostFractional is the
+  /// only rule).
   ilp::BranchRule Branching = ilp::BranchRule::MostFractional;
   /// Warm-start node LPs from the parent basis (forwarded to
   /// ilp::MipOptions::WarmStart; ablation knob for the warm-vs-cold
@@ -247,10 +248,11 @@ struct ScheduleResult {
   /// True when the per-loop wall-clock budget expired before a
   /// conclusion.
   bool TimedOut = false;
-  /// True when the per-loop node budget was exhausted before a
-  /// conclusion. Distinct from TimedOut so deterministic (node) and
-  /// machine-dependent (wall clock) censoring are attributed correctly;
-  /// both can be set when the two budgets trip together.
+  /// True when a deterministic effort budget ran out before a
+  /// conclusion: the per-loop node budget, or one node LP's pivot cap.
+  /// Distinct from TimedOut so deterministic and machine-dependent
+  /// (wall clock) censoring are attributed correctly; both can be set
+  /// when the two budgets trip together.
   bool NodeLimitHit = false;
   ModuloSchedule Schedule;
   /// The achieved initiation interval (valid when Found).

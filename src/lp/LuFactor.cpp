@@ -23,7 +23,7 @@ constexpr double PivotRelThreshold = 0.1;
 
 bool LuFactor::factor(int Dim_, const std::vector<int> &ColStart,
                       const std::vector<int> &Rows,
-                      const std::vector<double> &Vals, double PivotTol) {
+                      const std::vector<double> &Vals, double MinPivot) {
   Dim = Dim_;
   Valid = false;
   assert(static_cast<int>(ColStart.size()) == Dim + 1 &&
@@ -97,9 +97,9 @@ bool LuFactor::factor(int Dim_, const std::vector<int> &ColStart,
     for (int I : Work.Idx)
       if (Pinv[I] < 0)
         MaxAbs = std::max(MaxAbs, std::abs(Work.Val[I]));
-    if (MaxAbs <= PivotTol)
+    if (MaxAbs <= MinPivot)
       return false; // Structurally or numerically singular.
-    const double Thresh = std::max(PivotRelThreshold * MaxAbs, PivotTol);
+    const double Thresh = std::max(PivotRelThreshold * MaxAbs, MinPivot);
     int Prow = -1;
     int BestCount = Dim + 1;
     double BestAbs = 0.0;
@@ -290,11 +290,11 @@ void LuFactor::btran(ScatteredVector &X) {
     X.set(R, V);
 }
 
-bool LuFactor::update(int Pos, const ScatteredVector &W, double PivotTol) {
+bool LuFactor::update(int Pos, const ScatteredVector &W, double MinPivot) {
   assert(Valid && "eta update on an invalid factorization");
   assert(Pos >= 0 && Pos < Dim && "eta pivot position out of range");
   const double Wp = W.Val[Pos];
-  if (std::abs(Wp) <= PivotTol)
+  if (std::abs(Wp) <= MinPivot)
     return false;
   EtaPos.push_back(Pos);
   EtaPivot.push_back(Wp);

@@ -100,11 +100,11 @@ public:
   /// \p Rows / \p Vals, where row indices are constraint rows and the
   /// column order is basis-position order. Returns false (and leaves
   /// the factorization invalid) if the matrix is numerically singular
-  /// at \p PivotTol. Resets the eta file and the solve tallies'
+  /// at \p MinPivot. Resets the eta file and the solve tallies'
   /// high-water bookkeeping is left to the caller.
   bool factor(int Dim, const std::vector<int> &ColStart,
               const std::vector<int> &Rows, const std::vector<double> &Vals,
-              double PivotTol);
+              double MinPivot);
 
   /// Solves B·x = b in place: \p X enters indexed by constraint row
   /// and leaves indexed by basis position.
@@ -116,9 +116,9 @@ public:
 
   /// Records the basis exchange "position \p Pos leaves, a column with
   /// FTRAN image \p W enters" as a product-form eta. Returns false —
-  /// leaving the factorization unchanged — when |W[Pos]| <= PivotTol,
+  /// leaving the factorization unchanged — when |W[Pos]| <= MinPivot,
   /// in which case the caller must refactorize.
-  bool update(int Pos, const ScatteredVector &W, double PivotTol);
+  bool update(int Pos, const ScatteredVector &W, double MinPivot);
 
   /// Marks the factorization stale (e.g. after the basis changed
   /// without a successful update).

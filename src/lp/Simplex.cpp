@@ -13,7 +13,6 @@
 #include "lp/SolveContext.h"
 #include "lp/SparseRevisedSimplex.h"
 #include "support/Telemetry.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -151,16 +150,14 @@ private:
   /// Chooses the entering column, or -1 at optimality.
   int chooseEntering(bool Bland) const;
 
-  /// Checks the per-solve pivot/wall-clock budgets and the context's
-  /// cancellation token / deadline (every 64 pivots).
+  /// Checks the per-solve pivot cap and, every 64 pivots, the
+  /// context's cancellation token and deadline.
   bool budgetExceeded() const {
     if (Iters >= OptsP->MaxIterations)
       return true;
     if ((Iters & 63) != 0)
       return false;
-    if (CtxP && (CtxP->cancelled() || CtxP->deadlineExpired()))
-      return true;
-    return Clock.seconds() > OptsP->TimeLimitSeconds;
+    return CtxP && (CtxP->cancelled() || CtxP->deadlineExpired());
   }
 
   double &tab(int Row, int Col) { return Tab[size_t(Row) * NumCols + Col]; }
@@ -206,7 +203,6 @@ private:
   int64_t Flips = 0;       ///< Pure bound-flip pivots.
   int64_t Refactors = 0;   ///< refreshBasicValues() calls.
   int64_t Phase1Iters = 0; ///< Pivots spent in phase 1.
-  Stopwatch Clock;
 };
 
 Tableau::Tableau(const Model &M, const std::vector<double> &Lower,
@@ -272,8 +268,8 @@ Tableau::Tableau(const Model &M, const std::vector<double> &Lower,
   for (int Row = 0; Row < NumRows; ++Row) {
     int SlackCol = NumStruct + Row;
     double R = Residual[Row];
-    if (R >= Lo[SlackCol] - Opts.FeasTol &&
-        R <= Up[SlackCol] + Opts.FeasTol) {
+    if (R >= Lo[SlackCol] - FeasibilityTolerance &&
+        R <= Up[SlackCol] + FeasibilityTolerance) {
       Status[SlackCol] = ColStatus::Basic;
       Basis[Row] = SlackCol;
       BasicValue[Row] = std::clamp(R, Lo[SlackCol], Up[SlackCol]);
@@ -350,7 +346,7 @@ void Tableau::refreshBasicValues() {
 
 void Tableau::applyPivot(int LeaveRow, int Enter) {
   double Pivot = tab(LeaveRow, Enter);
-  assert(std::abs(Pivot) > OptsP->PivotTol && "pivot too small");
+  assert(std::abs(Pivot) > PivotTolerance && "pivot too small");
   double *PivRow = &Tab[size_t(LeaveRow) * NumCols];
   double InvPivot = 1.0 / Pivot;
   for (int Col = 0; Col < NumCols; ++Col)
@@ -379,7 +375,7 @@ void Tableau::applyPivot(int LeaveRow, int Enter) {
 
 int Tableau::chooseEntering(bool Bland) const {
   int Best = -1;
-  double BestScore = OptsP->OptTol;
+  double BestScore = OptimalityTolerance;
   for (int Col = 0; Col < NumCols; ++Col) {
     if (Status[Col] == ColStatus::Basic)
       continue;
@@ -399,7 +395,7 @@ int Tableau::chooseEntering(bool Bland) const {
     case ColStatus::Basic:
       break;
     }
-    if (Score <= OptsP->OptTol)
+    if (Score <= OptimalityTolerance)
       continue;
     if (Bland)
       return Col; // Smallest eligible index.
@@ -440,7 +436,7 @@ LpStatus Tableau::iterate(bool PhaseOne) {
     bool LeaveAtUpper = false;
     for (int Row = 0; Row < NumRows; ++Row) {
       double Alpha = tab(Row, Enter);
-      if (std::abs(Alpha) <= OptsP->PivotTol)
+      if (std::abs(Alpha) <= PivotTolerance)
         continue;
       double Rate = -Dir * Alpha; // d(BasicValue[Row]) / dStep.
       int BV = Basis[Row];
@@ -480,7 +476,7 @@ LpStatus Tableau::iterate(bool PhaseOne) {
     }
 
     ++Iters;
-    if (BestT <= OptsP->FeasTol) {
+    if (BestT <= FeasibilityTolerance) {
       ++Degenerate;
       if (++DegenerateRun > OptsP->DegenerateLimit)
         Bland = true;

@@ -59,7 +59,7 @@ enum class LpStatus {
   Optimal,       ///< Optimal basic solution found.
   Infeasible,    ///< Constraints admit no solution.
   Unbounded,     ///< Objective can decrease without limit.
-  IterationLimit ///< Gave up after SimplexOptions::MaxIterations pivots.
+  IterationLimit ///< Gave up: pivot cap, context deadline or cancellation.
 };
 
 /// Returns a printable name for \p Status.
@@ -79,38 +79,31 @@ const char *toString(SimplexEngine Engine);
 /// these raw values).
 enum class ColState : uint8_t { Basic, AtLower, AtUpper, Free };
 
-/// Tuning knobs for the simplex solver.
+/// Primal feasibility tolerance: how far a basic value may sit outside
+/// its bounds, and the step length below which a pivot counts as
+/// degenerate. Read by both engines.
+inline constexpr double FeasibilityTolerance = 1e-7;
+
+/// Reduced-cost optimality tolerance: a nonbasic column prices as an
+/// improving candidate only beyond it. Read by both engines.
+inline constexpr double OptimalityTolerance = 1e-7;
+
+/// Smallest acceptable pivot magnitude in the ratio tests and the LU
+/// factorization. Read by both engines.
+inline constexpr double PivotTolerance = 1e-8;
+
+/// Budget and test-facing switches of one solve. The tolerances and the
+/// refactorization policy are constants (above and in
+/// lp/SparseRevisedSimplex.cpp); a solve's wall-clock budget is the
+/// SolveContext deadline.
 struct SimplexOptions {
   /// Hard cap on total pivots (both phases).
   int64_t MaxIterations = 200000;
-  /// Wall-clock budget for one solve(), in seconds (checked every few
-  /// pivots). Exceeding it reports LpStatus::IterationLimit. Outer time
-  /// limits shared across many solves are expressed as the absolute
-  /// deadline of the SolveContext instead (the MIP solver tightens its
-  /// context's deadline once and every node LP observes it).
-  double TimeLimitSeconds = 1e30;
-  /// Primal feasibility tolerance.
-  double FeasTol = 1e-7;
-  /// Reduced-cost optimality tolerance.
-  double OptTol = 1e-7;
-  /// Smallest acceptable pivot magnitude.
-  double PivotTol = 1e-8;
   /// Number of consecutive degenerate pivots before switching to Bland's
   /// rule.
   int DegenerateLimit = 512;
-  /// Drift guard for warm starts: after this many pivots have
-  /// accumulated in a workspace engine since its last fresh
-  /// factorization, the next warm solve refactorizes the requested basis
-  /// from the constraint matrix instead of reusing the engine state.
-  int64_t WarmRebuildPivots = 4096;
   /// Engine executing the solve (see SimplexEngine).
   SimplexEngine Engine = SimplexEngine::SparseRevised;
-  /// Sparse engine: refactorize the basis after this many product-form
-  /// eta updates.
-  int RefactorEtaLimit = 64;
-  /// Sparse engine: refactorize early when the eta file's nonzeros
-  /// exceed this multiple of (rows + LU nonzeros) — the fill guard.
-  double RefactorFillFactor = 4.0;
   /// On an Infeasible exit, record the constraint rows supporting the
   /// infeasibility certificate (the Farkas ray's slack support) in
   /// LpResult::FarkasRows. Off by default: the scan is cheap but not

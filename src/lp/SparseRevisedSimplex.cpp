@@ -38,9 +38,22 @@ modsched::telemetry::Counter StatBtran("lp", "factor.btran_solves",
                                        "BTRAN solves");
 
 /// Reduced-cost sign tolerance for accepting a starting basis as
-/// dual-feasible (slightly looser than OptTol to absorb drift
+/// dual-feasible (slightly looser than OptimalityTolerance to absorb drift
 /// accumulated across chained warm solves).
 constexpr double DualFeasTol = 1e-6;
+
+/// Drift guard for warm starts: after this many pivots have accumulated
+/// in a workspace engine since its last fresh factorization, the next
+/// warm solve refactorizes the requested basis from the constraint
+/// matrix instead of reusing the engine state.
+constexpr int64_t WarmRebuildPivotLimit = 4096;
+
+/// Refactorize the basis after this many product-form eta updates.
+constexpr int MaxEtaUpdates = 64;
+
+/// Fill guard: refactorize early when the eta file's nonzeros exceed
+/// this multiple of (rows + LU nonzeros).
+constexpr double EtaFillFactor = 4.0;
 
 /// Process-unique stamp source for exported bases. Atomic: concurrent
 /// solve attempts (each under its own SolveContext) stamp bases from
@@ -82,9 +95,7 @@ bool SparseRevisedSimplex::budgetExceeded() const {
     return true;
   if ((Iters & 63) != 0)
     return false;
-  if (CtxP && (CtxP->cancelled() || CtxP->deadlineExpired()))
-    return true;
-  return Clock.seconds() > OptsP->TimeLimitSeconds;
+  return CtxP && (CtxP->cancelled() || CtxP->deadlineExpired());
 }
 
 void SparseRevisedSimplex::beginSolve(const Model &M,
@@ -93,7 +104,6 @@ void SparseRevisedSimplex::beginSolve(const Model &M,
   Iters = Degenerate = Flips = Refactors = Phase1Iters = DualIters = 0;
   EtaNnzTotal = 0;
   FarkasSupport.clear();
-  Clock.reset();
   NumRows = M.numConstraints();
   NumStruct = M.numVariables();
   FirstArtificial = NumStruct + NumRows;
@@ -177,7 +187,8 @@ void SparseRevisedSimplex::initCold(const Model &M,
       Lhs += A.RValue[P] * restingValue(A.ColIndex[P]);
     const double R = RowRhs[Row] - Lhs;
     const int SlackCol = NumStruct + Row;
-    if (R >= Lo[SlackCol] - Opts.FeasTol && R <= Up[SlackCol] + Opts.FeasTol) {
+    if (R >= Lo[SlackCol] - FeasibilityTolerance &&
+        R <= Up[SlackCol] + FeasibilityTolerance) {
       Status[SlackCol] = ColState::Basic;
       BasisCol[Row] = SlackCol;
       XB[Row] = std::clamp(R, Lo[SlackCol], Up[SlackCol]);
@@ -228,7 +239,7 @@ bool SparseRevisedSimplex::tryInitWarm(const Model &M,
 
   if (B.Id != 0 && B.Id == CurrentStamp && ModelP == &M && NumRows == Rows &&
       NumStruct == Struct && Lu.valid() &&
-      PivotsSinceFactor < Opts.WarmRebuildPivots) {
+      PivotsSinceFactor < WarmRebuildPivotLimit) {
     // Fast path: this engine still realizes exactly this basis (the
     // depth-first child-after-parent pattern). The factorization, the
     // statuses, and the reduced costs all survive a pure bound change —
@@ -279,7 +290,7 @@ bool SparseRevisedSimplex::factorizeBasis() {
     });
     BStart[Pos + 1] = static_cast<int>(BRows.size());
   }
-  if (!Lu.factor(NumRows, BStart, BRows, BVals, OptsP->PivotTol))
+  if (!Lu.factor(NumRows, BStart, BRows, BVals, PivotTolerance))
     return false;
   ++Refactors;
   ++StatFactorizations;
@@ -389,13 +400,13 @@ bool SparseRevisedSimplex::commitPivot(int LeaveRow, int Enter) {
   // Append the product-form eta; refactorize when the eta file passes
   // its count/fill thresholds or the eta pivot is unacceptable.
   const int64_t EtaBefore = Lu.etaNonzeros();
-  if (Lu.update(LeaveRow, WCol, OptsP->PivotTol)) {
+  if (Lu.update(LeaveRow, WCol, PivotTolerance)) {
     const int64_t Added = Lu.etaNonzeros() - EtaBefore;
     EtaNnzTotal += Added;
     StatEtaNnz += Added;
-    if (Lu.etaCount() < OptsP->RefactorEtaLimit &&
-        Lu.etaNonzeros() <= OptsP->RefactorFillFactor *
-                                double(NumRows + Lu.factorNonzeros()))
+    if (Lu.etaCount() < MaxEtaUpdates &&
+        Lu.etaNonzeros() <=
+            EtaFillFactor * double(NumRows + Lu.factorNonzeros()))
       return true;
   }
   if (!factorizeBasis())
@@ -425,7 +436,7 @@ int SparseRevisedSimplex::chooseEntering(Pricing Mode) {
   if (Mode == Pricing::Bland) {
     // Anti-cycling mode: smallest eligible index, full scan.
     for (int Col = 0; Col < NumCols; ++Col)
-      if (score(Col) > OptsP->OptTol)
+      if (score(Col) > OptimalityTolerance)
         return Col;
     return -1;
   }
@@ -438,7 +449,7 @@ int SparseRevisedSimplex::chooseEntering(Pricing Mode) {
     // global best walks off the plateau; the stale window is dropped
     // so partial pricing restarts fresh once the streak breaks.
     CandList.clear();
-    double BestScore = OptsP->OptTol;
+    double BestScore = OptimalityTolerance;
     int Best = -1;
     for (int Col = 0; Col < NumCols; ++Col) {
       const double S = score(Col);
@@ -454,12 +465,12 @@ int SparseRevisedSimplex::chooseEntering(Pricing Mode) {
   // first; only when none is still attractive, refill the list from a
   // rotating scan over all columns (a full wrap without finding any
   // eligible column proves optimality).
-  double BestScore = OptsP->OptTol;
+  double BestScore = OptimalityTolerance;
   int Best = -1;
   size_t Keep = 0;
   for (int J : CandList) {
     const double S = score(J);
-    if (S > OptsP->OptTol) {
+    if (S > OptimalityTolerance) {
       CandList[Keep++] = J;
       if (S > BestScore) {
         BestScore = S;
@@ -477,7 +488,7 @@ int SparseRevisedSimplex::chooseEntering(Pricing Mode) {
     if (++ScanCursor >= NumCols)
       ScanCursor = 0;
     const double S = score(Col);
-    if (S <= OptsP->OptTol)
+    if (S <= OptimalityTolerance)
       continue;
     CandList.push_back(Col);
     if (S > BestScore) {
@@ -526,7 +537,7 @@ LpStatus SparseRevisedSimplex::primalIterate(bool PhaseOne) {
     bool LeaveAtUpper = false;
     for (int Pos : WCol.Idx) {
       const double Alpha = WCol.Val[Pos];
-      if (std::abs(Alpha) <= OptsP->PivotTol)
+      if (std::abs(Alpha) <= PivotTolerance)
         continue;
       const double Rate = -Dir * Alpha; // d(XB[Pos]) / dStep.
       const int BV = BasisCol[Pos];
@@ -575,7 +586,7 @@ LpStatus SparseRevisedSimplex::primalIterate(bool PhaseOne) {
     }
 
     ++Iters;
-    if (BestT <= OptsP->FeasTol) {
+    if (BestT <= FeasibilityTolerance) {
       ++Degenerate;
       if (++DegenerateRun > OptsP->DegenerateLimit)
         Bland = true;
@@ -629,7 +640,7 @@ LpStatus SparseRevisedSimplex::dualIterate() {
 
     // Leaving row: the most-violated basic variable.
     int LeaveRow = -1;
-    double BestViol = OptsP->FeasTol;
+    double BestViol = FeasibilityTolerance;
     bool ViolUpper = false;
     for (int Row = 0; Row < NumRows; ++Row) {
       const int BV = BasisCol[Row];
@@ -661,7 +672,7 @@ LpStatus SparseRevisedSimplex::dualIterate() {
       if (Status[Col] == ColState::Basic || Lo[Col] == Up[Col])
         continue;
       const double Alpha = AlphaRow.Val[Col];
-      if (std::abs(Alpha) <= OptsP->PivotTol)
+      if (std::abs(Alpha) <= PivotTolerance)
         continue;
       // Moving Col by t*D changes XB[LeaveRow] by -t*D*Alpha; a violated
       // upper bound needs a decrease, a lower an increase.
@@ -711,7 +722,7 @@ LpStatus SparseRevisedSimplex::dualIterate() {
 
     ++Iters;
     ++DualIters;
-    if (BestRatio <= OptsP->OptTol) {
+    if (BestRatio <= OptimalityTolerance) {
       ++Degenerate;
       if (++DegenerateRun > OptsP->DegenerateLimit)
         Bland = true;
@@ -818,7 +829,7 @@ bool SparseRevisedSimplex::extractBasis(Basis &Out) {
       continue;
     computeAlphaRow(Row);
     int Best = -1;
-    double BestMag = OptsP->PivotTol;
+    double BestMag = PivotTolerance;
     for (int J : AlphaRow.Idx) {
       if (J >= FirstArtificial || Status[J] == ColState::Basic)
         continue;

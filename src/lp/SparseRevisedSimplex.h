@@ -39,7 +39,6 @@
 #include "lp/LuFactor.h"
 #include "lp/Simplex.h"
 #include "lp/SparseMatrix.h"
-#include "support/Timer.h"
 
 #include <cstdint>
 #include <vector>
@@ -251,7 +250,6 @@ private:
   /// LuFactor tally marks for flushFactorStats deltas.
   uint64_t FtranMark = 0;
   uint64_t BtranMark = 0;
-  Stopwatch Clock;
 };
 
 } // namespace lp

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace modsched;
 using namespace modsched::ilp;
 using namespace modsched::lp;
@@ -104,19 +106,28 @@ TEST(Mip, StopAtFirstSolution) {
 }
 
 TEST(Mip, NodeLimitReported) {
-  // A problem requiring branching, with NodeLimit 0: must stop.
+  // A problem requiring branching must stop on either deterministic
+  // effort budget, and report it as one: NodeLimit 0 stops before the
+  // first node, MaxIterations 1 stops inside the root LP. Neither is a
+  // time limit.
   Model M;
   int X = M.addVariable("x", 0, 10, -1.0, VarKind::Integer);
   int Y = M.addVariable("y", 0, 10, -1.0, VarKind::Integer);
   M.addConstraint({{X, 2.0}, {Y, 3.0}}, ConstraintSense::LE, 11.0);
   M.addConstraint({{X, 3.0}, {Y, 2.0}}, ConstraintSense::LE, 11.0);
-  MipOptions Opts;
-  Opts.NodeLimit = 0;
-  MipResult R = MipSolver(Opts).solve(M);
-  EXPECT_EQ(R.Status, MipStatus::Limit);
+  MipOptions NoNodes;
+  NoNodes.NodeLimit = 0;
+  MipOptions OnePivot;
+  OnePivot.Lp.MaxIterations = 1;
+  for (const MipOptions &Opts : {NoNodes, OnePivot}) {
+    MipResult R = MipSolver(Opts).solve(M);
+    EXPECT_EQ(R.Status, MipStatus::Limit);
+    EXPECT_TRUE(R.HitNodeLimit);
+    EXPECT_FALSE(R.HitTimeLimit);
+  }
 }
 
-TEST(Mip, BranchRulesAgreeOnOptimum) {
+TEST(Mip, KnapsackOptimumMatchesEnumeration) {
   Model M;
   double Values[] = {6, 5, 4, 3, 7};
   double Weights[] = {4, 3, 2, 2, 5};
@@ -127,19 +138,22 @@ TEST(Mip, BranchRulesAgreeOnOptimum) {
   }
   M.addConstraint(Cap, ConstraintSense::LE, 9.0);
 
-  double Reference = 0.0;
-  for (BranchRule Rule : {BranchRule::MostFractional,
-                          BranchRule::FirstFractional,
-                          BranchRule::LastFractional}) {
-    MipOptions Opts;
-    Opts.Branching = Rule;
-    MipResult R = MipSolver(Opts).solve(M);
-    ASSERT_EQ(R.Status, MipStatus::Optimal);
-    if (Rule == BranchRule::MostFractional)
-      Reference = R.Objective;
-    else
-      EXPECT_NEAR(R.Objective, Reference, 1e-6);
+  // Every one of the 2^5 packings; the best feasible one is the optimum.
+  double Best = 0.0;
+  for (int Mask = 0; Mask < 32; ++Mask) {
+    double Value = 0.0, Weight = 0.0;
+    for (int I = 0; I < 5; ++I)
+      if (Mask & (1 << I)) {
+        Value += Values[I];
+        Weight += Weights[I];
+      }
+    if (Weight <= 9.0)
+      Best = std::max(Best, Value);
   }
+  ASSERT_EQ(Best, 15.0); // Items 0, 1 and 2, weight 9.
+  MipResult R = MipSolver().solve(M);
+  ASSERT_EQ(R.Status, MipStatus::Optimal);
+  EXPECT_NEAR(R.Objective, -Best, 1e-6);
 }
 
 TEST(Mip, RoundIntegralValues) {

@@ -240,13 +240,17 @@ TEST_P(Simplex, IterationLimitReported) {
 }
 
 TEST_P(Simplex, DeadlineReportsLimit) {
-  SimplexOptions Opts;
-  Opts.TimeLimitSeconds = -1.0; // Already expired: deterministic.
-  SimplexSolver S = solver(Opts);
+  // A budget that has already run out, folded into the context the way
+  // MipSolver folds its TimeLimitSeconds: deterministic.
   Model M;
   int X = M.addVariable("x", 0, infinity(), -1.0);
   M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
-  EXPECT_EQ(S.solve(M).Status, LpStatus::IterationLimit);
+  std::vector<double> Lower, Upper;
+  M.getBounds(Lower, Upper);
+  SolveContext Ctx;
+  DeadlineScope Budget(Ctx, -1.0);
+  EXPECT_EQ(solver().solve(M, Lower, Upper, &Ctx).Status,
+            LpStatus::IterationLimit);
 }
 
 TEST_P(Simplex, ContextDeadlineAndCancellationReportLimit) {

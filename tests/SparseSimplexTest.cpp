@@ -389,7 +389,7 @@ TEST(LuFactor, SparseRhsSolvesOnRealisticBasis) {
   // B^T y = c must stay tiny, and FTRAN through the eta file must match
   // FTRAN through a fresh factorization of the updated basis.
   constexpr int Dim = 96;
-  constexpr double PivotTol = 1e-10;
+  constexpr double MinPivot = 1e-10;
   Rng R(20261017);
   std::vector<SparseColumn> B;
   for (int C = 0; C < Dim; ++C)
@@ -397,7 +397,7 @@ TEST(LuFactor, SparseRhsSolvesOnRealisticBasis) {
   LuFactor Lu;
   {
     TinyBasis TB = tinyBasis(Dim, B);
-    ASSERT_TRUE(Lu.factor(Dim, TB.ColStart, TB.Rows, TB.Vals, PivotTol));
+    ASSERT_TRUE(Lu.factor(Dim, TB.ColStart, TB.Rows, TB.Vals, MinPivot));
   }
 
   for (int Round = 0; Round <= 6; ++Round) {
@@ -414,7 +414,7 @@ TEST(LuFactor, SparseRhsSolvesOnRealisticBasis) {
         Lu.ftran(W);
         if (std::abs(W.Val[Pos]) < 0.5)
           continue;
-        ASSERT_TRUE(Lu.update(Pos, W, PivotTol));
+        ASSERT_TRUE(Lu.update(Pos, W, MinPivot));
         B[Pos] = A;
         break;
       }
@@ -423,7 +423,7 @@ TEST(LuFactor, SparseRhsSolvesOnRealisticBasis) {
 
     TinyBasis TB = tinyBasis(Dim, B);
     LuFactor Fresh;
-    ASSERT_TRUE(Fresh.factor(Dim, TB.ColStart, TB.Rows, TB.Vals, PivotTol));
+    ASSERT_TRUE(Fresh.factor(Dim, TB.ColStart, TB.Rows, TB.Vals, MinPivot));
     for (int Trial = 0; Trial < 20; ++Trial) {
       const ScatteredVector Rhs = sparseRhs(R, Dim);
       ScatteredVector X = Rhs, XFresh = Rhs;
@@ -558,11 +558,14 @@ TEST(SparseSimplex, ContextDeadlineObserved) {
   // one: an already-expired deadline reports IterationLimit.
   SimplexOptions Opts;
   Opts.Engine = SimplexEngine::SparseRevised;
-  Opts.TimeLimitSeconds = -1.0;
   Model M;
   int X = M.addVariable("x", 0, infinity(), -1.0);
   M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
-  EXPECT_EQ(SimplexSolver(Opts).solve(M).Status,
+  std::vector<double> Lower, Upper;
+  M.getBounds(Lower, Upper);
+  SolveContext Ctx;
+  Ctx.tightenDeadline(-1.0);
+  EXPECT_EQ(SimplexSolver(Opts).solve(M, Lower, Upper, &Ctx).Status,
             LpStatus::IterationLimit);
 }
 
