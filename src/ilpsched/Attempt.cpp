@@ -1,6 +1,6 @@
-//===- ilpsched/AttemptEngine.cpp - ILP and PB attempt engines ------------===//
+//===- ilpsched/Attempt.cpp - ILP and PB attempts -------------------------===//
 
-#include "ilpsched/AttemptEngine.h"
+#include "ilpsched/Attempt.h"
 
 #include "ilpsched/Formulation.h"
 #include "ilpsched/PbFormulation.h"
@@ -15,8 +15,6 @@
 
 using namespace modsched;
 using namespace modsched::ilp;
-
-AttemptEngine::~AttemptEngine() = default;
 
 namespace {
 
@@ -110,26 +108,11 @@ std::optional<Explanation> explainPbUnsat(const DependenceGraph &G,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// IlpEngine
+// ILP attempt
 //===----------------------------------------------------------------------===//
 
-bool IlpEngine::supports(const Problem &, int) const {
-  return true; // The ILP formulation encodes every option combination.
-}
-
-bool IlpEngine::worthRacing(const Problem &P, int II) const {
-  // Tiny feasibility instance: the CDCL engine decides these orders of
-  // magnitude faster than a B&B warm-up (EXPERIMENTS.md E11), so the
-  // ILP sits out of the race and lets PB run inline. 0 disables.
-  if (P.options().Obj == Objective::None && Opts.PortfolioIlpMinPbVars > 0 &&
-      P.graph().numOperations() * II <= Opts.PortfolioIlpMinPbVars)
-    return false;
-  return true;
-}
-
-std::optional<ModuloSchedule>
-IlpEngine::solveAttempt(AttemptContext &C) const {
-  assert(supports(C.P, C.II) && "seam dispatched an unsupported attempt");
+std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
+  const SchedulerOptions &Opts = C.Opts;
   const DependenceGraph &G = C.P.graph();
   const MachineModel &M = C.P.machine();
   const FormulationOptions &FOpts = C.P.options();
@@ -182,9 +165,8 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
   }
   MipSolver Solver(MipOpts);
 
-  // Solve under the caller's context (parallel race slots bring their
-  // own, wired to a cancellation source) or a fresh local one — the
-  // latter is exactly the historical sequential behavior.
+  // Solve under the caller's context (a portfolio lane brings its own,
+  // wired to the race's cancellation source) or a fresh local one.
   lp::SolveContext LocalCtx;
   MipResult R = Solver.solve(F.model(), C.Ctx ? *C.Ctx : LocalCtx);
   Stats.Nodes += R.Nodes;
@@ -201,9 +183,9 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
     ++Hooks->BoundExchanges;
 
   if (R.Status == MipStatus::Cancelled) {
-    // The caller's token stopped the search (e.g. a lower-II sibling in
-    // a parallel race won). No verdict about this II; in particular no
-    // half-decoded schedule ever escapes a cancelled solve.
+    // The caller's token stopped the search (e.g. the other engine of
+    // a portfolio race concluded first). No verdict about this II; in
+    // particular no half-decoded schedule ever escapes a cancelled solve.
     Attempt.Cancelled = true;
     return std::nullopt;
   }
@@ -282,28 +264,14 @@ IlpEngine::solveAttempt(AttemptContext &C) const {
 }
 
 //===----------------------------------------------------------------------===//
-// PbEngine
+// PB attempt
 //===----------------------------------------------------------------------===//
 
-bool PbEngine::supports(const Problem &P, int) const {
-  return PbFormulation::supports(P.options());
-}
-
-bool PbEngine::worthRacing(const Problem &P, int II) const {
-  // MinLife rows carry objective/lifetime coefficients that scale with
-  // II; past the width threshold the CDCL engine's cardinality
-  // reasoning degrades into slow generic PB arithmetic and it never
-  // wins the race — don't burn a worker on it.
-  if (P.options().Obj == Objective::MinLife &&
-      II > Opts.PortfolioPbCoeffLimit)
-    return false;
-  return true;
-}
-
-std::optional<ModuloSchedule>
-PbEngine::solveAttempt(AttemptContext &C) const {
-  assert(supports(C.P, C.II) &&
-         "seam dispatched a PB attempt the encoding cannot express");
+std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
+  assert(PbFormulation::supports(C.P.options()) &&
+         "PB attempt dispatched for a formulation the encoding cannot "
+         "express");
+  const SchedulerOptions &Opts = C.Opts;
   const DependenceGraph &G = C.P.graph();
   const MachineModel &M = C.P.machine();
   const FormulationOptions &FOpts = C.P.options();

@@ -2,8 +2,7 @@
 
 #include "ilpsched/OptimalScheduler.h"
 
-#include "ilpsched/AttemptEngine.h"
-#include "ilpsched/IiSearch.h"
+#include "ilpsched/Attempt.h"
 #include "ilpsched/PbFormulation.h"
 #include "ilpsched/SolutionCache.h"
 #include "lp/SolveContext.h"
@@ -65,47 +64,31 @@ telemetry::PhaseTimer TimeSchedule("ilpsched", "scheduler.schedule",
 
 OptimalModuloScheduler::OptimalModuloScheduler(const MachineModel &M,
                                                SchedulerOptions Options)
-    : M(M), Opts(std::move(Options)),
-      IlpE(std::make_unique<IlpEngine>(Opts)),
-      PbE(std::make_unique<PbEngine>(Opts)),
-      // Registration order is the portfolio's commit preference: the ILP
-      // verdict wins when both engines conclude in one race (its audit
-      // evidence is richer), keeping outcomes deterministic.
-      PortfolioE(std::make_unique<PortfolioEngine>(
-          Opts, std::vector<const AttemptEngine *>{IlpE.get(), PbE.get()})) {}
-
-OptimalModuloScheduler::~OptimalModuloScheduler() = default;
-
-const AttemptEngine *
-OptimalModuloScheduler::selectEngine(const Problem &P, int II) const {
-  switch (Opts.Backend) {
-  case SchedulerBackend::Ilp:
-    break;
-  case SchedulerBackend::Pb:
-    if (PbE->supports(P, II))
-      return PbE.get();
-    // Unsupported formulation under the PB backend: decide it with the
-    // ILP instead of failing the loop, and say so once per Problem.
-    if (P.claimPbFallbackWarning())
-      std::fprintf(stderr,
-                   "modsched: PB backend does not support this formulation "
-                   "(instance mapping, MinSL, or traditional objective "
-                   "style); falling back to ILP\n");
-    break;
-  case SchedulerBackend::Portfolio:
-    return PortfolioE.get();
-  }
-  assert(IlpE->supports(P, II) &&
-         "the ILP engine is the total fallback and supports everything");
-  return IlpE.get();
+    : M(M), Opts(std::move(Options)) {
+  assert(Opts.SearchJobs == 1 && "the II search is single-threaded");
 }
 
 std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
                                      ScheduleResult &Stats, double TimeBudget,
-                                     lp::SolveContext *Ctx,
-                                     std::unique_ptr<ThreadPool> *RacePool)
-    const {
+                                     lp::SolveContext *Ctx) const {
+  std::unique_ptr<ThreadPool> RacePool;
+  return attempt(P, II, Stats, TimeBudget, Ctx, RacePool);
+}
+
+std::optional<ModuloSchedule>
+OptimalModuloScheduler::scheduleAtIi(const DependenceGraph &G, int II,
+                                     ScheduleResult &Stats, double TimeBudget,
+                                     lp::SolveContext *Ctx) const {
+  Problem P(G, M, Opts.Formulation);
+  return scheduleAtIi(P, II, Stats, TimeBudget, Ctx);
+}
+
+std::optional<ModuloSchedule>
+OptimalModuloScheduler::attempt(const Problem &P, int II,
+                                ScheduleResult &Stats, double TimeBudget,
+                                lp::SolveContext *Ctx,
+                                std::unique_ptr<ThreadPool> &RacePool) const {
   ++StatAttempts;
   Stopwatch AttemptWatch;
   telemetry::SpanScope Span("ilpsched", "scheduler.attempt", {{"ii", II}});
@@ -149,40 +132,46 @@ OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
     }
   } Publish{Stats, Attempt, AttemptWatch};
 
-  const AttemptEngine *Engine = selectEngine(P, II);
-  assert(Engine && Engine->supports(P, II) &&
-         "selectEngine returned an engine that cannot decide this attempt");
-
-  // Direct calls without a loop-level pool holder still race the
-  // engines correctly; the pool just lives for this attempt only.
-  std::unique_ptr<ThreadPool> TransientPool;
-  AttemptContext C{P,       II,      Stats,   TimeBudget,
-                   Ctx,     Attempt, nullptr,
-                   RacePool ? RacePool : &TransientPool};
-  std::optional<ModuloSchedule> S = Engine->solveAttempt(C);
+  AttemptContext C{Opts, P, II, Stats, TimeBudget, Ctx, Attempt, nullptr,
+                   &RacePool};
+  const char *Engine = toString(Opts.Backend);
+  std::optional<ModuloSchedule> S;
+  switch (Opts.Backend) {
+  case SchedulerBackend::Ilp:
+    S = solveIlpAttempt(C);
+    break;
+  case SchedulerBackend::Pb:
+    if (PbFormulation::supports(P.options())) {
+      S = solvePbAttempt(C);
+      break;
+    }
+    // Unsupported formulation under the PB backend: decide it with the
+    // ILP instead of failing the loop, and say so once per Problem.
+    if (P.claimPbFallbackWarning())
+      std::fprintf(stderr,
+                   "modsched: PB backend does not support this formulation "
+                   "(instance mapping, MinSL, or traditional objective "
+                   "style); falling back to ILP\n");
+    Engine = toString(SchedulerBackend::Ilp);
+    S = solveIlpAttempt(C);
+    break;
+  case SchedulerBackend::Portfolio:
+    S = solvePortfolioAttempt(C);
+    break;
+  }
 
   // Uniform gate: whatever engine (or race of engines) produced the
-  // schedule, it does not leave the seam unverified.
+  // schedule, it does not leave scheduleAtIi unverified.
   if (S)
     if (std::optional<std::string> Err =
             verifySchedule(P.graph(), P.machine(), *S)) {
       std::fprintf(stderr,
                    "fatal: engine '%s' emitted a schedule the verifier "
                    "rejects: %s\n",
-                   Engine->name(), Err->c_str());
+                   Engine, Err->c_str());
       std::abort();
     }
   return S;
-}
-
-std::optional<ModuloSchedule>
-OptimalModuloScheduler::scheduleAtIi(const DependenceGraph &G, int II,
-                                     ScheduleResult &Stats, double TimeBudget,
-                                     lp::SolveContext *Ctx,
-                                     std::unique_ptr<ThreadPool> *RacePool)
-    const {
-  Problem P(G, M, Opts.Formulation);
-  return scheduleAtIi(P, II, Stats, TimeBudget, Ctx, RacePool);
 }
 
 ScheduleResult OptimalModuloScheduler::schedule(const DependenceGraph &G,
@@ -254,9 +243,31 @@ ScheduleResult OptimalModuloScheduler::solve(const Problem &P,
   // MII depends on the problem alone, so a cache hit reports the stored
   // one; only a solve computes it, before the II search starts from it.
   Result.Mii = mii(G, M);
-  std::unique_ptr<IiSearchStrategy> Search =
-      makeIiSearchStrategy(Opts.Search, Opts.SearchJobs);
-  Search->search(*this, P, Result, Ctx);
+  // The paper's loop: one tentative II at a time, MII upward, stopping
+  // at the first feasible one or when a budget runs out. A portfolio's
+  // first race creates the pool the rest of the ladder reuses.
+  std::unique_ptr<ThreadPool> RacePool;
+  for (int II = Result.Mii; II <= Result.Mii + Opts.MaxIiIncrease; ++II) {
+    double Remaining = Opts.TimeLimitSeconds - Watch.seconds();
+    if (Remaining <= 0) {
+      Result.TimedOut = true;
+      break;
+    }
+    if (Result.budgetNodes() >= Opts.NodeLimit) {
+      Result.NodeLimitHit = true;
+      break;
+    }
+    std::optional<ModuloSchedule> S =
+        attempt(P, II, Result, Remaining, Ctx, RacePool);
+    if (Result.TimedOut || Result.NodeLimitHit)
+      break;
+    if (S) {
+      Result.Found = true;
+      Result.II = II;
+      Result.Schedule = std::move(*S);
+      break;
+    }
+  }
 
   Result.Seconds = Watch.seconds();
   if (Opts.Cache)

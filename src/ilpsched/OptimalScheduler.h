@@ -22,9 +22,7 @@
 #include "sched/Explain.h"
 #include "sched/ModuloSchedule.h"
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,11 +35,7 @@ namespace lp {
 struct SolveContext; // lp/SolveContext.h
 } // namespace lp
 
-class ThreadPool;       // support/ThreadPool.h
-class AttemptEngine;    // ilpsched/AttemptEngine.h
-class IlpEngine;        // ilpsched/AttemptEngine.h
-class PbEngine;         // ilpsched/AttemptEngine.h
-class PortfolioEngine;  // ilpsched/AttemptEngine.h
+class ThreadPool; // support/ThreadPool.h
 
 /// Which exact engine decides each tentative II.
 enum class SchedulerBackend {
@@ -68,17 +62,11 @@ const char *toString(SchedulerBackend Backend);
 /// other text.
 std::optional<SchedulerBackend> parseSchedulerBackend(std::string_view Name);
 
-/// How the min-II search walks the tentative IIs (see
-/// ilpsched/IiSearch.h for the strategy implementations).
+/// How the min-II search walks the tentative IIs. One value remains:
+/// the type stays only while bench/e2e/Sweep.cpp still assigns it.
 enum class IiSearchKind {
-  /// One II at a time, MII upward — the paper's loop, and the default.
+  /// One II at a time, MII upward — the paper's loop.
   Sequential,
-  /// Race a window of consecutive IIs on a thread pool, commit the
-  /// lowest feasible one, cancel the rest. Same II and secondary
-  /// objective as Sequential (the winner depends only on II, never on
-  /// thread timing); wall-clock censoring differs, node censoring is
-  /// per-attempt.
-  ParallelRace,
 };
 
 /// Budgets and knobs for one scheduling run.
@@ -93,10 +81,10 @@ struct SchedulerOptions {
   /// paper used 15 minutes).
   double TimeLimitSeconds = 60.0;
   /// Per-loop branch-and-bound node budget (censoring alternative that
-  /// is deterministic across machines). Sequential search spends it
-  /// cumulatively across attempts; ParallelRace grants it to each
-  /// racing attempt independently (slots cannot see each other's node
-  /// spend without races) and re-checks the merged total between waves.
+  /// is deterministic across machines), spent cumulatively across the
+  /// II attempts. A portfolio race grants what is left to each engine
+  /// independently (neither sees the other's spend while it runs) and
+  /// charges both engines' spend to the loop afterwards.
   int64_t NodeLimit = INT64_MAX;
   /// Stop trying IIs after MII + MaxIiIncrease.
   int MaxIiIncrease = 64;
@@ -111,10 +99,10 @@ struct SchedulerOptions {
   /// ilp::MipOptions::Lp.Engine). Dense selects the cold-only reference
   /// engine, which the differential tests compare against.
   lp::SimplexEngine LpEngine = lp::SimplexEngine::SparseRevised;
-  /// II search strategy.
+  /// II search strategy; Sequential is the only one.
   IiSearchKind Search = IiSearchKind::Sequential;
-  /// Worker threads for IiSearchKind::ParallelRace (also the II window
-  /// width of one race wave); ignored by Sequential. Clamped to >= 1.
+  /// Must be 1 (asserted): the II search is single-threaded. Kept only
+  /// while bench/e2e/Sweep.cpp still assigns it.
   int SearchJobs = 1;
   /// Solve forensics (docs/OBSERVABILITY.md "Explanations & audit
   /// records"): attach a re-verified graph-level Explanation to every
@@ -184,9 +172,8 @@ struct IiAttempt {
   bool WindowInfeasible = false;
   /// True when this attempt produced (and verified) a schedule.
   bool Scheduled = false;
-  /// True when the attempt's solve was cancelled (a lower-II sibling in
-  /// a parallel race won, or the caller's token fired). A cancelled
-  /// attempt is not a verdict about its II.
+  /// True when the attempt's solve was cancelled (the caller's token
+  /// fired). A cancelled attempt is not a verdict about its II.
   bool Cancelled = false;
   int64_t Nodes = 0;
   int64_t SimplexIterations = 0;
@@ -214,29 +201,6 @@ struct IiAttempt {
   /// Portfolio backend only: cross-engine incumbent bounds actually
   /// applied during this attempt (PB rows injected at restarts + ILP
   /// prunes against the shared cell).
-  int64_t BoundExchanges = 0;
-};
-
-/// Cross-engine wiring handed to one portfolio worker (see
-/// ilpsched/PortfolioAttempt.h for the coordinator that owns it). The
-/// single-engine paths pass null and behave exactly as before.
-struct PortfolioEngineHooks {
-  /// Shared objective-cutoff cell, polled at B&B nodes (ILP) and CDCL
-  /// restart boundaries (PB). INT64_MAX = no incumbent yet; the cell
-  /// only tightens.
-  const std::atomic<int64_t> *ExternalBound = nullptr;
-  /// Invoked with every verified incumbent (objective value, schedule)
-  /// the worker finds, so the coordinator can publish it to the other
-  /// engine. May be called from the worker's thread; must be
-  /// thread-safe. Null = no exchange (feasibility races).
-  std::function<void(int64_t, const ModuloSchedule &)> OnIncumbent;
-  /// Out: the worker only refuted "objective < ExternalBound", not the
-  /// model — the true verdict at this II is the shared incumbent, which
-  /// the coordinator commits as optimal.
-  bool RefutedBelowExternal = false;
-  /// Out: cross-engine bounds this worker actually applied (PB rows
-  /// injected at restarts; 1 for an ILP solve that pruned against the
-  /// cell).
   int64_t BoundExchanges = 0;
 };
 
@@ -317,30 +281,24 @@ struct ScheduleResult {
   std::vector<IiAttempt> Attempts;
 };
 
-/// The optimal scheduler driver. Owns one instance of each registered
-/// AttemptEngine (ilpsched/AttemptEngine.h); scheduleAtIi is pure
-/// strategy selection — pick the engine the configured backend names,
-/// let supports() veto it, run the attempt, and re-verify the result
-/// through sched/Verifier as the uniform gate.
+/// The optimal modulo scheduler: the paper's Section 3.4 loop over
+/// tentative IIs from MII upward. scheduleAtIi decides one II with the
+/// attempt the configured backend names (ilpsched/Attempt.h) and
+/// re-verifies the result through sched/Verifier as the uniform gate.
 class OptimalModuloScheduler {
 public:
   OptimalModuloScheduler(const MachineModel &M, SchedulerOptions Options);
-  ~OptimalModuloScheduler();
-  OptimalModuloScheduler(const OptimalModuloScheduler &) = delete;
-  OptimalModuloScheduler &operator=(const OptimalModuloScheduler &) = delete;
 
   /// Schedules \p G for minimum II (and minimum secondary objective among
-  /// all min-II schedules) using the configured IiSearchKind: probeCache
-  /// then, on a miss, solve. With SchedulerOptions::Cache, the cache is
-  /// consulted first and clean solves are inserted afterwards.
+  /// all min-II schedules): probeCache then, on a miss, solve. With
+  /// SchedulerOptions::Cache, the cache is consulted first and clean
+  /// solves are inserted afterwards.
   ///
   /// \p Ctx, when non-null, is a persistent solve context the caller
   /// keeps across calls (one per worker thread, lp/SolveContext.h): its
   /// workspace carries warm simplex bases from one loop to the next.
   /// The caller owns its deadline / cancellation (arm before, reset
-  /// after); the sequential II search threads it through every attempt.
-  /// ParallelRaceIiSearch ignores it — racing slots need private
-  /// contexts, so cross-call reuse only applies to Sequential.
+  /// after); the II search threads it through every attempt.
   ScheduleResult schedule(const DependenceGraph &G,
                           lp::SolveContext *Ctx = nullptr) const;
 
@@ -366,14 +324,11 @@ public:
   /// token — for this attempt (lp/SolveContext.h); a fresh local
   /// context is used otherwise. Reentrant: concurrent calls on one
   /// scheduler are safe as long as each uses its own \p Stats and
-  /// \p Ctx. Under SchedulerBackend::Portfolio, \p RacePool holds the
-  /// loop-level race pool (created by the first race and reused by
-  /// later attempts); a transient holder is used when null, so each
-  /// racing attempt then starts its own pool.
+  /// \p Ctx. Under SchedulerBackend::Portfolio a race runs on a pool
+  /// of this call's own.
   std::optional<ModuloSchedule>
   scheduleAtIi(const Problem &P, int II, ScheduleResult &Stats,
-               double TimeBudget, lp::SolveContext *Ctx = nullptr,
-               std::unique_ptr<ThreadPool> *RacePool = nullptr) const;
+               double TimeBudget, lp::SolveContext *Ctx = nullptr) const;
 
   /// Convenience overload wrapping \p G (with this scheduler's machine
   /// and formulation options) in a transient Problem. Prefer the
@@ -381,22 +336,19 @@ public:
   /// shares the canonicalization and the once-per-Problem diagnostics.
   std::optional<ModuloSchedule>
   scheduleAtIi(const DependenceGraph &G, int II, ScheduleResult &Stats,
-               double TimeBudget, lp::SolveContext *Ctx = nullptr,
-               std::unique_ptr<ThreadPool> *RacePool = nullptr) const;
+               double TimeBudget, lp::SolveContext *Ctx = nullptr) const;
 
   const SchedulerOptions &options() const { return Opts; }
 
 private:
-  /// Backend dispatch: the engine that must decide (\p P, \p II) under
-  /// the configured SchedulerBackend, after supports() vetoes (the PB
-  /// backend falls back to the ILP engine, warning once per Problem).
-  const AttemptEngine *selectEngine(const Problem &P, int II) const;
+  /// scheduleAtIi with the portfolio's race pool held by the caller:
+  /// solve() keeps one for the whole II ladder.
+  std::optional<ModuloSchedule>
+  attempt(const Problem &P, int II, ScheduleResult &Stats, double TimeBudget,
+          lp::SolveContext *Ctx, std::unique_ptr<ThreadPool> &RacePool) const;
 
   const MachineModel &M;
   SchedulerOptions Opts;
-  std::unique_ptr<IlpEngine> IlpE;
-  std::unique_ptr<PbEngine> PbE;
-  std::unique_ptr<PortfolioEngine> PortfolioE;
 };
 
 } // namespace modsched

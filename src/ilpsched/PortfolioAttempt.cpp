@@ -1,9 +1,9 @@
-//===- ilpsched/PortfolioAttempt.cpp - Engine race coordination -----------===//
+//===- ilpsched/PortfolioAttempt.cpp - ILP/PB race coordination -----------===//
 
 #include "ilpsched/PortfolioAttempt.h"
 
-#include "ilpsched/AttemptEngine.h"
-#include "ilpsched/OptimalScheduler.h"
+#include "ilpsched/Attempt.h"
+#include "ilpsched/PbFormulation.h"
 #include "lp/SolveContext.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 using namespace modsched;
@@ -46,7 +45,7 @@ std::optional<ModuloSchedule> SharedIncumbent::best(int64_t &K) const {
 namespace {
 
 telemetry::Counter StatRaces("ilpsched", "portfolio.races",
-                             "II attempts raced by several engines");
+                             "II attempts raced by both engines");
 telemetry::Counter StatWinnerIlp("ilpsched", "portfolio.winner_ilp",
                                  "Attempts committed from the ILP engine");
 telemetry::Counter StatWinnerPb("ilpsched", "portfolio.winner_pb",
@@ -61,11 +60,36 @@ telemetry::Counter StatPbIneligible("ilpsched", "portfolio.pb_ineligible",
                                     "(wide-coefficient MinLife or "
                                     "unsupported formulation)");
 
-void bumpWinner(const char *Name) {
-  if (std::strcmp(Name, "ilp") == 0)
-    ++StatWinnerIlp;
-  else if (std::strcmp(Name, "pb") == 0)
-    ++StatWinnerPb;
+/// One engine of the portfolio: the name IiAttempt::Winner reports, its
+/// attempt function and its win counter.
+struct Engine {
+  const char *Name;
+  std::optional<ModuloSchedule> (*Solve)(AttemptContext &);
+  telemetry::Counter *Wins;
+};
+
+const Engine IlpLane{"ilp", solveIlpAttempt, &StatWinnerIlp};
+const Engine PbLane{"pb", solvePbAttempt, &StatWinnerPb};
+
+/// PB contests the attempt when its encoding expresses the formulation
+/// and, for MinLife, the II is within PortfolioPbCoeffLimit: MinLife
+/// rows carry objective/lifetime coefficients that scale with II, and
+/// past that width the CDCL engine's cardinality reasoning degrades
+/// into slow generic PB arithmetic and never wins the race (E11).
+bool pbContests(const SchedulerOptions &Opts, const Problem &P, int II) {
+  return PbFormulation::supports(P.options()) &&
+         !(P.options().Obj == Objective::MinLife &&
+           II > Opts.PortfolioPbCoeffLimit);
+}
+
+/// The ILP sits out a tiny feasibility attempt (NoObj, at most
+/// PortfolioIlpMinPbVars PB variables): the CDCL engine decides these
+/// orders of magnitude faster than a B&B warm-up (E11), so racing the
+/// ILP only burns a worker. A limit of 0 disables the rule.
+bool ilpSitsOut(const SchedulerOptions &Opts, const Problem &P, int II) {
+  return P.options().Obj == Objective::None &&
+         Opts.PortfolioIlpMinPbVars > 0 &&
+         P.graph().numOperations() * II <= Opts.PortfolioIlpMinPbVars;
 }
 
 /// Everything one racing engine produces: its verdict-bearing attempt
@@ -92,12 +116,11 @@ bool conclusive(const WorkerResult &W, const PortfolioEngineHooks &H) {
   return W.Attempt.Status == MipStatus::Infeasible;
 }
 
-/// One lane of a portfolio race: the child engine plus all the
-/// per-worker state it solves under. Everything lives on the
-/// coordinator's frame; the latch guarantees workers terminate before
-/// it unwinds.
+/// One lane of a portfolio race: the engine plus all the per-worker
+/// state it solves under. Everything lives on the coordinator's frame;
+/// the latch guarantees workers terminate before it unwinds.
 struct Racer {
-  const AttemptEngine *E = nullptr;
+  const Engine *E = nullptr;
   CancellationSource Cancel;
   lp::SolveContext Ctx;
   PortfolioEngineHooks Hooks;
@@ -106,68 +129,38 @@ struct Racer {
 
 } // namespace
 
-bool PortfolioEngine::supports(const Problem &P, int II) const {
-  for (const AttemptEngine *E : Children)
-    if (E->supports(P, II))
-      return true;
-  return false;
-}
-
 std::optional<ModuloSchedule>
-PortfolioEngine::solveAttempt(AttemptContext &C) const {
+modsched::solvePortfolioAttempt(AttemptContext &C) {
   assert(C.RacePool && "portfolio attempts need a loop-level pool holder");
   const Objective Obj = C.P.options().Obj;
 
-  // --- Eligibility: which registered engines contest this attempt.
-  // supports() is the hard capability filter; worthRacing() then thins a
-  // multi-engine field down to the engines worth a worker (unless that
-  // would empty it — somebody has to decide the II). ---
-  std::vector<const AttemptEngine *> Contestants;
-  for (const AttemptEngine *E : Children)
-    if (E->supports(C.P, C.II))
-      Contestants.push_back(E);
-  assert(!Contestants.empty() &&
-         "portfolio dispatched an attempt no registered engine supports");
-  if (Contestants.size() > 1) {
-    std::vector<const AttemptEngine *> Worth;
-    for (const AttemptEngine *E : Contestants)
-      if (E->worthRacing(C.P, C.II))
-        Worth.push_back(E);
-    if (!Worth.empty())
-      Contestants = std::move(Worth);
-  }
-  const auto contesting = [&](const char *Name) {
-    for (const AttemptEngine *E : Contestants)
-      if (std::strcmp(E->name(), Name) == 0)
-        return true;
-    return false;
-  };
-  bool PbRegistered = false;
-  for (const AttemptEngine *E : Children)
-    PbRegistered |= std::strcmp(E->name(), "pb") == 0;
-  if (PbRegistered && !contesting("pb"))
+  // --- Eligibility. The two sit-out rules never fire together (one
+  // needs NoObj, the other MinLife), so some engine always decides. ---
+  const bool RunPb = pbContests(C.Opts, C.P, C.II);
+  const bool RunIlp = !RunPb || !ilpSitsOut(C.Opts, C.P, C.II);
+  if (!RunPb)
     ++StatPbIneligible;
 
-  if (Contestants.size() == 1) {
-    // A lone contestant runs inline on the caller's thread — no pool,
-    // no shared incumbent (there is nobody to exchange bounds with), so
-    // it solves exactly as its single-engine backend would.
-    const AttemptEngine *E = Contestants.front();
-    std::optional<ModuloSchedule> S = E->solveAttempt(C);
+  if (!RunPb || !RunIlp) {
+    // A lone engine runs inline on the caller's thread — no pool, no
+    // shared incumbent (there is nobody to exchange bounds with), so it
+    // solves exactly as its single-engine backend would.
+    const Engine &E = RunIlp ? IlpLane : PbLane;
+    std::optional<ModuloSchedule> S = E.Solve(C);
     if (S || (!C.Attempt.Cancelled &&
               C.Attempt.Status == MipStatus::Infeasible)) {
-      C.Attempt.Winner = E->name();
-      bumpWinner(E->name());
+      C.Attempt.Winner = E.Name;
+      ++*E.Wins;
     }
     return S;
   }
 
-  // --- Race the contestants on the loop's pool, created by the first
-  // race (eligibility short-circuits never pay for threads). ---
+  // --- Race both engines on the loop's pool, created by the first race
+  // (eligibility short-circuits never pay for threads). ---
   ++StatRaces;
   std::unique_ptr<ThreadPool> &Pool = *C.RacePool;
   if (!Pool)
-    Pool = std::make_unique<ThreadPool>(int(Children.size()));
+    Pool = std::make_unique<ThreadPool>(2);
 
   lp::SolveContext LocalCtx;
   lp::SolveContext &Parent = C.Ctx ? *C.Ctx : LocalCtx;
@@ -177,10 +170,13 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
 
   const int64_t SeedNodes = C.Stats.Nodes;
   const int64_t SeedConflicts = C.Stats.PbConflicts;
-  std::vector<Racer> Racers(Contestants.size());
-  for (size_t I = 0; I != Racers.size(); ++I) {
-    Racer &R = Racers[I];
-    R.E = Contestants[I];
+  // The ILP lane comes first: when both engines conclude, its verdict
+  // is committed (its audit evidence is richer), keeping outcomes
+  // deterministic.
+  Racer Racers[2];
+  Racers[0].E = &IlpLane;
+  Racers[1].E = &PbLane;
+  for (Racer &R : Racers) {
     R.Ctx.DeadlineSeconds = Parent.DeadlineSeconds;
     R.Ctx.Cancel = R.Cancel.token();
     if (Exchange) {
@@ -189,9 +185,9 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
         Shared.publish(K, S);
       };
     }
-    // Each worker sees the loop's budget spend so far (like
-    // ParallelRace slots, the budget is granted to each independently —
-    // they cannot see each other's spend without racing on it).
+    // Each worker sees the loop's budget spend so far; the remaining
+    // budget is granted to each independently — they cannot see each
+    // other's spend without racing on it.
     R.W.Attempt.II = C.II;
     R.W.Scratch.Nodes = SeedNodes;
     R.W.Scratch.PbConflicts = SeedConflicts;
@@ -202,10 +198,10 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
   for (Racer &R : Racers) {
     Racer *RP = &R;
     Pool->submit([&C, &Mu, &Cv, RP] {
-      AttemptContext Lane{C.P,          C.II,     RP->W.Scratch,
-                          C.TimeBudget, &RP->Ctx, RP->W.Attempt,
-                          &RP->Hooks};
-      RP->W.Schedule = RP->E->solveAttempt(Lane);
+      AttemptContext Lane{C.Opts,        C.P,          C.II,
+                          RP->W.Scratch, C.TimeBudget, &RP->Ctx,
+                          RP->W.Attempt, &RP->Hooks};
+      RP->W.Schedule = RP->E->Solve(Lane);
       // Notify under the lock: once Done is visible and Mu released, the
       // coordinator may return and destroy the Cv on its frame.
       std::lock_guard<std::mutex> Lock(Mu);
@@ -216,7 +212,7 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
 
   // Latch: wake on worker completion (or every millisecond to poll the
   // parent's token — CancellationToken has no chaining API). The first
-  // conclusive verdict cancels the losers; every worker must terminate
+  // conclusive verdict cancels the loser; every worker must terminate
   // before the coordinator touches their results, since everything they
   // reference lives on this frame.
   {
@@ -249,9 +245,9 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
     ExchangesApplied += R.Hooks.BoundExchanges;
   StatBoundExchanges += ExchangesApplied;
 
-  // --- Merge every engine's effort into the loop statistics (truthful
-  // telemetry: racing costs several engines' work, and budgetNodes()
-  // must reflect it). ---
+  // --- Merge both engines' effort into the loop statistics (truthful
+  // telemetry: racing costs both engines' work, and budgetNodes() must
+  // reflect it). ---
   IiAttempt &Attempt = C.Attempt;
   for (Racer &R : Racers) {
     C.Stats.Nodes += R.W.Scratch.Nodes - SeedNodes;
@@ -306,40 +302,30 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
     V.Infeasible = true;
     return V;
   };
-  std::vector<Verdict> Verdicts;
-  Verdicts.reserve(Racers.size());
-  for (Racer &R : Racers)
-    Verdicts.push_back(Resolve(R));
+  Verdict Verdicts[2] = {Resolve(Racers[0]), Resolve(Racers[1])};
 
-  // Engines that finished before the cancellation landed produced
+  // Engines that both finished before the cancellation landed produced
   // independent exact answers and must agree — a mismatch is an engine
   // bug, never a result.
-  Verdict *First = nullptr;
-  Racer *FirstR = nullptr;
-  for (size_t I = 0; I != Verdicts.size(); ++I) {
-    if (!Verdicts[I].Valid)
-      continue;
-    if (!First) {
-      First = &Verdicts[I];
-      FirstR = &Racers[I];
-      continue;
-    }
-    const Verdict &V = Verdicts[I];
-    const bool Agree = First->Infeasible == V.Infeasible &&
-                       (First->Infeasible || First->ObjVal == V.ObjVal);
-    if (!Agree) {
-      std::fprintf(stderr,
-                   "fatal: portfolio engines disagree at II=%d: "
-                   "%s={infeasible=%d obj=%lld} "
-                   "%s={infeasible=%d obj=%lld}\n",
-                   C.II, FirstR->E->name(), First->Infeasible ? 1 : 0,
-                   (long long)First->ObjVal, Racers[I].E->name(),
-                   V.Infeasible ? 1 : 0, (long long)V.ObjVal);
-      std::abort();
-    }
+  if (Verdicts[0].Valid && Verdicts[1].Valid &&
+      (Verdicts[0].Infeasible != Verdicts[1].Infeasible ||
+       (!Verdicts[0].Infeasible &&
+        Verdicts[0].ObjVal != Verdicts[1].ObjVal))) {
+    std::fprintf(stderr,
+                 "fatal: portfolio engines disagree at II=%d: "
+                 "ilp={infeasible=%d obj=%lld} pb={infeasible=%d obj=%lld}\n",
+                 C.II, Verdicts[0].Infeasible ? 1 : 0,
+                 (long long)Verdicts[0].ObjVal, Verdicts[1].Infeasible ? 1 : 0,
+                 (long long)Verdicts[1].ObjVal);
+    std::abort();
   }
 
-  if (!First) {
+  // Fixed engine preference: when both verdicts are conclusive the ILP
+  // lane's is committed, so the attempt record (and any
+  // explanation/audit attached to it) is deterministic regardless of
+  // race timing.
+  const size_t Win = Verdicts[0].Valid ? 0 : 1;
+  if (!Verdicts[Win].Valid) {
     // No engine decided the II: the parent cancelled the race, or every
     // engine was censored by its budget.
     if (Parent.cancelled()) {
@@ -360,15 +346,11 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
     return std::nullopt;
   }
 
-  // Fixed engine preference: when several verdicts are conclusive the
-  // earliest registered child's is committed, so the attempt record
-  // (and any explanation/audit attached to it) is deterministic
-  // regardless of race timing.
-  Verdict &V = *First;
-  Racer &W = *FirstR;
+  Verdict &V = Verdicts[Win];
+  Racer &W = Racers[Win];
 
-  Attempt.Winner = W.E->name();
-  bumpWinner(W.E->name());
+  Attempt.Winner = W.E->Name;
+  ++*W.E->Wins;
   Attempt.Variables = W.W.Attempt.Variables;
   Attempt.Constraints = W.W.Attempt.Constraints;
   Attempt.Explain = std::move(W.W.Attempt.Explain);
@@ -382,7 +364,7 @@ PortfolioEngine::solveAttempt(AttemptContext &C) const {
 
   Attempt.Status = MipStatus::Optimal;
   Attempt.Scheduled = true;
-  if (Opts.Explain && !Attempt.Audit) {
+  if (C.Opts.Explain && !Attempt.Audit) {
     // Optimality proved by the refutation half of a split verdict (one
     // engine found the schedule, another exhausted everything better);
     // there is no relaxation bound to audit against.

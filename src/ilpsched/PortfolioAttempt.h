@@ -6,10 +6,10 @@
 ///
 /// \file
 /// Race coordination of the portfolio backend
-/// (SchedulerBackend::Portfolio; the PortfolioEngine of
-/// ilpsched/AttemptEngine.h): each tentative II dispatches the
-/// registered child engines onto a dedicated worker pool, the first
-/// conclusive verdict wins and cancels the losers, and cross-engine
+/// (SchedulerBackend::Portfolio; solvePortfolioAttempt in
+/// ilpsched/Attempt.h): when both engines contest a tentative II, the
+/// ILP and the PB attempt run on a two-worker pool, the first
+/// conclusive verdict wins and cancels the other, and cross-engine
 /// incumbent exchange makes the race more than the sum of its engines:
 /// whichever engine verifies a schedule of objective k publishes it to
 /// a SharedIncumbent; the ILP prunes nodes against the atomic cell
@@ -26,10 +26,9 @@
 /// race timing. Only the committed schedule (one of several equally
 /// optimal ones) and the censoring wall-clock may differ.
 ///
-/// The only loop-level state is the race pool: the II search owns one
-/// lazily created pool per loop (Sequential) or per racing slot
-/// (ParallelRace, reused across waves — the wave barrier serializes
-/// accesses) and threads it through OptimalModuloScheduler::scheduleAtIi.
+/// The only loop-level state is the pool: OptimalModuloScheduler::solve
+/// holds one per loop, created by the loop's first race and reused by
+/// the rest of its II ladder.
 ///
 //===----------------------------------------------------------------------===//
 

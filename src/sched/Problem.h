@@ -97,8 +97,8 @@ struct FormulationOptions {
 /// Holds its graph and machine by reference — both must outlive the
 /// Problem (they are owned by the caller of OptimalModuloScheduler, which
 /// already guarantees this). Canonicalization is computed lazily on first
-/// use and is thread-safe; a Problem shared by the parallel II race pays
-/// for it at most once.
+/// use and is thread-safe; a Problem shared across threads pays for it
+/// at most once.
 class Problem {
 public:
   Problem(const DependenceGraph &G, const MachineModel &M,

@@ -168,7 +168,6 @@ SchedulerOptions requestOptions(const Request &Req, const ServerOptions &Opts) {
   SOpts.NodeLimit = Req.NodeLimit > 0 ? Req.NodeLimit : Opts.DefaultNodeLimit;
   if (Req.MaxIiIncrease >= 0)
     SOpts.MaxIiIncrease = Req.MaxIiIncrease;
-  SOpts.Search = IiSearchKind::Sequential; // Parallelism is across requests.
   SOpts.Explain = false;
   SOpts.Cache = Opts.Cache;
   return SOpts;

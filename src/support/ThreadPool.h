@@ -6,9 +6,8 @@
 ///
 /// \file
 /// A minimal fixed-size thread pool for the reentrant solve pipeline:
-/// the speculative parallel II search and the portfolio backend race
-/// scheduling attempts on it, and the scheduling service runs its
-/// solve workers on one. Each worker installs a telemetry thread shard
+/// the portfolio backend races its two engines on one, and the
+/// scheduling service runs its solve workers on one. Each worker installs a telemetry thread shard
 /// (support/Telemetry.h) for its lifetime, so counters and phase timers
 /// recorded from pool tasks accumulate without atomics on the hot path
 /// and merge into the process registry when the pool is destroyed.

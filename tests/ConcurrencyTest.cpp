@@ -2,29 +2,18 @@
 //
 // Tests for the concurrency layer introduced with SolveContext: cross-
 // thread cancellation of a running branch-and-bound search, deadline /
-// node-budget attribution, telemetry shard merging across a ThreadPool,
-// and a differential of the ParallelRace II search against the
-// Sequential baseline (same II, same secondary objective, same
-// verdicts — the race must be an implementation detail, never a
-// semantic change).
+// node-budget attribution, and telemetry shard merging across a
+// ThreadPool.
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestVariant.h"
-
 #include "ilp/BranchAndBound.h"
-#include "ilpsched/IiSearch.h"
-#include "ilpsched/OptimalScheduler.h"
 #include "lp/SolveContext.h"
-#include "sched/RegisterPressure.h"
-#include "sched/Verifier.h"
 #include "support/Cancellation.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
-#include "workloads/KernelLibrary.h"
-#include "workloads/SyntheticGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -162,103 +151,4 @@ TEST(Concurrency, TelemetryShardsMergeAcrossThreadPool) {
     Pool.wait();
   } // Pool destruction merges every remaining worker shard.
   EXPECT_EQ(StatTestAdds.value() - Before, 68);
-}
-
-//===----------------------------------------------------------------------===//
-// ParallelRace vs Sequential differential
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-SchedulerOptions raceOpts(Objective Obj, IiSearchKind Kind, int Jobs) {
-  SchedulerOptions Opts = test::variantOptions();
-  Opts.Formulation.Obj = Obj;
-  Opts.Formulation.DepStyle = DependenceStyle::Structured;
-  Opts.TimeLimitSeconds = 30.0;
-  Opts.Search = Kind;
-  Opts.SearchJobs = Jobs;
-  return Opts;
-}
-
-} // namespace
-
-class RaceDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(RaceDifferentialTest, MatchesSequentialVerdicts) {
-  MachineModel M = MachineModel::cydraLike();
-  Rng R(GetParam() * 7919 + 13);
-  SyntheticOptions SOpts;
-  SOpts.MinOps = 3;
-  SOpts.MaxOps = 9;
-  DependenceGraph G = generateLoop(M, R, SOpts);
-
-  OptimalModuloScheduler Seq(
-      M, raceOpts(Objective::MinReg, IiSearchKind::Sequential, 1));
-  OptimalModuloScheduler Race(
-      M, raceOpts(Objective::MinReg, IiSearchKind::ParallelRace, 3));
-  ScheduleResult A = Seq.schedule(G);
-  ScheduleResult B = Race.schedule(G);
-  if (A.TimedOut || B.TimedOut || A.NodeLimitHit || B.NodeLimitHit)
-    GTEST_SKIP() << "censored run; verdict comparison is meaningless";
-
-  EXPECT_EQ(A.Found, B.Found) << G.toString();
-  EXPECT_EQ(A.Mii, B.Mii);
-  if (A.Found && B.Found) {
-    EXPECT_EQ(A.II, B.II) << G.toString();
-    EXPECT_NEAR(A.SecondaryObjective, B.SecondaryObjective, 1e-6)
-        << G.toString();
-    EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value());
-    EXPECT_EQ(computeRegisterPressure(G, B.Schedule).MaxLive,
-              computeRegisterPressure(G, A.Schedule).MaxLive);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RaceDifferentialTest,
-                         ::testing::Range<uint64_t>(0, 12));
-
-TEST(Concurrency, ParallelRaceCancelsLosersCleanly) {
-  // secondOrderRecurrence on the cydra-like machine needs II > MII, so
-  // a 4-wide race genuinely overlaps feasible and infeasible IIs and a
-  // winner genuinely cancels higher-II siblings.
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = secondOrderRecurrence(M);
-
-  OptimalModuloScheduler Seq(
-      M, raceOpts(Objective::None, IiSearchKind::Sequential, 1));
-  OptimalModuloScheduler Race(
-      M, raceOpts(Objective::None, IiSearchKind::ParallelRace, 4));
-  ScheduleResult A = Seq.schedule(G);
-  ScheduleResult B = Race.schedule(G);
-
-  ASSERT_TRUE(A.Found);
-  ASSERT_TRUE(B.Found);
-  EXPECT_EQ(A.II, B.II);
-  EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value());
-
-  for (const IiAttempt &Attempt : B.Attempts) {
-    if (Attempt.II < B.II) {
-      // Everything below the committed II was genuinely refuted, never
-      // cancelled (cancellation only ever targets higher IIs).
-      EXPECT_FALSE(Attempt.Scheduled);
-      EXPECT_FALSE(Attempt.Cancelled);
-    }
-    if (Attempt.Cancelled) {
-      EXPECT_GT(Attempt.II, B.II);
-      // A cancelled attempt never half-delivers: no schedule, no
-      // infeasibility verdict.
-      EXPECT_FALSE(Attempt.Scheduled);
-      EXPECT_EQ(Attempt.Status, MipStatus::Cancelled);
-    }
-  }
-}
-
-TEST(Concurrency, RaceFactoryDegeneratesToSequential) {
-  EXPECT_STREQ(
-      makeIiSearchStrategy(IiSearchKind::ParallelRace, 1)->name(),
-      "sequential");
-  EXPECT_STREQ(
-      makeIiSearchStrategy(IiSearchKind::ParallelRace, 2)->name(),
-      "parallel-race");
-  EXPECT_STREQ(makeIiSearchStrategy(IiSearchKind::Sequential, 8)->name(),
-               "sequential");
 }

@@ -242,25 +242,6 @@ TEST(PbBackend, ConflictBudgetCensorsSearch) {
   }
 }
 
-TEST(PbBackend, ParallelRaceMatchesSequential) {
-  MachineModel M = MachineModel::cydraLike();
-  for (const DependenceGraph &G :
-       {secondOrderRecurrence(M), livermore5(M), stencil3(M)}) {
-    SchedulerOptions Seq = backendOpts(SchedulerBackend::Pb,
-                                       Objective::None);
-    SchedulerOptions Race = Seq;
-    Race.Search = IiSearchKind::ParallelRace;
-    Race.SearchJobs = 4;
-    ScheduleResult A = OptimalModuloScheduler(M, Seq).schedule(G);
-    ScheduleResult B = OptimalModuloScheduler(M, Race).schedule(G);
-    if (A.TimedOut || B.TimedOut)
-      continue;
-    ASSERT_TRUE(A.Found && B.Found) << G.name();
-    EXPECT_EQ(A.II, B.II) << G.name();
-    EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value()) << G.name();
-  }
-}
-
 TEST(PbBackend, AttemptTelemetryTellsTheStory) {
   // secondOrderRecurrence has MII below its feasible II on cydraLike, so
   // the attempts vector must show infeasible verdicts below the achieved
@@ -332,7 +313,6 @@ TEST(PbBackend, PinnedEffortOnKernels) {
   for (const Pin &P : Pins) {
     const DependenceGraph G = P.Kernel(M);
     SchedulerOptions Opts = backendOpts(SchedulerBackend::Pb, P.Obj);
-    Opts.Search = IiSearchKind::Sequential;
     Opts.NodeLimit = 20000;
     Opts.TimeLimitSeconds = 60.0;
     Opts.Explain = false;

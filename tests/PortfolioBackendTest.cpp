@@ -6,12 +6,15 @@
 // sequential single-engine backends regardless of race timing — these
 // tests enforce that differential three ways (portfolio vs ILP vs PB),
 // plus the race invariants themselves: loser cancellation, winner
-// bookkeeping, bound-exchange soundness (a shared incumbent must never
-// cut off the true optimum), and the ParallelRace composition.
+// bookkeeping, and bound-exchange soundness (a shared incumbent must
+// never cut off the true optimum).
 //
-// Budgets stay small: on a single-core host the race time-slices, so a
-// portfolio attempt costs roughly the sum of what its engines burn
-// until the winner finishes. Censored runs skip, per repo convention.
+// Budgets are deterministic: a node budget (B&B nodes plus CDCL
+// conflicts) far above what any case needs, with the wall clock only as
+// a distant safety net, and every case is asserted decided. The largest
+// decided case spends about 500; a race grants each engine the loop's
+// remaining budget and a loser's spend depends on thread timing, hence
+// the headroom.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace modsched;
 
 namespace {
@@ -33,8 +38,17 @@ SchedulerOptions backendOpts(SchedulerBackend Backend, Objective Obj) {
   SchedulerOptions Opts;
   Opts.Backend = Backend;
   Opts.Formulation.Obj = Obj;
-  Opts.TimeLimitSeconds = 30.0;
+  Opts.NodeLimit = 200000;
+  Opts.TimeLimitSeconds = 3600.0;
   return Opts;
+}
+
+/// Every case in this file is decided within its budget; a censored run
+/// is a failure, not a skip.
+void expectDecided(const ScheduleResult &R, const std::string &What) {
+  EXPECT_FALSE(R.TimedOut) << What;
+  EXPECT_FALSE(R.NodeLimitHit) << What << " (budget " << R.budgetNodes()
+                               << ")";
 }
 
 /// Race-invariant checks every portfolio result must satisfy,
@@ -55,11 +69,10 @@ void checkRaceInvariants(const ScheduleResult &R) {
 }
 
 /// Runs the portfolio and both sequential single-engine backends on
-/// (M, G, Obj) and checks the three-way differential: identical Found
-/// verdict, II, and objective value, plus an independently verified and
-/// simulated portfolio schedule. Censored runs (any backend) prove
-/// nothing and are skipped. Returns false when censored.
-bool expectPortfolioAgrees(const MachineModel &M, const DependenceGraph &G,
+/// (M, G, Obj) and checks the three-way differential: each run decided,
+/// identical Found verdict, II, and objective value, plus an
+/// independently verified and simulated portfolio schedule.
+void expectPortfolioAgrees(const MachineModel &M, const DependenceGraph &G,
                            Objective Obj) {
   ScheduleResult Ilp =
       OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Ilp, Obj))
@@ -70,14 +83,16 @@ bool expectPortfolioAgrees(const MachineModel &M, const DependenceGraph &G,
   ScheduleResult Port =
       OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Portfolio, Obj))
           .schedule(G);
-  if (Ilp.TimedOut || Ilp.NodeLimitHit || Pb.TimedOut || Pb.NodeLimitHit ||
-      Port.TimedOut || Port.NodeLimitHit)
-    return false;
+  const std::string What =
+      M.name() + "/" + G.name() + " " + toString(Obj) + " ";
+  expectDecided(Ilp, What + "ilp");
+  expectDecided(Pb, What + "pb");
+  expectDecided(Port, What + "portfolio");
   checkRaceInvariants(Port);
   EXPECT_EQ(Ilp.Found, Port.Found) << M.name() << "/" << G.name();
   EXPECT_EQ(Pb.Found, Port.Found) << M.name() << "/" << G.name();
   if (!Ilp.Found || !Port.Found)
-    return true;
+    return;
   EXPECT_EQ(Ilp.II, Port.II) << M.name() << "/" << G.name();
   EXPECT_EQ(Ilp.Mii, Port.Mii) << M.name() << "/" << G.name();
   EXPECT_NEAR(Ilp.SecondaryObjective, Port.SecondaryObjective, 1e-6)
@@ -90,7 +105,6 @@ bool expectPortfolioAgrees(const MachineModel &M, const DependenceGraph &G,
                                 Port.Schedule.numStages() + 24)
                    .Violation.has_value())
       << M.name() << "/" << G.name();
-  return true;
 }
 
 } // namespace
@@ -173,9 +187,8 @@ TEST(PortfolioBackend, BoundExchangeNeverCutsTheOptimum) {
         OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Portfolio,
                                               Objective::MinReg))
             .schedule(G);
-    if (Seq.TimedOut || Seq.NodeLimitHit || Port.TimedOut ||
-        Port.NodeLimitHit)
-      continue;
+    expectDecided(Seq, G.name() + " ilp");
+    expectDecided(Port, G.name() + " portfolio");
     ASSERT_EQ(Seq.Found, Port.Found) << G.name();
     if (!Seq.Found)
       continue;
@@ -214,8 +227,7 @@ TEST(PortfolioBackend, SharedIncumbentBeatsIlpOwnIncumbent) {
     SchedulerOptions PortOpts = IlpOpts;
     PortOpts.Backend = SchedulerBackend::Portfolio;
     ScheduleResult Port = OptimalModuloScheduler(M, PortOpts).schedule(G);
-    if (Port.TimedOut || Port.NodeLimitHit)
-      continue;
+    expectDecided(Port, "trial " + std::to_string(Trial));
     ASSERT_TRUE(Port.Found) << "trial " << Trial;
     EXPECT_EQ(Seq.II, Port.II) << "trial " << Trial;
     ASSERT_NEAR(Seq.SecondaryObjective, Port.SecondaryObjective, 1e-6)
@@ -274,33 +286,6 @@ TEST(PortfolioBackend, TinyNoObjEncodingSitsIlpOut) {
     if (!A.Winner.empty())
       EXPECT_EQ(A.Winner, "pb");
   EXPECT_FALSE(verifySchedule(G, M, Port.Schedule).has_value());
-}
-
-//===----------------------------------------------------------------------===//
-// ParallelRace composition
-//===----------------------------------------------------------------------===//
-
-TEST(PortfolioBackend, ParallelRaceMatchesSequential) {
-  // The II race on top of the engine race: per-slot race pools are
-  // reused across waves and the commit scan stays deterministic, so the
-  // committed II/objective must match the sequential portfolio search.
-  MachineModel M = MachineModel::cydraLike();
-  for (const DependenceGraph &G : {secondOrderRecurrence(M), stencil3(M)}) {
-    SchedulerOptions Seq = backendOpts(SchedulerBackend::Portfolio,
-                                       Objective::None);
-    SchedulerOptions Race = Seq;
-    Race.Search = IiSearchKind::ParallelRace;
-    Race.SearchJobs = 2;
-    ScheduleResult A = OptimalModuloScheduler(M, Seq).schedule(G);
-    ScheduleResult B = OptimalModuloScheduler(M, Race).schedule(G);
-    if (A.TimedOut || B.TimedOut)
-      continue;
-    ASSERT_TRUE(A.Found && B.Found) << G.name();
-    EXPECT_EQ(A.II, B.II) << G.name();
-    EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value()) << G.name();
-    checkRaceInvariants(A);
-    checkRaceInvariants(B);
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -135,24 +135,12 @@ TEST(Presolve, MipOptimaUnchangedByPresolve) {
 
 class PresolveRandomMip : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PresolveRandomMip, PreservesOptimum) {
-  Rng R(GetParam() * 3 + 2);
-  Model M;
+namespace {
+
+/// Branch-and-bound, node presolve included, must agree with enumeration
+/// of the whole 5^4 integer box of \p M (four variables in [0, 4]).
+void expectMatchesEnumeration(const Model &M) {
   const int N = 4;
-  for (int I = 0; I < N; ++I)
-    M.addVariable("x" + std::to_string(I), 0, 4,
-                  double(R.nextInRange(-4, 4)), VarKind::Integer);
-  for (int C = 0; C < 3; ++C) {
-    std::vector<Term> Terms;
-    for (int I = 0; I < N; ++I)
-      Terms.push_back({I, double(R.nextInRange(-3, 3))});
-    M.addConstraint(Terms,
-                    R.nextBool(0.5) ? ConstraintSense::LE
-                                    : ConstraintSense::GE,
-                    double(R.nextInRange(-6, 10)));
-  }
-  // Branch-and-bound, node presolve included, against enumeration of
-  // the whole 5^4 integer box.
   bool Feasible = false;
   double Best = 0.0;
   std::vector<double> X(N);
@@ -172,6 +160,47 @@ TEST_P(PresolveRandomMip, PreservesOptimum) {
       << M.toString();
   if (Feasible) {
     EXPECT_NEAR(Mip.Objective, Best, 1e-6) << M.toString();
+  }
+}
+
+} // namespace
+
+TEST_P(PresolveRandomMip, PreservesOptimum) {
+  Rng R(GetParam() * 3 + 2);
+  const int N = 4;
+  {
+    // Mixed signs everywhere.
+    Model M;
+    for (int I = 0; I < N; ++I)
+      M.addVariable("x" + std::to_string(I), 0, 4,
+                    double(R.nextInRange(-4, 4)), VarKind::Integer);
+    for (int C = 0; C < 3; ++C) {
+      std::vector<Term> Terms;
+      for (int I = 0; I < N; ++I)
+        Terms.push_back({I, double(R.nextInRange(-3, 3))});
+      M.addConstraint(Terms,
+                      R.nextBool(0.5) ? ConstraintSense::LE
+                                      : ConstraintSense::GE,
+                      double(R.nextInRange(-6, 10)));
+    }
+    expectMatchesEnumeration(M);
+  }
+  {
+    // Covering rows (GE, nonnegative coefficients) under a positive
+    // objective: presolve raises integer lower bounds, and the optimum
+    // sits on them, so a bound rounded one too high changes the answer.
+    Model M;
+    for (int I = 0; I < N; ++I)
+      M.addVariable("x" + std::to_string(I), 0, 4,
+                    double(R.nextInRange(1, 4)), VarKind::Integer);
+    for (int C = 0; C < 3; ++C) {
+      std::vector<Term> Terms;
+      for (int I = 0; I < N; ++I)
+        Terms.push_back({I, double(R.nextInRange(0, 3))});
+      M.addConstraint(Terms, ConstraintSense::GE,
+                      double(R.nextInRange(4, 14)));
+    }
+    expectMatchesEnumeration(M);
   }
 }
 

@@ -686,7 +686,6 @@ TEST(SparseSimplex, PinnedSolverEffortOnCydra) {
     Opts.Formulation.Obj = P.Obj;
     Opts.Formulation.DepStyle = DependenceStyle::Structured;
     Opts.LpEngine = SimplexEngine::SparseRevised;
-    Opts.Search = IiSearchKind::Sequential;
     Opts.NodeLimit = 200;
     Opts.TimeLimitSeconds = 60.0;
     Opts.Explain = false;
