@@ -139,8 +139,8 @@ LoopRecord LoopRecord::fromResult(const DependenceGraph &G,
   for (size_t I = 0; I < Rec.Attempts.size(); ++I) {
     const IiAttempt &A = Rec.Attempts[I];
     // An infeasible verdict is any non-cancelled attempt that neither
-    // scheduled nor censored — exactly the attempts the forensics layer
-    // promises a witness for.
+    // scheduled nor censored — exactly the attempts the scheduler looks
+    // for a witness for.
     const bool Infeasible = !A.Scheduled && !A.Cancelled &&
                             A.Status == ilp::MipStatus::Infeasible;
     if (Infeasible) {
@@ -367,9 +367,6 @@ void emitRecord(json::JsonWriter &W, const LoopRecord &R) {
     // branching; defaults mean "no evidence".
     W.key("witness").value(A.Explain ? witnessName(A.Explain->Kind)
                                      : witnessName(WitnessKind::None));
-    W.key("witness_source")
-        .value(A.Explain ? sourceName(A.Explain->Source)
-                         : sourceName(ExplainSource::None));
     W.key("witness_verified")
         .value(A.Explain ? A.Explain->Verified : false);
     W.key("witness_detail")
@@ -416,7 +413,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(12);
+  W.key("schema_version").value(13);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));

@@ -357,8 +357,7 @@ int main(int Argc, char **Argv) {
         std::printf(" bound-exchanges=%lld",
                     static_cast<long long>(A.BoundExchanges));
       if (A.Explain)
-        std::printf(" [%s, %s] %s", sourceName(A.Explain->Source),
-                    A.Explain->Verified ? "verified" : "UNVERIFIED",
+        std::printf(" [%s] %s", A.Explain->Verified ? "verified" : "UNVERIFIED",
                     describeExplanation(*Loop, Machine, A.II,
                                         *A.Explain).c_str());
       else if (!A.Scheduled && !A.Cancelled &&

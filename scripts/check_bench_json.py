@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 12).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 13).
 
 bench/Harness.cpp's BenchJson writes one schema, documented in
 docs/OBSERVABILITY.md, and this checker accepts exactly that version.
 Besides key presence and types it enforces:
 
-* record and attempt statuses, witnesses, witness sources, proofs,
-  winners and backends come from closed sets;
+* record and attempt statuses, witnesses, proofs, winners and backends
+  come from closed sets;
 * a record's status agrees with its solved / timed_out /
   node_limit_hit flags.
 
@@ -25,7 +25,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 12
+SCHEMA_VERSION = 13
 
 TOP_KEYS = {
     "schema_version": numbers.Integral,
@@ -92,7 +92,6 @@ ATTEMPT_KEYS = {
     "winner": str,
     "bound_exchanges": numbers.Integral,
     "witness": str,
-    "witness_source": str,
     "witness_verified": bool,
     "witness_detail": str,
     "proof": str,
@@ -117,7 +116,6 @@ BACKENDS = {"ilp", "pb", "portfolio"}
 # "no conclusive verdict" or a single-engine backend.
 WINNERS = {"", "ilp", "pb"}
 WITNESSES = {"cycle", "resource", "window", "none"}
-WITNESS_SOURCES = {"graph", "farkas", "core", "none"}
 PROOFS = {"", "optimal", "first_solution", "censored"}
 
 
@@ -171,14 +169,10 @@ def check_attempt(attempt, where):
     check_member(attempt, "status", ATTEMPT_STATUSES, where)
     check_member(attempt, "winner", WINNERS, where)
     check_member(attempt, "witness", WITNESSES, where)
-    check_member(attempt, "witness_source", WITNESS_SOURCES, where)
     check_member(attempt, "proof", PROOFS, where)
     if attempt["winner"] and attempt["cancelled"]:
         raise SchemaError(f"{where}: cancelled attempt claims "
                           f"winner={attempt['winner']!r}")
-    if attempt["witness"] != "none" and attempt["witness_source"] == "none":
-        raise SchemaError(f"{where}: witness={attempt['witness']!r} but "
-                          f"witness_source='none'")
     for t, sample in enumerate(attempt["trajectory"]):
         check_keys(sample, TRAJECTORY_KEYS, f"{where}.trajectory[{t}]")
 
@@ -224,7 +218,7 @@ def _valid_artifact():
     censored by its node budget."""
     attempt = _defaults(ATTEMPT_KEYS)
     attempt.update(status="optimal", scheduled=True, witness="none",
-                   witness_source="none", proof="optimal")
+                   proof="optimal")
     attempt["trajectory"] = [_defaults(TRAJECTORY_KEYS)]
     solved = _defaults(RECORD_KEYS)
     solved.update(name="loop0", n=4, solved=True, status="solved", ii=2,
@@ -253,20 +247,23 @@ def self_test():
         return doc["record_sets"][s]["records"][0]
 
     cases = [
-        ("schema 11 (config.cache)",
-         lambda d: (d.update(schema_version=11),
-                    d["config"].update(cache=False))),
+        ("schema 12 (attempt witness_source)",
+         lambda d: (d.update(schema_version=12),
+                    record(d, 0)["attempts"][0].update(
+                        witness_source="farkas"))),
         ("node_limit status without node_limit_hit",
          lambda d: record(d, 1).update(node_limit_hit=False)),
         ("unknown attempt status",
          lambda d: record(d, 0)["attempts"][0].update(status="feasible")),
+        ("unknown witness",
+         lambda d: record(d, 0)["attempts"][0].update(witness="farkas")),
     ]
     failures = 0
     try:
         check_doc(_valid_artifact())
-        print("ok   valid v12 artifact accepted")
+        print(f"ok   valid v{SCHEMA_VERSION} artifact accepted")
     except SchemaError as err:
-        print(f"FAIL valid v12 artifact rejected: {err}")
+        print(f"FAIL valid v{SCHEMA_VERSION} artifact rejected: {err}")
         failures += 1
     for name, edit in cases:
         try:

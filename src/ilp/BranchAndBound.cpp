@@ -229,14 +229,7 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
   // its parent, so the workspace engine usually still realizes the
   // parent basis and the warm start skips refactorization entirely.
   lp::DeadlineScope Deadline(Ctx, Opts.TimeLimitSeconds);
-  lp::SimplexOptions LpOpts = Opts.Lp;
-  if (Opts.CollectFarkas)
-    LpOpts.CollectFarkas = true;
-  SimplexSolver Lp(LpOpts);
-
-  // Farkas support rows of every infeasible node LP (histogrammed into
-  // MipResult::FarkasRows on an Infeasible verdict).
-  std::vector<int> FarkasTally;
+  SimplexSolver Lp(Opts.Lp);
 
   std::vector<Node> Stack;
   Stack.emplace_back(); // Root: trail mark 0, no branch delta, no basis.
@@ -364,9 +357,6 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
     if (Relax.Status == LpStatus::Infeasible) {
       ++Result.InfeasibleNodes;
       ++StatInfeasibleNodes;
-      if (Opts.CollectFarkas)
-        FarkasTally.insert(FarkasTally.end(), Relax.FarkasRows.begin(),
-                           Relax.FarkasRows.end());
       if (Monitor.active())
         Monitor.notify(MakeInfo(BbEvent::NodeInfeasible));
       if (IsRoot) {
@@ -513,22 +503,5 @@ MipResult MipSolver::solve(const Model &M, lp::SolveContext &Ctx) const {
   // verdict about the problem.
   if (Result.Cancelled)
     Result.Status = MipStatus::Cancelled;
-  if (Opts.CollectFarkas && Result.Status == MipStatus::Infeasible &&
-      !FarkasTally.empty()) {
-    // Histogram the tally: rows implicated by the most node LPs first.
-    std::sort(FarkasTally.begin(), FarkasTally.end());
-    std::vector<std::pair<int64_t, int>> Freq; // (-count, row)
-    for (size_t I = 0; I < FarkasTally.size();) {
-      size_t J = I;
-      while (J < FarkasTally.size() && FarkasTally[J] == FarkasTally[I])
-        ++J;
-      Freq.push_back({-int64_t(J - I), FarkasTally[I]});
-      I = J;
-    }
-    std::sort(Freq.begin(), Freq.end());
-    Result.FarkasRows.reserve(Freq.size());
-    for (const std::pair<int64_t, int> &F : Freq)
-      Result.FarkasRows.push_back(F.second);
-  }
   return Result;
 }

@@ -121,11 +121,6 @@ struct MipOptions {
   /// Carried for callers that pass SchedulerOptions::Branching through;
   /// MostFractional is the only rule.
   BranchRule Branching = BranchRule::MostFractional;
-  /// Collect Farkas support rows from infeasible node LPs (forces
-  /// SimplexOptions::CollectFarkas on the node LPs) so an Infeasible
-  /// verdict comes with MipResult::FarkasRows. Forensics knob, off by
-  /// default.
-  bool CollectFarkas = false;
   /// Record the incumbent/bound trajectory (MipResult::Trajectory) and
   /// the root relaxation bound. Forensics knob, off by default.
   bool CollectTrajectory = false;
@@ -222,12 +217,6 @@ struct MipResult {
   int64_t LpEtaNonzeros = 0;
 
   // --- Forensics (see docs/OBSERVABILITY.md) ---
-  /// With MipOptions::CollectFarkas and Status == Infeasible: model rows
-  /// supporting infeasibility certificates of the node LPs, most
-  /// frequently implicated first. Empty when infeasibility was proved
-  /// without any LP (root presolve) — the caller falls back to graph
-  /// analysis.
-  std::vector<int> FarkasRows;
   /// With MipOptions::CollectTrajectory: true once the root relaxation
   /// solved, making RootBound a valid lower bound on any solution.
   bool HasRootBound = false;

@@ -6,7 +6,6 @@
 #include "ilpsched/PbFormulation.h"
 #include "lp/SolveContext.h"
 #include "sched/Verifier.h"
-#include "support/Telemetry.h"
 
 #include <cassert>
 #include <cmath>
@@ -17,47 +16,6 @@ using namespace modsched;
 using namespace modsched::ilp;
 
 namespace {
-
-telemetry::Counter StatExplainCycle("ilpsched", "explain.cycle_witnesses",
-                                    "Infeasible IIs explained by a "
-                                    "recurrence cycle");
-telemetry::Counter StatExplainResource("ilpsched",
-                                       "explain.resource_witnesses",
-                                       "Infeasible IIs explained by a "
-                                       "saturated resource");
-telemetry::Counter StatExplainWindow("ilpsched", "explain.window_witnesses",
-                                     "Infeasible IIs explained by an empty "
-                                     "schedule window");
-telemetry::Counter StatExplainNone("ilpsched", "explain.unexplained",
-                                   "Infeasible IIs with no checkable "
-                                   "witness");
-
-/// Verifies \p E against the graph/machine arithmetic, bumps the witness
-/// counters, and attaches it to \p Attempt. A nullopt (or a witness of
-/// kind None) counts as unexplained and attaches nothing.
-void attachExplanation(const DependenceGraph &G, const MachineModel &M,
-                       int II, int Slack, IiAttempt &Attempt,
-                       std::optional<Explanation> E) {
-  if (!E || E->Kind == WitnessKind::None) {
-    ++StatExplainNone;
-    return;
-  }
-  E->Verified = checkExplanation(G, M, II, Slack, *E);
-  switch (E->Kind) {
-  case WitnessKind::RecurrenceCycle:
-    ++StatExplainCycle;
-    break;
-  case WitnessKind::ResourceSaturation:
-    ++StatExplainResource;
-    break;
-  case WitnessKind::ScheduleWindow:
-    ++StatExplainWindow;
-    break;
-  case WitnessKind::None:
-    break;
-  }
-  Attempt.Explain = std::move(*E);
-}
 
 /// Builds the audit record for a solved (or censored-with-incumbent) ILP
 /// attempt from the MIP result's bound evidence.
@@ -72,37 +30,6 @@ OptimalityAudit makeIlpAudit(MipResult &R, const char *Proof) {
   A.Proof = Proof;
   A.Trajectory = std::move(R.Trajectory);
   return A;
-}
-
-/// PB-backend infeasibility forensics: re-encodes the attempt with every
-/// dependence edge and modeled resource gated behind a selector (the
-/// objective machinery is dropped — it cannot cause primary
-/// infeasibility — but a RegisterLimit constraint is kept), solves under
-/// the group assumptions, and maps the unsat core's origins to a
-/// witness. Falls back to pure graph analysis whenever the re-solve
-/// yields no usable core (deadline expiry, empty core, unmappable
-/// evidence).
-std::optional<Explanation> explainPbUnsat(const DependenceGraph &G,
-                                          const MachineModel &M, int II,
-                                          const FormulationOptions &FOpts,
-                                          lp::SolveContext &C) {
-  FormulationOptions ExOpts = FOpts;
-  ExOpts.Obj = Objective::None;
-  PbFormulation F(G, M, II, ExOpts, /*ExplainGroups=*/true);
-  if (F.valid()) {
-    pb::Solver &S = F.solver();
-    S.DeadlineSeconds = C.DeadlineSeconds;
-    S.Cancel = C.Cancel;
-    if (S.solve(F.explainAssumptions()) == pb::SolveStatus::Unsat) {
-      std::vector<RowOrigin> Core = F.coreOrigins();
-      if (!Core.empty())
-        if (std::optional<Explanation> E =
-                explainFromOrigins(G, M, II, FOpts.ScheduleLengthSlack, Core,
-                                   ExplainSource::UnsatCore))
-          return E;
-    }
-  }
-  return explainInfeasibleIi(G, M, II, FOpts.ScheduleLengthSlack);
 }
 
 } // namespace
@@ -124,12 +51,8 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   Formulation F(G, M, II, FOpts);
   Attempt.Variables = F.model().numVariables();
   Attempt.Constraints = F.model().numConstraints();
-  const int Slack = FOpts.ScheduleLengthSlack;
   if (!F.valid()) {
     Attempt.WindowInfeasible = true;
-    if (Opts.Explain)
-      attachExplanation(G, M, II, Slack, Attempt,
-                        explainInfeasibleIi(G, M, II, Slack));
     return std::nullopt; // II infeasible within the window budget.
   }
 
@@ -140,7 +63,6 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   MipOpts.StopAtFirstSolution = FOpts.Obj == Objective::None;
   MipOpts.WarmStart = Opts.WarmStart;
   MipOpts.Lp.Engine = Opts.LpEngine;
-  MipOpts.CollectFarkas = Opts.Explain;
   MipOpts.CollectTrajectory = Opts.Explain;
   if (Hooks) {
     // Portfolio wiring: prune against the cross-engine incumbent cell,
@@ -202,32 +124,12 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
     return std::nullopt;
   }
   if (!R.HasSolution) {
-    if (Hooks && R.UsedExternalBound) {
-      // Pruning against the shared cell means only "no solution strictly
-      // better than the other engine's incumbent" was proved, not model
-      // infeasibility — the coordinator commits that incumbent as the
-      // optimum. No infeasibility witness applies.
+    // Proved infeasible at this II, unless the search pruned against
+    // the shared cell: then only "no solution strictly better than the
+    // other engine's incumbent" was proved, and the coordinator commits
+    // that incumbent as the optimum.
+    if (Hooks && R.UsedExternalBound)
       Hooks->RefutedBelowExternal = true;
-      return std::nullopt;
-    }
-    // Proved infeasible at this II. Map the node LPs' Farkas evidence
-    // through the formulation's provenance table into a graph witness;
-    // fall back to pure graph analysis when the search never ran an LP
-    // (root presolve infeasibility) or the support does not localize.
-    if (Opts.Explain) {
-      std::vector<RowOrigin> Support;
-      const std::vector<RowOrigin> &Origins = F.rowOrigins();
-      for (int Row : R.FarkasRows)
-        if (Row >= 0 && size_t(Row) < Origins.size())
-          Support.push_back(Origins[size_t(Row)]);
-      std::optional<Explanation> E;
-      if (!Support.empty())
-        E = explainFromOrigins(G, M, II, Slack, Support,
-                               ExplainSource::FarkasRay);
-      if (!E)
-        E = explainInfeasibleIi(G, M, II, Slack);
-      attachExplanation(G, M, II, Slack, Attempt, std::move(E));
-    }
     return std::nullopt;
   }
   if (Hooks && Hooks->ExternalBound && R.UsedExternalBound) {
@@ -283,12 +185,8 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
   PbFormulation F(G, M, II, FOpts);
   Attempt.Variables = F.numVariables();
   Attempt.Constraints = F.numConstraints();
-  const int Slack = FOpts.ScheduleLengthSlack;
   if (!F.valid()) {
     Attempt.WindowInfeasible = true;
-    if (Opts.Explain)
-      attachExplanation(G, M, II, Slack, Attempt,
-                        explainInfeasibleIi(G, M, II, Slack));
     return std::nullopt; // II infeasible within the window budget.
   }
 
@@ -395,9 +293,6 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
         return std::nullopt;
       }
       Attempt.Status = MipStatus::Infeasible;
-      if (Opts.Explain)
-        attachExplanation(G, M, II, Slack, Attempt,
-                          explainPbUnsat(G, M, II, FOpts, Ctx));
       return std::nullopt; // Proved infeasible at this II.
     }
     if (R == pb::SolveStatus::Cancelled) {

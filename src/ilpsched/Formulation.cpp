@@ -106,15 +106,9 @@ Formulation::Formulation(const DependenceGraph &DG, const MachineModel &MM,
 
   buildAssignment();
   for (int Edge = 0; Edge < G.numSchedEdges(); ++Edge)
-    buildDependence(Edge, G.schedEdges()[Edge]);
+    buildDependence(G.schedEdges()[Edge]);
   buildResource();
   buildObjective();
-  assert(Origins.size() == size_t(Ilp.numConstraints()) &&
-         "provenance side table out of sync with emitted rows");
-}
-
-void Formulation::noteRows(const RowOrigin &O) {
-  Origins.resize(size_t(Ilp.numConstraints()), O);
 }
 
 void Formulation::finalizeBuildStats(double BuildSeconds) {
@@ -165,7 +159,6 @@ void Formulation::buildAssignment() {
     appendRowRange(Terms, ABase + Op * II, 0, II - 1, 1.0);
     Ilp.addConstraint(std::move(Terms), ConstraintSense::EQ, 1.0,
                       "assign_" + G.operation(Op).Name);
-    noteRows(RowOrigin::assignment(Op));
   }
 }
 
@@ -177,8 +170,7 @@ void Formulation::appendRowRange(std::vector<Term> &Terms, int RowBase,
 
 void Formulation::emitDependence(int SrcRowBase, int SrcK, int DstRowBase,
                                  int DstK, int Latency, int Distance,
-                                 const std::string &Tag,
-                                 const RowOrigin &Origin) {
+                                 const std::string &Tag) {
   if (Opts.DepStyle == DependenceStyle::Traditional) {
     // Ineq. (4): sum_r r*(a_dst - a_src) + (k_dst - k_src)*II
     //            >= latency - distance*II.
@@ -191,7 +183,6 @@ void Formulation::emitDependence(int SrcRowBase, int SrcK, int DstRowBase,
     Terms.push_back({SrcK, -double(II)});
     Ilp.addConstraint(std::move(Terms), ConstraintSense::GE,
                       Latency - double(Distance) * II, Tag);
-    noteRows(Origin);
     return;
   }
 
@@ -219,15 +210,13 @@ void Formulation::emitDependence(int SrcRowBase, int SrcK, int DstRowBase,
                       double(Distance) - F + 1,
                       Tag + "_r" + std::to_string(Row));
   }
-  noteRows(Origin);
 }
 
-void Formulation::buildDependence(int EdgeIndex, const SchedEdge &E) {
+void Formulation::buildDependence(const SchedEdge &E) {
   emitDependence(ABase + E.Src * II, kVar(E.Src), ABase + E.Dst * II,
                  kVar(E.Dst), E.Latency, E.Distance,
                  "dep_" + G.operation(E.Src).Name + "_" +
-                     G.operation(E.Dst).Name,
-                 RowOrigin::depEdge(EdgeIndex, E));
+                     G.operation(E.Dst).Name);
 }
 
 void Formulation::buildResource() {
@@ -255,7 +244,6 @@ void Formulation::buildResource() {
                         M.resource(R).Count,
                         "res_" + M.resource(R).Name + "_r" +
                             std::to_string(Row));
-      noteRows(RowOrigin::resource(R, Row));
     }
   };
 
@@ -305,7 +293,6 @@ void Formulation::buildResource() {
         Choose.push_back({WBase + Inst, 1.0});
       Ilp.addConstraint(std::move(Choose), ConstraintSense::EQ, 1.0,
                         "choose_" + OpName + "_" + ResName);
-      noteRows(RowOrigin::resource(R, -1));
 
       YBase[Op] = Ilp.numVariables();
       for (int Inst = 0; Inst < E; ++Inst)
@@ -323,7 +310,6 @@ void Formulation::buildResource() {
         Ilp.addConstraint(std::move(Terms), ConstraintSense::EQ, 0.0,
                           "ymargrow_" + OpName + "_" + ResName + "_r" +
                               std::to_string(Row));
-        noteRows(RowOrigin::resource(R, Row));
       }
       // Marginal over rows: recovers the instance choice.
       for (int Inst = 0; Inst < E; ++Inst) {
@@ -334,7 +320,6 @@ void Formulation::buildResource() {
         Ilp.addConstraint(std::move(Terms), ConstraintSense::EQ, 0.0,
                           "ymarginst_" + OpName + "_" + ResName +
                               std::to_string(Inst));
-        noteRows(RowOrigin::resource(R, -1));
       }
     }
 
@@ -351,7 +336,6 @@ void Formulation::buildResource() {
                           "inst_" + M.resource(R).Name +
                               std::to_string(Inst) + "_r" +
                               std::to_string(Row));
-        noteRows(RowOrigin::resource(R, Row));
       }
     }
   }
@@ -414,7 +398,6 @@ void Formulation::buildKillOps() {
     appendRowRange(Terms, KillRowBase[Reg], 0, II - 1, 1.0);
     Ilp.addConstraint(std::move(Terms), ConstraintSense::EQ, 1.0,
                       "assign_kill_v" + std::to_string(Reg));
-    noteRows(RowOrigin::objectiveLink(Reg));
 
     // The kill follows the definition (covers a dead value's single
     // live cycle) and every use. A use at distance w constrains
@@ -423,13 +406,12 @@ void Formulation::buildKillOps() {
     std::string TagBase = "kill_v" + std::to_string(Reg);
     emitDependence(ABase + R.Def * II, kVar(R.Def), KillRowBase[Reg],
                    KillStage[Reg], /*Latency=*/0, /*Distance=*/0,
-                   TagBase + "_def", RowOrigin::objectiveLink(Reg));
+                   TagBase + "_def");
     for (size_t UI = 0; UI < R.Uses.size(); ++UI) {
       const RegisterUse &U = R.Uses[UI];
       emitDependence(ABase + U.Consumer * II, kVar(U.Consumer),
                      KillRowBase[Reg], KillStage[Reg], /*Latency=*/0,
-                     -U.Distance, TagBase + "_use" + std::to_string(UI),
-                     RowOrigin::objectiveLink(Reg));
+                     -U.Distance, TagBase + "_use" + std::to_string(UI));
     }
   }
 }
@@ -448,7 +430,6 @@ void Formulation::buildObjective() {
       Ilp.addConstraint(std::move(Terms), ConstraintSense::LE,
                         double(Opts.RegisterLimit),
                         "reglimit_r" + std::to_string(Row));
-      noteRows(RowOrigin::objectiveLink());
     }
   }
 
@@ -474,14 +455,12 @@ void Formulation::buildObjective() {
     appendRowRange(Assign, SinkRowBase, 0, II - 1, 1.0);
     Ilp.addConstraint(std::move(Assign), ConstraintSense::EQ, 1.0,
                       "assign_sink");
-    noteRows(RowOrigin::objectiveLink());
     for (int Row = 0; Row < II; ++Row)
       Ilp.setObjective(SinkRowBase + Row, double(Row));
     for (int Op = 0; Op < G.numOperations(); ++Op)
       emitDependence(ABase + Op * II, kVar(Op), SinkRowBase, SinkStage,
                      /*Latency=*/1, /*Distance=*/0,
-                     "sink_after_" + G.operation(Op).Name,
-                     RowOrigin::objectiveLink());
+                     "sink_after_" + G.operation(Op).Name);
     return;
   }
 
@@ -523,7 +502,6 @@ void Formulation::buildObjective() {
       Terms.push_back({MaxLiveVar, -1.0});
       Ilp.addConstraint(std::move(Terms), ConstraintSense::LE, 0.0,
                         "maxlive_r" + std::to_string(Row));
-      noteRows(RowOrigin::objectiveLink());
     }
     break;
   }
@@ -557,7 +535,6 @@ void Formulation::buildObjective() {
           }
           Ilp.addConstraint(std::move(Terms), ConstraintSense::GE,
                             double(U.Distance) * II + 1.0, Tag);
-          noteRows(RowOrigin::objectiveLink(Reg));
         } else {
           // Structured ([15]-style): the span [t_def, t_use + w*II]
           // covers row r exactly
@@ -577,7 +554,6 @@ void Formulation::buildObjective() {
                               -double(U.Distance),
                               Tag + "_r" + std::to_string(Row));
           }
-          noteRows(RowOrigin::objectiveLink(Reg));
         }
       }
     }
@@ -606,7 +582,6 @@ void Formulation::buildObjective() {
         }
         Ilp.addConstraint(std::move(Terms), ConstraintSense::EQ, 1.0,
                           "life_v" + std::to_string(Reg));
-        noteRows(RowOrigin::objectiveLink(Reg));
       }
     } else {
       // Structured: no auxiliary constraints at all; the total lifetime

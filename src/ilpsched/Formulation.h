@@ -47,7 +47,6 @@
 #include "graph/DependenceGraph.h"
 #include "lp/Model.h"
 #include "machine/MachineModel.h"
-#include "sched/Explain.h"
 #include "sched/ModuloSchedule.h"
 #include "sched/Problem.h"
 
@@ -106,11 +105,6 @@ public:
   /// infeasible-window build reports zero rows/columns).
   const FormulationStats &stats() const { return BuildStats; }
 
-  /// Constraint provenance: Origins[j] is the typed origin of model row
-  /// j (same indexing as model().constraints()). Built unconditionally;
-  /// the table is plain data and costs a fraction of the row it tags.
-  const std::vector<RowOrigin> &rowOrigins() const { return Origins; }
-
   /// Variable index of a[r][i].
   int aVar(int Row, int Op) const { return ABase + Op * II + Row; }
   /// Variable index of k[i].
@@ -131,13 +125,9 @@ private:
   void finalizeBuildStats(double BuildSeconds);
 
   void buildAssignment();
-  void buildDependence(int EdgeIndex, const SchedEdge &E);
+  void buildDependence(const SchedEdge &E);
   void buildResource();
   void buildObjective();
-
-  /// Tags every model row emitted since the previous call with \p O
-  /// (extends the provenance side table up to the current row count).
-  void noteRows(const RowOrigin &O);
 
   /// Creates the per-register kill pseudo-operations (row vectors,
   /// stages, assignment + kill dependence constraints) once; shared by
@@ -149,8 +139,7 @@ private:
   /// edges and register-kill edges. Latency may be <= 0 and distance may
   /// be negative (kill edges).
   void emitDependence(int SrcRowBase, int SrcK, int DstRowBase, int DstK,
-                      int Latency, int Distance, const std::string &Tag,
-                      const RowOrigin &Origin);
+                      int Latency, int Distance, const std::string &Tag);
 
   /// Appends sum_{z=Lo}^{Hi} of row variables (base + z) to \p Terms.
   void appendRowRange(std::vector<lp::Term> &Terms, int RowBase, int Lo,
@@ -173,8 +162,6 @@ private:
   bool Valid = false;
   int MaxTime = 0;
   FormulationStats BuildStats;
-  /// Row-id -> origin side table (parallel to Ilp.constraints()).
-  std::vector<RowOrigin> Origins;
 
   lp::Model Ilp;
   int ABase = 0;

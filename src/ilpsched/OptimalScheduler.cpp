@@ -59,6 +59,48 @@ telemetry::Counter StatNodeLimits("ilpsched", "scheduler.node_limits",
                                   "exhaustion");
 telemetry::PhaseTimer TimeSchedule("ilpsched", "scheduler.schedule",
                                    "End-to-end min-II search");
+telemetry::Counter StatExplainCycle("ilpsched", "explain.cycle_witnesses",
+                                    "Infeasible IIs explained by a "
+                                    "recurrence cycle");
+telemetry::Counter StatExplainResource("ilpsched",
+                                       "explain.resource_witnesses",
+                                       "Infeasible IIs explained by a "
+                                       "saturated resource");
+telemetry::Counter StatExplainWindow("ilpsched", "explain.window_witnesses",
+                                     "Infeasible IIs explained by an empty "
+                                     "schedule window");
+telemetry::Counter StatExplainNone("ilpsched", "explain.unexplained",
+                                   "Infeasible IIs with no checkable "
+                                   "witness");
+
+/// Attaches the graph-level witness of an infeasible attempt at \p II,
+/// re-verified by checkExplanation, and bumps the witness counters. A
+/// witness exists exactly when II < MII or the formulation's windows
+/// are empty; any other infeasible verdict counts as unexplained.
+void attachExplanation(const Problem &P, int II, IiAttempt &Attempt) {
+  const int Slack = P.options().ScheduleLengthSlack;
+  std::optional<Explanation> E =
+      explainInfeasibleIi(P.graph(), P.machine(), II, Slack);
+  if (!E) {
+    ++StatExplainNone;
+    return;
+  }
+  E->Verified = checkExplanation(P.graph(), P.machine(), II, Slack, *E);
+  switch (E->Kind) {
+  case WitnessKind::RecurrenceCycle:
+    ++StatExplainCycle;
+    break;
+  case WitnessKind::ResourceSaturation:
+    ++StatExplainResource;
+    break;
+  case WitnessKind::ScheduleWindow:
+    ++StatExplainWindow;
+    break;
+  case WitnessKind::None:
+    break;
+  }
+  Attempt.Explain = std::move(*E);
+}
 
 } // namespace
 
@@ -120,9 +162,6 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
              {"witness", Attempt.Explain
                              ? witnessName(Attempt.Explain->Kind)
                              : witnessName(WitnessKind::None)},
-             {"witness_source", Attempt.Explain
-                                    ? sourceName(Attempt.Explain->Source)
-                                    : sourceName(ExplainSource::None)},
              {"witness_verified",
               int64_t(Attempt.Explain && Attempt.Explain->Verified ? 1
                                                                    : 0)},
@@ -159,6 +198,12 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
     S = solvePortfolioAttempt(C);
     break;
   }
+
+  // One witness path for every engine's infeasible verdict, including
+  // the portfolio's committed one.
+  if (Opts.Explain && Attempt.Status == MipStatus::Infeasible &&
+      !Attempt.Cancelled && !Attempt.Scheduled)
+    attachExplanation(P, II, Attempt);
 
   // Uniform gate: whatever engine (or race of engines) produced the
   // schedule, it does not leave scheduleAtIi unverified.

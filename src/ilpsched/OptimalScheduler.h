@@ -107,8 +107,9 @@ struct SchedulerOptions {
   /// Solve forensics (docs/OBSERVABILITY.md "Explanations & audit
   /// records"): attach a re-verified graph-level Explanation to every
   /// infeasible II attempt and an OptimalityAudit to every solved one.
-  /// Zero-cost when off — no Farkas scans, no trajectory samples, no
-  /// explanation re-solves.
+  /// The witness comes from the graph alone (sched/Explain.h), so the
+  /// engines search exactly as with it off; zero-cost when off — no
+  /// trajectory samples, no witness search.
   bool Explain = false;
   /// Consult the process-wide content-addressed SolutionCache
   /// (ilpsched/SolutionCache.h) before running the II ladder, and
@@ -188,8 +189,8 @@ struct IiAttempt {
   /// With SchedulerOptions::Explain, on an infeasible verdict: the
   /// graph-level witness (checkExplanation-verified when
   /// Explain->Verified). Absent when the attempt was not infeasible,
-  /// explanations were off, or no checkable witness was found
-  /// ("unexplained").
+  /// explanations were off, or II >= MII with non-empty windows — an
+  /// infeasibility only the engine proved ("unexplained").
   std::optional<Explanation> Explain;
   /// With SchedulerOptions::Explain, on a scheduled verdict: the
   /// optimality evidence trail.

@@ -39,10 +39,8 @@ bool PbFormulation::supports(const FormulationOptions &O) {
 }
 
 PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
-                             int TheII, const FormulationOptions &Options,
-                             bool WithExplainGroups)
-    : G(DG), M(MM), II(TheII), Opts(Options),
-      ExplainGroups(WithExplainGroups) {
+                             int TheII, const FormulationOptions &Options)
+    : G(DG), M(MM), II(TheII), Opts(Options) {
   assert(II >= 1 && "initiation interval must be positive");
   assert(supports(Opts) && "options not supported by the PB backend");
 
@@ -82,46 +80,16 @@ PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
       KMax = Alap[Op] / II;
     }
     KVars.push_back(makeIntVar(KMin, KMax));
-    noteRows(RowOrigin::stageWindow(Op));
   }
 
-  for (int Op = 0; Op < N; ++Op) {
+  for (int Op = 0; Op < N; ++Op)
     buildAssignment(ABase + Op * II);
-    noteRows(RowOrigin::assignment(Op));
-  }
-  for (int Edge = 0; Edge < G.numSchedEdges(); ++Edge) {
-    const SchedEdge &E = G.schedEdges()[Edge];
-    RowOrigin O = RowOrigin::depEdge(Edge, E);
-    if (ExplainGroups)
-      beginGroup(O);
+  for (const SchedEdge &E : G.schedEdges())
     emitDependence(ABase + E.Src * II, KVars[size_t(E.Src)],
                    ABase + E.Dst * II, KVars[size_t(E.Dst)], E.Latency,
-                   E.Distance, O);
-    endGroup();
-  }
+                   E.Distance);
   buildResource();
   buildObjective();
-  assert(Origins.size() == S.exportRows().size() &&
-         "provenance side table out of sync with emitted rows");
-}
-
-void PbFormulation::noteRows(const RowOrigin &O) {
-  Origins.resize(S.exportRows().size(), O);
-}
-
-void PbFormulation::beginGroup(const RowOrigin &O) {
-  GateVar = S.newVar();
-  GroupSels.push_back({GateVar, O});
-  ExplainAssumps.push_back(pb::negLit(GateVar));
-}
-
-std::vector<RowOrigin> PbFormulation::coreOrigins() const {
-  std::vector<RowOrigin> Result;
-  for (pb::Lit L : S.unsatCore())
-    for (const std::pair<pb::Var, RowOrigin> &Sel : GroupSels)
-      if (Sel.first == L.var())
-        Result.push_back(Sel.second);
-  return Result;
 }
 
 PbFormulation::IntVar PbFormulation::makeIntVar(int Lo, int Hi) {
@@ -163,19 +131,7 @@ void PbFormulation::appendRowRange(LinExpr &E, pb::Var RowBase, int Lo, int Hi,
 }
 
 void PbFormulation::addGe(LinExpr E, int64_t Rhs) {
-  int64_t Degree = Rhs - E.Constant;
-  if (GateVar >= 0) {
-    // Gate the row behind the active group selector: a true selector
-    // contributes enough weight to satisfy the row outright (the same
-    // trick pushObjectiveBound uses), so only solves assuming the
-    // negated selector enforce it.
-    int64_t NegSum = 0;
-    for (const std::pair<pb::Lit, int64_t> &T : E.Terms)
-      NegSum += std::min<int64_t>(T.second, 0);
-    int64_t Weight = std::max<int64_t>(Degree - NegSum, 1);
-    E.Terms.push_back({pb::posLit(GateVar), Weight});
-  }
-  S.addLinear(std::move(E.Terms), Degree);
+  S.addLinear(std::move(E.Terms), Rhs - E.Constant);
 }
 
 void PbFormulation::addLe(LinExpr E, int64_t Rhs) {
@@ -204,8 +160,7 @@ void PbFormulation::buildAssignment(pb::Var RowBase) {
 
 void PbFormulation::emitDependence(pb::Var SrcRowBase, const IntVar &SrcK,
                                    pb::Var DstRowBase, const IntVar &DstK,
-                                   int Latency, int Distance,
-                                   const RowOrigin &Origin) {
+                                   int Latency, int Distance) {
   if (Opts.DepStyle == DependenceStyle::Traditional) {
     // Ineq. (4): sum_r r*(a_dst - a_src) + (k_dst - k_src)*II
     //            >= latency - distance*II. A general PB row.
@@ -217,7 +172,6 @@ void PbFormulation::emitDependence(pb::Var SrcRowBase, const IntVar &SrcK,
     appendInt(E, DstK, II);
     appendInt(E, SrcK, -II);
     addGe(std::move(E), int64_t(Latency) - int64_t(Distance) * II);
-    noteRows(Origin);
     return;
   }
 
@@ -237,7 +191,6 @@ void PbFormulation::emitDependence(pb::Var SrcRowBase, const IntVar &SrcK,
     appendInt(E, DstK, -1);
     addLe(std::move(E), int64_t(Distance) - F + 1);
   }
-  noteRows(Origin);
 }
 
 void PbFormulation::buildResource() {
@@ -251,8 +204,6 @@ void PbFormulation::buildResource() {
   for (int R = 0; R < M.numResources(); ++R) {
     if (TotalUses[size_t(R)] <= M.resource(R).Count)
       continue;
-    if (ExplainGroups)
-      beginGroup(RowOrigin::resource(R, -1));
     for (int Row = 0; Row < II; ++Row) {
       LinExpr E;
       for (int Op = 0; Op < G.numOperations(); ++Op) {
@@ -267,9 +218,7 @@ void PbFormulation::buildResource() {
       // Duplicate literals (usage cycles congruent mod II) merge into
       // coefficient-2 terms during normalization, exactly like lp::Model.
       addLe(std::move(E), M.resource(R).Count);
-      noteRows(RowOrigin::resource(R, Row));
     }
-    endGroup();
   }
 }
 
@@ -318,19 +267,16 @@ void PbFormulation::buildKillOps() {
     KillStage[size_t(Reg)] = makeIntVar(KMin, KMax);
 
     buildAssignment(KillRowBase[size_t(Reg)]);
-    noteRows(RowOrigin::objectiveLink(Reg));
 
     // The kill follows the definition and every use (latency 0,
     // distance -w for a use at distance w).
     emitDependence(ABase + R.Def * II, KVars[size_t(R.Def)],
                    KillRowBase[size_t(Reg)], KillStage[size_t(Reg)],
-                   /*Latency=*/0, /*Distance=*/0,
-                   RowOrigin::objectiveLink(Reg));
+                   /*Latency=*/0, /*Distance=*/0);
     for (const RegisterUse &U : R.Uses)
       emitDependence(ABase + U.Consumer * II, KVars[size_t(U.Consumer)],
                      KillRowBase[size_t(Reg)], KillStage[size_t(Reg)],
-                     /*Latency=*/0, -U.Distance,
-                     RowOrigin::objectiveLink(Reg));
+                     /*Latency=*/0, -U.Distance);
   }
 }
 
@@ -354,7 +300,6 @@ void PbFormulation::buildObjective() {
         appendLiveCount(E, Reg, Row);
       addLe(std::move(E), Opts.RegisterLimit);
     }
-    noteRows(RowOrigin::objectiveLink());
   }
 
   if (Opts.Obj == Objective::None)
@@ -397,7 +342,6 @@ void PbFormulation::buildObjective() {
       appendInt(E, MaxLiveVar, -1);
       addLe(std::move(E), 0);
     }
-    noteRows(RowOrigin::objectiveLink());
     AppendObjInt(MaxLiveVar, 1);
     break;
   }
@@ -427,7 +371,6 @@ void PbFormulation::buildObjective() {
           addLe(std::move(E), -int64_t(U.Distance));
         }
       }
-      noteRows(RowOrigin::objectiveLink(Reg));
       AppendObjInt(BufferVars[size_t(Reg)], 1);
     }
     break;
@@ -478,7 +421,6 @@ bool PbFormulation::pushObjectiveBound(int64_t Bound) {
   int64_t Weight = std::max<int64_t>(Degree + PosSum, 1);
   Terms.push_back({pb::posLit(Sel), Weight});
   bool RowOk = S.addLinear(std::move(Terms), Degree);
-  noteRows(RowOrigin::objectiveLink());
   Assumps.assign(1, pb::negLit(Sel));
   return RowOk && S.okay();
 }
@@ -494,7 +436,6 @@ bool PbFormulation::injectObjectiveBound(int64_t Bound) {
     Terms.push_back({T.first, -T.second});
   int64_t Degree = ObjConst - Bound;
   bool RowOk = S.addLinear(std::move(Terms), Degree);
-  noteRows(RowOrigin::objectiveLink());
   return RowOk && S.okay();
 }
 

@@ -64,14 +64,9 @@ namespace modsched {
 class PbFormulation {
 public:
   /// Builds the model into a private solver. When the windows prove II
-  /// infeasible, valid() is false and the solver is left empty. With
-  /// \p ExplainGroups, every dependence edge and every modeled resource
-  /// is gated behind a fresh selector literal (a true selector satisfies
-  /// its rows outright); solving under explainAssumptions() enforces all
-  /// groups, and an Unsat answer's core names the groups that conflict —
-  /// the raw material for graph-level infeasibility witnesses.
+  /// infeasible, valid() is false and the solver is left empty.
   PbFormulation(const DependenceGraph &G, const MachineModel &M, int II,
-                const FormulationOptions &Opts, bool ExplainGroups = false);
+                const FormulationOptions &Opts);
 
   /// True when \p Opts describes a formulation this backend can encode.
   static bool supports(const FormulationOptions &Opts);
@@ -88,23 +83,6 @@ public:
   /// the PB analogue of lp::Model rows/columns).
   int numVariables() const { return S.numVars(); }
   int numConstraints() const { return int(S.exportRows().size()); }
-
-  /// Constraint provenance: Origins[j] is the typed origin of export
-  /// row j (same indexing as solver().exportRows()). Built
-  /// unconditionally, like the ILP formulation's table.
-  const std::vector<RowOrigin> &rowOrigins() const { return Origins; }
-
-  /// ExplainGroups mode: negated group selectors to assume so every
-  /// gated group is enforced. Empty when built without ExplainGroups.
-  const std::vector<pb::Lit> &explainAssumptions() const {
-    return ExplainAssumps;
-  }
-
-  /// ExplainGroups mode, after an Unsat answer under
-  /// explainAssumptions(): the origins of the groups named by the
-  /// solver's unsat core (empty when the core is empty, i.e. the
-  /// ungated structural rows alone are unsatisfiable).
-  std::vector<RowOrigin> coreOrigins() const;
 
   /// True when a secondary objective is being minimized.
   bool hasObjective() const { return !ObjTerms.empty() || ObjConst != 0; }
@@ -171,14 +149,7 @@ private:
   void buildAssignment(pb::Var RowBase);
   void emitDependence(pb::Var SrcRowBase, const IntVar &SrcK,
                       pb::Var DstRowBase, const IntVar &DstK, int Latency,
-                      int Distance, const RowOrigin &Origin);
-
-  /// Tags every export row emitted since the previous call with \p O.
-  void noteRows(const RowOrigin &O);
-  /// ExplainGroups: gate subsequent addGe/addLe rows behind a fresh
-  /// selector recorded with \p O; endGroup() closes the group.
-  void beginGroup(const RowOrigin &O);
-  void endGroup() { GateVar = -1; }
+                      int Distance);
   void buildResource();
   void buildObjective();
   void buildKillOps();
@@ -189,7 +160,6 @@ private:
   const MachineModel &M;
   int II;
   FormulationOptions Opts;
-  bool ExplainGroups = false;
   bool Valid = false;
   int MaxTime = 0;
   int StageCount = 0;
@@ -209,14 +179,6 @@ private:
   std::vector<std::pair<pb::Lit, int64_t>> ObjTerms;
   int64_t ObjConst = 0;
   std::vector<pb::Lit> Assumps;
-
-  /// Export-row-id -> origin side table (parallel to S.exportRows()).
-  std::vector<RowOrigin> Origins;
-  /// ExplainGroups: active gate selector (-1 = none) and the selector ->
-  /// origin map plus the ready-to-use negated-selector assumptions.
-  pb::Var GateVar = -1;
-  std::vector<std::pair<pb::Var, RowOrigin>> GroupSels;
-  std::vector<pb::Lit> ExplainAssumps;
 };
 
 } // namespace modsched

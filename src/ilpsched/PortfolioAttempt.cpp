@@ -353,7 +353,6 @@ modsched::solvePortfolioAttempt(AttemptContext &C) {
   ++*W.E->Wins;
   Attempt.Variables = W.W.Attempt.Variables;
   Attempt.Constraints = W.W.Attempt.Constraints;
-  Attempt.Explain = std::move(W.W.Attempt.Explain);
   Attempt.Audit = std::move(W.W.Attempt.Audit);
 
   if (V.Infeasible) {

@@ -115,25 +115,11 @@ public:
   int64_t dualIterations() const { return 0; }
   /// Product-form eta nonzeros: the dense tableau has no eta file.
   int64_t etaNonzeros() const { return 0; }
-  /// Rows supporting the infeasibility certificate of the last solve
-  /// (with SimplexOptions::CollectFarkas; may contain duplicates).
-  const std::vector<int> &farkasRows() const { return FarkasSupport; }
 
 private:
   /// Runs the primal simplex loop with the current cost row until
   /// optimality, unboundedness, or the iteration limit.
   LpStatus iterate(bool PhaseOne);
-
-  /// Records the model rows appearing in tableau row \p Row's slack
-  /// columns — the support of the Farkas certificate \p Row encodes.
-  /// No-op unless SimplexOptions::CollectFarkas is set.
-  void recordFarkasRow(int Row) {
-    if (!OptsP->CollectFarkas)
-      return;
-    for (int Col = NumStruct; Col < FirstArtificial; ++Col)
-      if (std::abs(tab(Row, Col)) > 1e-9)
-        FarkasSupport.push_back(Col - NumStruct);
-  }
 
   /// Rebuilds CostRow[j] = Cost[j] - sum_i Cost[Basis[i]] * Tab(i, j).
   void rebuildCostRow();
@@ -197,7 +183,6 @@ private:
   std::vector<ColStatus> Status;  ///< Per-column status.
   std::vector<int> Basis;         ///< Basis[row] = column index.
   std::vector<double> BasicValue; ///< Current value of Basis[row].
-  std::vector<int> FarkasSupport; ///< Certificate rows (CollectFarkas).
   int64_t Iters = 0;
   int64_t Degenerate = 0;  ///< Pivots with ~zero step length.
   int64_t Flips = 0;       ///< Pure bound-flip pivots.
@@ -478,7 +463,7 @@ LpStatus Tableau::iterate(bool PhaseOne) {
     ++Iters;
     if (BestT <= FeasibilityTolerance) {
       ++Degenerate;
-      if (++DegenerateRun > OptsP->DegenerateLimit)
+      if (++DegenerateRun > DegenerateLimit)
         Bland = true;
     } else {
       DegenerateRun = 0;
@@ -540,14 +525,8 @@ LpStatus Tableau::run() {
     for (int Col = FirstArtificial; Col < NumCols; ++Col)
       if (Status[Col] == ColStatus::AtUpper) // Unbounded above: impossible.
         assert(false && "artificial nonbasic at infinite bound");
-    if (Infeasibility > 1e-6) {
-      // Each residual artificial's tableau row certifies infeasibility;
-      // their slack supports localize it to model rows.
-      for (int Row = 0; Row < NumRows; ++Row)
-        if (Basis[Row] >= FirstArtificial && BasicValue[Row] > 1e-6)
-          recordFarkasRow(Row);
+    if (Infeasibility > 1e-6)
       return LpStatus::Infeasible;
-    }
     // Pin the artificials at zero for phase 2. Basic artificials at value
     // ~zero are harmless: their [0,0] bounds block any move away from 0.
     for (int Col = FirstArtificial; Col < NumCols; ++Col) {
@@ -576,12 +555,11 @@ std::vector<double> Tableau::structuralValues() const {
   return X;
 }
 
-/// Copies \p E's effort counters, Farkas support and (when optimal)
-/// solution into a fresh LpResult and adds them to the lp/* counters.
-/// \p EngineT is Tableau or SparseRevisedSimplex.
+/// Copies \p E's effort counters and (when optimal) solution into a
+/// fresh LpResult and adds them to the lp/* counters. \p EngineT is
+/// Tableau or SparseRevisedSimplex.
 template <typename EngineT>
-LpResult collectResult(const EngineT &E, LpStatus S, const Model &M,
-                       const SimplexOptions &Opts) {
+LpResult collectResult(const EngineT &E, LpStatus S, const Model &M) {
   LpResult Result;
   Result.Iterations = E.iterations();
   Result.DegeneratePivots = E.degeneratePivots();
@@ -596,16 +574,8 @@ LpResult collectResult(const EngineT &E, LpStatus S, const Model &M,
   StatDegenerate += Result.DegeneratePivots;
   StatFlips += Result.BoundFlips;
   StatRefactor += Result.Refactorizations;
-  if (S == LpStatus::Infeasible) {
+  if (S == LpStatus::Infeasible)
     ++StatInfeasible;
-    if (Opts.CollectFarkas) {
-      Result.FarkasRows = E.farkasRows();
-      std::sort(Result.FarkasRows.begin(), Result.FarkasRows.end());
-      Result.FarkasRows.erase(
-          std::unique(Result.FarkasRows.begin(), Result.FarkasRows.end()),
-          Result.FarkasRows.end());
-    }
-  }
   if (S == LpStatus::Optimal) {
     Result.Values = E.structuralValues();
     Result.Objective = M.evaluateObjective(Result.Values);
@@ -643,7 +613,7 @@ LpResult solveSparse(SparseRevisedSimplex &E, const Model &M,
     ++StatColdSolves;
   }
 
-  LpResult Result = collectResult(E, S, M, Opts);
+  LpResult Result = collectResult(E, S, M);
   Result.WarmStarted = Warm;
   if (Warm)
     StatWarmIterations += Result.Iterations;
@@ -704,7 +674,7 @@ LpResult SimplexSolver::solve(const Model &M,
     Tableau T(M, Lower, Upper, Opts, Ctx);
     LpStatus S = T.run();
     ++StatColdSolves;
-    return collectResult(T, S, M, Opts);
+    return collectResult(T, S, M);
   }
 
   // Context-less calls get a one-shot local engine (and no deadline or

@@ -92,6 +92,10 @@ inline constexpr double OptimalityTolerance = 1e-7;
 /// factorization. Read by both engines.
 inline constexpr double PivotTolerance = 1e-8;
 
+/// Consecutive degenerate pivots after which a solve switches to Bland's
+/// anti-cycling rule. Read by both engines.
+inline constexpr int DegenerateLimit = 512;
+
 /// Budget and test-facing switches of one solve. The tolerances and the
 /// refactorization policy are constants (above and in
 /// lp/SparseRevisedSimplex.cpp); a solve's wall-clock budget is the
@@ -99,16 +103,8 @@ inline constexpr double PivotTolerance = 1e-8;
 struct SimplexOptions {
   /// Hard cap on total pivots (both phases).
   int64_t MaxIterations = 200000;
-  /// Number of consecutive degenerate pivots before switching to Bland's
-  /// rule.
-  int DegenerateLimit = 512;
   /// Engine executing the solve (see SimplexEngine).
   SimplexEngine Engine = SimplexEngine::SparseRevised;
-  /// On an Infeasible exit, record the constraint rows supporting the
-  /// infeasibility certificate (the Farkas ray's slack support) in
-  /// LpResult::FarkasRows. Off by default: the scan is cheap but not
-  /// free, and only forensics consumers want it.
-  bool CollectFarkas = false;
 };
 
 /// An exported simplex basis: the resting status of every [structural |
@@ -184,12 +180,6 @@ struct LpResult {
   /// the dual simplex (false for cold two-phase primal solves, including
   /// warm attempts that had to fall back).
   bool WarmStarted = false;
-  /// With SimplexOptions::CollectFarkas, on Status == Infeasible: the
-  /// model rows supporting the infeasibility certificate — the nonzero
-  /// slack columns of the dual simplex's terminal ray, or the residual
-  /// artificial rows' slack supports after phase 1. A subset of rows
-  /// that is itself infeasible under the solved bounds.
-  std::vector<int> FarkasRows;
   /// The optimal basis of this solve, exportable to warm-start a later
   /// solve of the same model with tightened bounds. Only populated when
   /// Status == Optimal and a sparse-engine solve was given a

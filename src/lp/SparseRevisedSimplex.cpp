@@ -66,7 +66,7 @@ constexpr int CandListMax = 32;
 
 /// Consecutive degenerate pivots tolerated under partial pricing
 /// before escalating to a full Dantzig scan (Pricing::Dantzig). Kept
-/// well below SimplexOptions::DegenerateLimit so the pricing ladder is
+/// well below lp::DegenerateLimit so the pricing ladder is
 /// partial -> Dantzig -> Bland.
 constexpr int DegeneratePricingLimit = 32;
 
@@ -103,7 +103,6 @@ void SparseRevisedSimplex::beginSolve(const Model &M,
   OptsP = &Opts;
   Iters = Degenerate = Flips = Refactors = Phase1Iters = DualIters = 0;
   EtaNnzTotal = 0;
-  FarkasSupport.clear();
   NumRows = M.numConstraints();
   NumStruct = M.numVariables();
   FirstArtificial = NumStruct + NumRows;
@@ -367,16 +366,6 @@ void SparseRevisedSimplex::computeAlphaRow(int LeaveRow) {
   }
 }
 
-void SparseRevisedSimplex::recordFarkasRow(int Row) {
-  if (!OptsP->CollectFarkas)
-    return;
-  computeAlphaRow(Row);
-  for (int Col : AlphaRow.Idx)
-    if (Col >= NumStruct && Col < FirstArtificial &&
-        std::abs(AlphaRow.Val[Col]) > 1e-9)
-      FarkasSupport.push_back(Col - NumStruct);
-}
-
 bool SparseRevisedSimplex::commitPivot(int LeaveRow, int Enter) {
   // Incremental reduced costs: d_j -= (d_e / alpha_re) * alpha_rj.
   // The sweep covers every column with a nonzero pivot-row entry —
@@ -588,7 +577,7 @@ LpStatus SparseRevisedSimplex::primalIterate(bool PhaseOne) {
     ++Iters;
     if (BestT <= FeasibilityTolerance) {
       ++Degenerate;
-      if (++DegenerateRun > OptsP->DegenerateLimit)
+      if (++DegenerateRun > DegenerateLimit)
         Bland = true;
     } else {
       DegenerateRun = 0;
@@ -713,18 +702,14 @@ LpStatus SparseRevisedSimplex::dualIterate() {
         EnterDir = D;
       }
     }
-    if (Enter < 0) {
-      // No nonbasic movement can repair the violated row: the row is a
-      // Farkas certificate of an empty bound box.
-      recordFarkasRow(LeaveRow);
+    if (Enter < 0) // No nonbasic movement can repair the violated row.
       return LpStatus::Infeasible;
-    }
 
     ++Iters;
     ++DualIters;
     if (BestRatio <= OptimalityTolerance) {
       ++Degenerate;
-      if (++DegenerateRun > OptsP->DegenerateLimit)
+      if (++DegenerateRun > DegenerateLimit)
         Bland = true;
     } else {
       DegenerateRun = 0;
@@ -778,14 +763,8 @@ LpStatus SparseRevisedSimplex::run() {
     for (int Row = 0; Row < NumRows; ++Row)
       if (BasisCol[Row] >= FirstArtificial)
         Infeasibility += std::max(0.0, XB[Row]);
-    if (Infeasibility > 1e-6) {
-      // Each stuck artificial pins a row the bounds cannot satisfy; the
-      // union of their tableau rows' slack supports is the certificate.
-      for (int Row = 0; Row < NumRows; ++Row)
-        if (BasisCol[Row] >= FirstArtificial && XB[Row] > 1e-6)
-          recordFarkasRow(Row);
-      return LpStatus::Infeasible;
-    }
+    if (Infeasibility > 1e-6)
+      return LpStatus::Infeasible; // A stuck artificial pins a row.
     // Pin the artificials at zero for phase 2; basic artificials at
     // value ~zero are harmless behind their [0,0] bounds.
     for (int Col = FirstArtificial; Col < NumCols; ++Col) {

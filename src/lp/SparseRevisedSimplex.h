@@ -107,10 +107,6 @@ public:
   /// True when the last tryInitWarm took the refactorization path
   /// (counted as a basis rebuild by the caller's telemetry).
   bool didRebuildBasis() const { return DidRebuild; }
-  /// Constraint rows supporting an Infeasible exit (see
-  /// LpResult::FarkasRows); populated only under
-  /// SimplexOptions::CollectFarkas.
-  const std::vector<int> &farkasRows() const { return FarkasSupport; }
 
 private:
   /// Per-solve bookkeeping shared by initCold / tryInitWarm.
@@ -165,7 +161,7 @@ private:
   /// degenerate streaks: candidate-list partial pricing by default, a
   /// full Dantzig scan (the dense engine's only rule) once a streak shows
   /// the candidate window is stalling, and Bland's smallest-index
-  /// anti-cycling rule past SimplexOptions::DegenerateLimit.
+  /// anti-cycling rule past lp::DegenerateLimit.
   enum class Pricing { Partial, Dantzig, Bland };
 
   /// Entering column for the primal loop under \p Mode. -1 at
@@ -190,12 +186,6 @@ private:
 
   /// Pivot/deadline/cancellation budget, polled every 64 pivots.
   bool budgetExceeded() const;
-
-  /// Under SimplexOptions::CollectFarkas, appends the slack support of
-  /// tableau row \p Row (one BTRAN via computeAlphaRow) to
-  /// FarkasSupport. Clobbers AlphaRow/Rho — only call at an Infeasible
-  /// exit.
-  void recordFarkasRow(int Row);
 
   /// Publishes the LuFactor solve tallies accumulated since the last
   /// flush to the lp/factor.* telemetry counters.
@@ -233,8 +223,6 @@ private:
   std::vector<double> BVals;
   std::vector<int> CandList; ///< Partial-pricing candidate list.
   int ScanCursor = 0;        ///< Rotating pricing-scan position.
-  /// Farkas certificate row support (see farkasRows()).
-  std::vector<int> FarkasSupport;
 
   int64_t Iters = 0;
   int64_t Degenerate = 0;

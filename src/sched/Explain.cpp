@@ -8,7 +8,6 @@
 
 #include "graph/GraphAlgorithms.h"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -24,20 +23,6 @@ const char *witnessName(WitnessKind K) {
     return "resource";
   case WitnessKind::ScheduleWindow:
     return "window";
-  }
-  return "none";
-}
-
-const char *sourceName(ExplainSource S) {
-  switch (S) {
-  case ExplainSource::None:
-    return "none";
-  case ExplainSource::GraphAnalysis:
-    return "graph";
-  case ExplainSource::FarkasRay:
-    return "farkas";
-  case ExplainSource::UnsatCore:
-    return "core";
   }
   return "none";
 }
@@ -89,68 +74,13 @@ static bool sumCycle(const DependenceGraph &G, const std::vector<int> &Edges,
   return true;
 }
 
-/// Bellman-Ford longest-path pass over a subset of edges with weight
-/// latency - II * distance; extracts a positive-weight cycle when one
-/// exists (the standard predecessor-walk recovery).
-static std::optional<RecurrenceCycle>
-positiveCycleOnEdges(const DependenceGraph &G, int II,
-                     const std::vector<int> &EdgeIdxs) {
-  int N = G.numOperations();
-  if (N == 0 || EdgeIdxs.empty())
-    return std::nullopt;
-  std::vector<long> Dist(size_t(N), 0);
-  std::vector<int> PredEdge(size_t(N), -1);
-  int Touched = -1;
-  for (int Pass = 0; Pass <= N; ++Pass) {
-    Touched = -1;
-    for (int Idx : EdgeIdxs) {
-      const SchedEdge &E = G.schedEdges()[Idx];
-      long W = long(E.Latency) - long(II) * E.Distance;
-      if (Dist[E.Src] + W > Dist[E.Dst]) {
-        Dist[E.Dst] = Dist[E.Src] + W;
-        PredEdge[E.Dst] = Idx;
-        Touched = E.Dst;
-      }
-    }
-    if (Touched < 0)
-      return std::nullopt; // Converged: no positive cycle on this subset.
-  }
-  // Still relaxing after N passes: walk predecessors N steps to land on
-  // the cycle, then collect it.
-  int X = Touched;
-  for (int I = 0; I < N; ++I) {
-    assert(PredEdge[X] >= 0 && "relaxed vertex without predecessor");
-    X = G.schedEdges()[PredEdge[X]].Src;
-  }
-  RecurrenceCycle C;
-  int Cur = X;
-  do {
-    int Idx = PredEdge[Cur];
-    assert(Idx >= 0 && "cycle vertex without predecessor");
-    C.Edges.push_back(Idx);
-    Cur = G.schedEdges()[Idx].Src;
-  } while (Cur != X);
-  std::reverse(C.Edges.begin(), C.Edges.end());
-  long Lat = 0, DistSum = 0;
-  if (!sumCycle(G, C.Edges, Lat, DistSum) || DistSum <= 0)
-    return std::nullopt;
-  C.TotalLatency = Lat;
-  C.TotalDistance = DistSum;
-  if (C.iiBound() <= II)
-    return std::nullopt;
-  return C;
-}
-
-/// Picks the most oversubscribed resource among \p Candidates, or
-/// nullopt when none exceeds II * count.
+/// Picks the most oversubscribed resource, or nullopt when none exceeds
+/// II * count.
 static std::optional<Explanation>
-saturatedResource(const DependenceGraph &G, const MachineModel &M, int II,
-                  const std::vector<int> &Candidates) {
+saturatedResource(const DependenceGraph &G, const MachineModel &M, int II) {
   std::optional<Explanation> Best;
   double BestRatio = 0.0;
-  for (int R : Candidates) {
-    if (R < 0 || R >= M.numResources())
-      continue;
+  for (int R = 0; R < M.numResources(); ++R) {
     long Uses = resourceUses(G, M, R);
     int Count = M.resource(R).Count;
     if (Count <= 0 || Uses <= long(II) * Count)
@@ -180,19 +110,13 @@ std::optional<Explanation> explainInfeasibleIi(const DependenceGraph &G,
     if (C->iiBound() > II) {
       Explanation E;
       E.Kind = WitnessKind::RecurrenceCycle;
-      E.Source = ExplainSource::GraphAnalysis;
       E.Cycle = std::move(*C);
       return E;
     }
   }
   // Then resource saturation (covers all II < ResMII).
-  std::vector<int> All(size_t(M.numResources()));
-  for (int R = 0; R < M.numResources(); ++R)
-    All[size_t(R)] = R;
-  if (std::optional<Explanation> E = saturatedResource(G, M, II, All)) {
-    E->Source = ExplainSource::GraphAnalysis;
+  if (std::optional<Explanation> E = saturatedResource(G, M, II))
     return E;
-  }
   // Finally an empty start-time window under the stage budget.
   std::optional<int> MaxTime = windowMaxTime(G, II, ScheduleLengthSlack);
   if (!MaxTime)
@@ -203,7 +127,6 @@ std::optional<Explanation> explainInfeasibleIi(const DependenceGraph &G,
     return std::nullopt;
   Explanation E;
   E.Kind = WitnessKind::ScheduleWindow;
-  E.Source = ExplainSource::GraphAnalysis;
   E.WindowMaxTime = *MaxTime;
   if (!Alap) {
     E.WindowOp = -1; // No schedule fits the budget at all.
@@ -214,65 +137,6 @@ std::optional<Explanation> explainInfeasibleIi(const DependenceGraph &G,
       E.WindowOp = Op;
       return E;
     }
-  return std::nullopt;
-}
-
-std::optional<Explanation>
-explainFromOrigins(const DependenceGraph &G, const MachineModel &M, int II,
-                   int ScheduleLengthSlack,
-                   const std::vector<RowOrigin> &Support,
-                   ExplainSource Source) {
-  std::vector<int> Edges, Resources, WindowOps;
-  for (const RowOrigin &O : Support) {
-    switch (O.Kind) {
-    case RowOriginKind::DepEdge:
-      if (O.EdgeIndex >= 0)
-        Edges.push_back(O.EdgeIndex);
-      break;
-    case RowOriginKind::Resource:
-      Resources.push_back(O.Resource);
-      break;
-    case RowOriginKind::StageWindow:
-      WindowOps.push_back(O.Op);
-      break;
-    default:
-      break;
-    }
-  }
-  std::sort(Edges.begin(), Edges.end());
-  Edges.erase(std::unique(Edges.begin(), Edges.end()), Edges.end());
-  std::sort(Resources.begin(), Resources.end());
-  Resources.erase(std::unique(Resources.begin(), Resources.end()),
-                  Resources.end());
-  // A cycle among the implicated edges is the sharpest witness.
-  if (std::optional<RecurrenceCycle> C =
-          positiveCycleOnEdges(G, II, Edges)) {
-    Explanation E;
-    E.Kind = WitnessKind::RecurrenceCycle;
-    E.Source = Source;
-    E.Cycle = std::move(*C);
-    return E;
-  }
-  if (std::optional<Explanation> E =
-          saturatedResource(G, M, II, Resources)) {
-    E->Source = Source;
-    return E;
-  }
-  std::optional<int> MaxTime = windowMaxTime(G, II, ScheduleLengthSlack);
-  if (MaxTime && !WindowOps.empty()) {
-    std::optional<std::vector<int>> Asap = asapTimes(G, II);
-    std::optional<std::vector<int>> Alap = alapTimes(G, II, *MaxTime);
-    if (Asap && Alap)
-      for (int Op : WindowOps)
-        if (Op >= 0 && Op < G.numOperations() && (*Asap)[Op] > (*Alap)[Op]) {
-          Explanation E;
-          E.Kind = WitnessKind::ScheduleWindow;
-          E.Source = Source;
-          E.WindowOp = Op;
-          E.WindowMaxTime = *MaxTime;
-          return E;
-        }
-  }
   return std::nullopt;
 }
 

@@ -1,21 +1,25 @@
-//===- sched/Explain.h - Infeasibility witnesses and provenance -*- C++ -*-===//
+//===- sched/Explain.h - Infeasibility witnesses ----------------*- C++ -*-===//
 //
 // Part of the modsched project (PLDI'97 optimal modulo scheduling repro).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Solve forensics: typed constraint provenance and graph-level
-/// infeasibility witnesses.
+/// Solve forensics: graph-level infeasibility witnesses.
 ///
-/// The ILP/PB formulations tag every emitted row with a RowOrigin (which
-/// dependence edge, resource slot, or objective gadget produced it). When
-/// an II attempt comes back infeasible, the solver's evidence — the
-/// support of a Farkas ray (LP engine) or an unsat core (PB engine) — is
-/// mapped through those origins into a graph-level witness a compiler
-/// engineer can act on: a recurrence cycle with ceil(latency/distance)
-/// greater than II, a resource with more uses than II * count, or an
-/// operation whose ASAP/ALAP window is empty.
+/// The paper's II search starts at MII = max(ResMII, RecMII) and limits
+/// every start time to an ASAP/ALAP window under a schedule-length budget
+/// (ScheduleLengthSlack cycles past the minimum length). Those are the
+/// three witnesses a compiler engineer can act on: a recurrence cycle
+/// with ceil(latency/distance) greater than II, a resource with more
+/// uses than II * count, or an operation whose start window is empty.
+/// explainInfeasibleIi() finds one exactly when II < MII or the
+/// formulations' window check (Formulation::valid()) fails; an II the
+/// engines prove infeasible beyond those bounds has no graph-level
+/// witness and is reported as unexplained. With a non-negative slack the
+/// windows are empty only when II < RecMII, where the recurrence witness
+/// comes first; the window witness needs a negative slack, which no
+/// caller sets today.
 ///
 /// Witnesses are never trusted as produced: checkExplanation() re-derives
 /// the infeasibility arithmetically from the dependence graph and machine
@@ -32,87 +36,8 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace modsched {
-
-/// What kind of formulation row an origin describes.
-enum class RowOriginKind : unsigned char {
-  Unknown,       ///< Not tagged (should not appear after a full build).
-  Assignment,    ///< "Op issues exactly once" row (Eq. 1).
-  DepEdge,       ///< Dependence row(s) for one scheduling edge (Ineq. 4/19).
-  Resource,      ///< Resource counting row for one (resource, MRT slot).
-  StageWindow,   ///< Stage-variable window encoding (PB monotonicity rows).
-  ObjectiveLink, ///< Objective machinery (kill ops, maxlive, buffers...).
-};
-
-/// Typed origin of one formulation row, stored in a side table keyed by
-/// row id (constraint index for lp::Model, export-row index for
-/// pb::Solver). POD so the tables stay cheap to build unconditionally.
-struct RowOrigin {
-  RowOriginKind Kind = RowOriginKind::Unknown;
-  /// DepEdge: source / destination operations, latency, distance.
-  int Src = -1;
-  int Dst = -1;
-  int Latency = 0;
-  int Distance = 0;
-  /// DepEdge: index into DependenceGraph::schedEdges(), or -1 for
-  /// synthetic edges (kill-op and sink links) that have no graph edge.
-  int EdgeIndex = -1;
-  /// Resource: resource type index and MRT row slot (-1 when the row is
-  /// not slot-specific, e.g. instance-mapping glue).
-  int Resource = -1;
-  int Slot = -1;
-  /// Assignment / StageWindow: the operation. ObjectiveLink: the virtual
-  /// register involved, or -1.
-  int Op = -1;
-
-  static RowOrigin assignment(int Op) {
-    RowOrigin O;
-    O.Kind = RowOriginKind::Assignment;
-    O.Op = Op;
-    return O;
-  }
-  static RowOrigin depEdge(int EdgeIndex, const SchedEdge &E) {
-    RowOrigin O;
-    O.Kind = RowOriginKind::DepEdge;
-    O.Src = E.Src;
-    O.Dst = E.Dst;
-    O.Latency = E.Latency;
-    O.Distance = E.Distance;
-    O.EdgeIndex = EdgeIndex;
-    return O;
-  }
-  static RowOrigin syntheticEdge(int Src, int Dst, int Latency,
-                                 int Distance) {
-    RowOrigin O;
-    O.Kind = RowOriginKind::DepEdge;
-    O.Src = Src;
-    O.Dst = Dst;
-    O.Latency = Latency;
-    O.Distance = Distance;
-    return O;
-  }
-  static RowOrigin resource(int Resource, int Slot) {
-    RowOrigin O;
-    O.Kind = RowOriginKind::Resource;
-    O.Resource = Resource;
-    O.Slot = Slot;
-    return O;
-  }
-  static RowOrigin stageWindow(int Op) {
-    RowOrigin O;
-    O.Kind = RowOriginKind::StageWindow;
-    O.Op = Op;
-    return O;
-  }
-  static RowOrigin objectiveLink(int Reg = -1) {
-    RowOrigin O;
-    O.Kind = RowOriginKind::ObjectiveLink;
-    O.Op = Reg;
-    return O;
-  }
-};
 
 /// The shape of a graph-level infeasibility witness.
 enum class WitnessKind : unsigned char {
@@ -122,20 +47,11 @@ enum class WitnessKind : unsigned char {
   ScheduleWindow,     ///< An operation with an empty ASAP/ALAP window.
 };
 
-/// Where the witness evidence came from.
-enum class ExplainSource : unsigned char {
-  None,          ///< No explanation attempted / available.
-  GraphAnalysis, ///< Pure DDG analysis (no solver involved).
-  FarkasRay,     ///< LP engine: support rows of a Farkas certificate.
-  UnsatCore,     ///< PB engine: assumption core over selector groups.
-};
-
 /// A graph-level explanation of one infeasible II attempt. Exactly the
 /// fields of the active WitnessKind are meaningful; Verified is set by
 /// the caller from checkExplanation() and must never be assumed.
 struct Explanation {
   WitnessKind Kind = WitnessKind::None;
-  ExplainSource Source = ExplainSource::None;
   /// True once checkExplanation() confirmed the witness arithmetically.
   bool Verified = false;
   /// RecurrenceCycle: the offending cycle (edge indices + totals).
@@ -154,10 +70,6 @@ struct Explanation {
 /// "window", "none").
 const char *witnessName(WitnessKind K);
 
-/// Short lowercase tag for the evidence source ("graph", "farkas",
-/// "core", "none").
-const char *sourceName(ExplainSource S);
-
 /// Total cycles of \p Resource demanded per iteration (the numerator of
 /// ResMII for that resource).
 long resourceUses(const DependenceGraph &G, const MachineModel &M,
@@ -167,23 +79,12 @@ long resourceUses(const DependenceGraph &G, const MachineModel &M,
 /// recurrence cycle if RecMII > II, most oversubscribed resource if
 /// ResMII > II, else an empty ASAP/ALAP window under the stage budget
 /// derived from \p ScheduleLengthSlack (the formulation's window rule).
-/// Returns nullopt when none of those conditions hold — i.e. the
-/// infeasibility, if real, needs solver evidence to localize.
+/// Returns nullopt when none of those conditions hold, i.e. exactly when
+/// II >= MII and the formulations' windows are non-empty: an
+/// infeasibility the engines prove there has no graph-level witness.
 std::optional<Explanation> explainInfeasibleIi(const DependenceGraph &G,
                                                const MachineModel &M, int II,
                                                int ScheduleLengthSlack);
-
-/// Maps solver evidence (the origins of a Farkas support or unsat core)
-/// to a witness: searches for a positive-weight cycle restricted to the
-/// implicated dependence edges, then checks implicated resources for
-/// saturation and implicated stage windows for emptiness. \p Source
-/// labels the resulting explanation. Returns nullopt when the evidence
-/// does not yield a checkable witness.
-std::optional<Explanation>
-explainFromOrigins(const DependenceGraph &G, const MachineModel &M, int II,
-                   int ScheduleLengthSlack,
-                   const std::vector<RowOrigin> &Support,
-                   ExplainSource Source);
 
 /// Independent arithmetic check of a witness against the DDG and machine
 /// model only — no solver state. A RecurrenceCycle must be a closed

@@ -1,34 +1,52 @@
 //===- tests/ExplainTest.cpp - solve forensics tests ----------------------===//
 //
-// Constraint provenance, Farkas/unsat-core extraction, and graph-level
-// infeasibility witnesses. The contract under test: every infeasible II
-// attempt below the achieved II carries an Explanation that an
-// independent arithmetic checker (sched/Explain.h checkExplanation)
-// confirms against the dependence graph and machine model alone — the
-// solver's evidence is never trusted as produced.
+// Graph-level infeasibility witnesses. The contract under test: a
+// witness exists exactly when II < MII or the formulations' start-time
+// windows are empty, every infeasible attempt below MII carries one, and
+// an independent arithmetic checker (sched/Explain.h checkExplanation)
+// confirms each against the dependence graph and machine model alone.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ilpsched/OptimalScheduler.h"
 
 #include "ilpsched/PbFormulation.h"
-#include "lp/Simplex.h"
 #include "sched/Explain.h"
 #include "sched/Mii.h"
+#include "support/Rng.h"
 #include "workloads/KernelLibrary.h"
+#include "workloads/SyntheticGenerator.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace modsched;
 
 namespace {
+
+/// Deterministic effort budget of one attempt (B&B nodes or CDCL
+/// conflicts); the wall clock is only a far-away safety net. At MII - 1
+/// the ILP refutes every kernel in presolve (0 nodes); the PB engine's
+/// largest refutation is livermore7-eos at 97 043 conflicts.
+constexpr int64_t AttemptNodeLimit = 150000;
+constexpr double SafetyNetSeconds = 3600.0;
+
+/// The one kernel whose MII - 1 attempt the PB engine cannot refute
+/// within the budget (hydro2d-fragment's resource bound is a pigeonhole
+/// argument; 674 812 conflicts do not settle it either). Its censored
+/// outcome is asserted, not skipped.
+bool censoredBelowMii(SchedulerBackend Backend, const DependenceGraph &G) {
+  return Backend == SchedulerBackend::Pb && G.name() == "hydro2d-fragment";
+}
 
 SchedulerOptions makeExplainOpts(SchedulerBackend Backend) {
   SchedulerOptions Opts;
   Opts.Formulation.Obj = Objective::None;
   Opts.Formulation.DepStyle = DependenceStyle::Structured;
   Opts.Backend = Backend;
-  Opts.TimeLimitSeconds = 10.0;
+  Opts.TimeLimitSeconds = SafetyNetSeconds;
+  Opts.NodeLimit = AttemptNodeLimit;
   Opts.Explain = true;
   return Opts;
 }
@@ -39,114 +57,13 @@ IiAttempt attemptAt(const MachineModel &M, const DependenceGraph &G, int II,
                     SchedulerBackend Backend) {
   OptimalModuloScheduler Sched(M, makeExplainOpts(Backend));
   ScheduleResult Stats;
-  Sched.scheduleAtIi(G, II, Stats, /*TimeBudget=*/10.0);
+  Sched.scheduleAtIi(G, II, Stats, SafetyNetSeconds);
   EXPECT_EQ(Stats.Attempts.size(), 1u);
+  EXPECT_FALSE(Stats.TimedOut) << G.name() << ": the safety net fired";
   return Stats.Attempts.empty() ? IiAttempt() : Stats.Attempts.back();
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Constraint provenance
-//===----------------------------------------------------------------------===//
-
-TEST(Provenance, IlpSideTableCoversEveryRow) {
-  MachineModel M = MachineModel::cydraLike();
-  for (Objective Obj :
-       {Objective::None, Objective::MinReg, Objective::MinBuff}) {
-    for (const DependenceGraph &G : allKernels(M)) {
-      FormulationOptions FOpts;
-      FOpts.Obj = Obj;
-      Formulation F(G, M, mii(G, M), FOpts);
-      if (!F.valid())
-        continue;
-      const std::vector<RowOrigin> &Origins = F.rowOrigins();
-      ASSERT_EQ(Origins.size(), size_t(F.model().numConstraints())) << G.name();
-      for (const RowOrigin &O : Origins)
-        EXPECT_NE(O.Kind, RowOriginKind::Unknown) << G.name();
-    }
-  }
-}
-
-TEST(Provenance, PbSideTableCoversEveryRow) {
-  MachineModel M = MachineModel::cydraLike();
-  for (Objective Obj : {Objective::None, Objective::MinReg}) {
-    for (const DependenceGraph &G : allKernels(M)) {
-      FormulationOptions FOpts;
-      FOpts.Obj = Obj;
-      if (!PbFormulation::supports(FOpts))
-        continue;
-      PbFormulation F(G, M, mii(G, M), FOpts);
-      if (!F.valid())
-        continue;
-      ASSERT_EQ(F.rowOrigins().size(), size_t(F.numConstraints()))
-          << G.name();
-      for (const RowOrigin &O : F.rowOrigins())
-        EXPECT_NE(O.Kind, RowOriginKind::Unknown) << G.name();
-    }
-  }
-}
-
-TEST(Provenance, DepEdgeOriginsPointAtRealEdges) {
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = allKernels(M).front();
-  Formulation F(G, M, mii(G, M), FormulationOptions());
-  ASSERT_TRUE(F.valid());
-  int DepRows = 0;
-  for (const RowOrigin &O : F.rowOrigins()) {
-    if (O.Kind != RowOriginKind::DepEdge || O.EdgeIndex < 0)
-      continue;
-    ++DepRows;
-    ASSERT_LT(O.EdgeIndex, G.numSchedEdges());
-    const SchedEdge &E = G.schedEdges()[size_t(O.EdgeIndex)];
-    EXPECT_EQ(O.Src, E.Src);
-    EXPECT_EQ(O.Dst, E.Dst);
-    EXPECT_EQ(O.Latency, E.Latency);
-    EXPECT_EQ(O.Distance, E.Distance);
-  }
-  EXPECT_GT(DepRows, 0);
-}
-
-//===----------------------------------------------------------------------===//
-// LP-engine Farkas extraction
-//===----------------------------------------------------------------------===//
-
-TEST(Farkas, BothEnginesReportSupportRows) {
-  // x + y >= 4 conflicts with x <= 1, y <= 1 (rows 1 and 2): the
-  // certificate must implicate row 0 and at least one of the bounds'
-  // rows, under both LP engines.
-  for (lp::SimplexEngine Engine :
-       {lp::SimplexEngine::Dense, lp::SimplexEngine::SparseRevised}) {
-    lp::Model M;
-    int X = M.addVariable("x", 0, 10);
-    int Y = M.addVariable("y", 0, 10);
-    M.addConstraint({{X, 1.0}, {Y, 1.0}}, lp::ConstraintSense::GE, 4.0);
-    M.addConstraint({{X, 1.0}}, lp::ConstraintSense::LE, 1.0);
-    M.addConstraint({{Y, 1.0}}, lp::ConstraintSense::LE, 1.0);
-    lp::SimplexOptions Opts;
-    Opts.Engine = Engine;
-    Opts.CollectFarkas = true;
-    lp::SimplexSolver S(Opts);
-    lp::LpResult R = S.solve(M);
-    ASSERT_EQ(R.Status, lp::LpStatus::Infeasible)
-        << lp::toString(Engine);
-    EXPECT_FALSE(R.FarkasRows.empty()) << lp::toString(Engine);
-    for (int Row : R.FarkasRows) {
-      EXPECT_GE(Row, 0);
-      EXPECT_LT(Row, M.numConstraints());
-    }
-  }
-}
-
-TEST(Farkas, OffByDefaultCostsNothing) {
-  lp::Model M;
-  int X = M.addVariable("x", 0, 10);
-  M.addConstraint({{X, 1.0}}, lp::ConstraintSense::GE, 20.0);
-  lp::SimplexSolver S;
-  lp::LpResult R = S.solve(M);
-  ASSERT_EQ(R.Status, lp::LpStatus::Infeasible);
-  EXPECT_TRUE(R.FarkasRows.empty());
-}
 
 //===----------------------------------------------------------------------===//
 // Witnesses at II = MII - 1: every kernel, both backends
@@ -162,9 +79,11 @@ void checkKernelsBelowMii(SchedulerBackend Backend) {
     if (Mii_ < 2)
       continue; // II=0 is not a schedulable request.
     IiAttempt A = attemptAt(M, G, Mii_ - 1, Backend);
-    if (A.Status == ilp::MipStatus::Limit ||
-        A.Status == ilp::MipStatus::Cancelled)
-      continue; // Censored: no verdict, no witness owed.
+    if (censoredBelowMii(Backend, G)) {
+      EXPECT_EQ(A.Status, ilp::MipStatus::Limit) << G.name();
+      EXPECT_FALSE(A.Explain.has_value()) << G.name();
+      continue;
+    }
     ASSERT_EQ(A.Status, ilp::MipStatus::Infeasible)
         << G.name() << ": II below MII cannot be feasible";
     ASSERT_TRUE(A.Explain.has_value())
@@ -191,9 +110,15 @@ TEST(Explain, EveryKernelBelowMiiPb) {
   checkKernelsBelowMii(SchedulerBackend::Pb);
 }
 
+TEST(Explain, EveryKernelBelowMiiPortfolio) {
+  // The witness is attached to the race's committed verdict.
+  checkKernelsBelowMii(SchedulerBackend::Portfolio);
+}
+
 TEST(Explain, DifferentialBackendsAgreeBelowMii) {
-  // Differential smoke: at II = MII - 1 both engines must reach the same
-  // verdict and both witnesses must check out against the same graph.
+  // Differential smoke: at II = MII - 1 both engines must refute the II.
+  // The witness itself comes from graph analysis after either verdict,
+  // so EveryKernelBelowMii{Ilp,Pb} already check it.
   MachineModel M = MachineModel::cydraLike();
   int Compared = 0;
   for (const DependenceGraph &G : allKernels(M)) {
@@ -202,16 +127,54 @@ TEST(Explain, DifferentialBackendsAgreeBelowMii) {
       continue;
     IiAttempt Ilp = attemptAt(M, G, Mii_ - 1, SchedulerBackend::Ilp);
     IiAttempt Pb = attemptAt(M, G, Mii_ - 1, SchedulerBackend::Pb);
-    if (Ilp.Status != ilp::MipStatus::Infeasible ||
-        Pb.Status != ilp::MipStatus::Infeasible)
-      continue; // One side censored; nothing to compare.
-    ASSERT_TRUE(Ilp.Explain.has_value()) << G.name();
-    ASSERT_TRUE(Pb.Explain.has_value()) << G.name();
-    EXPECT_TRUE(Ilp.Explain->Verified) << G.name();
-    EXPECT_TRUE(Pb.Explain->Verified) << G.name();
+    ASSERT_EQ(Ilp.Status, ilp::MipStatus::Infeasible) << G.name();
+    ASSERT_EQ(Pb.Status, ilp::MipStatus::Infeasible) << G.name();
     ++Compared;
   }
-  EXPECT_GT(Compared, 0);
+  EXPECT_EQ(Compared, 6);
+}
+
+//===----------------------------------------------------------------------===//
+// Witnesses exist exactly below MII or on empty windows
+//===----------------------------------------------------------------------===//
+
+TEST(Explain, WitnessExactlyBelowMiiOrOnEmptyWindows) {
+  // The three witness kinds are the paper's three bounds (ResMII, RecMII
+  // and the ASAP/ALAP windows under the schedule-length budget), so
+  // graph analysis explains an II exactly when the II search or the
+  // formulations' window check rules it out without a solve.
+  int Witnesses = 0;
+  for (const MachineModel &M :
+       {MachineModel::cydraLike(), MachineModel::example3()}) {
+    std::vector<DependenceGraph> Loops = allKernels(M);
+    for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+      Rng R(Seed);
+      Loops.push_back(generateLoop(M, R));
+    }
+    for (DependenceStyle Style :
+         {DependenceStyle::Structured, DependenceStyle::Traditional}) {
+      FormulationOptions FOpts;
+      FOpts.DepStyle = Style;
+      const int Slack = FOpts.ScheduleLengthSlack;
+      for (const DependenceGraph &G : Loops) {
+        const int Mii_ = mii(G, M);
+        for (int II = std::max(1, Mii_ - 2); II <= Mii_ + 2; ++II) {
+          const bool Valid = Formulation(G, M, II, FOpts).valid();
+          EXPECT_EQ(PbFormulation(G, M, II, FOpts).valid(), Valid)
+              << G.name() << " II=" << II;
+          std::optional<Explanation> E = explainInfeasibleIi(G, M, II, Slack);
+          ASSERT_EQ(E.has_value(), II < Mii_ || !Valid)
+              << G.name() << " II=" << II << " MII=" << Mii_;
+          if (!E)
+            continue;
+          EXPECT_TRUE(checkExplanation(G, M, II, Slack, *E))
+              << G.name() << " II=" << II;
+          ++Witnesses;
+        }
+      }
+    }
+  }
+  EXPECT_GT(Witnesses, 0);
 }
 
 //===----------------------------------------------------------------------===//

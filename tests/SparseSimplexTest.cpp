@@ -526,30 +526,46 @@ TEST(SparseSimplex, WarmStartChainsMatchDenseCold) {
 }
 
 TEST(SparseSimplex, BealeCyclingLpTerminatesUnderBland) {
-  // Beale's classic cycling example: Dantzig pricing cycles forever at
-  // the degenerate origin vertex without an anti-cycling guard. Force
-  // the Bland fallback almost immediately (DegenerateLimit = 1) on BOTH
-  // engines and require the true optimum -1/20.
+  // Beale's classic cycling example, with its second row divided by 4 so
+  // that the max-|alpha| ratio-test tie-break picks the same leaving row
+  // as the textbook: Dantzig pricing then cycles at the degenerate origin
+  // forever. The sparse engine prices partially until 32 degenerate
+  // pivots in a row, which walks off Beale's cycle, so a separate chain
+  // s_0 <= s_1 <= ... <= s_39 <= 0 of more attractive columns, listed
+  // first, absorbs that stretch before Dantzig pricing reaches Beale's
+  // block. Both engines must cycle past lp::DegenerateLimit, switch to
+  // Bland's rule, and reach the true optimum -1/20.
+  constexpr int ChainLength = 40;
   for (SimplexEngine Engine :
        {SimplexEngine::Dense, SimplexEngine::SparseRevised}) {
     Model M;
+    std::vector<int> Chain;
+    for (int I = 0; I < ChainLength; ++I)
+      Chain.push_back(M.addVariable("s" + std::to_string(I), 0,
+                                    infinity(), -10.0));
     int X = M.addVariable("x", 0, infinity(), -0.75);
     int Y = M.addVariable("y", 0, infinity(), 150.0);
     int Z = M.addVariable("z", 0, infinity(), -0.02);
     int W = M.addVariable("w", 0, infinity(), 6.0);
     M.addConstraint({{X, 0.25}, {Y, -60.0}, {Z, -0.04}, {W, 9.0}},
                     ConstraintSense::LE, 0.0);
-    M.addConstraint({{X, 0.5}, {Y, -90.0}, {Z, -0.02}, {W, 3.0}},
+    M.addConstraint({{X, 0.125}, {Y, -22.5}, {Z, -0.005}, {W, 0.75}},
                     ConstraintSense::LE, 0.0);
     M.addConstraint({{Z, 1.0}}, ConstraintSense::LE, 1.0);
+    for (int I = 0; I + 1 < ChainLength; ++I)
+      M.addConstraint({{Chain[I], 1.0}, {Chain[I + 1], -1.0}},
+                      ConstraintSense::LE, 0.0);
+    M.addConstraint({{Chain.back(), 1.0}}, ConstraintSense::LE, 0.0);
 
     SimplexOptions Opts;
     Opts.Engine = Engine;
-    Opts.DegenerateLimit = 1; // Switch to Bland's rule at once.
     Opts.MaxIterations = 10000;
     LpResult R = SimplexSolver(Opts).solve(M);
     ASSERT_EQ(R.Status, LpStatus::Optimal) << toString(Engine);
     EXPECT_NEAR(R.Objective, -0.05, 1e-9) << toString(Engine);
+    // The default pricing really cycled into the fallback; the chain
+    // alone accounts for fewer than ChainLength degenerate pivots.
+    EXPECT_GT(R.DegeneratePivots, lp::DegenerateLimit) << toString(Engine);
   }
 }
 
