@@ -183,7 +183,7 @@ bench::runOptimal(const MachineModel &M,
   // One-line forensics summary after the sweep: how the infeasible II
   // attempts were explained (the acceptance metric is <5% unexplained).
   if (Config.Explain) {
-    int64_t Cycle = 0, Resource = 0, Window = 0, Unexplained = 0;
+    int64_t Cycle = 0, Resource = 0, Unexplained = 0;
     for (const LoopRecord &R : Records) {
       Unexplained += R.UnexplainedAttempts;
       for (const IiAttempt &A : R.Attempts) {
@@ -196,20 +196,16 @@ bench::runOptimal(const MachineModel &M,
         case WitnessKind::ResourceSaturation:
           ++Resource;
           break;
-        case WitnessKind::ScheduleWindow:
-          ++Window;
-          break;
         case WitnessKind::None:
           break;
         }
       }
     }
     std::printf("explanations [%s/%s]: %lld cycle, %lld resource, "
-                "%lld window, %lld unexplained\n",
+                "%lld unexplained\n",
                 toString(Obj), toString(Dep),
                 static_cast<long long>(Cycle),
                 static_cast<long long>(Resource),
-                static_cast<long long>(Window),
                 static_cast<long long>(Unexplained));
   }
   return Records;
@@ -413,7 +409,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(13);
+  W.key("schema_version").value(14);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));

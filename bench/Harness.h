@@ -193,7 +193,7 @@ commonlySolved(const std::vector<std::vector<LoopRecord>> &RecordSets);
 /// produced, and call write() before exiting. The artifact is
 ///   <dir>/BENCH_<experiment>.json
 /// with <dir> = $MODSCHED_BENCH_RESULTS_DIR or "bench_results" (created
-/// if missing). The artifact carries schema_version 13, the only
+/// if missing). The artifact carries schema_version 14, the only
 /// version scripts/check_bench_json.py accepts; docs/OBSERVABILITY.md
 /// documents its fields.
 class BenchJson {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 13).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 14).
 
 bench/Harness.cpp's BenchJson writes one schema, documented in
 docs/OBSERVABILITY.md, and this checker accepts exactly that version.
@@ -25,7 +25,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 TOP_KEYS = {
     "schema_version": numbers.Integral,
@@ -115,7 +115,7 @@ BACKENDS = {"ilp", "pb", "portfolio"}
 # Per-attempt committed engine under the portfolio backend; empty means
 # "no conclusive verdict" or a single-engine backend.
 WINNERS = {"", "ilp", "pb"}
-WITNESSES = {"cycle", "resource", "window", "none"}
+WITNESSES = {"cycle", "resource", "none"}
 PROOFS = {"", "optimal", "first_solution", "censored"}
 
 
@@ -247,16 +247,17 @@ def self_test():
         return doc["record_sets"][s]["records"][0]
 
     cases = [
-        ("schema 12 (attempt witness_source)",
-         lambda d: (d.update(schema_version=12),
+        ("schema 13 (window witness)",
+         lambda d: (d.update(schema_version=13),
                     record(d, 0)["attempts"][0].update(
-                        witness_source="farkas"))),
+                        status="infeasible", scheduled=False,
+                        witness="window"))),
         ("node_limit status without node_limit_hit",
          lambda d: record(d, 1).update(node_limit_hit=False)),
         ("unknown attempt status",
          lambda d: record(d, 0)["attempts"][0].update(status="feasible")),
         ("unknown witness",
-         lambda d: record(d, 0)["attempts"][0].update(witness="farkas")),
+         lambda d: record(d, 0)["attempts"][0].update(witness="window")),
     ]
     failures = 0
     try:

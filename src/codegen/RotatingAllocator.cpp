@@ -2,6 +2,7 @@
 
 #include "codegen/RotatingAllocator.h"
 
+#include "sched/AttemptFrame.h"
 #include "sched/RegisterPressure.h"
 
 #include <algorithm>
@@ -11,14 +12,6 @@
 using namespace modsched;
 
 namespace {
-
-/// Floored division for window bounds.
-long floorDiv(long A, long B) {
-  long Q = A / B;
-  if (A % B != 0 && A < 0)
-    --Q;
-  return Q;
-}
 
 long ceilDiv(long A, long B) { return floorDiv(A + B - 1, B); }
 
@@ -30,14 +23,11 @@ long ceilDiv(long A, long B) { return floorDiv(A + B - 1, B); }
 bool collide(long Dv, long Kv, long Dw, long Kw, int II, int R,
              long BaseDiff, bool SameRegister) {
   long Lo = ceilDiv(Dv - Kw, II);
-  long Hi = floorDiv(Kv - Dw, II);
+  long Hi = floorDiv<long>(Kv - Dw, II);
   for (long Delta = Lo; Delta <= Hi; ++Delta) {
     if (SameRegister && Delta == 0)
       continue;
-    long Residue = (Delta - BaseDiff) % R;
-    if (Residue < 0)
-      Residue += R;
-    if (Residue == 0)
+    if (modPos<long>(Delta - BaseDiff, R) == 0)
       return true;
   }
   return false;

@@ -43,18 +43,14 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   const DependenceGraph &G = C.P.graph();
   const MachineModel &M = C.P.machine();
   const FormulationOptions &FOpts = C.P.options();
-  const int II = C.II;
   ScheduleResult &Stats = C.Stats;
   IiAttempt &Attempt = C.Attempt;
   PortfolioEngineHooks *Hooks = C.Hooks;
 
-  Formulation F(G, M, II, FOpts);
+  Formulation F(G, M, C.Frame, FOpts);
+  assert(F.valid() && "attempts are dispatched on valid frames only");
   Attempt.Variables = F.model().numVariables();
   Attempt.Constraints = F.model().numConstraints();
-  if (!F.valid()) {
-    Attempt.WindowInfeasible = true;
-    return std::nullopt; // II infeasible within the window budget.
-  }
 
   MipOptions MipOpts;
   MipOpts.TimeLimitSeconds = C.TimeBudget;
@@ -176,19 +172,14 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
   const SchedulerOptions &Opts = C.Opts;
   const DependenceGraph &G = C.P.graph();
   const MachineModel &M = C.P.machine();
-  const FormulationOptions &FOpts = C.P.options();
-  const int II = C.II;
   ScheduleResult &Stats = C.Stats;
   IiAttempt &Attempt = C.Attempt;
   PortfolioEngineHooks *Hooks = C.Hooks;
 
-  PbFormulation F(G, M, II, FOpts);
+  PbFormulation F(G, M, C.Frame, C.P.options());
+  assert(F.valid() && "attempts are dispatched on valid frames only");
   Attempt.Variables = F.numVariables();
   Attempt.Constraints = F.numConstraints();
-  if (!F.valid()) {
-    Attempt.WindowInfeasible = true;
-    return std::nullopt; // II infeasible within the window budget.
-  }
 
   lp::SolveContext LocalCtx;
   lp::SolveContext &Ctx = C.Ctx ? *C.Ctx : LocalCtx;

@@ -7,9 +7,10 @@
 /// \file
 /// The three ways OptimalModuloScheduler::scheduleAtIi decides one
 /// tentative II, picked by a switch on SchedulerBackend. Everything an
-/// attempt needs — the options, the problem, the deterministic budget
-/// ledger, the deadline / cancellation context, the telemetry record and
-/// the portfolio wiring — rides in one AttemptContext.
+/// attempt needs — the options, the problem, the II's windows and bounds
+/// (sched/AttemptFrame.h), the deterministic budget ledger, the deadline
+/// / cancellation context, the telemetry record and the portfolio wiring
+/// — rides in one AttemptContext.
 ///
 ///   solveIlpAttempt        LP-relaxation branch-and-bound (the default).
 ///   solvePbAttempt         conflict-driven pseudo-Boolean search.
@@ -29,6 +30,7 @@
 #define MODSCHED_ILPSCHED_ATTEMPT_H
 
 #include "ilpsched/OptimalScheduler.h"
+#include "sched/AttemptFrame.h"
 #include "sched/Problem.h"
 
 #include <atomic>
@@ -70,8 +72,9 @@ struct AttemptContext {
   const SchedulerOptions &Opts;
   /// The problem (graph + machine + formulation options).
   const Problem &P;
-  /// The tentative initiation interval under trial.
-  int II;
+  /// The tentative II under trial with its windows and bounds, built by
+  /// OptimalModuloScheduler::attempt, which dispatches only valid frames.
+  const AttemptFrame &Frame;
   /// Loop-level ledger: deterministic budget spend (budgetNodes()),
   /// work counters, and verdict flags accumulate here.
   ScheduleResult &Stats;

@@ -2,7 +2,6 @@
 
 #include "ilpsched/Formulation.h"
 
-#include "graph/GraphAlgorithms.h"
 #include "support/Telemetry.h"
 #include "support/Timer.h"
 
@@ -15,21 +14,6 @@ using namespace modsched;
 using namespace modsched::lp;
 
 namespace {
-
-/// Floored integer division (C++ '/' truncates toward zero).
-int floorDiv(int A, int B) {
-  assert(B > 0 && "divisor must be positive");
-  int Q = A / B;
-  if (A % B != 0 && (A < 0))
-    --Q;
-  return Q;
-}
-
-/// Non-negative remainder.
-int modPos(int A, int B) {
-  int R = A % B;
-  return R < 0 ? R + B : R;
-}
 
 telemetry::Counter StatBuilt("ilpsched", "formulation.built",
                              "ILP formulations constructed");
@@ -45,38 +29,20 @@ telemetry::PhaseTimer TimeBuild("ilpsched", "formulation.build",
 } // namespace
 
 Formulation::Formulation(const DependenceGraph &DG, const MachineModel &MM,
-                         int TheII, const FormulationOptions &Options)
-    : G(DG), M(MM), II(TheII), Opts(Options) {
-  assert(II >= 1 && "initiation interval must be positive");
-
+                         const AttemptFrame &Frame,
+                         const FormulationOptions &Options)
+    : G(DG), M(MM), II(Frame.II), Opts(Options), Valid(Frame.Valid),
+      MaxTime(Frame.MaxTime) {
   // Build telemetry runs on every exit path, including the early
-  // infeasible-window returns.
+  // invalid-frame return.
   struct StatsOnExit {
     Formulation &F;
     Stopwatch Watch;
     ~StatsOnExit() { F.finalizeBuildStats(Watch.seconds()); }
   } FinalizeStats{*this, {}};
 
-  // Schedule-length budget: the paper limits start times to 20 cycles
-  // beyond the minimum schedule length. The budget is rounded up to stage
-  // granularity so that stage bounds express it exactly.
-  std::optional<int> MinLen = minScheduleLength(G, II);
-  if (!MinLen)
+  if (!Valid)
     return; // II below the recurrence bound: infeasible.
-  int Budget = *MinLen - 1 + Opts.ScheduleLengthSlack;
-  int StageCount = Budget / II + 1;
-  MaxTime = StageCount * II - 1;
-
-  std::optional<std::vector<int>> AsapOpt = asapTimes(G, II);
-  std::optional<std::vector<int>> AlapOpt = alapTimes(G, II, MaxTime);
-  if (!AsapOpt || !AlapOpt)
-    return;
-  Asap = std::move(*AsapOpt);
-  Alap = std::move(*AlapOpt);
-  for (int Op = 0; Op < G.numOperations(); ++Op)
-    if (Asap[Op] > Alap[Op])
-      return; // Window empty: II infeasible within the budget.
-  Valid = true;
 
   int N = G.numOperations();
 
@@ -94,12 +60,8 @@ Formulation::Formulation(const DependenceGraph &DG, const MachineModel &MM,
   // k vector: integer stages with window-derived bounds.
   KBase = Ilp.numVariables();
   for (int Op = 0; Op < N; ++Op) {
-    int KMin = 0, KMax = StageCount - 1;
-    if (Opts.TightenStageBounds) {
-      KMin = Asap[Op] / II;
-      KMax = Alap[Op] / II;
-    }
-    int Var = Ilp.addVariable("k_" + G.operation(Op).Name, KMin, KMax, 0.0,
+    int Var = Ilp.addVariable("k_" + G.operation(Op).Name,
+                              Frame.Stage[Op].Min, Frame.Stage[Op].Max, 0.0,
                               VarKind::Integer);
     Ilp.setBranchPriority(Var, 1);
   }
@@ -107,8 +69,8 @@ Formulation::Formulation(const DependenceGraph &DG, const MachineModel &MM,
   buildAssignment();
   for (int Edge = 0; Edge < G.numSchedEdges(); ++Edge)
     buildDependence(G.schedEdges()[Edge]);
-  buildResource();
-  buildObjective();
+  buildResource(Frame);
+  buildObjective(Frame);
 }
 
 void Formulation::finalizeBuildStats(double BuildSeconds) {
@@ -219,13 +181,9 @@ void Formulation::buildDependence(const SchedEdge &E) {
                      G.operation(E.Dst).Name);
 }
 
-void Formulation::buildResource() {
+void Formulation::buildResource(const AttemptFrame &Frame) {
   // Ineq. (5). Following the paper, resources whose total usage cannot
   // exceed their multiplicity in any row are not modeled.
-  std::vector<int> TotalUses(M.numResources(), 0);
-  for (const Operation &Op : G.operations())
-    for (const ResourceUsage &U : M.opClass(Op.OpClass).Usages)
-      ++TotalUses[U.Resource];
 
   // Counting constraints (the paper's Ineq. (5)) for resource type R.
   auto EmitCountingRows = [this](int R) {
@@ -251,7 +209,7 @@ void Formulation::buildResource() {
     MapVarBase.assign(size_t(G.numOperations()) * M.numResources(), -1);
 
   for (int R = 0; R < M.numResources(); ++R) {
-    if (TotalUses[R] <= M.resource(R).Count)
+    if (Frame.ResourceUses[R] <= M.resource(R).Count)
       continue; // No row can ever oversubscribe this resource.
     int E = M.resource(R).Count;
     if (!Opts.InstanceMapped || E == 1) {
@@ -351,25 +309,10 @@ void Formulation::appendLiveCount(std::vector<Term> &Terms, int Reg,
     appendRowRange(Terms, ABase + R.Def * II, Row + 1, II - 1, -1.0);
 }
 
-int Formulation::minLifetimeBound(int Reg) const {
-  const VirtualRegister &R = G.registers()[Reg];
-  int Bound = 1; // Live at least in the definition cycle.
-  for (const RegisterUse &U : R.Uses) {
-    // Any scheduling edge def -> consumer at the use's distance forces
-    // t_use + w*II >= t_def + latency, hence lifetime >= latency + 1.
-    for (const SchedEdge &E : G.schedEdges())
-      if (E.Src == R.Def && E.Dst == U.Consumer &&
-          E.Distance == U.Distance)
-        Bound = std::max(Bound, E.Latency + 1);
-  }
-  return Bound;
-}
-
-void Formulation::buildKillOps() {
+void Formulation::buildKillOps(const AttemptFrame &Frame) {
   if (!KillRowBase.empty())
     return; // Already built.
   int NumRegs = G.numRegisters();
-  int StageCount = MaxTime / II + 1;
   KillRowBase.assign(NumRegs, -1);
   KillStage.assign(NumRegs, -1);
   for (int Reg = 0; Reg < NumRegs; ++Reg) {
@@ -378,20 +321,10 @@ void Formulation::buildKillOps() {
     for (int Row = 0; Row < II; ++Row)
       Ilp.addBinaryVariable("kill_r" + std::to_string(Row) + "_v" +
                             std::to_string(Reg));
-    // Stage bounds: the kill lies between the def's earliest stage and
-    // the latest use's latest stage.
-    int KMin = 0, KMax = StageCount - 1;
-    if (Opts.TightenStageBounds) {
-      KMin = Asap[R.Def] / II;
-      KMax = Alap[R.Def] / II;
-      for (const RegisterUse &U : R.Uses)
-        KMax = std::max(KMax, Alap[U.Consumer] / II + U.Distance);
-    } else {
-      for (const RegisterUse &U : R.Uses)
-        KMax = std::max(KMax, StageCount - 1 + U.Distance);
-    }
-    KillStage[Reg] = Ilp.addVariable("killk_v" + std::to_string(Reg), KMin,
-                                     KMax, 0.0, VarKind::Integer);
+    KillStage[Reg] = Ilp.addVariable("killk_v" + std::to_string(Reg),
+                                     Frame.KillStage[Reg].Min,
+                                     Frame.KillStage[Reg].Max, 0.0,
+                                     VarKind::Integer);
 
     // Assignment constraint for the kill row vector.
     std::vector<Term> Terms;
@@ -416,13 +349,13 @@ void Formulation::buildKillOps() {
   }
 }
 
-void Formulation::buildObjective() {
+void Formulation::buildObjective(const AttemptFrame &Frame) {
   // Register-file budget: a hard per-row cap on the live count,
   // independent of the secondary objective.
   if (Opts.RegisterLimit >= 0 && G.numRegisters() > 0) {
     assert(Opts.Obj != Objective::MinReg &&
            "RegisterLimit with MinReg is redundant; pick one");
-    buildKillOps();
+    buildKillOps(Frame);
     for (int Row = 0; Row < II; ++Row) {
       std::vector<Term> Terms;
       for (int Reg = 0; Reg < G.numRegisters(); ++Reg)
@@ -443,12 +376,10 @@ void Formulation::buildObjective() {
     // vector and a stage, constrained through the same dependence
     // machinery, with the length II*stage + row minimized directly
     // (objective coefficients are exempt from 0-1 structure).
-    std::optional<int> MinLen = minScheduleLength(G, II);
-    assert(MinLen && "valid() formulations have a schedule-length bound");
     SinkRowBase = Ilp.numVariables();
     for (int Row = 0; Row < II; ++Row)
       Ilp.addBinaryVariable("sink_r" + std::to_string(Row));
-    SinkStage = Ilp.addVariable("sink_k", *MinLen / II,
+    SinkStage = Ilp.addVariable("sink_k", Frame.MinLength / II,
                                 (MaxTime + 1) / II, double(II),
                                 VarKind::Integer);
     std::vector<Term> Assign;
@@ -476,7 +407,7 @@ void Formulation::buildObjective() {
   int NumRegs = G.numRegisters();
 
   if (Opts.Obj == Objective::MinReg || Opts.Obj == Objective::MinLife)
-    buildKillOps();
+    buildKillOps(Frame);
 
   switch (Opts.Obj) {
   case Objective::None:
@@ -489,12 +420,8 @@ void Formulation::buildObjective() {
     // is the paper's [4] objective, used for both dependence styles.
     // A constant lower bound ceil(sum of minimum lifetimes / II) tightens
     // the root relaxation.
-    long MinTotalLife = 0;
-    for (int Reg = 0; Reg < NumRegs; ++Reg)
-      MinTotalLife += minLifetimeBound(Reg);
-    double MaxLiveLb =
-        static_cast<double>((MinTotalLife + II - 1) / II);
-    MaxLiveVar = Ilp.addVariable("maxlive", MaxLiveLb, infinity(), 1.0);
+    MaxLiveVar = Ilp.addVariable("maxlive", Frame.MaxLiveLowerBound,
+                                 infinity(), 1.0);
     for (int Row = 0; Row < II; ++Row) {
       std::vector<Term> Terms;
       for (int Reg = 0; Reg < NumRegs; ++Reg)
@@ -516,9 +443,9 @@ void Formulation::buildObjective() {
       VarKind Kind = Opts.ObjStyle == ObjectiveStyle::Traditional
                          ? VarKind::Integer
                          : VarKind::Continuous;
-      double BufLb = (minLifetimeBound(Reg) + II - 1) / II;
       BufferVar[Reg] = Ilp.addVariable("buf_v" + std::to_string(Reg),
-                                       BufLb, infinity(), 1.0, Kind);
+                                       Frame.BufferLowerBound[Reg],
+                                       infinity(), 1.0, Kind);
       for (size_t UI = 0; UI < R.Uses.size(); ++UI) {
         const RegisterUse &U = R.Uses[UI];
         std::string Tag =
@@ -570,8 +497,8 @@ void Formulation::buildObjective() {
       for (int Reg = 0; Reg < NumRegs; ++Reg) {
         const VirtualRegister &R = G.registers()[Reg];
         LifeVar[Reg] = Ilp.addVariable("life_v" + std::to_string(Reg),
-                                       minLifetimeBound(Reg), infinity(),
-                                       1.0);
+                                       Frame.MinLifetime[Reg],
+                                       infinity(), 1.0);
         std::vector<Term> Terms;
         Terms.push_back({LifeVar[Reg], 1.0});
         Terms.push_back({KillStage[Reg], -double(II)});

@@ -47,6 +47,7 @@
 #include "graph/DependenceGraph.h"
 #include "lp/Model.h"
 #include "machine/MachineModel.h"
+#include "sched/AttemptFrame.h"
 #include "sched/ModuloSchedule.h"
 #include "sched/Problem.h"
 
@@ -87,13 +88,19 @@ struct FormulationStats {
 /// The ILP for one (graph, machine, II) triple, with decoding metadata.
 class Formulation {
 public:
-  /// Builds the model. When the windows prove II infeasible (recurrence
-  /// cannot fit the schedule-length budget), valid() is false and the
-  /// model is empty.
-  Formulation(const DependenceGraph &G, const MachineModel &M, int II,
-              const FormulationOptions &Opts);
+  /// Builds the model at \p Frame's II from its windows and bounds, which
+  /// must have been computed for \p G, \p M and \p Opts. When the frame
+  /// is not valid (II below the recurrence bound), valid() is false and
+  /// the model is empty.
+  Formulation(const DependenceGraph &G, const MachineModel &M,
+              const AttemptFrame &Frame, const FormulationOptions &Opts);
 
-  /// False when II was proved infeasible during window computation.
+  /// Builds the frame of (G, M, II, Opts) first.
+  Formulation(const DependenceGraph &G, const MachineModel &M, int II,
+              const FormulationOptions &Opts)
+      : Formulation(G, M, AttemptFrame(G, M, II, Opts), Opts) {}
+
+  /// False when the frame proved II infeasible.
   bool valid() const { return Valid; }
 
   const lp::Model &model() const { return Ilp; }
@@ -126,13 +133,13 @@ private:
 
   void buildAssignment();
   void buildDependence(const SchedEdge &E);
-  void buildResource();
-  void buildObjective();
+  void buildResource(const AttemptFrame &Frame);
+  void buildObjective(const AttemptFrame &Frame);
 
   /// Creates the per-register kill pseudo-operations (row vectors,
   /// stages, assignment + kill dependence constraints) once; shared by
   /// MinReg, MinLife, and the RegisterLimit constraint.
-  void buildKillOps();
+  void buildKillOps(const AttemptFrame &Frame);
 
   /// Emits one dependence constraint between two scheduled events given
   /// by their (row-variable base, stage-variable) pairs; shared by real
@@ -148,12 +155,6 @@ private:
   /// Appends the structured live-count expression of register \p Reg in
   /// row \p Row (see file comment) to \p Terms.
   void appendLiveCount(std::vector<lp::Term> &Terms, int Reg, int Row) const;
-
-  /// A constant lower bound on register \p Reg's lifetime in cycles,
-  /// derived from the flow-edge latencies (lifetime >= latency + 1 for
-  /// any used value, >= 1 always). Used to tighten the LP relaxation of
-  /// the lifetime objectives.
-  int minLifetimeBound(int Reg) const;
 
   const DependenceGraph &G;
   const MachineModel &M;
@@ -178,7 +179,6 @@ private:
   int SinkStage = -1;
   /// Traditional-style auxiliary lifetime variables (MinLife).
   std::vector<int> LifeVar;
-  std::vector<int> Asap, Alap;
   /// InstanceMapped: base of the w[i][q][e] mapping-choice binaries,
   /// indexed by MapVarBase[Op * numResources + Resource] (-1 = the op
   /// does not use the type or the type is not instance-mapped).

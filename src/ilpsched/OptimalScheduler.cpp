@@ -66,35 +66,28 @@ telemetry::Counter StatExplainResource("ilpsched",
                                        "explain.resource_witnesses",
                                        "Infeasible IIs explained by a "
                                        "saturated resource");
-telemetry::Counter StatExplainWindow("ilpsched", "explain.window_witnesses",
-                                     "Infeasible IIs explained by an empty "
-                                     "schedule window");
 telemetry::Counter StatExplainNone("ilpsched", "explain.unexplained",
                                    "Infeasible IIs with no checkable "
                                    "witness");
 
 /// Attaches the graph-level witness of an infeasible attempt at \p II,
 /// re-verified by checkExplanation, and bumps the witness counters. A
-/// witness exists exactly when II < MII or the formulation's windows
-/// are empty; any other infeasible verdict counts as unexplained.
+/// witness exists exactly when II < MII; any other infeasible verdict
+/// counts as unexplained.
 void attachExplanation(const Problem &P, int II, IiAttempt &Attempt) {
-  const int Slack = P.options().ScheduleLengthSlack;
   std::optional<Explanation> E =
-      explainInfeasibleIi(P.graph(), P.machine(), II, Slack);
+      explainInfeasibleIi(P.graph(), P.machine(), II);
   if (!E) {
     ++StatExplainNone;
     return;
   }
-  E->Verified = checkExplanation(P.graph(), P.machine(), II, Slack, *E);
+  E->Verified = checkExplanation(P.graph(), P.machine(), II, *E);
   switch (E->Kind) {
   case WitnessKind::RecurrenceCycle:
     ++StatExplainCycle;
     break;
   case WitnessKind::ResourceSaturation:
     ++StatExplainResource;
-    break;
-  case WitnessKind::ScheduleWindow:
-    ++StatExplainWindow;
     break;
   case WitnessKind::None:
     break;
@@ -171,7 +164,18 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
     }
   } Publish{Stats, Attempt, AttemptWatch};
 
-  AttemptContext C{Opts, P, II, Stats, TimeBudget, Ctx, Attempt, nullptr,
+  // The windows and bounds both encoders read. Below the recurrence
+  // bound no ASAP schedule exists: the II is infeasible without a model,
+  // and no engine runs (so none is the winner).
+  const AttemptFrame Frame(P.graph(), P.machine(), II, P.options());
+  if (!Frame.Valid) {
+    Attempt.WindowInfeasible = true;
+    if (Opts.Explain)
+      attachExplanation(P, II, Attempt);
+    return std::nullopt;
+  }
+
+  AttemptContext C{Opts, P, Frame, Stats, TimeBudget, Ctx, Attempt, nullptr,
                    &RacePool};
   const char *Engine = toString(Opts.Backend);
   std::optional<ModuloSchedule> S;

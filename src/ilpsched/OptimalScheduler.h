@@ -164,12 +164,12 @@ struct OptimalityAudit {
 struct IiAttempt {
   /// The tentative initiation interval.
   int II = 0;
-  /// Solver outcome at this II. Window-infeasible attempts (the
-  /// formulation proved II impossible without a solve) report
+  /// Solver outcome at this II. Window-infeasible attempts (II below
+  /// RecMII, proved by the attempt frame without a model) report
   /// MipStatus::Infeasible with zero nodes and WindowInfeasible set.
   ilp::MipStatus Status = ilp::MipStatus::Infeasible;
-  /// True when the scheduling window proved II infeasible before any
-  /// model was solved.
+  /// True when the attempt frame (sched/AttemptFrame.h) found no ASAP
+  /// schedule at this II, so no model was built and no engine ran.
   bool WindowInfeasible = false;
   /// True when this attempt produced (and verified) a schedule.
   bool Scheduled = false;
@@ -189,15 +189,16 @@ struct IiAttempt {
   /// With SchedulerOptions::Explain, on an infeasible verdict: the
   /// graph-level witness (checkExplanation-verified when
   /// Explain->Verified). Absent when the attempt was not infeasible,
-  /// explanations were off, or II >= MII with non-empty windows — an
-  /// infeasibility only the engine proved ("unexplained").
+  /// explanations were off, or II >= MII — an infeasibility only the
+  /// engine proved ("unexplained").
   std::optional<Explanation> Explain;
   /// With SchedulerOptions::Explain, on a scheduled verdict: the
   /// optimality evidence trail.
   std::optional<OptimalityAudit> Audit;
   /// Portfolio backend only: the engine whose verdict was committed for
   /// this II ("ilp" / "pb"; ILP fallbacks report "ilp"). Empty under the
-  /// single-engine backends.
+  /// single-engine backends and on window-infeasible attempts, which no
+  /// engine decides.
   std::string Winner;
   /// Portfolio backend only: cross-engine incumbent bounds actually
   /// applied during this attempt (PB rows injected at restarts + ILP

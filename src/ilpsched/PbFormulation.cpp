@@ -2,31 +2,10 @@
 
 #include "ilpsched/PbFormulation.h"
 
-#include "graph/GraphAlgorithms.h"
-
 #include <algorithm>
 #include <cassert>
 
 using namespace modsched;
-
-namespace {
-
-/// Floored integer division (C++ '/' truncates toward zero).
-int floorDiv(int A, int B) {
-  assert(B > 0 && "divisor must be positive");
-  int Q = A / B;
-  if (A % B != 0 && (A < 0))
-    --Q;
-  return Q;
-}
-
-/// Non-negative remainder.
-int modPos(int A, int B) {
-  int R = A % B;
-  return R < 0 ? R + B : R;
-}
-
-} // namespace
 
 bool PbFormulation::supports(const FormulationOptions &O) {
   if (O.InstanceMapped)
@@ -39,30 +18,13 @@ bool PbFormulation::supports(const FormulationOptions &O) {
 }
 
 PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
-                             int TheII, const FormulationOptions &Options)
-    : G(DG), M(MM), II(TheII), Opts(Options) {
-  assert(II >= 1 && "initiation interval must be positive");
+                             const AttemptFrame &Frame,
+                             const FormulationOptions &Options)
+    : G(DG), M(MM), II(Frame.II), Opts(Options), Valid(Frame.Valid),
+      MaxTime(Frame.MaxTime) {
   assert(supports(Opts) && "options not supported by the PB backend");
-
-  // Windows and budgets: identical to ilpsched/Formulation so both
-  // backends decide the same feasible set per II.
-  std::optional<int> MinLen = minScheduleLength(G, II);
-  if (!MinLen)
+  if (!Valid)
     return; // II below the recurrence bound: infeasible.
-  int Budget = *MinLen - 1 + Opts.ScheduleLengthSlack;
-  StageCount = Budget / II + 1;
-  MaxTime = StageCount * II - 1;
-
-  std::optional<std::vector<int>> AsapOpt = asapTimes(G, II);
-  std::optional<std::vector<int>> AlapOpt = alapTimes(G, II, MaxTime);
-  if (!AsapOpt || !AlapOpt)
-    return;
-  Asap = std::move(*AsapOpt);
-  Alap = std::move(*AlapOpt);
-  for (int Op = 0; Op < G.numOperations(); ++Op)
-    if (Asap[Op] > Alap[Op])
-      return; // Window empty: II infeasible within the budget.
-  Valid = true;
 
   int N = G.numOperations();
 
@@ -73,14 +35,8 @@ PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
 
   // k vector: order-encoded stages with window-derived bounds.
   KVars.reserve(size_t(N));
-  for (int Op = 0; Op < N; ++Op) {
-    int KMin = 0, KMax = StageCount - 1;
-    if (Opts.TightenStageBounds) {
-      KMin = Asap[Op] / II;
-      KMax = Alap[Op] / II;
-    }
-    KVars.push_back(makeIntVar(KMin, KMax));
-  }
+  for (const StageBounds &K : Frame.Stage)
+    KVars.push_back(makeIntVar(K.Min, K.Max));
 
   for (int Op = 0; Op < N; ++Op)
     buildAssignment(ABase + Op * II);
@@ -88,8 +44,8 @@ PbFormulation::PbFormulation(const DependenceGraph &DG, const MachineModel &MM,
     emitDependence(ABase + E.Src * II, KVars[size_t(E.Src)],
                    ABase + E.Dst * II, KVars[size_t(E.Dst)], E.Latency,
                    E.Distance);
-  buildResource();
-  buildObjective();
+  buildResource(Frame);
+  buildObjective(Frame);
 }
 
 PbFormulation::IntVar PbFormulation::makeIntVar(int Lo, int Hi) {
@@ -193,16 +149,11 @@ void PbFormulation::emitDependence(pb::Var SrcRowBase, const IntVar &SrcK,
   }
 }
 
-void PbFormulation::buildResource() {
+void PbFormulation::buildResource(const AttemptFrame &Frame) {
   // Ineq. (5). Resources whose total usage cannot exceed their
   // multiplicity in any row are not modeled (paper convention).
-  std::vector<int> TotalUses(size_t(M.numResources()), 0);
-  for (const Operation &Op : G.operations())
-    for (const ResourceUsage &U : M.opClass(Op.OpClass).Usages)
-      ++TotalUses[size_t(U.Resource)];
-
   for (int R = 0; R < M.numResources(); ++R) {
-    if (TotalUses[size_t(R)] <= M.resource(R).Count)
+    if (Frame.ResourceUses[R] <= M.resource(R).Count)
       continue;
     for (int Row = 0; Row < II; ++Row) {
       LinExpr E;
@@ -231,18 +182,7 @@ void PbFormulation::appendLiveCount(LinExpr &E, int Reg, int Row) const {
     appendRowRange(E, ABase + R.Def * II, Row + 1, II - 1, -1);
 }
 
-int PbFormulation::minLifetimeBound(int Reg) const {
-  const VirtualRegister &R = G.registers()[size_t(Reg)];
-  int Bound = 1; // Live at least in the definition cycle.
-  for (const RegisterUse &U : R.Uses) {
-    for (const SchedEdge &E : G.schedEdges())
-      if (E.Src == R.Def && E.Dst == U.Consumer && E.Distance == U.Distance)
-        Bound = std::max(Bound, E.Latency + 1);
-  }
-  return Bound;
-}
-
-void PbFormulation::buildKillOps() {
+void PbFormulation::buildKillOps(const AttemptFrame &Frame) {
   if (!KillRowBase.empty())
     return; // Already built.
   int NumRegs = G.numRegisters();
@@ -253,18 +193,8 @@ void PbFormulation::buildKillOps() {
     KillRowBase[size_t(Reg)] = S.numVars();
     for (int Row = 0; Row < II; ++Row)
       S.newVar();
-    // Stage bounds: identical to Formulation::buildKillOps.
-    int KMin = 0, KMax = StageCount - 1;
-    if (Opts.TightenStageBounds) {
-      KMin = Asap[size_t(R.Def)] / II;
-      KMax = Alap[size_t(R.Def)] / II;
-      for (const RegisterUse &U : R.Uses)
-        KMax = std::max(KMax, Alap[size_t(U.Consumer)] / II + U.Distance);
-    } else {
-      for (const RegisterUse &U : R.Uses)
-        KMax = std::max(KMax, StageCount - 1 + U.Distance);
-    }
-    KillStage[size_t(Reg)] = makeIntVar(KMin, KMax);
+    KillStage[size_t(Reg)] = makeIntVar(Frame.KillStage[Reg].Min,
+                                        Frame.KillStage[Reg].Max);
 
     buildAssignment(KillRowBase[size_t(Reg)]);
 
@@ -280,7 +210,7 @@ void PbFormulation::buildKillOps() {
   }
 }
 
-void PbFormulation::buildObjective() {
+void PbFormulation::buildObjective(const AttemptFrame &Frame) {
   // Appends Coeff * V to the objective (constant + per-bit terms).
   auto AppendObjInt = [this](const IntVar &V, int64_t Coeff) {
     LinExpr E;
@@ -293,7 +223,7 @@ void PbFormulation::buildObjective() {
   if (Opts.RegisterLimit >= 0 && G.numRegisters() > 0) {
     assert(Opts.Obj != Objective::MinReg &&
            "RegisterLimit with MinReg is redundant; pick one");
-    buildKillOps();
+    buildKillOps(Frame);
     for (int Row = 0; Row < II; ++Row) {
       LinExpr E;
       for (int Reg = 0; Reg < G.numRegisters(); ++Reg)
@@ -311,7 +241,7 @@ void PbFormulation::buildObjective() {
 
   int NumRegs = G.numRegisters();
   if (Opts.Obj == Objective::MinReg || Opts.Obj == Objective::MinLife)
-    buildKillOps();
+    buildKillOps(Frame);
 
   switch (Opts.Obj) {
   case Objective::None:
@@ -323,10 +253,7 @@ void PbFormulation::buildObjective() {
     // counter is order-encoded between the same bounds the ILP derives
     // (lower: ceil(sum of minimum lifetimes / II); upper: sum of the
     // per-register worst-case stage spans, which no live count exceeds).
-    int64_t MinTotalLife = 0;
-    for (int Reg = 0; Reg < NumRegs; ++Reg)
-      MinTotalLife += minLifetimeBound(Reg);
-    int MaxLiveLb = int((MinTotalLife + II - 1) / II);
+    const int MaxLiveLb = Frame.MaxLiveLowerBound;
     int MaxLiveUb = 0;
     for (int Reg = 0; Reg < NumRegs; ++Reg) {
       const VirtualRegister &R = G.registers()[size_t(Reg)];
@@ -353,7 +280,7 @@ void PbFormulation::buildObjective() {
     BufferVars.resize(size_t(NumRegs));
     for (int Reg = 0; Reg < NumRegs; ++Reg) {
       const VirtualRegister &R = G.registers()[size_t(Reg)];
-      int BufLb = (minLifetimeBound(Reg) + II - 1) / II;
+      const int BufLb = Frame.BufferLowerBound[Reg];
       int BufUb = BufLb;
       for (const RegisterUse &U : R.Uses)
         BufUb = std::max(BufUb, KVars[size_t(U.Consumer)].Hi + U.Distance -

@@ -33,10 +33,10 @@
 /// PB row and the next solve assumes the selector's negation, so learned
 /// clauses persist across bounds (assumption-based incrementality).
 ///
-/// The stage windows, schedule-length budget, and bounds are computed
-/// exactly as in ilpsched/Formulation, so both backends decide the same
-/// feasible set per II and agree on optimal objective values — the ILP
-/// cross-validation the differential tests enforce.
+/// The stage windows, schedule-length budget, and bounds come from the
+/// same sched/AttemptFrame as ilpsched/Formulation's, so both backends
+/// decide the same feasible set per II and agree on optimal objective
+/// values — the ILP cross-validation the differential tests enforce.
 ///
 /// Not supported (PbFormulation::supports returns false; the scheduler
 /// falls back to ILP with a one-time warning): InstanceMapped resource
@@ -51,6 +51,7 @@
 #include "ilpsched/Formulation.h"
 #include "machine/MachineModel.h"
 #include "pb/PbSolver.h"
+#include "sched/AttemptFrame.h"
 #include "sched/ModuloSchedule.h"
 
 #include <cstdint>
@@ -63,15 +64,22 @@ namespace modsched {
 /// decoding metadata and the incremental objective-descent hooks.
 class PbFormulation {
 public:
-  /// Builds the model into a private solver. When the windows prove II
-  /// infeasible, valid() is false and the solver is left empty.
+  /// Builds the model at \p Frame's II into a private solver, reading
+  /// every window and bound from the frame, which must have been computed
+  /// for \p G, \p M and \p Opts. When the frame is not valid (II below
+  /// the recurrence bound), valid() is false and the solver is left empty.
+  PbFormulation(const DependenceGraph &G, const MachineModel &M,
+                const AttemptFrame &Frame, const FormulationOptions &Opts);
+
+  /// Builds the frame of (G, M, II, Opts) first.
   PbFormulation(const DependenceGraph &G, const MachineModel &M, int II,
-                const FormulationOptions &Opts);
+                const FormulationOptions &Opts)
+      : PbFormulation(G, M, AttemptFrame(G, M, II, Opts), Opts) {}
 
   /// True when \p Opts describes a formulation this backend can encode.
   static bool supports(const FormulationOptions &Opts);
 
-  /// False when II was proved infeasible during window computation.
+  /// False when the frame proved II infeasible.
   bool valid() const { return Valid; }
 
   pb::Solver &solver() { return S; }
@@ -150,11 +158,10 @@ private:
   void emitDependence(pb::Var SrcRowBase, const IntVar &SrcK,
                       pb::Var DstRowBase, const IntVar &DstK, int Latency,
                       int Distance);
-  void buildResource();
-  void buildObjective();
-  void buildKillOps();
+  void buildResource(const AttemptFrame &Frame);
+  void buildObjective(const AttemptFrame &Frame);
+  void buildKillOps(const AttemptFrame &Frame);
   void appendLiveCount(LinExpr &E, int Reg, int Row) const;
-  int minLifetimeBound(int Reg) const;
 
   const DependenceGraph &G;
   const MachineModel &M;
@@ -162,12 +169,10 @@ private:
   FormulationOptions Opts;
   bool Valid = false;
   int MaxTime = 0;
-  int StageCount = 0;
 
   pb::Solver S;
   pb::Var ABase = 0;
   std::vector<IntVar> KVars;
-  std::vector<int> Asap, Alap;
 
   /// Kill pseudo-op variables (MinReg / MinLife / RegisterLimit).
   std::vector<pb::Var> KillRowBase;

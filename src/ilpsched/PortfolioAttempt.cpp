@@ -136,8 +136,9 @@ modsched::solvePortfolioAttempt(AttemptContext &C) {
 
   // --- Eligibility. The two sit-out rules never fire together (one
   // needs NoObj, the other MinLife), so some engine always decides. ---
-  const bool RunPb = pbContests(C.Opts, C.P, C.II);
-  const bool RunIlp = !RunPb || !ilpSitsOut(C.Opts, C.P, C.II);
+  const int II = C.Frame.II;
+  const bool RunPb = pbContests(C.Opts, C.P, II);
+  const bool RunIlp = !RunPb || !ilpSitsOut(C.Opts, C.P, II);
   if (!RunPb)
     ++StatPbIneligible;
 
@@ -188,7 +189,7 @@ modsched::solvePortfolioAttempt(AttemptContext &C) {
     // Each worker sees the loop's budget spend so far; the remaining
     // budget is granted to each independently — they cannot see each
     // other's spend without racing on it.
-    R.W.Attempt.II = C.II;
+    R.W.Attempt.II = II;
     R.W.Scratch.Nodes = SeedNodes;
     R.W.Scratch.PbConflicts = SeedConflicts;
   }
@@ -198,7 +199,7 @@ modsched::solvePortfolioAttempt(AttemptContext &C) {
   for (Racer &R : Racers) {
     Racer *RP = &R;
     Pool->submit([&C, &Mu, &Cv, RP] {
-      AttemptContext Lane{C.Opts,        C.P,          C.II,
+      AttemptContext Lane{C.Opts,        C.P,          C.Frame,
                           RP->W.Scratch, C.TimeBudget, &RP->Ctx,
                           RP->W.Attempt, &RP->Hooks};
       RP->W.Schedule = RP->E->Solve(Lane);
@@ -294,7 +295,7 @@ modsched::solvePortfolioAttempt(AttemptContext &C) {
         std::fprintf(stderr,
                      "fatal: portfolio refuted below a shared bound "
                      "with no shared incumbent at II=%d\n",
-                     C.II);
+                     II);
         std::abort();
       }
       return V;
@@ -314,7 +315,7 @@ modsched::solvePortfolioAttempt(AttemptContext &C) {
     std::fprintf(stderr,
                  "fatal: portfolio engines disagree at II=%d: "
                  "ilp={infeasible=%d obj=%lld} pb={infeasible=%d obj=%lld}\n",
-                 C.II, Verdicts[0].Infeasible ? 1 : 0,
+                 II, Verdicts[0].Infeasible ? 1 : 0,
                  (long long)Verdicts[0].ObjVal, Verdicts[1].Infeasible ? 1 : 0,
                  (long long)Verdicts[1].ObjVal);
     std::abort();
@@ -357,7 +358,6 @@ modsched::solvePortfolioAttempt(AttemptContext &C) {
 
   if (V.Infeasible) {
     Attempt.Status = MipStatus::Infeasible;
-    Attempt.WindowInfeasible = W.W.Attempt.WindowInfeasible;
     return std::nullopt;
   }
 

@@ -21,8 +21,6 @@ const char *witnessName(WitnessKind K) {
     return "cycle";
   case WitnessKind::ResourceSaturation:
     return "resource";
-  case WitnessKind::ScheduleWindow:
-    return "window";
   }
   return "none";
 }
@@ -35,19 +33,6 @@ long resourceUses(const DependenceGraph &G, const MachineModel &M,
       if (U.Resource == Resource)
         ++Uses;
   return Uses;
-}
-
-/// The formulation's schedule-length budget rule (Formulation.cpp and
-/// PbFormulation.cpp use the same arithmetic): nullopt when \p II is
-/// recurrence-infeasible, otherwise the latest admissible start time.
-static std::optional<int> windowMaxTime(const DependenceGraph &G, int II,
-                                        int Slack) {
-  std::optional<int> MinLen = minScheduleLength(G, II);
-  if (!MinLen)
-    return std::nullopt;
-  int Budget = *MinLen - 1 + Slack;
-  int StageCount = Budget / II + 1;
-  return StageCount * II - 1;
 }
 
 /// Totals a cycle described by edge indices; returns false when the
@@ -100,8 +85,7 @@ saturatedResource(const DependenceGraph &G, const MachineModel &M, int II) {
 }
 
 std::optional<Explanation> explainInfeasibleIi(const DependenceGraph &G,
-                                               const MachineModel &M, int II,
-                                               int ScheduleLengthSlack) {
+                                               const MachineModel &M, int II) {
   assert(II >= 1 && "II must be positive");
   if (hasZeroDistanceCycle(G))
     return std::nullopt; // Unschedulable at any II; no finite witness.
@@ -115,33 +99,11 @@ std::optional<Explanation> explainInfeasibleIi(const DependenceGraph &G,
     }
   }
   // Then resource saturation (covers all II < ResMII).
-  if (std::optional<Explanation> E = saturatedResource(G, M, II))
-    return E;
-  // Finally an empty start-time window under the stage budget.
-  std::optional<int> MaxTime = windowMaxTime(G, II, ScheduleLengthSlack);
-  if (!MaxTime)
-    return std::nullopt; // Recurrence-infeasible, handled above.
-  std::optional<std::vector<int>> Asap = asapTimes(G, II);
-  std::optional<std::vector<int>> Alap = alapTimes(G, II, *MaxTime);
-  if (!Asap)
-    return std::nullopt;
-  Explanation E;
-  E.Kind = WitnessKind::ScheduleWindow;
-  E.WindowMaxTime = *MaxTime;
-  if (!Alap) {
-    E.WindowOp = -1; // No schedule fits the budget at all.
-    return E;
-  }
-  for (int Op = 0; Op < G.numOperations(); ++Op)
-    if ((*Asap)[Op] > (*Alap)[Op]) {
-      E.WindowOp = Op;
-      return E;
-    }
-  return std::nullopt;
+  return saturatedResource(G, M, II);
 }
 
 bool checkExplanation(const DependenceGraph &G, const MachineModel &M, int II,
-                      int ScheduleLengthSlack, const Explanation &E) {
+                      const Explanation &E) {
   switch (E.Kind) {
   case WitnessKind::None:
     return false;
@@ -165,19 +127,6 @@ bool checkExplanation(const DependenceGraph &G, const MachineModel &M, int II,
       return false;
     return Count > 0 && Uses > long(II) * Count;
   }
-  case WitnessKind::ScheduleWindow: {
-    std::optional<int> MaxTime = windowMaxTime(G, II, ScheduleLengthSlack);
-    if (!MaxTime || *MaxTime != E.WindowMaxTime)
-      return false;
-    std::optional<std::vector<int>> Asap = asapTimes(G, II);
-    if (!Asap)
-      return false;
-    std::optional<std::vector<int>> Alap = alapTimes(G, II, *MaxTime);
-    if (!Alap)
-      return E.WindowOp == -1; // Globally infeasible budget.
-    return E.WindowOp >= 0 && E.WindowOp < G.numOperations() &&
-           (*Asap)[E.WindowOp] > (*Alap)[E.WindowOp];
-  }
   }
   return false;
 }
@@ -199,13 +148,6 @@ std::string describeExplanation(const DependenceGraph &G,
     OS << "resource '" << M.resource(E.Resource).Name << "' saturated: "
        << E.ResourceUses << " uses/iteration > II(" << II << ") x "
        << E.ResourceCount << " instances";
-    break;
-  case WitnessKind::ScheduleWindow:
-    if (E.WindowOp >= 0)
-      OS << "empty start window for '" << G.operation(E.WindowOp).Name
-         << "' within schedule length bound " << (E.WindowMaxTime + 1);
-    else
-      OS << "no schedule fits length bound " << (E.WindowMaxTime + 1);
     break;
   }
   return OS.str();

@@ -7,19 +7,15 @@
 /// \file
 /// Solve forensics: graph-level infeasibility witnesses.
 ///
-/// The paper's II search starts at MII = max(ResMII, RecMII) and limits
-/// every start time to an ASAP/ALAP window under a schedule-length budget
-/// (ScheduleLengthSlack cycles past the minimum length). Those are the
-/// three witnesses a compiler engineer can act on: a recurrence cycle
-/// with ceil(latency/distance) greater than II, a resource with more
-/// uses than II * count, or an operation whose start window is empty.
-/// explainInfeasibleIi() finds one exactly when II < MII or the
-/// formulations' window check (Formulation::valid()) fails; an II the
-/// engines prove infeasible beyond those bounds has no graph-level
-/// witness and is reported as unexplained. With a non-negative slack the
-/// windows are empty only when II < RecMII, where the recurrence witness
-/// comes first; the window witness needs a negative slack, which no
-/// caller sets today.
+/// The paper's II search starts at MII = max(ResMII, RecMII). Those are
+/// the two witnesses a compiler engineer can act on: a recurrence cycle
+/// with ceil(latency/distance) greater than II, or a resource with more
+/// uses than II * count. explainInfeasibleIi() finds one exactly when
+/// II < MII. The start windows under the schedule-length budget add no
+/// third witness: with a non-negative slack they are empty only below
+/// RecMII (sched/AttemptFrame.h), where the recurrence witness applies.
+/// An II the engines prove infeasible at or above MII has no graph-level
+/// witness and is reported as unexplained.
 ///
 /// Witnesses are never trusted as produced: checkExplanation() re-derives
 /// the infeasibility arithmetically from the dependence graph and machine
@@ -44,7 +40,6 @@ enum class WitnessKind : unsigned char {
   None,               ///< No witness found ("unexplained").
   RecurrenceCycle,    ///< A cycle with ceil(latency/distance) > II.
   ResourceSaturation, ///< A resource with uses > II * count.
-  ScheduleWindow,     ///< An operation with an empty ASAP/ALAP window.
 };
 
 /// A graph-level explanation of one infeasible II attempt. Exactly the
@@ -60,14 +55,10 @@ struct Explanation {
   int Resource = -1;
   long ResourceUses = 0;
   int ResourceCount = 0;
-  /// ScheduleWindow: the windowless operation (-1 = whole graph) and the
-  /// schedule-length bound the window was computed against.
-  int WindowOp = -1;
-  int WindowMaxTime = -1;
 };
 
 /// Short lowercase tag for bench JSON / trace args ("cycle", "resource",
-/// "window", "none").
+/// "none").
 const char *witnessName(WitnessKind K);
 
 /// Total cycles of \p Resource demanded per iteration (the numerator of
@@ -76,24 +67,19 @@ long resourceUses(const DependenceGraph &G, const MachineModel &M,
                   int Resource);
 
 /// Explains an infeasible II from the graph and machine alone: binding
-/// recurrence cycle if RecMII > II, most oversubscribed resource if
-/// ResMII > II, else an empty ASAP/ALAP window under the stage budget
-/// derived from \p ScheduleLengthSlack (the formulation's window rule).
-/// Returns nullopt when none of those conditions hold, i.e. exactly when
-/// II >= MII and the formulations' windows are non-empty: an
+/// recurrence cycle if RecMII > II, else the most oversubscribed resource
+/// if ResMII > II. Returns nullopt exactly when II >= MII: an
 /// infeasibility the engines prove there has no graph-level witness.
 std::optional<Explanation> explainInfeasibleIi(const DependenceGraph &G,
-                                               const MachineModel &M, int II,
-                                               int ScheduleLengthSlack);
+                                               const MachineModel &M, int II);
 
 /// Independent arithmetic check of a witness against the DDG and machine
 /// model only — no solver state. A RecurrenceCycle must be a closed
 /// in-range cycle whose recomputed totals match the record and imply
 /// ceil(latency/distance) > II; a ResourceSaturation must satisfy the
-/// recounted uses > II * count; a ScheduleWindow must have an empty
-/// recomputed window. WitnessKind::None never verifies.
+/// recounted uses > II * count. WitnessKind::None never verifies.
 bool checkExplanation(const DependenceGraph &G, const MachineModel &M, int II,
-                      int ScheduleLengthSlack, const Explanation &E);
+                      const Explanation &E);
 
 /// Renders the witness for humans, e.g.
 /// "recurrence cycle needs II >= 4: add -(1,0)-> mul -(3,1)-> add".

@@ -1,16 +1,15 @@
 //===- tests/ExplainTest.cpp - solve forensics tests ----------------------===//
 //
 // Graph-level infeasibility witnesses. The contract under test: a
-// witness exists exactly when II < MII or the formulations' start-time
-// windows are empty, every infeasible attempt below MII carries one, and
-// an independent arithmetic checker (sched/Explain.h checkExplanation)
-// confirms each against the dependence graph and machine model alone.
+// witness exists exactly when II < MII, every infeasible attempt below
+// MII carries one, and an independent arithmetic checker
+// (sched/Explain.h checkExplanation) confirms each against the
+// dependence graph and machine model alone.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ilpsched/OptimalScheduler.h"
 
-#include "ilpsched/PbFormulation.h"
 #include "sched/Explain.h"
 #include "sched/Mii.h"
 #include "support/Rng.h"
@@ -93,7 +92,7 @@ void checkKernelsBelowMii(SchedulerBackend Backend) {
         << G.name() << ": witness failed the independent checker";
     // Re-run the independent checker ourselves — Verified must not be a
     // cached lie.
-    EXPECT_TRUE(checkExplanation(G, M, Mii_ - 1, 20, *A.Explain))
+    EXPECT_TRUE(checkExplanation(G, M, Mii_ - 1, *A.Explain))
         << G.name();
     ++Checked;
   }
@@ -135,14 +134,13 @@ TEST(Explain, DifferentialBackendsAgreeBelowMii) {
 }
 
 //===----------------------------------------------------------------------===//
-// Witnesses exist exactly below MII or on empty windows
+// Witnesses exist exactly below MII
 //===----------------------------------------------------------------------===//
 
-TEST(Explain, WitnessExactlyBelowMiiOrOnEmptyWindows) {
-  // The three witness kinds are the paper's three bounds (ResMII, RecMII
-  // and the ASAP/ALAP windows under the schedule-length budget), so
-  // graph analysis explains an II exactly when the II search or the
-  // formulations' window check rules it out without a solve.
+TEST(Explain, WitnessExactlyBelowMii) {
+  // The two witness kinds are the paper's two II bounds (RecMII and
+  // ResMII), so graph analysis explains an II exactly when the II search
+  // rules it out without a solve.
   int Witnesses = 0;
   for (const MachineModel &M :
        {MachineModel::cydraLike(), MachineModel::example3()}) {
@@ -151,26 +149,17 @@ TEST(Explain, WitnessExactlyBelowMiiOrOnEmptyWindows) {
       Rng R(Seed);
       Loops.push_back(generateLoop(M, R));
     }
-    for (DependenceStyle Style :
-         {DependenceStyle::Structured, DependenceStyle::Traditional}) {
-      FormulationOptions FOpts;
-      FOpts.DepStyle = Style;
-      const int Slack = FOpts.ScheduleLengthSlack;
-      for (const DependenceGraph &G : Loops) {
-        const int Mii_ = mii(G, M);
-        for (int II = std::max(1, Mii_ - 2); II <= Mii_ + 2; ++II) {
-          const bool Valid = Formulation(G, M, II, FOpts).valid();
-          EXPECT_EQ(PbFormulation(G, M, II, FOpts).valid(), Valid)
-              << G.name() << " II=" << II;
-          std::optional<Explanation> E = explainInfeasibleIi(G, M, II, Slack);
-          ASSERT_EQ(E.has_value(), II < Mii_ || !Valid)
-              << G.name() << " II=" << II << " MII=" << Mii_;
-          if (!E)
-            continue;
-          EXPECT_TRUE(checkExplanation(G, M, II, Slack, *E))
-              << G.name() << " II=" << II;
-          ++Witnesses;
-        }
+    for (const DependenceGraph &G : Loops) {
+      const int Mii_ = mii(G, M);
+      for (int II = std::max(1, Mii_ - 2); II <= Mii_ + 2; ++II) {
+        std::optional<Explanation> E = explainInfeasibleIi(G, M, II);
+        ASSERT_EQ(E.has_value(), II < Mii_)
+            << G.name() << " II=" << II << " MII=" << Mii_;
+        if (!E)
+          continue;
+        EXPECT_TRUE(checkExplanation(G, M, II, *E))
+            << G.name() << " II=" << II;
+        ++Witnesses;
       }
     }
   }
@@ -187,28 +176,28 @@ TEST(Explain, CheckerRejectsTamperedWitnesses) {
     int Mii_ = mii(G, M);
     if (Mii_ < 2)
       continue;
-    std::optional<Explanation> E = explainInfeasibleIi(G, M, Mii_ - 1, 20);
+    std::optional<Explanation> E = explainInfeasibleIi(G, M, Mii_ - 1);
     ASSERT_TRUE(E.has_value()) << G.name();
-    ASSERT_TRUE(checkExplanation(G, M, Mii_ - 1, 20, *E)) << G.name();
+    ASSERT_TRUE(checkExplanation(G, M, Mii_ - 1, *E)) << G.name();
     // A witness of II infeasibility is not one for the achievable II:
     // the arithmetic re-check must fail once II is raised past the
     // bound the witness implies.
     if (E->Kind == WitnessKind::RecurrenceCycle) {
-      EXPECT_FALSE(checkExplanation(G, M, E->Cycle.iiBound(), 20, *E))
+      EXPECT_FALSE(checkExplanation(G, M, E->Cycle.iiBound(), *E))
           << G.name();
       // Corrupting the recorded totals must also be caught.
       Explanation Tampered = *E;
       Tampered.Cycle.TotalLatency += 1;
-      EXPECT_FALSE(checkExplanation(G, M, Mii_ - 1, 20, Tampered))
+      EXPECT_FALSE(checkExplanation(G, M, Mii_ - 1, Tampered))
           << G.name();
     } else if (E->Kind == WitnessKind::ResourceSaturation) {
       Explanation Tampered = *E;
       Tampered.ResourceUses += 1; // No longer matches the recount.
-      EXPECT_FALSE(checkExplanation(G, M, Mii_ - 1, 20, Tampered))
+      EXPECT_FALSE(checkExplanation(G, M, Mii_ - 1, Tampered))
           << G.name();
     }
     Explanation None;
-    EXPECT_FALSE(checkExplanation(G, M, Mii_ - 1, 20, None));
+    EXPECT_FALSE(checkExplanation(G, M, Mii_ - 1, None));
   }
 }
 
@@ -218,7 +207,7 @@ TEST(Explain, DescribeRendersEveryWitnessKind) {
     int Mii_ = mii(G, M);
     if (Mii_ < 2)
       continue;
-    std::optional<Explanation> E = explainInfeasibleIi(G, M, Mii_ - 1, 20);
+    std::optional<Explanation> E = explainInfeasibleIi(G, M, Mii_ - 1);
     ASSERT_TRUE(E.has_value()) << G.name();
     std::string Text = describeExplanation(G, M, Mii_ - 1, *E);
     EXPECT_FALSE(Text.empty()) << G.name();

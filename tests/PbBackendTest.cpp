@@ -1,8 +1,9 @@
 //===- tests/PbBackendTest.cpp - PB-vs-ILP backend differential ------------===//
 //
 // The CDCL pseudo-Boolean backend and the branch-and-bound ILP backend
-// encode the same feasible set per II (PbFormulation mirrors
-// Formulation's windows, budgets, and rows), so on every loop they must
+// encode the same feasible set per II (both read their windows and
+// budgets from one sched/AttemptFrame, and PbFormulation mirrors
+// Formulation's rows), so on every loop they must
 // agree on the feasible-II verdict, the achieved II, and the optimal
 // secondary objective value. These tests enforce that differential over
 // the full kernel library and a synthetic suite, and exercise the
@@ -25,30 +26,47 @@ using namespace modsched;
 
 namespace {
 
+/// Deterministic effort budget of every solve in this file (B&B nodes
+/// plus CDCL conflicts over the whole II search); the wall clock is only
+/// a far-away safety net. Every differential case below is decided
+/// within it: the largest spends 2 930 conflicts (vliw2 paper-example1
+/// MinLife on the PB engine).
+constexpr int64_t NodeBudget = 200000;
+constexpr double SafetyNetSeconds = 3600.0;
+
 SchedulerOptions backendOpts(SchedulerBackend Backend, Objective Obj) {
   SchedulerOptions Opts;
   Opts.Backend = Backend;
   Opts.Formulation.Obj = Obj;
-  Opts.TimeLimitSeconds = 30.0;
+  Opts.NodeLimit = NodeBudget;
+  Opts.TimeLimitSeconds = SafetyNetSeconds;
   return Opts;
 }
 
-/// Runs both backends on (M, G, Obj) and checks the differential:
-/// identical Found verdict, identical II, identical objective value, and
-/// an independently verified + simulated PB schedule. Censored runs
-/// (either backend) prove nothing and are skipped, per the repo
-/// convention for budgeted solves. Returns false when censored.
-bool expectBackendsAgree(const MachineModel &M, const DependenceGraph &G,
+/// No differential case in this file is censored: a run that exhausts
+/// its budget is a failure, not a skip.
+void expectDecided(const ScheduleResult &R, const std::string &What) {
+  EXPECT_FALSE(R.TimedOut) << What << ": the safety net fired";
+  EXPECT_FALSE(R.NodeLimitHit) << What << " (budget " << R.budgetNodes()
+                               << ")";
+}
+
+/// Runs both backends on (M, G, Obj) and checks the differential: both
+/// decided, identical Found verdict, identical II, identical objective
+/// value, and an independently verified + simulated PB schedule.
+void expectBackendsAgree(const MachineModel &M, const DependenceGraph &G,
                          Objective Obj) {
   OptimalModuloScheduler IlpSched(M, backendOpts(SchedulerBackend::Ilp, Obj));
   OptimalModuloScheduler PbSched(M, backendOpts(SchedulerBackend::Pb, Obj));
   ScheduleResult A = IlpSched.schedule(G);
   ScheduleResult B = PbSched.schedule(G);
-  if (A.TimedOut || A.NodeLimitHit || B.TimedOut || B.NodeLimitHit)
-    return false;
+  const std::string What =
+      M.name() + "/" + G.name() + " " + toString(Obj);
+  expectDecided(A, What + " ilp");
+  expectDecided(B, What + " pb");
   EXPECT_EQ(A.Found, B.Found) << M.name() << "/" << G.name();
   if (!A.Found || !B.Found)
-    return true;
+    return;
   EXPECT_EQ(A.II, B.II) << M.name() << "/" << G.name();
   EXPECT_EQ(A.Mii, B.Mii) << M.name() << "/" << G.name();
   EXPECT_NEAR(A.SecondaryObjective, B.SecondaryObjective, 1e-6)
@@ -62,7 +80,6 @@ bool expectBackendsAgree(const MachineModel &M, const DependenceGraph &G,
   // The PB run must actually have run the PB engine.
   EXPECT_GT(B.PbPropagations, 0) << M.name() << "/" << G.name();
   EXPECT_EQ(B.Nodes, 0) << M.name() << "/" << G.name();
-  return true;
 }
 
 } // namespace
@@ -121,7 +138,7 @@ TEST(PbBackend, MinRegAgreesOnKernels) {
 TEST(PbBackend, TraditionalDependenceStyleAgrees) {
   // Ineq. (4) becomes a general PB row (coefficients r and II) — the
   // same slow-by-design ablation the ILP offers; keep it to one small
-  // kernel with a node budget, per the repo convention.
+  // kernel, which both engines decide within the node budget.
   MachineModel M = MachineModel::example3();
   DependenceGraph G = paperExample1(M);
   SchedulerOptions IlpOpts = backendOpts(SchedulerBackend::Ilp,
@@ -130,12 +147,10 @@ TEST(PbBackend, TraditionalDependenceStyleAgrees) {
                                         Objective::None);
   IlpOpts.Formulation.DepStyle = DependenceStyle::Traditional;
   PbOpts.Formulation.DepStyle = DependenceStyle::Traditional;
-  IlpOpts.NodeLimit = 200000;
-  PbOpts.NodeLimit = 200000;
   ScheduleResult A = OptimalModuloScheduler(M, IlpOpts).schedule(G);
   ScheduleResult B = OptimalModuloScheduler(M, PbOpts).schedule(G);
-  if (A.TimedOut || A.NodeLimitHit || B.TimedOut || B.NodeLimitHit)
-    GTEST_SKIP() << "censored traditional-formulation solve";
+  expectDecided(A, "traditional ilp");
+  expectDecided(B, "traditional pb");
   ASSERT_TRUE(A.Found && B.Found);
   EXPECT_EQ(A.II, B.II);
   EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value());
@@ -155,8 +170,9 @@ TEST(PbBackend, RegisterLimitAgreesWithIlp) {
     PbOpts.Formulation.RegisterLimit = Limit;
     ScheduleResult A = OptimalModuloScheduler(M, IlpOpts).schedule(G);
     ScheduleResult B = OptimalModuloScheduler(M, PbOpts).schedule(G);
-    if (A.TimedOut || B.TimedOut)
-      continue;
+    const std::string What = "limit=" + std::to_string(Limit);
+    expectDecided(A, What + " ilp");
+    expectDecided(B, What + " pb");
     ASSERT_EQ(A.Found, B.Found) << "limit=" << Limit;
     if (!A.Found)
       continue;
