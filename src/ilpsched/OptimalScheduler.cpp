@@ -107,8 +107,8 @@ std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
                                      ScheduleResult &Stats, double TimeBudget,
                                      lp::SolveContext *Ctx) const {
-  std::unique_ptr<ThreadPool> RacePool;
-  return attempt(P, II, Stats, TimeBudget, Ctx, RacePool);
+  RequestState Request;
+  return attempt(P, II, Stats, TimeBudget, Ctx, Request);
 }
 
 std::optional<ModuloSchedule>
@@ -123,7 +123,7 @@ std::optional<ModuloSchedule>
 OptimalModuloScheduler::attempt(const Problem &P, int II,
                                 ScheduleResult &Stats, double TimeBudget,
                                 lp::SolveContext *Ctx,
-                                std::unique_ptr<ThreadPool> &RacePool) const {
+                                RequestState &Request) const {
   ++StatAttempts;
   Stopwatch AttemptWatch;
   telemetry::SpanScope Span("ilpsched", "scheduler.attempt", {{"ii", II}});
@@ -176,7 +176,7 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
   }
 
   AttemptContext C{Opts, P, Frame, Stats, TimeBudget, Ctx, Attempt, nullptr,
-                   &RacePool};
+                   &Request.RacePool};
   const char *Engine = toString(Opts.Backend);
   std::optional<ModuloSchedule> S;
   switch (Opts.Backend) {
@@ -189,8 +189,8 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
       break;
     }
     // Unsupported formulation under the PB backend: decide it with the
-    // ILP instead of failing the loop, and say so once per Problem.
-    if (P.claimPbFallbackWarning())
+    // ILP instead of failing the loop, and say so once per request.
+    if (!std::exchange(Request.PbFallbackWarned, true))
       std::fprintf(stderr,
                    "modsched: PB backend does not support this formulation "
                    "(instance mapping, MinSL, or traditional objective "
@@ -295,7 +295,7 @@ ScheduleResult OptimalModuloScheduler::solve(const Problem &P,
   // The paper's loop: one tentative II at a time, MII upward, stopping
   // at the first feasible one or when a budget runs out. A portfolio's
   // first race creates the pool the rest of the ladder reuses.
-  std::unique_ptr<ThreadPool> RacePool;
+  RequestState Request;
   for (int II = Result.Mii; II <= Result.Mii + Opts.MaxIiIncrease; ++II) {
     double Remaining = Opts.TimeLimitSeconds - Watch.seconds();
     if (Remaining <= 0) {
@@ -307,7 +307,7 @@ ScheduleResult OptimalModuloScheduler::solve(const Problem &P,
       break;
     }
     std::optional<ModuloSchedule> S =
-        attempt(P, II, Result, Remaining, Ctx, RacePool);
+        attempt(P, II, Result, Remaining, Ctx, Request);
     if (Result.TimedOut || Result.NodeLimitHit)
       break;
     if (S) {

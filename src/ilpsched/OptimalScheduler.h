@@ -335,7 +335,7 @@ public:
   /// Convenience overload wrapping \p G (with this scheduler's machine
   /// and formulation options) in a transient Problem. Prefer the
   /// Problem overload when attempting several IIs of one loop — it
-  /// shares the canonicalization and the once-per-Problem diagnostics.
+  /// shares the canonicalization.
   std::optional<ModuloSchedule>
   scheduleAtIi(const DependenceGraph &G, int II, ScheduleResult &Stats,
                double TimeBudget, lp::SolveContext *Ctx = nullptr) const;
@@ -343,11 +343,20 @@ public:
   const SchedulerOptions &options() const { return Opts; }
 
 private:
-  /// scheduleAtIi with the portfolio's race pool held by the caller:
-  /// solve() keeps one for the whole II ladder.
+  /// What one request keeps across its attempts: solve() holds one for
+  /// the whole II ladder, each scheduleAtIi call one of its own.
+  struct RequestState {
+    /// The portfolio's race pool, created by the first raced attempt.
+    std::unique_ptr<ThreadPool> RacePool;
+    /// Set once the PB-fallback warning is printed, so it fires once
+    /// per request, not once per II.
+    bool PbFallbackWarned = false;
+  };
+
+  /// scheduleAtIi with the per-request state held by the caller.
   std::optional<ModuloSchedule>
   attempt(const Problem &P, int II, ScheduleResult &Stats, double TimeBudget,
-          lp::SolveContext *Ctx, std::unique_ptr<ThreadPool> &RacePool) const;
+          lp::SolveContext *Ctx, RequestState &Request) const;
 
   const MachineModel &M;
   SchedulerOptions Opts;

@@ -26,6 +26,20 @@ namespace {
 modsched::telemetry::Counter
     StatFactorizations("lp", "factor.refactorizations",
                        "sparse-engine LU basis (re)factorizations");
+/// The same factorizations by cause, indexed by RefactorCause; they
+/// sum to factor.refactorizations.
+modsched::telemetry::Counter StatRefactorCause[] = {
+    {"lp", "factor.refactor_cold",
+     "factorizations of a cold solve's starting basis"},
+    {"lp", "factor.refactor_warm",
+     "factorizations of a warm start's rebuilt basis"},
+    {"lp", "factor.refactor_eta_count",
+     "refactorizations at the eta-file update limit"},
+    {"lp", "factor.refactor_eta_fill",
+     "refactorizations at the eta-file fill guard"},
+    {"lp", "factor.refactor_eta_pivot",
+     "refactorizations after a rejected eta pivot"},
+};
 modsched::telemetry::Counter
     StatFillNnz("lp", "factor.fill_nnz",
                 "LU fill-in nonzeros beyond the basis pattern");
@@ -219,7 +233,7 @@ void SparseRevisedSimplex::initCold(const Model &M,
   CandList.clear();
 
   // The starting basis is diagonal (+-1 per row): trivially factorable.
-  bool Ok = factorizeBasis();
+  bool Ok = factorizeBasis(RefactorCause::Cold);
   assert(Ok && "slack/artificial starting basis cannot be singular");
   (void)Ok;
 }
@@ -263,7 +277,7 @@ bool SparseRevisedSimplex::tryInitWarm(const Model &M,
       if (Col < 0 || Col >= NumCols || Status[Col] != ColState::Basic)
         return false; // Corrupt basis.
     XB.assign(NumRows, 0.0);
-    if (!factorizeBasis())
+    if (!factorizeBasis(RefactorCause::Warm))
       return false; // Numerically singular under the new pivot order.
     Cost.assign(NumCols, 0.0);
     std::copy(Obj.begin(), Obj.end(), Cost.begin());
@@ -278,7 +292,7 @@ bool SparseRevisedSimplex::tryInitWarm(const Model &M,
   return dualFeasible();
 }
 
-bool SparseRevisedSimplex::factorizeBasis() {
+bool SparseRevisedSimplex::factorizeBasis(RefactorCause Cause) {
   BStart.assign(NumRows + 1, 0);
   BRows.clear();
   BVals.clear();
@@ -293,6 +307,7 @@ bool SparseRevisedSimplex::factorizeBasis() {
     return false;
   ++Refactors;
   ++StatFactorizations;
+  ++StatRefactorCause[static_cast<int>(Cause)];
   StatFillNnz += Lu.fillNonzeros();
   PivotsSinceFactor = 0;
   return true;
@@ -389,16 +404,20 @@ bool SparseRevisedSimplex::commitPivot(int LeaveRow, int Enter) {
   // Append the product-form eta; refactorize when the eta file passes
   // its count/fill thresholds or the eta pivot is unacceptable.
   const int64_t EtaBefore = Lu.etaNonzeros();
+  RefactorCause Cause = RefactorCause::EtaPivot;
   if (Lu.update(LeaveRow, WCol, PivotTolerance)) {
     const int64_t Added = Lu.etaNonzeros() - EtaBefore;
     EtaNnzTotal += Added;
     StatEtaNnz += Added;
-    if (Lu.etaCount() < MaxEtaUpdates &&
-        Lu.etaNonzeros() <=
-            EtaFillFactor * double(NumRows + Lu.factorNonzeros()))
+    if (Lu.etaCount() >= MaxEtaUpdates)
+      Cause = RefactorCause::EtaCount;
+    else if (Lu.etaNonzeros() >
+             EtaFillFactor * double(NumRows + Lu.factorNonzeros()))
+      Cause = RefactorCause::EtaFill;
+    else
       return true;
   }
-  if (!factorizeBasis())
+  if (!factorizeBasis(Cause))
     return false; // Numerical catastrophe; caller gives up.
   refreshBasicValues();
   rebuildDj();

@@ -131,9 +131,19 @@ private:
     }
   }
 
+  /// Why the basis is (re)factorized; each successful factorization
+  /// counts under exactly one lp/factor.refactor_* counter.
+  enum class RefactorCause {
+    Cold,     ///< The slack/artificial starting basis of a cold solve.
+    Warm,     ///< tryInitWarm rebuilding a requested basis.
+    EtaCount, ///< The eta file reached MaxEtaUpdates.
+    EtaFill,  ///< The eta file's nonzeros passed the fill guard.
+    EtaPivot, ///< The eta update rejected its pivot.
+  };
+
   /// Gathers the basis columns and (re)factorizes; false on a singular
   /// basis. Resets the eta file and the pivots-since-factor clock.
-  bool factorizeBasis();
+  bool factorizeBasis(RefactorCause Cause);
 
   /// Recomputes every basic value XB = B^-1 (b - N x_N), flushing the
   /// drift accumulated by incremental pivot updates.

@@ -32,7 +32,6 @@
 #include "graph/DependenceGraph.h"
 #include "machine/MachineModel.h"
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -90,6 +89,8 @@ struct FormulationOptions {
   /// question on a real machine (the Cydra 5 had 64 rotating registers).
   /// Not combinable with Objective::MinReg (asserted).
   int RegisterLimit = -1;
+
+  bool operator==(const FormulationOptions &) const = default;
 };
 
 /// An immutable modulo-scheduling problem: (graph, machine, options).
@@ -98,7 +99,8 @@ struct FormulationOptions {
 /// Problem (they are owned by the caller of OptimalModuloScheduler, which
 /// already guarantees this). Canonicalization is computed lazily on first
 /// use and is thread-safe; a Problem shared across threads pays for it
-/// at most once.
+/// at most once. It holds no per-request state, so one Problem can serve
+/// any number of requests (the service interns them, service/Server.h).
 class Problem {
 public:
   Problem(const DependenceGraph &G, const MachineModel &M,
@@ -134,13 +136,6 @@ public:
   /// canonicalIndex().
   const std::vector<uint64_t> &canonicalForm() const;
 
-  /// Claims the once-per-Problem "PB falling back to ILP" warning slot:
-  /// returns true exactly once per Problem. The attempt seam uses this so
-  /// the warning fires once per scheduling request, not once per II.
-  bool claimPbFallbackWarning() const {
-    return !PbFallbackWarned.exchange(true, std::memory_order_relaxed);
-  }
-
 private:
   void computeCanonical() const;
 
@@ -153,7 +148,6 @@ private:
   mutable bool Exact = false;
   mutable std::vector<int> CanonIndex;
   mutable std::vector<uint64_t> Form;
-  mutable std::atomic<bool> PbFallbackWarned{false};
 };
 
 } // namespace modsched

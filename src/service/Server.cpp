@@ -6,6 +6,7 @@
 #include "ilpsched/SolutionCache.h"
 #include "lp/SolveContext.h"
 #include "machine/MachineModel.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <functional>
 #include <istream>
+#include <limits>
 #include <list>
 #include <ostream>
 #include <streambuf>
@@ -62,6 +64,13 @@ telemetry::Counter StatInternHits("service", "machine_intern.hits",
 telemetry::Counter StatInternMisses("service", "machine_intern.misses",
                                     "Inline MACHINE payloads parsed (not "
                                     "interned yet, or malformed)");
+telemetry::Counter StatLoopInternHits("service", "loop_intern.hits",
+                                      "DDG payloads served by an interned "
+                                      "loop and Problem (no parse, no "
+                                      "canonical labeling)");
+telemetry::Counter StatLoopInternMisses("service", "loop_intern.misses",
+                                        "DDG payloads parsed (not interned "
+                                        "yet, or malformed)");
 
 /// Strict env parsing in the bench/Harness style: malformed values warn
 /// on stderr and keep the compiled-in default.
@@ -314,23 +323,50 @@ struct Server::Connection {
   }
 };
 
+/// A DDG payload resolved on one machine under one set of formulation
+/// options: the parsed loop and its Problem, whose canonical labeling is
+/// computed by the first request that needs it and kept. Immutable and
+/// shared by every request naming the same LoopKey.
+struct Server::ResolvedLoop {
+  ResolvedLoop(std::shared_ptr<const MachineModel> Machine,
+               DependenceGraph Graph, const FormulationOptions &Opts)
+      : M(std::move(Machine)), G(std::move(Graph)), P(G, *M, Opts) {}
+
+  const std::shared_ptr<const MachineModel> M;
+  const DependenceGraph G;
+  const Problem P; ///< Refers to G and *M.
+};
+
+std::size_t Server::LoopKeyHash::operator()(const LoopKey &K) const {
+  // The server varies only the objective and dependence style between
+  // requests; the key compare checks every option.
+  std::uint64_t H = std::hash<std::string>()(K.Ddg);
+  H = hashCombine(H, reinterpret_cast<std::uintptr_t>(K.M.get()));
+  H = hashCombine(H, static_cast<std::uint64_t>(K.Opts.Obj));
+  H = hashCombine(H, static_cast<std::uint64_t>(K.Opts.DepStyle));
+  return static_cast<std::size_t>(H);
+}
+
 /// One SCHED request and, once resolved, everything its answer needs.
 /// Resolved and probed once, on the reader or on the worker, and never
-/// moved: Problem and Scheduler refer to G and *M. A job the reader
-/// resolved reaches a worker only as a cache miss.
+/// moved: Scheduler refers to Loop's machine. A job the reader resolved
+/// reaches a worker only as a cache miss.
 struct Server::Job {
   Request Req;
-  std::shared_ptr<const MachineModel> M;
-  std::optional<DependenceGraph> G;
+  std::shared_ptr<const ResolvedLoop> Loop;
   std::optional<OptimalModuloScheduler> Scheduler;
-  std::optional<Problem> P;
 };
 
 //===----------------------------------------------------------------------===//
 // Server
 //===----------------------------------------------------------------------===//
 
-Server::Server(ServerOptions Options) : Opts(std::move(Options)) {
+Server::Server(ServerOptions Options)
+    : Opts(std::move(Options)),
+      Machines(MaxInternedMachines, std::numeric_limits<std::size_t>::max(),
+               StatInternHits, StatInternMisses),
+      Loops(MaxInternedLoops, MaxInternedLoopBytes, StatLoopInternHits,
+            StatLoopInternMisses) {
   Pool = std::make_unique<ThreadPool>(Opts.Workers);
   for (int I = 0; I < Opts.Workers; ++I)
     FreeContexts.push_back(std::make_unique<lp::SolveContext>());
@@ -364,57 +400,29 @@ void Server::drain() {
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ServerStats S = Stat;
+  ServerStats S;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    S = Stat;
+  }
+  S.MachineInternHits = Machines.hits();
   S.MachinesInterned = static_cast<std::int64_t>(Machines.size());
+  S.LoopInternHits = Loops.hits();
+  S.LoopsInterned = static_cast<std::int64_t>(Loops.size());
+  S.LoopInternBytes = static_cast<std::int64_t>(Loops.bytes());
   return S;
 }
 
 std::shared_ptr<const MachineModel>
 Server::internMachine(const std::string &Text, std::string *Error) {
-  const std::size_t Hash = std::hash<std::string>()(Text);
-  auto Find = [&]() -> InternedMachine * {
-    for (InternedMachine &E : Machines)
-      if (E.Hash == Hash && E.Text == Text) {
-        E.LastUse = ++InternClock;
-        return &E;
-      }
-    return nullptr;
-  };
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (InternedMachine *E = Find()) {
-      ++Stat.MachineInternHits;
-      ++StatInternHits;
-      return E->Model;
-    }
-  }
-
-  // Parsed off the lock: a large payload must not stall admission.
-  ++StatInternMisses;
-  std::optional<MachineModel> Parsed = parseMachine(Text, Error);
-  if (!Parsed)
-    return nullptr;
-  InternedMachine Entry{Hash, Text, shareMachine(std::move(*Parsed)), 0};
-
-  std::lock_guard<std::mutex> Lock(Mu);
-  // Another worker may have interned the same bytes meanwhile: keep one
-  // model per text.
-  if (InternedMachine *E = Find())
-    return E->Model;
-  InternedMachine *Slot;
-  if (Machines.size() < MaxInternedMachines) {
-    Slot = &Machines.emplace_back();
-  } else {
-    Slot = &*std::min_element(Machines.begin(), Machines.end(),
-                              [](const InternedMachine &A,
-                                 const InternedMachine &B) {
-                                return A.LastUse < B.LastUse;
-                              });
-  }
-  Entry.LastUse = ++InternClock;
-  *Slot = std::move(Entry);
-  return Slot->Model;
+  return Machines.intern(
+      Text, Text.size(),
+      [&](const std::string &T) -> std::shared_ptr<const MachineModel> {
+        std::optional<MachineModel> Parsed = parseMachine(T, Error);
+        if (!Parsed)
+          return nullptr;
+        return shareMachine(std::move(*Parsed));
+      });
 }
 
 std::string Server::statsResponse() const {
@@ -436,6 +444,8 @@ std::string Server::statsResponse() const {
   W.key("cancelled").value(S.Cancelled);
   W.key("machines_interned").value(S.MachinesInterned);
   W.key("machine_intern_hits").value(S.MachineInternHits);
+  W.key("loops_interned").value(S.LoopsInterned);
+  W.key("loop_intern_hits").value(S.LoopInternHits);
   W.key("workers").value(Opts.Workers);
   W.key("queue_limit").value(Opts.QueueLimit);
   W.key("cache_entries")
@@ -446,17 +456,31 @@ std::string Server::statsResponse() const {
 }
 
 bool Server::resolve(Job &J, Connection &Conn) {
-  // A machine text seen before is not parsed again (internMachine).
+  // A machine text seen before is not parsed again (internMachine), nor
+  // a DDG text seen before on that machine under the same options.
   std::string Error;
   const char *What = "bad machine: ";
-  J.M = J.Req.BuiltinMachine.empty()
-            ? internMachine(J.Req.MachineText, &Error)
-            : builtinMachine(J.Req.BuiltinMachine);
-  if (J.M) {
+  std::shared_ptr<const MachineModel> M =
+      J.Req.BuiltinMachine.empty() ? internMachine(J.Req.MachineText, &Error)
+                                   : builtinMachine(J.Req.BuiltinMachine);
+  SchedulerOptions SOpts = requestOptions(J.Req, Opts);
+  if (M) {
     What = "bad ddg: ";
-    J.G = parseDdg(J.Req.DdgText, *J.M, &Error);
+    // The payload moves into the key; the request needs it no more.
+    const std::size_t Bytes = J.Req.DdgText.size();
+    const LoopKey Key{std::move(M), SOpts.Formulation,
+                      std::move(J.Req.DdgText)};
+    J.Loop = Loops.intern(
+        Key, Bytes,
+        [&](const LoopKey &K) -> std::shared_ptr<const ResolvedLoop> {
+          std::optional<DependenceGraph> G = parseDdg(K.Ddg, *K.M, &Error);
+          if (!G)
+            return nullptr;
+          return std::make_shared<const ResolvedLoop>(K.M, std::move(*G),
+                                                      K.Opts);
+        });
   }
-  if (!J.G) {
+  if (!J.Loop) {
     ++StatErrors;
     {
       std::lock_guard<std::mutex> Lock(Mu);
@@ -465,8 +489,7 @@ bool Server::resolve(Job &J, Connection &Conn) {
     Conn.writeLine(errorResponse(J.Req.Id, What + Error));
     return false;
   }
-  J.Scheduler.emplace(*J.M, requestOptions(J.Req, Opts));
-  J.P.emplace(*J.G, *J.M, J.Scheduler->options().Formulation);
+  J.Scheduler.emplace(*J.Loop->M, std::move(SOpts));
   return true;
 }
 
@@ -498,8 +521,8 @@ void Server::reply(const Job &J, const ScheduleResult &R, const char *Status,
   W.key("proto").value(ProtocolVersion);
   W.key("id").value(J.Req.Id);
   W.key("status").value(Status);
-  W.key("loop").value(J.G->name());
-  W.key("ops").value(static_cast<int>(J.G->numOperations()));
+  W.key("loop").value(J.Loop->G.name());
+  W.key("ops").value(static_cast<int>(J.Loop->G.numOperations()));
   W.key("objective").value(toString(J.Req.Obj));
   W.key("mii").value(R.Mii);
   W.key("cache_hit").value(R.CacheHit);
@@ -535,7 +558,7 @@ void Server::runRequest(Job &J, lp::SolveContext &Ctx, Connection &Conn,
   if (!J.Scheduler) {
     if (!resolve(J, Conn))
       return;
-    R = J.Scheduler->probeCache(*J.P);
+    R = J.Scheduler->probeCache(J.Loop->P);
   }
   const OptimalModuloScheduler &Scheduler = *J.Scheduler;
   if (!R) {
@@ -545,7 +568,7 @@ void Server::runRequest(Job &J, lp::SolveContext &Ctx, Connection &Conn,
     Ctx.DeadlineSeconds =
         monotonicSeconds() + Scheduler.options().TimeLimitSeconds;
     Ctx.Cancel = Cancel;
-    R = Scheduler.solve(*J.P, &Ctx);
+    R = Scheduler.solve(J.Loop->P, &Ctx);
     Ctx.DeadlineSeconds = lp::NoDeadline;
     Ctx.Cancel = CancellationToken();
   }
@@ -580,7 +603,8 @@ void Server::admit(Request Req, const std::shared_ptr<Connection> &Conn) {
       ++StatAccepted;
       return;
     }
-    if (std::optional<ScheduleResult> Hit = J->Scheduler->probeCache(*J->P)) {
+    if (std::optional<ScheduleResult> Hit =
+            J->Scheduler->probeCache(J->Loop->P)) {
       reply(*J, *Hit, "ok", *Conn, /*OnReader=*/true);
       return;
     }

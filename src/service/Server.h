@@ -20,6 +20,13 @@
 /// connection, and every frame with the cache off go to a worker, a
 /// probed miss carrying its parsed loop and Problem along.
 ///
+/// Resolution is interned (service/InternTable.h): a MACHINE payload's
+/// bytes map to one shared model, and a DDG payload's bytes, under one
+/// machine and one set of formulation options, map to one shared parsed
+/// loop and its Problem, canonical labeling included. A resubmitted
+/// payload is neither parsed nor labeled again; its cache probe still
+/// looks the Problem up and re-verifies the hit against its graph.
+///
 /// Admission control (docs/SERVICE.md): the queue of queued-plus-running
 /// requests is bounded; a full queue or a client exceeding its in-flight
 /// cap gets an immediate "retry_after" reply instead of unbounded
@@ -38,12 +45,14 @@
 #define MODSCHED_SERVICE_SERVER_H
 
 #include "ilpsched/OptimalScheduler.h"
+#include "service/InternTable.h"
 #include "service/Protocol.h"
 #include "support/Cancellation.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -95,7 +104,7 @@ struct ServerOptions {
 };
 
 /// Monotonic counters mirrored by the service/* telemetry, plus the
-/// machine intern table's size.
+/// intern tables' sizes.
 struct ServerStats {
   std::int64_t Connections = 0; ///< Streams served (stdio or socket).
   std::int64_t Requests = 0;    ///< SCHED frames received (incl. bad).
@@ -114,6 +123,14 @@ struct ServerStats {
   /// Interned machine models held now, at most
   /// Server::MaxInternedMachines (a gauge, not a counter).
   std::int64_t MachinesInterned = 0;
+  /// DDG payloads served by an interned loop and Problem (no parse, no
+  /// canonical labeling).
+  std::int64_t LoopInternHits = 0;
+  /// Interned loops held now, at most Server::MaxInternedLoops (a gauge).
+  std::int64_t LoopsInterned = 0;
+  /// DDG payload bytes the interned loops hold, at most
+  /// Server::MaxInternedLoopBytes (a gauge; not in the STATS reply).
+  std::int64_t LoopInternBytes = 0;
 };
 
 /// The daemon. One instance per process; destruction drains.
@@ -169,6 +186,13 @@ public:
   /// recently used one is dropped.
   static constexpr std::size_t MaxInternedMachines = 16;
 
+  /// Most resolved DDG payloads the loop intern table keeps, and the
+  /// most DDG payload bytes they may hold together; past either bound
+  /// the least recently used loop is dropped. A payload larger than the
+  /// byte budget is resolved for its request but not interned.
+  static constexpr std::size_t MaxInternedLoops = 1024;
+  static constexpr std::size_t MaxInternedLoopBytes = 512 << 10;
+
   /// The model for MACHINE payload \p Text. A payload with these exact
   /// bytes parsed before is served from the intern table without a
   /// parse; otherwise the text is parsed, its signature memoized, and
@@ -179,8 +203,22 @@ public:
                                                     std::string *Error);
 
 private:
-  struct Connection; // Per-stream response mutex + in-flight tracking.
-  struct Job;        // One SCHED request and its resolved payload.
+  struct Connection;   // Per-stream response mutex + in-flight tracking.
+  struct Job;          // One SCHED request and its resolved payload.
+  struct ResolvedLoop; // One interned DDG payload: its graph and Problem.
+
+  /// What determines a resolved DDG payload: the machine it is parsed
+  /// on (held, so its address names it while the key lives), the
+  /// formulation options of its Problem and the payload's bytes.
+  struct LoopKey {
+    std::shared_ptr<const MachineModel> M;
+    FormulationOptions Opts;
+    std::string Ddg;
+    bool operator==(const LoopKey &) const = default;
+  };
+  struct LoopKeyHash {
+    std::size_t operator()(const LoopKey &K) const;
+  };
 
   /// Takes one framed SCHED request on \p Conn's reader thread: answers
   /// a cache hit (or a bad payload) at once when the connection is idle,
@@ -188,9 +226,9 @@ private:
   void admit(Request Req, const std::shared_ptr<Connection> &Conn);
 
   /// Resolves \p J's payload: its machine (interned or built in), its
-  /// loop (parseDdg), the scheduler its request configures and the
-  /// Problem. On a bad payload writes the error reply, counts it and
-  /// returns false.
+  /// loop and Problem (interned, parsed on a miss) and the scheduler its
+  /// request configures. On a bad payload writes the error reply, counts
+  /// it and returns false.
   bool resolve(Job &J, Connection &Conn);
 
   /// Runs one admitted request on a pool worker.
@@ -212,23 +250,19 @@ private:
   std::unique_ptr<ThreadPool> Pool;
   std::atomic<bool> Stopping{false};
 
+  // The intern tables lock internally.
+  /// MACHINE payload bytes -> model. Bounded by count only: each
+  /// payload is already within the frame's byte limit.
+  InternTable<std::string, MachineModel, std::hash<std::string>> Machines;
+  /// (machine, formulation options, DDG payload bytes) -> loop.
+  InternTable<LoopKey, ResolvedLoop, LoopKeyHash> Loops;
+
   mutable std::mutex Mu; ///< Guards everything below.
   std::condition_variable Idle;
   std::vector<std::unique_ptr<lp::SolveContext>> FreeContexts;
   int InFlight = 0; ///< Queued + running solve tasks.
   std::map<std::string, int> ClientInFlight;
   ServerStats Stat;
-
-  /// One interned MACHINE payload: the hash picks the entry, the full
-  /// byte compare against Text confirms it.
-  struct InternedMachine {
-    std::size_t Hash = 0;
-    std::string Text;
-    std::shared_ptr<const MachineModel> Model;
-    std::uint64_t LastUse = 0; ///< InternClock at the latest hit.
-  };
-  std::vector<InternedMachine> Machines; ///< At most MaxInternedMachines.
-  std::uint64_t InternClock = 0;
 
   int ListenFd = -1;
 };

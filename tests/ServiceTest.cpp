@@ -24,6 +24,12 @@
 //   * Machine interning: a repeated MACHINE text reuses one model, a
 //     one-byte variant gets its own, the table stays at its bound, bad
 //     text is never interned, and two workers share one model.
+//   * Loop interning: a repeated DDG text is an intern hit with the same
+//     reply, a variant in one latency, the objective or the machine gets
+//     its own entry and a fresh server's reply, the table stays within
+//     its entry and byte bounds, an over-budget payload and bad text are
+//     never interned, two workers share one entry, and a shared Problem
+//     warns of the PB fallback on each solve.
 //   * Unix-domain socket smoke: listen, accept, PING, shut down.
 //
 //===----------------------------------------------------------------------===//
@@ -109,13 +115,17 @@ int countLines(const std::string &Text) {
   return N;
 }
 
+/// A SCHED frame carrying DDG text \p Ddg, its header ending in
+/// \p Header.
+std::string ddgFrame(const std::string &Id, const std::string &Ddg,
+                     const std::string &Header = "machine=example3") {
+  return "SCHED id=" + Id + " " + Header + "\nDDG " +
+         std::to_string(countLines(Ddg)) + "\n" + Ddg + "END\n";
+}
+
 std::string schedFrame(const std::string &Id, const std::string &Extra = "") {
-  std::string Ddg = exampleDdg();
-  std::string F = "SCHED id=" + Id + " machine=example3" +
-                  (Extra.empty() ? "" : " " + Extra) + "\n";
-  F += "DDG " + std::to_string(countLines(Ddg)) + "\n" + Ddg;
-  F += "END\n";
-  return F;
+  return ddgFrame(Id, exampleDdg(),
+                  "machine=example3" + (Extra.empty() ? "" : " " + Extra));
 }
 
 Frame parseOne(const std::string &Text,
@@ -1065,6 +1075,246 @@ TEST(ServiceServer, TwoWorkersShareOneInternedModel) {
   // Both workers may parse the text before either interns it.
   EXPECT_GE(Stats.MachineInternHits,
             std::int64_t(2 * std::size(Objectives)) - O.Workers);
+}
+
+/// \p Line with its "seconds" field removed: the one field two replies
+/// to the same request may differ in.
+std::string withoutSeconds(std::string Line) {
+  const std::size_t At = Line.find("\"seconds\":");
+  if (At != std::string::npos)
+    Line.erase(At, Line.find(',', At) + 1 - At);
+  return Line;
+}
+
+/// The example loop named \p Name, padded with comment lines to at
+/// least \p Bytes bytes: the same schedule problem in distinct bytes.
+std::string namedDdg(const std::string &Name, std::size_t Bytes = 0) {
+  std::string Ddg = exampleDdg();
+  const std::size_t Eol = Ddg.find('\n');
+  Ddg = "loop " + Name + Ddg.substr(Eol);
+  while (Ddg.size() < Bytes)
+    Ddg += "# " + std::string(std::min<std::size_t>(Bytes, 32 << 10), 'x') +
+           "\n";
+  return Ddg;
+}
+
+TEST(ServiceServer, RepeatedDdgTextIsAnInternHit) {
+  // The loop is in the solution cache, so both frames are answered
+  // from it; the second one from the interned loop and Problem.
+  {
+    Server Warm(quickOptions());
+    ASSERT_EQ(serve(Warm, schedFrame("warm") + "QUIT\n").size(), 1u);
+  }
+  Server S(quickOptions());
+  std::vector<std::string> First = serve(S, schedFrame("r") + "QUIT\n");
+  ASSERT_EQ(First.size(), 1u);
+  EXPECT_EQ(field(First[0], "cache_hit"), "true") << First[0];
+  const ServerStats Before = S.stats();
+  EXPECT_EQ(Before.LoopInternHits, 0);
+  EXPECT_EQ(Before.LoopsInterned, 1);
+
+  std::vector<std::string> Second = serve(S, schedFrame("r") + "QUIT\n");
+  ASSERT_EQ(Second.size(), 1u);
+  EXPECT_EQ(withoutSeconds(Second[0]), withoutSeconds(First[0]));
+  const std::string Stats = S.statsResponse();
+  EXPECT_EQ(field(Stats, "loop_intern_hits"), "1") << Stats;
+  EXPECT_EQ(field(Stats, "loops_interned"), "1") << Stats;
+  EXPECT_GT(S.stats().LoopInternBytes, 0);
+}
+
+TEST(ServiceServer, DdgVariantsGetTheirOwnEntries) {
+  // Each variant differs from the original in one input of its
+  // Problem: one latency byte, the objective, or the machine. Each
+  // must be answered as a server that never saw the original answers
+  // it.
+  const std::string Ddg = exampleDdg();
+  std::string Latency = Ddg;
+  const std::size_t At = Latency.find("latency=4");
+  ASSERT_NE(At, std::string::npos) << Ddg;
+  Latency[At + 8] = '5';
+  const std::string Original = ddgFrame("o", Ddg);
+  const std::string Variants[] = {
+      ddgFrame("v", Latency),
+      ddgFrame("v", Ddg, "machine=example3 objective=noobj"),
+      ddgFrame("v", Ddg, "machine=cydra"),
+  };
+  for (const std::string &Variant : Variants) {
+    SCOPED_TRACE(Variant.substr(0, Variant.find('\n')));
+    SolutionCache::global().clear();
+    Server Fresh(quickOptions());
+    std::vector<std::string> Alone = serve(Fresh, Variant + "QUIT\n");
+    ASSERT_EQ(Alone.size(), 1u);
+    SolutionCache::global().clear();
+    Server S(quickOptions());
+    std::vector<std::string> Lines = serve(S, Original + Variant + "QUIT\n");
+    ASSERT_EQ(Lines.size(), 2u);
+    ASSERT_EQ(field(Lines[1], "id"), "v") << Lines[1];
+    for (const char *Key : {"status", "objective", "mii", "ii", "secondary",
+                            "cache_hit", "canonical_hash"})
+      EXPECT_EQ(field(Lines[1], Key), field(Alone[0], Key))
+          << Key << "\n" << Lines[1] << "\n" << Alone[0];
+    EXPECT_NE(field(Lines[0], "canonical_hash"),
+              field(Lines[1], "canonical_hash"));
+    EXPECT_EQ(S.stats().LoopsInterned, 2);
+    EXPECT_EQ(S.stats().LoopInternHits, 0);
+  }
+}
+
+TEST(ServiceServer, LoopInternTableStaysWithinItsBounds) {
+  // Distinct names make distinct payloads of one schedule problem: the
+  // first is solved, every other one is a cache hit on the reader.
+  const std::size_t Bound = Server::MaxInternedLoops;
+  const auto Budget = std::int64_t(Server::MaxInternedLoopBytes);
+  const std::size_t Batch = 128, Sent = (Bound / Batch + 1) * Batch;
+  Server S(quickOptions());
+  ASSERT_EQ(serve(S, ddgFrame("l0", namedDdg("l0")) + "QUIT\n").size(), 1u);
+  for (std::size_t First = 1; First <= Sent; First += Batch) {
+    std::string Input;
+    for (std::size_t I = First; I < First + Batch; ++I)
+      Input += ddgFrame("l", namedDdg("l" + std::to_string(I)));
+    std::vector<std::string> Lines = serve(S, Input + "QUIT\n");
+    ASSERT_EQ(Lines.size(), Batch);
+    for (const std::string &L : Lines)
+      ASSERT_EQ(field(L, "status"), "ok") << L;
+    const ServerStats Stats = S.stats();
+    EXPECT_LE(Stats.LoopsInterned, std::int64_t(Bound));
+    EXPECT_LE(Stats.LoopInternBytes, Budget);
+  }
+  EXPECT_EQ(S.stats().LoopsInterned, std::int64_t(Bound));
+  EXPECT_EQ(S.stats().LoopInternHits, 0);
+
+  // The newest payload is still held, the oldest was dropped for it.
+  const std::string Newest = "l" + std::to_string(Sent);
+  serve(S, ddgFrame("n", namedDdg(Newest)) + "QUIT\n");
+  EXPECT_EQ(S.stats().LoopInternHits, 1);
+  serve(S, ddgFrame("o", namedDdg("l0")) + "QUIT\n");
+  EXPECT_EQ(S.stats().LoopInternHits, 1);
+
+  // Large payloads: the byte budget binds before the entry bound.
+  const std::size_t Large = Server::MaxInternedLoopBytes / 5;
+  for (int I = 0; I < 8; ++I) {
+    std::vector<std::string> Lines = serve(
+        S, ddgFrame("b", namedDdg("b" + std::to_string(I), Large)) + "QUIT\n");
+    ASSERT_EQ(Lines.size(), 1u);
+    EXPECT_EQ(field(Lines[0], "status"), "ok") << Lines[0];
+    EXPECT_LE(S.stats().LoopInternBytes, Budget);
+  }
+  EXPECT_LT(S.stats().LoopsInterned, std::int64_t(Bound));
+}
+
+TEST(ServiceServer, PayloadOverTheByteBudgetIsAnsweredButNotInterned) {
+  const std::string Huge =
+      namedDdg("huge", Server::MaxInternedLoopBytes + 1);
+  ASSERT_LT(Huge.size(), ProtocolLimits().MaxPayloadBytes);
+  Server S(quickOptions());
+  for (int I = 0; I < 2; ++I) {
+    std::vector<std::string> Lines =
+        serve(S, ddgFrame("h" + std::to_string(I), Huge) + "QUIT\n");
+    ASSERT_EQ(Lines.size(), 1u);
+    EXPECT_EQ(field(Lines[0], "status"), "ok") << Lines[0];
+    EXPECT_EQ(field(Lines[0], "loop"), "huge") << Lines[0];
+  }
+  const ServerStats Stats = S.stats();
+  EXPECT_EQ(Stats.LoopsInterned, 0);
+  EXPECT_EQ(Stats.LoopInternBytes, 0);
+  EXPECT_EQ(Stats.LoopInternHits, 0);
+}
+
+TEST(ServiceServer, BadDdgTextIsRejectedEveryTime) {
+  const std::string Bad = "loop q\nop a add\nedge a z latency=1 omega=0\n";
+  Server S(quickOptions());
+  std::string Input;
+  for (int I = 0; I < 3; ++I)
+    Input += ddgFrame("b" + std::to_string(I), Bad);
+  std::vector<std::string> Lines = serve(S, Input + "QUIT\n");
+  ASSERT_EQ(Lines.size(), 3u);
+  for (const std::string &L : Lines) {
+    EXPECT_EQ(field(L, "status"), "error") << L;
+    EXPECT_EQ(field(L, "error"), "bad ddg: line 3: unknown operation in edge")
+        << L;
+  }
+  EXPECT_EQ(S.stats().LoopsInterned, 0);
+  EXPECT_EQ(S.stats().LoopInternHits, 0);
+  EXPECT_EQ(S.stats().Errors, 3);
+}
+
+TEST(ServiceServer, TwoWorkersShareOneInternedLoop) {
+  // Two clients on two workers send the same DDG text under each
+  // objective, twice: the requests of one objective share one loop and
+  // Problem, whose canonical labeling the first of them computes while
+  // the others may be reading it (the sanitizer builds check that).
+  SolutionCache::global().clear();
+  const std::string Ddg = exampleDdg();
+  const char *Objectives[] = {"noobj", "minreg", "minbuff", "minlife"};
+  const int64_t Misses0 = counterValue("service/loop_intern.misses");
+  ServerOptions O = quickOptions();
+  O.Workers = 2;
+  std::vector<std::string> Replies[2];
+  ServerStats Stats;
+  {
+    Server S(O);
+    std::vector<std::thread> Clients;
+    for (int C = 0; C < 2; ++C)
+      Clients.emplace_back([&, C] {
+        telemetry::ThreadShardScope Shard; // A reader records solver stats.
+        std::string Input;
+        for (int Pass = 0; Pass < 2; ++Pass)
+          for (const char *Obj : Objectives)
+            Input += ddgFrame(std::to_string(C) + Obj, Ddg,
+                              std::string("machine=example3 objective=") +
+                                  Obj);
+        Replies[C] = serve(S, Input + "QUIT\n", "client" + std::to_string(C));
+      });
+    for (std::thread &T : Clients)
+      T.join();
+    Stats = S.stats();
+  }
+  const int64_t Requests = 2 * 2 * std::int64_t(std::size(Objectives));
+  for (int C = 0; C < 2; ++C) {
+    ASSERT_EQ(Replies[C].size(), 2 * std::size(Objectives));
+    for (const std::string &L : Replies[C])
+      EXPECT_EQ(field(L, "status"), "ok") << L;
+  }
+  std::map<std::string, std::string> Verdict;
+  for (int C = 0; C < 2; ++C)
+    for (const std::string &L : Replies[C]) {
+      const std::string Obj = field(L, "id").substr(1);
+      const std::string V = field(L, "mii") + " " + field(L, "ii") + " " +
+                            field(L, "secondary") + " " +
+                            field(L, "canonical_hash");
+      EXPECT_EQ(Verdict.try_emplace(Obj, V).first->second, V) << L;
+    }
+  EXPECT_EQ(Stats.LoopsInterned, std::int64_t(std::size(Objectives)));
+  // Concurrent first requests may each parse the text; they still end
+  // up with the one interned entry.
+  const int64_t Misses = counterValue("service/loop_intern.misses") - Misses0;
+  EXPECT_EQ(Stats.LoopInternHits + Misses, Requests);
+  EXPECT_GE(Misses, std::int64_t(std::size(Objectives)));
+  EXPECT_GE(Stats.LoopInternHits, 1);
+}
+
+TEST(ServiceServer, PbFallbackWarnsOncePerSolveOfASharedProblem) {
+  // MinSL is outside the PB encoding, so each solve falls back to the
+  // ILP and says so. The second request solves the first one's interned
+  // Problem (the cache is off) and must warn again.
+  ServerOptions O = quickOptions();
+  O.Backend = SchedulerBackend::Pb;
+  O.Cache = false;
+  Server S(O);
+  const std::string Frame =
+      ddgFrame("s", exampleDdg(), "machine=example3 objective=minsl");
+  testing::internal::CaptureStderr();
+  std::vector<std::string> Lines = serve(S, Frame + Frame + "QUIT\n");
+  const std::string Err = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(Lines.size(), 2u);
+  for (const std::string &L : Lines)
+    EXPECT_EQ(field(L, "status"), "ok") << L;
+  EXPECT_EQ(S.stats().LoopInternHits, 1);
+  std::size_t Warnings = 0;
+  for (std::size_t At = Err.find("falling back to ILP");
+       At != std::string::npos; At = Err.find("falling back to ILP", At + 1))
+    ++Warnings;
+  EXPECT_EQ(Warnings, 2u) << Err;
 }
 
 /// Connects to the Unix socket at \p Path, sends \p Msg, half-closes

@@ -22,6 +22,7 @@
 #include "machine/MachineModel.h"
 #include "sched/Mii.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 #include "workloads/KernelLibrary.h"
 
 #include <gtest/gtest.h>
@@ -599,6 +600,39 @@ TEST(SparseSimplex, ReportsFactorizationTelemetry) {
   EXPECT_GE(Sparse.Refactorizations, 1);
   LpResult Dense = makeSolver(SimplexEngine::Dense).solve(M);
   EXPECT_EQ(Dense.EtaNonzeros, 0);
+
+  // Every factorization counts under exactly one cause. The MinReg
+  // search of livermore1-hydro on cydraLike (68 nodes) takes a cold
+  // start, warm rebuilds and refactorizations at both eta-file limits.
+  const char *Causes[] = {"cold", "warm", "eta_count", "eta_fill",
+                          "eta_pivot"};
+  auto Counter = [](const std::string &Name) {
+    telemetry::Counter *C = telemetry::findCounter("lp/factor." + Name);
+    EXPECT_NE(C, nullptr) << Name;
+    return C ? C->value() : 0;
+  };
+  auto Snapshot = [&] {
+    std::vector<int64_t> V{Counter("refactorizations")};
+    for (const char *Cause : Causes)
+      V.push_back(Counter(std::string("refactor_") + Cause));
+    return V;
+  };
+  const std::vector<int64_t> Before = Snapshot();
+  const MachineModel Cydra = MachineModel::cydraLike();
+  SchedulerOptions Opts;
+  Opts.Formulation.Obj = Objective::MinReg;
+  Opts.NodeLimit = 2000;
+  Opts.TimeLimitSeconds = 3600.0;
+  EXPECT_TRUE(
+      OptimalModuloScheduler(Cydra, Opts).schedule(livermore1(Cydra)).Found);
+  const std::vector<int64_t> After = Snapshot();
+  int64_t Sum = 0;
+  for (size_t I = 1; I < After.size(); ++I) {
+    Sum += After[I] - Before[I];
+    if (I <= 4)
+      EXPECT_GT(After[I], Before[I]) << Causes[I - 1];
+  }
+  EXPECT_EQ(Sum, After[0] - Before[0]);
 }
 
 //===----------------------------------------------------------------------===//
