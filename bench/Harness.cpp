@@ -220,7 +220,7 @@ int bench::countSolved(const std::vector<LoopRecord> &Records) {
 
 void bench::printPortfolioSummary(const std::string &Label,
                                   const std::vector<LoopRecord> &Records) {
-  int64_t IlpWins = 0, PbWins = 0, Exchanges = 0, Undecided = 0;
+  int64_t IlpWins = 0, PbWins = 0, Undecided = 0;
   for (const LoopRecord &R : Records)
     for (const IiAttempt &A : R.Attempts) {
       if (A.Winner == "ilp")
@@ -229,16 +229,14 @@ void bench::printPortfolioSummary(const std::string &Label,
         ++PbWins;
       else if (A.Winner.empty())
         ++Undecided;
-      Exchanges += A.BoundExchanges;
     }
   if (IlpWins + PbWins == 0)
     return; // Single-engine backend (or nothing conclusive): stay quiet.
   std::printf("portfolio winners [%s]: %lld ilp, %lld pb "
-              "(%lld undecided attempts, %lld bound exchanges)\n\n",
+              "(%lld undecided attempts)\n\n",
               Label.c_str(), static_cast<long long>(IlpWins),
               static_cast<long long>(PbWins),
-              static_cast<long long>(Undecided),
-              static_cast<long long>(Exchanges));
+              static_cast<long long>(Undecided));
 }
 
 std::vector<int> bench::commonlySolved(
@@ -353,12 +351,10 @@ void emitRecord(json::JsonWriter &W, const LoopRecord &R) {
     W.key("variables").value(A.Variables);
     W.key("constraints").value(A.Constraints);
     W.key("seconds").value(A.Seconds);
-    // Portfolio race outcome: the engine whose verdict was committed
-    // ("ilp" / "pb"; empty on non-conclusive attempts and under
-    // single-engine backends) and the cross-engine incumbent exchanges
-    // the attempt performed.
+    // Portfolio backend: the engine the objective picked ("ilp" /
+    // "pb"; empty on non-conclusive attempts and under single-engine
+    // backends).
     W.key("winner").value(A.Winner);
-    W.key("bound_exchanges").value(A.BoundExchanges);
     // Forensics. Always emitted so consumers need no key-existence
     // branching; defaults mean "no evidence".
     W.key("witness").value(A.Explain ? witnessName(A.Explain->Kind)
@@ -409,7 +405,7 @@ std::string BenchJson::write() const {
   std::string Out;
   json::JsonWriter W(Out);
   W.beginObject();
-  W.key("schema_version").value(14);
+  W.key("schema_version").value(15);
   W.key("experiment").value(Experiment);
   W.key("generated_unix")
       .value(static_cast<int64_t>(std::time(nullptr)));

@@ -20,10 +20,10 @@
 ///                             the knob behind warm-vs-cold A/B runs)
 ///   MODSCHED_BENCH_BACKEND    exact engine behind every attempt: "ilp"
 ///                             (LP-based branch-and-bound), "pb" (CDCL
-///                             pseudo-Boolean), or "portfolio" (both
-///                             raced per II with cross-engine bound
-///                             sharing) — the knob behind backend A/B
-///                             runs (default ilp)
+///                             pseudo-Boolean), or "portfolio" (the
+///                             engine the objective picks, per II) —
+///                             the knob behind backend A/B runs
+///                             (default ilp)
 ///   MODSCHED_BENCH_EXPLAIN    0 disables solve forensics (default 1:
 ///                             every infeasible II attempt carries a
 ///                             re-verified witness and every solved one
@@ -71,7 +71,7 @@ struct BenchConfig {
   bool WarmStart = true;
   /// Exact engine behind every attempt (SchedulerOptions::Backend):
   /// ILP branch-and-bound, the CDCL pseudo-Boolean solver, or the
-  /// portfolio racing both with cross-engine bound sharing.
+  /// portfolio, which picks one of the two from the objective.
   /// MODSCHED_BENCH_BACKEND=ilp|pb|portfolio overrides for A/B runs.
   /// Formulations the PB backend cannot encode fall back to ILP per
   /// attempt with a one-time warning.
@@ -174,11 +174,10 @@ void printPaperTableBlock(const std::string &SchedulerName,
 /// Number of solved records.
 int countSolved(const std::vector<LoopRecord> &Records);
 
-/// Engine win tally of one record set under the portfolio backend:
-/// counts conclusive attempts committed by each engine plus the total
-/// cross-engine bound exchanges, and prints one summary line. Silent
-/// when no attempt carries a winner (single-engine backends), so the
-/// experiment binaries call it unconditionally.
+/// Engine tally of one record set under the portfolio backend: counts
+/// the conclusive attempts each engine decided and prints one summary
+/// line. Silent when no attempt carries a winner (single-engine
+/// backends), so the experiment binaries call it unconditionally.
 void printPortfolioSummary(const std::string &Label,
                            const std::vector<LoopRecord> &Records);
 

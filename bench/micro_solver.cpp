@@ -237,15 +237,12 @@ BENCHMARK(BM_PbVsIlp)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PortfolioVsBest(benchmark::State &State) {
-  // Three-way backend race on the fixed 12-op MinBuff loop: the single
-  // engines (Arg 0 = ILP, Arg 1 = PB) against the portfolio backend
-  // (Arg 2) racing both per II with cross-engine bound sharing. All
-  // three arms must agree on II and objective; main() derives the
-  // portfolio_vs_best_* headline metrics (virtual best = faster single
-  // engine) from the three records. On a
-  // single-core host the racing arms time-slice, so the portfolio lands
-  // between the engines rather than at the virtual best — the records
-  // report whatever this machine measures.
+  // Three-way backend comparison on the fixed 12-op MinBuff loop: the
+  // single engines (Arg 0 = ILP, Arg 1 = PB) against the portfolio
+  // backend (Arg 2), which picks PB for MinBuff. All three arms must
+  // agree on II and objective; main() derives the portfolio_vs_best_*
+  // headline metrics (virtual best = faster single engine) from the
+  // three records.
   MachineModel M = MachineModel::cydraLike();
   DependenceGraph G = benchLoop(M);
   SchedulerOptions Opts;
@@ -261,10 +258,6 @@ void BM_PortfolioVsBest(benchmark::State &State) {
     benchmark::DoNotOptimize(Last.II);
   }
   State.counters["ii"] = Last.II;
-  int64_t Exchanges = 0;
-  for (const IiAttempt &A : Last.Attempts)
-    Exchanges += A.BoundExchanges;
-  State.counters["bound_exchanges"] = static_cast<double>(Exchanges);
   bench::LoopRecord Rec = bench::LoopRecord::fromResult(G, Last);
   Rec.Name = "BM_PortfolioVsBest/" + std::to_string(State.range(0));
   upsertRecord(std::move(Rec));
@@ -272,7 +265,7 @@ void BM_PortfolioVsBest(benchmark::State &State) {
 BENCHMARK(BM_PortfolioVsBest)
     ->Arg(0) // ILP alone
     ->Arg(1) // PB alone
-    ->Arg(2) // portfolio race with bound sharing
+    ->Arg(2) // portfolio: one engine per attempt, picked by objective
     ->Unit(benchmark::kMillisecond);
 
 void BM_InstanceMapping(benchmark::State &State) {
@@ -379,9 +372,9 @@ int main(int argc, char **argv) {
   }
 
   // Headline portfolio metrics from the BM_PortfolioVsBest arms: the
-  // race must reproduce the single-engine verdict, and its wall clock
-  // is compared against the faster single engine (the virtual best a
-  // perfect portfolio would match on a multi-core host).
+  // portfolio must reproduce the single-engine verdict, and its wall
+  // clock is compared against the faster single engine (the virtual
+  // best a perfect engine choice would match).
   const bench::LoopRecord *PvIlp = nullptr, *PvPb = nullptr,
                           *Pv = nullptr;
   for (const bench::LoopRecord &R : solveRecords()) {

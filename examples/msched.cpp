@@ -353,9 +353,6 @@ int main(int Argc, char **Argv) {
       std::printf("  II=%-3d %-10s", A.II, ilp::toString(A.Status));
       if (!A.Winner.empty())
         std::printf(" winner=%s", A.Winner.c_str());
-      if (A.BoundExchanges > 0)
-        std::printf(" bound-exchanges=%lld",
-                    static_cast<long long>(A.BoundExchanges));
       if (A.Explain)
         std::printf(" [%s] %s", A.Explain->Verified ? "verified" : "UNVERIFIED",
                     describeExplanation(*Loop, Machine, A.II,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate bench_results/BENCH_*.json artifacts (schema_version 14).
+"""Validate bench_results/BENCH_*.json artifacts (schema_version 15).
 
 bench/Harness.cpp's BenchJson writes one schema, documented in
 docs/OBSERVABILITY.md, and this checker accepts exactly that version.
@@ -25,7 +25,7 @@ import json
 import numbers
 import sys
 
-SCHEMA_VERSION = 14
+SCHEMA_VERSION = 15
 
 TOP_KEYS = {
     "schema_version": numbers.Integral,
@@ -90,7 +90,6 @@ ATTEMPT_KEYS = {
     "constraints": numbers.Integral,
     "seconds": numbers.Real,
     "winner": str,
-    "bound_exchanges": numbers.Integral,
     "witness": str,
     "witness_verified": bool,
     "witness_detail": str,
@@ -112,8 +111,8 @@ STATUSES = {"solved", "timeout", "node_limit", "unsolved"}
 # Per-attempt solver verdicts (ilp::toString(MipStatus)).
 ATTEMPT_STATUSES = {"optimal", "infeasible", "limit", "cancelled"}
 BACKENDS = {"ilp", "pb", "portfolio"}
-# Per-attempt committed engine under the portfolio backend; empty means
-# "no conclusive verdict" or a single-engine backend.
+# Per-attempt engine the portfolio backend picked; empty means "no
+# conclusive verdict" or a single-engine backend.
 WINNERS = {"", "ilp", "pb"}
 WITNESSES = {"cycle", "resource", "none"}
 PROOFS = {"", "optimal", "first_solution", "censored"}
@@ -247,11 +246,10 @@ def self_test():
         return doc["record_sets"][s]["records"][0]
 
     cases = [
-        ("schema 13 (window witness)",
-         lambda d: (d.update(schema_version=13),
+        ("schema 14 (bound_exchanges)",
+         lambda d: (d.update(schema_version=14),
                     record(d, 0)["attempts"][0].update(
-                        status="infeasible", scheduled=False,
-                        witness="window"))),
+                        winner="pb", bound_exchanges=3))),
         ("node_limit status without node_limit_hit",
          lambda d: record(d, 1).update(node_limit_hit=False)),
         ("unknown attempt status",

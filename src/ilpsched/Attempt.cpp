@@ -45,7 +45,6 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   const FormulationOptions &FOpts = C.P.options();
   ScheduleResult &Stats = C.Stats;
   IiAttempt &Attempt = C.Attempt;
-  PortfolioEngineHooks *Hooks = C.Hooks;
 
   Formulation F(G, M, C.Frame, FOpts);
   assert(F.valid() && "attempts are dispatched on valid frames only");
@@ -60,31 +59,9 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   MipOpts.WarmStart = Opts.WarmStart;
   MipOpts.Lp.Engine = Opts.LpEngine;
   MipOpts.CollectTrajectory = Opts.Explain;
-  if (Hooks) {
-    // Portfolio wiring: prune against the cross-engine incumbent cell,
-    // and publish every verified incumbent the moment it is accepted so
-    // the PB worker can tighten its own search mid-race.
-    MipOpts.ExternalBound = Hooks->ExternalBound;
-    if (Hooks->OnIncumbent)
-      MipOpts.Observer = [&](const BbEventInfo &Info) {
-        if (Info.Kind != BbEvent::IncumbentFound || !Info.Values)
-          return;
-        ModuloSchedule Inc = F.decode(*Info.Values);
-        if (std::optional<std::string> Err =
-                verifySchedule(G, M, Inc, F.maxTime())) {
-          std::fprintf(stderr,
-                       "fatal: ILP produced an invalid incumbent: %s\n",
-                       Err->c_str());
-          std::abort();
-        }
-        Hooks->OnIncumbent(int64_t(std::llround(Info.Incumbent)),
-                           std::move(Inc));
-      };
-  }
   MipSolver Solver(MipOpts);
 
-  // Solve under the caller's context (a portfolio lane brings its own,
-  // wired to the race's cancellation source) or a fresh local one.
+  // Solve under the caller's context or a fresh local one.
   lp::SolveContext LocalCtx;
   MipResult R = Solver.solve(F.model(), C.Ctx ? *C.Ctx : LocalCtx);
   Stats.Nodes += R.Nodes;
@@ -97,13 +74,11 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   Attempt.Status = R.Status;
   Attempt.Nodes = R.Nodes;
   Attempt.SimplexIterations = R.SimplexIterations;
-  if (Hooks && R.UsedExternalBound)
-    ++Hooks->BoundExchanges;
 
   if (R.Status == MipStatus::Cancelled) {
-    // The caller's token stopped the search (e.g. the other engine of
-    // a portfolio race concluded first). No verdict about this II; in
-    // particular no half-decoded schedule ever escapes a cancelled solve.
+    // The caller's token stopped the search. No verdict about this II;
+    // in particular no half-decoded schedule ever escapes a cancelled
+    // solve.
     Attempt.Cancelled = true;
     return std::nullopt;
   }
@@ -119,29 +94,8 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
       Attempt.Audit = makeIlpAudit(R, "censored");
     return std::nullopt;
   }
-  if (!R.HasSolution) {
-    // Proved infeasible at this II, unless the search pruned against
-    // the shared cell: then only "no solution strictly better than the
-    // other engine's incumbent" was proved, and the coordinator commits
-    // that incumbent as the optimum.
-    if (Hooks && R.UsedExternalBound)
-      Hooks->RefutedBelowExternal = true;
-    return std::nullopt;
-  }
-  if (Hooks && Hooks->ExternalBound && R.UsedExternalBound) {
-    // The search pruned subtrees against the other engine's incumbent
-    // cell, so exhausting the tree proved "nothing strictly better than
-    // min(own incumbent, shared cell)" — NOT that this solve's own
-    // incumbent is the optimum. When the cell is strictly better, the
-    // shared schedule wins: every prune used a cutoff no smaller than
-    // the cell's final value (it only tightens), so no pruned subtree
-    // can hide anything below it.
-    int64_t K = Hooks->ExternalBound->load(std::memory_order_acquire);
-    if (K != INT64_MAX && double(K) < R.Objective - 1e-9) {
-      Hooks->RefutedBelowExternal = true;
-      return std::nullopt;
-    }
-  }
+  if (!R.HasSolution)
+    return std::nullopt; // Proved infeasible at this II.
 
   Stats.Variables = F.model().numVariables();
   Stats.Constraints = F.model().numConstraints();
@@ -174,7 +128,6 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
   const MachineModel &M = C.P.machine();
   ScheduleResult &Stats = C.Stats;
   IiAttempt &Attempt = C.Attempt;
-  PortfolioEngineHooks *Hooks = C.Hooks;
 
   PbFormulation F(G, M, C.Frame, C.P.options());
   assert(F.valid() && "attempts are dispatched on valid frames only");
@@ -222,22 +175,6 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
   bool HaveIncumbent = false;
   int64_t BestObj = 0;
   ModuloSchedule Best;
-  // Cross-engine exchange: at every restart (the solver's root level)
-  // poll the shared cell and, when the other engine's incumbent beats
-  // everything seen here, inject "objective <= k - 1" so the descent
-  // skips straight past it. LastInjected tracks the tightest applied
-  // cutoff; an Unsat answer with one pending and no better incumbent of
-  // our own refutes "below k", not the model.
-  int64_t LastInjected = INT64_MAX;
-  if (Hooks && Hooks->ExternalBound && F.hasObjective())
-    S.OnRestart = [&] {
-      int64_t K = Hooks->ExternalBound->load(std::memory_order_acquire);
-      if (K >= LastInjected || (HaveIncumbent && K >= BestObj))
-        return;
-      LastInjected = K;
-      ++Hooks->BoundExchanges;
-      F.injectObjectiveBound(K - 1);
-    };
   for (;;) {
     if (BoundedNodes) {
       int64_t Left = ConflictsLeft();
@@ -264,8 +201,6 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
       Best = std::move(Sched);
       BestObj = F.evalObjective();
       HaveIncumbent = true;
-      if (Hooks && Hooks->OnIncumbent)
-        Hooks->OnIncumbent(BestObj, Best);
       if (!F.hasObjective())
         break; // Feasibility answer: done.
       if (!F.pushObjectiveBound(BestObj - 1))
@@ -273,16 +208,8 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
       continue;
     }
     if (R == pb::SolveStatus::Unsat) {
-      if (HaveIncumbent && LastInjected >= BestObj)
+      if (HaveIncumbent)
         break; // No better schedule exists: the incumbent is optimal.
-      if (LastInjected != INT64_MAX) {
-        // An injected cross-engine cutoff tighter than any incumbent of
-        // ours is what was refuted: the shared incumbent is the optimum
-        // and the coordinator commits it. Not an infeasible II.
-        Hooks->RefutedBelowExternal = true;
-        Attempt.Status = MipStatus::Infeasible;
-        return std::nullopt;
-      }
       Attempt.Status = MipStatus::Infeasible;
       return std::nullopt; // Proved infeasible at this II.
     }

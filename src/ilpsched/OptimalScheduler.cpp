@@ -9,13 +9,11 @@
 #include "sched/Mii.h"
 #include "sched/Verifier.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <utility>
 
 using namespace modsched;
@@ -69,6 +67,12 @@ telemetry::Counter StatExplainResource("ilpsched",
 telemetry::Counter StatExplainNone("ilpsched", "explain.unexplained",
                                    "Infeasible IIs with no checkable "
                                    "witness");
+telemetry::Counter StatWinnerIlp("ilpsched", "portfolio.winner_ilp",
+                                 "Portfolio attempts decided by the ILP "
+                                 "engine");
+telemetry::Counter StatWinnerPb("ilpsched", "portfolio.winner_pb",
+                                "Portfolio attempts decided by the PB "
+                                "engine");
 
 /// Attaches the graph-level witness of an infeasible attempt at \p II,
 /// re-verified by checkExplanation, and bumps the witness counters. A
@@ -159,8 +163,7 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
               int64_t(Attempt.Explain && Attempt.Explain->Verified ? 1
                                                                    : 0)},
              {"winner",
-              Attempt.Winner.empty() ? "-" : Attempt.Winner.c_str()},
-             {"bound_exchanges", Attempt.BoundExchanges}});
+              Attempt.Winner.empty() ? "-" : Attempt.Winner.c_str()}});
     }
   } Publish{Stats, Attempt, AttemptWatch};
 
@@ -175,42 +178,47 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
     return std::nullopt;
   }
 
-  AttemptContext C{Opts, P, Frame, Stats, TimeBudget, Ctx, Attempt, nullptr,
-                   &Request.RacePool};
-  const char *Engine = toString(Opts.Backend);
-  std::optional<ModuloSchedule> S;
+  // One engine decides the attempt, on the caller's thread.
+  const bool PbSupported = PbFormulation::supports(P.options());
+  bool UsePb = false;
   switch (Opts.Backend) {
   case SchedulerBackend::Ilp:
-    S = solveIlpAttempt(C);
     break;
   case SchedulerBackend::Pb:
-    if (PbFormulation::supports(P.options())) {
-      S = solvePbAttempt(C);
-      break;
-    }
+    UsePb = PbSupported;
     // Unsupported formulation under the PB backend: decide it with the
     // ILP instead of failing the loop, and say so once per request.
-    if (!std::exchange(Request.PbFallbackWarned, true))
+    if (!UsePb && !std::exchange(Request.PbFallbackWarned, true))
       std::fprintf(stderr,
                    "modsched: PB backend does not support this formulation "
                    "(instance mapping, MinSL, or traditional objective "
                    "style); falling back to ILP\n");
-    Engine = toString(SchedulerBackend::Ilp);
-    S = solveIlpAttempt(C);
     break;
   case SchedulerBackend::Portfolio:
-    S = solvePortfolioAttempt(C);
+    // The objective picks the engine (see SchedulerBackend::Portfolio).
+    UsePb = PbSupported && P.options().Obj != Objective::MinLife;
     break;
   }
+  const char *Engine = toString(UsePb ? SchedulerBackend::Pb
+                                      : SchedulerBackend::Ilp);
+  AttemptContext C{Opts, P, Frame, Stats, TimeBudget, Ctx, Attempt};
+  std::optional<ModuloSchedule> S =
+      UsePb ? solvePbAttempt(C) : solveIlpAttempt(C);
 
-  // One witness path for every engine's infeasible verdict, including
-  // the portfolio's committed one.
-  if (Opts.Explain && Attempt.Status == MipStatus::Infeasible &&
-      !Attempt.Cancelled && !Attempt.Scheduled)
+  const bool Infeasible = Attempt.Status == MipStatus::Infeasible &&
+                          !Attempt.Cancelled && !Attempt.Scheduled;
+  if (Opts.Backend == SchedulerBackend::Portfolio &&
+      (Attempt.Scheduled || Infeasible)) {
+    Attempt.Winner = Engine;
+    ++(UsePb ? StatWinnerPb : StatWinnerIlp);
+  }
+
+  // One witness path for every engine's infeasible verdict.
+  if (Opts.Explain && Infeasible)
     attachExplanation(P, II, Attempt);
 
-  // Uniform gate: whatever engine (or race of engines) produced the
-  // schedule, it does not leave scheduleAtIi unverified.
+  // Uniform gate: whatever engine produced the schedule, it does not
+  // leave scheduleAtIi unverified.
   if (S)
     if (std::optional<std::string> Err =
             verifySchedule(P.graph(), P.machine(), *S)) {
@@ -293,8 +301,7 @@ ScheduleResult OptimalModuloScheduler::solve(const Problem &P,
   // one; only a solve computes it, before the II search starts from it.
   Result.Mii = mii(G, M);
   // The paper's loop: one tentative II at a time, MII upward, stopping
-  // at the first feasible one or when a budget runs out. A portfolio's
-  // first race creates the pool the rest of the ladder reuses.
+  // at the first feasible one or when a budget runs out.
   RequestState Request;
   for (int II = Result.Mii; II <= Result.Mii + Opts.MaxIiIncrease; ++II) {
     double Remaining = Opts.TimeLimitSeconds - Watch.seconds();

@@ -23,7 +23,6 @@
 #include "sched/ModuloSchedule.h"
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,8 +34,6 @@ namespace lp {
 struct SolveContext; // lp/SolveContext.h
 } // namespace lp
 
-class ThreadPool; // support/ThreadPool.h
-
 /// Which exact engine decides each tentative II.
 enum class SchedulerBackend {
   /// LP-relaxation branch-and-bound over lp::Model (the paper's CPLEX
@@ -47,11 +44,13 @@ enum class SchedulerBackend {
   /// (with a one-time warning) for formulations the encoding does not
   /// support; see PbFormulation::supports.
   Pb,
-  /// Race both exact engines per II attempt on a two-worker pool: the
-  /// first conclusive verdict wins and cancels the loser, incumbent
-  /// objective bounds flow between the engines through a shared atomic
-  /// cell. Verdicts (II and objective) are bit-exact vs Ilp regardless
-  /// of race timing; see ilpsched/PortfolioAttempt.h.
+  /// One engine per II attempt, picked from the objective: Pb when
+  /// PbFormulation::supports the formulation and the objective is not
+  /// MinLife, Ilp otherwise (EXPERIMENTS.md E11, E12, E23: the CDCL
+  /// engine decides more NoObj, MinBuff and MinReg records, the LP
+  /// relaxation more of MinLife's wide-coefficient ones). The chosen
+  /// engine runs on the caller's thread and spends exactly what its own
+  /// backend would; IiAttempt::Winner names it.
   Portfolio,
 };
 
@@ -82,9 +81,7 @@ struct SchedulerOptions {
   double TimeLimitSeconds = 60.0;
   /// Per-loop branch-and-bound node budget (censoring alternative that
   /// is deterministic across machines), spent cumulatively across the
-  /// II attempts. A portfolio race grants what is left to each engine
-  /// independently (neither sees the other's spend while it runs) and
-  /// charges both engines' spend to the loop afterwards.
+  /// II attempts.
   int64_t NodeLimit = INT64_MAX;
   /// Stop trying IIs after MII + MaxIiIncrease.
   int MaxIiIncrease = 64;
@@ -119,19 +116,6 @@ struct SchedulerOptions {
   /// through sched/Verifier before being reported. Off by default so
   /// benchmark effort numbers mean what they say.
   bool Cache = false;
-
-  // --- Portfolio backend knobs (Backend == SchedulerBackend::Portfolio,
-  //     ignored otherwise; see ilpsched/PortfolioAttempt.h) ---
-  /// PB sits out MinLife attempts whose maximum objective coefficient
-  /// (which scales with II) exceeds this width — E11 measured the CDCL
-  /// engine losing badly on wide-coefficient MinLife rows. Counted in
-  /// portfolio/pb_ineligible.
-  int PortfolioPbCoeffLimit = 24;
-  /// ILP sits out NoObj attempts whose PB row-assignment encoding has at
-  /// most this many variables (ops * II): E11 measured the CDCL engine
-  /// deciding tiny feasibility instances 66x faster, so racing the ILP
-  /// only burns a worker. 0 disables the heuristic.
-  int PortfolioIlpMinPbVars = 64;
 };
 
 /// Optimality evidence for one solved II attempt (attached under
@@ -195,15 +179,11 @@ struct IiAttempt {
   /// With SchedulerOptions::Explain, on a scheduled verdict: the
   /// optimality evidence trail.
   std::optional<OptimalityAudit> Audit;
-  /// Portfolio backend only: the engine whose verdict was committed for
-  /// this II ("ilp" / "pb"; ILP fallbacks report "ilp"). Empty under the
-  /// single-engine backends and on window-infeasible attempts, which no
-  /// engine decides.
+  /// Portfolio backend only: the engine the objective picked for this
+  /// II ("ilp" / "pb"), set when its verdict is conclusive. Empty under
+  /// the single-engine backends, on censored or cancelled attempts, and
+  /// on window-infeasible attempts, which no engine decides.
   std::string Winner;
-  /// Portfolio backend only: cross-engine incumbent bounds actually
-  /// applied during this attempt (PB rows injected at restarts + ILP
-  /// prunes against the shared cell).
-  int64_t BoundExchanges = 0;
 };
 
 /// Result of scheduling one loop.
@@ -326,8 +306,7 @@ public:
   /// token — for this attempt (lp/SolveContext.h); a fresh local
   /// context is used otherwise. Reentrant: concurrent calls on one
   /// scheduler are safe as long as each uses its own \p Stats and
-  /// \p Ctx. Under SchedulerBackend::Portfolio a race runs on a pool
-  /// of this call's own.
+  /// \p Ctx.
   std::optional<ModuloSchedule>
   scheduleAtIi(const Problem &P, int II, ScheduleResult &Stats,
                double TimeBudget, lp::SolveContext *Ctx = nullptr) const;
@@ -346,8 +325,6 @@ private:
   /// What one request keeps across its attempts: solve() holds one for
   /// the whole II ladder, each scheduleAtIi call one of its own.
   struct RequestState {
-    /// The portfolio's race pool, created by the first raced attempt.
-    std::unique_ptr<ThreadPool> RacePool;
     /// Set once the PB-fallback warning is printed, so it fires once
     /// per request, not once per II.
     bool PbFallbackWarned = false;

@@ -352,20 +352,6 @@ bool PbFormulation::pushObjectiveBound(int64_t Bound) {
   return RowOk && S.okay();
 }
 
-bool PbFormulation::injectObjectiveBound(int64_t Bound) {
-  // "objective <= Bound" with no descent selector: the bound came from a
-  // verified incumbent elsewhere (the raced ILP engine), so it holds for
-  // the remainder of this attempt. Root level only.
-  assert(Valid && "cannot bound an invalid formulation");
-  std::vector<std::pair<pb::Lit, int64_t>> Terms;
-  Terms.reserve(ObjTerms.size());
-  for (const std::pair<pb::Lit, int64_t> &T : ObjTerms)
-    Terms.push_back({T.first, -T.second});
-  int64_t Degree = ObjConst - Bound;
-  bool RowOk = S.addLinear(std::move(Terms), Degree);
-  return RowOk && S.okay();
-}
-
 ModuloSchedule PbFormulation::decode() const {
   assert(Valid && "cannot decode from an invalid formulation");
   int N = G.numOperations();

@@ -104,14 +104,6 @@ public:
   /// incumbent is optimal).
   bool pushObjectiveBound(int64_t Bound);
 
-  /// Adds an unconditional "objective <= Bound" row for this attempt —
-  /// no descent selector. For externally discovered incumbents
-  /// (portfolio cross-engine exchange); must be called at the solver's
-  /// root level, i.e. from the pb::Solver::OnRestart hook or between
-  /// solves. Returns false when the solver became root-level
-  /// unsatisfiable (nothing beats the external incumbent).
-  bool injectObjectiveBound(int64_t Bound);
-
   /// Assumption literals for solve(): the current objective-descent
   /// selector (empty before the first pushObjectiveBound).
   const std::vector<pb::Lit> &assumptions() const { return Assumps; }

@@ -48,9 +48,6 @@ modsched::telemetry::Counter
 modsched::telemetry::Counter
     StatWarmFallbacks("lp", "warm_fallbacks",
                       "warm-start attempts that fell back to a cold solve");
-modsched::telemetry::Counter
-    StatBasisRebuilds("lp", "basis_rebuilds",
-                      "warm starts that refactorized the requested basis");
 modsched::telemetry::PhaseTimer TimeSolve("lp", "simplex.solve",
                                           "wall time in LP solves");
 
@@ -603,8 +600,6 @@ LpResult solveSparse(SparseRevisedSimplex &E, const Model &M,
 
   LpStatus S;
   if (Warm) {
-    if (E.didRebuildBasis())
-      ++StatBasisRebuilds;
     S = E.runWarm();
     ++StatWarmSolves;
   } else {

@@ -177,7 +177,6 @@ void SparseRevisedSimplex::initCold(const Model &M,
   beginSolve(M, Opts);
   ModelP = &M;
   CurrentStamp = 0;
-  DidRebuild = false;
   layoutColumns(M, Lower, Upper);
 
   // Rest every structural variable at a finite bound (or 0 when free).
@@ -243,7 +242,6 @@ bool SparseRevisedSimplex::tryInitWarm(const Model &M,
                                        const std::vector<double> &Upper,
                                        const Basis &B,
                                        const SimplexOptions &Opts) {
-  DidRebuild = false;
   const int Rows = M.numConstraints();
   const int Struct = M.numVariables();
   if (static_cast<int>(B.BasicCols.size()) != Rows ||
@@ -264,7 +262,6 @@ bool SparseRevisedSimplex::tryInitWarm(const Model &M,
   } else {
     // Refactorization path: rebuild the layout (no artificials),
     // install the requested statuses/basis, and LU-factor it.
-    DidRebuild = true;
     beginSolve(M, Opts);
     ModelP = &M;
     CurrentStamp = 0;

@@ -104,9 +104,6 @@ public:
   int64_t dualIterations() const { return DualIters; }
   /// Product-form eta nonzeros appended during this solve.
   int64_t etaNonzeros() const { return EtaNnzTotal; }
-  /// True when the last tryInitWarm took the refactorization path
-  /// (counted as a basis rebuild by the caller's telemetry).
-  bool didRebuildBasis() const { return DidRebuild; }
 
 private:
   /// Per-solve bookkeeping shared by initCold / tryInitWarm.
@@ -242,7 +239,6 @@ private:
   int64_t DualIters = 0;
   int64_t EtaNnzTotal = 0;
   int64_t PivotsSinceFactor = 0;
-  bool DidRebuild = false;
   /// Id of the exported basis this engine state realizes (0 = none).
   uint64_t CurrentStamp = 0;
   /// LuFactor tally marks for flushFactorStats deltas.

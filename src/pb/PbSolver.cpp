@@ -987,17 +987,6 @@ SolveStatus Solver::solve(const std::vector<Lit> &Assumptions) {
       }
       if (budgetExpired(ConflictsLeft))
         break; // A genuine Limit, not a restart.
-      if (OnRestart) {
-        // Luby restart boundary: decision level zero, no pending
-        // conflict. The hook may inject constraints learned elsewhere
-        // (e.g. a raced engine's incumbent bound).
-        OnRestart();
-        if (!Ok) {
-          Core.clear();
-          Result = SolveStatus::Unsat;
-          break;
-        }
-      }
     }
     cancelUntil(0);
   }

@@ -61,7 +61,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -213,13 +212,6 @@ public:
 
   /// Cooperative cancellation, polled between decisions.
   CancellationToken Cancel;
-
-  /// Invoked at every Luby restart boundary, with the solver at decision
-  /// level zero and no conflict pending. The hook may add constraints
-  /// (addClause/addLinear) — this is the safe injection point for
-  /// externally discovered bounds in a portfolio race. Must not call
-  /// solve() reentrantly.
-  std::function<void()> OnRestart;
 
   //===--------------------------------------------------------------------===//
   // Export (original constraints, for OPB text I/O)

@@ -8,9 +8,9 @@
 /// Cooperative cancellation for long-running solves. A CancellationSource
 /// owns a cancel flag; any number of CancellationToken copies observe it.
 /// The solver stack polls the token at its natural budget checkpoints
-/// (between branch-and-bound nodes, every 64 simplex pivots), so a racing
-/// sibling attempt — the speculative parallel II search — can stop a
-/// solve that has become irrelevant within one node LP.
+/// (between branch-and-bound nodes, every 64 simplex pivots), so a
+/// caller — the scheduling service when its client disconnects — can
+/// stop a solve that has become irrelevant within one node LP.
 ///
 /// Thread-safety: cancel() may be called from any thread, concurrently
 /// with any number of cancelled() polls. Tokens are cheap to copy (one

@@ -10,7 +10,9 @@
 // other: on random loops the branch-and-bound ILP and the CDCL
 // pseudo-Boolean engine must agree on the feasible-II verdict, the
 // achieved II, and the optimal objective value — they share no solver
-// code, only the formulation's mathematics.
+// code, only the formulation's mathematics. The backend legs run on a
+// deterministic node budget (B&B nodes plus CDCL conflicts) and assert
+// every solve decided.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace modsched;
 
 namespace {
@@ -31,6 +35,29 @@ namespace {
 /// conflict) materializes dynamically.
 int enoughIterations(const ModuloSchedule &S) {
   return S.numStages() + 24;
+}
+
+/// Node budget of every backend-leg solve, about ten times the largest
+/// spend (1 904 B&B nodes, an ILP MinBuff descent in the PB leg).
+constexpr int64_t LegNodeLimit = 20000;
+
+/// Options for one backend leg: a deterministic node budget, with the
+/// wall clock only as a distant safety net.
+SchedulerOptions legOpts(SchedulerBackend Backend, Objective Obj) {
+  SchedulerOptions Opts;
+  Opts.Backend = Backend;
+  Opts.Formulation.Obj = Obj;
+  Opts.NodeLimit = LegNodeLimit;
+  Opts.TimeLimitSeconds = 3600.0;
+  return Opts;
+}
+
+/// A backend-leg solve must be decided within its budget.
+void expectDecided(const ScheduleResult &R, const char *Leg,
+                   const std::string &What) {
+  EXPECT_FALSE(R.TimedOut) << Leg << " " << What;
+  EXPECT_FALSE(R.NodeLimitHit) << Leg << " spent " << R.budgetNodes() << " "
+                               << What;
 }
 
 } // namespace
@@ -98,23 +125,22 @@ TEST_P(BackendDifferentialTest, PbAndIlpAgree) {
     for (Objective Obj : {Objective::None, Objective::MinBuff}) {
       if (Obj == Objective::MinBuff && LoopIdx != 0)
         continue;
-      SchedulerOptions IlpOpts, PbOpts;
-      IlpOpts.Backend = SchedulerBackend::Ilp;
-      PbOpts.Backend = SchedulerBackend::Pb;
-      IlpOpts.Formulation.Obj = PbOpts.Formulation.Obj = Obj;
-      IlpOpts.TimeLimitSeconds = PbOpts.TimeLimitSeconds = 20.0;
-      ScheduleResult A = OptimalModuloScheduler(M, IlpOpts).schedule(G);
-      ScheduleResult B = OptimalModuloScheduler(M, PbOpts).schedule(G);
-      if (A.TimedOut || A.NodeLimitHit || B.TimedOut || B.NodeLimitHit)
-        continue; // Censored solves prove nothing; skip, don't fail.
-      ASSERT_EQ(A.Found, B.Found)
-          << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
+      const std::string What = std::string(toString(Obj)) + " loop " +
+                               std::to_string(LoopIdx) + "\n" + G.toString();
+      ScheduleResult A =
+          OptimalModuloScheduler(M, legOpts(SchedulerBackend::Ilp, Obj))
+              .schedule(G);
+      ScheduleResult B =
+          OptimalModuloScheduler(M, legOpts(SchedulerBackend::Pb, Obj))
+              .schedule(G);
+      expectDecided(A, "ilp", What);
+      expectDecided(B, "pb", What);
+      ASSERT_EQ(A.Found, B.Found) << What;
       if (!A.Found)
         continue;
-      EXPECT_EQ(A.II, B.II)
-          << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
+      EXPECT_EQ(A.II, B.II) << What;
       EXPECT_NEAR(A.SecondaryObjective, B.SecondaryObjective, 1e-6)
-          << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
+          << What;
       // The PB schedule passes both independent checkers.
       EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value())
           << G.toString();
@@ -137,13 +163,11 @@ class PortfolioDifferentialTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(PortfolioDifferentialTest, PortfolioAndIlpAgree) {
-  // The portfolio backend races both exact engines per II with
-  // cross-engine bound sharing; its committed verdicts must stay
-  // bit-exact with the sequential ILP regardless of race timing. Two
-  // loops per seed x 10 seeds (the race time-slices on small hosts, so
-  // this leg stays lighter than the PB one above); loop 0 additionally
-  // runs the MinBuff descent so the incumbent-exchange path is fuzzed,
-  // not just feasibility.
+  // The portfolio backend decides each II with the engine its objective
+  // picks (PB for both objectives here); its verdicts must equal the
+  // ILP's. Two loops per seed x 10 seeds; loop 0 additionally runs the
+  // MinBuff descent so objective values are fuzzed, not just
+  // feasibility.
   MachineModel M = MachineModel::cydraLike();
   Rng R(GetParam() * 197 + 3);
   SyntheticOptions Gen;
@@ -154,23 +178,22 @@ TEST_P(PortfolioDifferentialTest, PortfolioAndIlpAgree) {
     for (Objective Obj : {Objective::None, Objective::MinBuff}) {
       if (Obj == Objective::MinBuff && LoopIdx != 0)
         continue;
-      SchedulerOptions IlpOpts, PortOpts;
-      IlpOpts.Backend = SchedulerBackend::Ilp;
-      PortOpts.Backend = SchedulerBackend::Portfolio;
-      IlpOpts.Formulation.Obj = PortOpts.Formulation.Obj = Obj;
-      IlpOpts.TimeLimitSeconds = PortOpts.TimeLimitSeconds = 20.0;
-      ScheduleResult A = OptimalModuloScheduler(M, IlpOpts).schedule(G);
-      ScheduleResult B = OptimalModuloScheduler(M, PortOpts).schedule(G);
-      if (A.TimedOut || A.NodeLimitHit || B.TimedOut || B.NodeLimitHit)
-        continue; // Censored solves prove nothing; skip, don't fail.
-      ASSERT_EQ(A.Found, B.Found)
-          << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
+      const std::string What = std::string(toString(Obj)) + " loop " +
+                               std::to_string(LoopIdx) + "\n" + G.toString();
+      ScheduleResult A =
+          OptimalModuloScheduler(M, legOpts(SchedulerBackend::Ilp, Obj))
+              .schedule(G);
+      ScheduleResult B =
+          OptimalModuloScheduler(M, legOpts(SchedulerBackend::Portfolio, Obj))
+              .schedule(G);
+      expectDecided(A, "ilp", What);
+      expectDecided(B, "portfolio", What);
+      ASSERT_EQ(A.Found, B.Found) << What;
       if (!A.Found)
         continue;
-      EXPECT_EQ(A.II, B.II)
-          << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
+      EXPECT_EQ(A.II, B.II) << What;
       EXPECT_NEAR(A.SecondaryObjective, B.SecondaryObjective, 1e-6)
-          << toString(Obj) << " loop " << LoopIdx << "\n" << G.toString();
+          << What;
       // The portfolio schedule passes both independent checkers.
       EXPECT_FALSE(verifySchedule(G, M, B.Schedule).has_value())
           << G.toString();

@@ -111,8 +111,9 @@ TEST(Ims, BudgetZeroFailsCleanly) {
   Opts.MaxIiIncrease = 0;
   IterativeModuloScheduler Sched(M, Opts);
   ImsResult R = Sched.schedule(G);
-  if (R.Found)
+  if (R.Found) {
     EXPECT_FALSE(verifySchedule(G, M, R.Schedule).has_value());
+  }
 }
 
 TEST(StageScheduler, FixpointIsStable) {

@@ -7,7 +7,7 @@
 // agree on the feasible-II verdict, the achieved II, and the optimal
 // secondary objective value. These tests enforce that differential over
 // the full kernel library and a synthetic suite, and exercise the
-// backend seam itself (env default, fallback, budgets, parallel race).
+// backend seam itself (env default, fallback, budgets).
 //
 //===----------------------------------------------------------------------===//
 
@@ -279,8 +279,9 @@ TEST(PbBackend, AttemptTelemetryTellsTheStory) {
   for (const IiAttempt &A : R.Attempts) {
     EXPECT_GE(A.II, R.Mii);
     EXPECT_LE(A.II, R.II);
-    if (A.II < R.II)
+    if (A.II < R.II) {
       EXPECT_FALSE(A.Scheduled);
+    }
   }
 }
 

@@ -279,8 +279,8 @@ TEST(PbSolver, PinnedSearchAcrossReductions) {
   // cardinality row of degree 6 and one wide-coefficient linear row,
   // minimized by a selector-gated descent on sum(x). The run takes five
   // learned-database reductions, all above decision level 0, and an
-  // OnRestart hook appends an ungated bound after learned clauses exist,
-  // so later reductions move an original row too. Storage and speed
+  // ungated bound is appended between two solves after learned clauses
+  // exist, so later reductions move an original row too. Storage and speed
   // changes must leave every value below as it is; a change to any of
   // them means the search itself changed.
   const int N = 150;
@@ -313,13 +313,7 @@ TEST(PbSolver, PinnedSearchAcrossReductions) {
     return Terms;
   };
   int64_t FirstCost = -1;
-  int HookAdds = 0;
-  S.OnRestart = [&] {
-    if (FirstCost < 0 || HookAdds > 0 || S.stats().Conflicts < 3000)
-      return;
-    ++HookAdds;
-    EXPECT_TRUE(S.addLinear(BoundTerms(-1), int64_t(N) - FirstCost));
-  };
+  int UngatedAdds = 0;
 
   std::vector<std::string> Verdicts;
   std::vector<int64_t> Costs;
@@ -335,12 +329,16 @@ TEST(PbSolver, PinnedSearchAcrossReductions) {
     Costs.push_back(Cost);
     if (FirstCost < 0)
       FirstCost = Cost;
+    if (UngatedAdds == 0 && S.stats().Conflicts >= 3000) {
+      ++UngatedAdds;
+      ASSERT_TRUE(S.addLinear(BoundTerms(-1), int64_t(N) - FirstCost));
+    }
     Var Sel = S.newVar();
     ASSERT_TRUE(S.addLinear(BoundTerms(Sel), int64_t(N) - Cost + 1));
     Assumps.push_back(negLit(Sel));
   }
 
-  EXPECT_EQ(HookAdds, 1);
+  EXPECT_EQ(UngatedAdds, 1);
   std::vector<std::string> ExpectVerdicts(14, "sat");
   ExpectVerdicts.push_back("unsat");
   EXPECT_EQ(Verdicts, ExpectVerdicts);

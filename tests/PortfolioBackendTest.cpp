@@ -1,77 +1,124 @@
-//===- tests/PortfolioBackendTest.cpp - portfolio race differential --------===//
+//===- tests/PortfolioBackendTest.cpp - portfolio engine choice ------------===//
 //
-// The portfolio backend races the ILP branch-and-bound and the CDCL
-// pseudo-Boolean engine per II attempt, with cross-engine incumbent
-// exchange. Its committed verdicts must be bit-exact with the
-// sequential single-engine backends regardless of race timing — these
-// tests enforce that differential three ways (portfolio vs ILP vs PB),
-// plus the race invariants themselves: loser cancellation, winner
-// bookkeeping, and bound-exchange soundness (a shared incumbent must
-// never cut off the true optimum).
+// The portfolio backend decides each II attempt with one engine, picked
+// from the formulation: the CDCL pseudo-Boolean engine when
+// PbFormulation::supports it and the objective is not MinLife, the LP
+// branch-and-bound otherwise. The picked engine runs on the caller's
+// thread exactly as its own backend does, so these tests pin that a
+// portfolio solve is the picked backend's solve — the same nodes,
+// conflicts, attempts, II, objective and schedule — and keep the
+// three-way verdict differential (portfolio vs ILP vs PB).
 //
 // Budgets are deterministic: a node budget (B&B nodes plus CDCL
-// conflicts) far above what any case needs, with the wall clock only as
-// a distant safety net, and every case is asserted decided. The largest
-// decided case spends about 500; a race grants each engine the loop's
-// remaining budget and a loser's spend depends on thread timing, hence
-// the headroom.
+// conflicts), with the wall clock only as a distant safety net. The
+// differential cases are asserted decided; the kernel-by-objective
+// sweep lists the cases its budget censors by name.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ilpsched/OptimalScheduler.h"
+#include "ilpsched/PbFormulation.h"
 #include "sched/PipelineSimulator.h"
 #include "sched/Verifier.h"
 #include "support/Rng.h"
-#include "support/Telemetry.h"
 #include "workloads/KernelLibrary.h"
 #include "workloads/SyntheticGenerator.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 using namespace modsched;
 
 namespace {
 
-SchedulerOptions backendOpts(SchedulerBackend Backend, Objective Obj) {
+SchedulerOptions backendOpts(SchedulerBackend Backend, Objective Obj,
+                             int64_t NodeLimit = 200000) {
   SchedulerOptions Opts;
   Opts.Backend = Backend;
   Opts.Formulation.Obj = Obj;
-  Opts.NodeLimit = 200000;
+  Opts.NodeLimit = NodeLimit;
   Opts.TimeLimitSeconds = 3600.0;
   return Opts;
 }
 
-/// Every case in this file is decided within its budget; a censored run
-/// is a failure, not a skip.
+/// The engine the portfolio picks for \p F.
+SchedulerBackend pickedEngine(const FormulationOptions &F) {
+  return PbFormulation::supports(F) && F.Obj != Objective::MinLife
+             ? SchedulerBackend::Pb
+             : SchedulerBackend::Ilp;
+}
+
+/// A case asserted decided: a censored run is a failure, not a skip.
 void expectDecided(const ScheduleResult &R, const std::string &What) {
   EXPECT_FALSE(R.TimedOut) << What;
   EXPECT_FALSE(R.NodeLimitHit) << What << " (budget " << R.budgetNodes()
                                << ")";
 }
 
-/// Race-invariant checks every portfolio result must satisfy,
-/// independent of the verdict: winners only on conclusive attempts,
-/// never on cancelled ones, and the race's accounting is populated.
-void checkRaceInvariants(const ScheduleResult &R) {
+/// Every conclusive portfolio attempt names \p Engine; censored,
+/// cancelled and window-infeasible attempts name none.
+void expectWinners(const ScheduleResult &R, SchedulerBackend Engine,
+                   const std::string &What) {
   for (const IiAttempt &A : R.Attempts) {
-    EXPECT_TRUE(A.Winner.empty() || A.Winner == "ilp" || A.Winner == "pb")
-        << "unknown winner '" << A.Winner << "' at II=" << A.II;
-    if (A.Cancelled)
-      EXPECT_TRUE(A.Winner.empty())
-          << "cancelled attempt claims winner at II=" << A.II;
-    if (A.Scheduled)
-      EXPECT_FALSE(A.Winner.empty())
-          << "scheduled attempt has no winner at II=" << A.II;
-    EXPECT_GE(A.BoundExchanges, 0);
+    const bool Conclusive =
+        !A.WindowInfeasible && !A.Cancelled &&
+        (A.Scheduled || A.Status == ilp::MipStatus::Infeasible);
+    EXPECT_EQ(A.Winner, Conclusive ? toString(Engine) : "")
+        << What << " II=" << A.II;
   }
 }
 
-/// Runs the portfolio and both sequential single-engine backends on
-/// (M, G, Obj) and checks the three-way differential: each run decided,
-/// identical Found verdict, II, and objective value, plus an
-/// independently verified and simulated portfolio schedule.
+/// Runs the portfolio and the backend its rule picks on (M, G, Obj)
+/// under \p NodeLimit and expects the same solve, effort included.
+/// Returns true when the solve was censored.
+bool expectSameSolveAsPickedEngine(const MachineModel &M,
+                                   const DependenceGraph &G, Objective Obj,
+                                   int64_t NodeLimit) {
+  SchedulerOptions PortOpts =
+      backendOpts(SchedulerBackend::Portfolio, Obj, NodeLimit);
+  const SchedulerBackend Engine = pickedEngine(PortOpts.Formulation);
+  SchedulerOptions EngineOpts = PortOpts;
+  EngineOpts.Backend = Engine;
+  ScheduleResult Port = OptimalModuloScheduler(M, PortOpts).schedule(G);
+  ScheduleResult Alone = OptimalModuloScheduler(M, EngineOpts).schedule(G);
+  const std::string What = M.name() + "/" + G.name() + " " + toString(Obj) +
+                           " vs " + toString(Engine);
+
+  EXPECT_EQ(Port.Found, Alone.Found) << What;
+  EXPECT_EQ(Port.TimedOut, Alone.TimedOut) << What;
+  EXPECT_EQ(Port.NodeLimitHit, Alone.NodeLimitHit) << What;
+  EXPECT_EQ(Port.II, Alone.II) << What;
+  EXPECT_EQ(Port.SecondaryObjective, Alone.SecondaryObjective) << What;
+  EXPECT_EQ(Port.Schedule.times(), Alone.Schedule.times()) << What;
+  EXPECT_EQ(Port.Nodes, Alone.Nodes) << What;
+  EXPECT_EQ(Port.SimplexIterations, Alone.SimplexIterations) << What;
+  EXPECT_EQ(Port.LpRefactorizations, Alone.LpRefactorizations) << What;
+  EXPECT_EQ(Port.PbConflicts, Alone.PbConflicts) << What;
+  EXPECT_EQ(Port.PbPropagations, Alone.PbPropagations) << What;
+  EXPECT_EQ(Port.PbRestarts, Alone.PbRestarts) << What;
+  EXPECT_EQ(Port.PbLearned, Alone.PbLearned) << What;
+  EXPECT_EQ(Port.Variables, Alone.Variables) << What;
+  EXPECT_EQ(Port.Constraints, Alone.Constraints) << What;
+  EXPECT_EQ(Port.Attempts.size(), Alone.Attempts.size()) << What;
+  for (size_t I = 0; I < Port.Attempts.size() && I < Alone.Attempts.size();
+       ++I) {
+    const IiAttempt &P = Port.Attempts[I], &A = Alone.Attempts[I];
+    EXPECT_EQ(P.II, A.II) << What;
+    EXPECT_EQ(P.Status, A.Status) << What << " II=" << P.II;
+    EXPECT_EQ(P.Nodes, A.Nodes) << What << " II=" << P.II;
+    EXPECT_EQ(P.PbConflicts, A.PbConflicts) << What << " II=" << P.II;
+    EXPECT_TRUE(A.Winner.empty()) << What << " II=" << A.II;
+  }
+  expectWinners(Port, Engine, What);
+  return Port.TimedOut || Port.NodeLimitHit;
+}
+
+/// Runs the portfolio and both single-engine backends on (M, G, Obj) and
+/// checks the three-way differential: each run decided, identical Found
+/// verdict, II and objective value, plus an independently verified and
+/// simulated portfolio schedule.
 void expectPortfolioAgrees(const MachineModel &M, const DependenceGraph &G,
                            Objective Obj) {
   ScheduleResult Ilp =
@@ -80,34 +127,87 @@ void expectPortfolioAgrees(const MachineModel &M, const DependenceGraph &G,
   ScheduleResult Pb =
       OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Pb, Obj))
           .schedule(G);
-  ScheduleResult Port =
-      OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Portfolio, Obj))
-          .schedule(G);
+  SchedulerOptions PortOpts = backendOpts(SchedulerBackend::Portfolio, Obj);
+  ScheduleResult Port = OptimalModuloScheduler(M, PortOpts).schedule(G);
   const std::string What =
       M.name() + "/" + G.name() + " " + toString(Obj) + " ";
   expectDecided(Ilp, What + "ilp");
   expectDecided(Pb, What + "pb");
   expectDecided(Port, What + "portfolio");
-  checkRaceInvariants(Port);
-  EXPECT_EQ(Ilp.Found, Port.Found) << M.name() << "/" << G.name();
-  EXPECT_EQ(Pb.Found, Port.Found) << M.name() << "/" << G.name();
+  expectWinners(Port, pickedEngine(PortOpts.Formulation), What);
+  EXPECT_EQ(Ilp.Found, Port.Found) << What;
+  EXPECT_EQ(Pb.Found, Port.Found) << What;
   if (!Ilp.Found || !Port.Found)
     return;
-  EXPECT_EQ(Ilp.II, Port.II) << M.name() << "/" << G.name();
-  EXPECT_EQ(Ilp.Mii, Port.Mii) << M.name() << "/" << G.name();
-  EXPECT_NEAR(Ilp.SecondaryObjective, Port.SecondaryObjective, 1e-6)
-      << M.name() << "/" << G.name();
-  EXPECT_NEAR(Pb.SecondaryObjective, Port.SecondaryObjective, 1e-6)
-      << M.name() << "/" << G.name();
-  EXPECT_FALSE(verifySchedule(G, M, Port.Schedule).has_value())
-      << M.name() << "/" << G.name();
+  EXPECT_EQ(Ilp.II, Port.II) << What;
+  EXPECT_EQ(Ilp.Mii, Port.Mii) << What;
+  EXPECT_NEAR(Ilp.SecondaryObjective, Port.SecondaryObjective, 1e-6) << What;
+  EXPECT_NEAR(Pb.SecondaryObjective, Port.SecondaryObjective, 1e-6) << What;
+  EXPECT_FALSE(verifySchedule(G, M, Port.Schedule).has_value()) << What;
   EXPECT_FALSE(simulateSchedule(G, M, Port.Schedule,
                                 Port.Schedule.numStages() + 24)
                    .Violation.has_value())
-      << M.name() << "/" << G.name();
+      << What;
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The portfolio's solve is the picked engine's solve
+//===----------------------------------------------------------------------===//
+
+TEST(PortfolioBackend, EveryKernelAndObjectiveMatchesThePickedEngine) {
+  // Every kernel x objective on cydraLike, under node budgets small
+  // enough to censor some: a censored portfolio solve must be censored
+  // exactly as the picked engine's (same spend, same flags), and the
+  // censored set is pinned by name. MinLife, decided by the ILP, gets
+  // the smaller budget: livermore7-eos's node LPs cost about 50 ms each.
+  MachineModel M = MachineModel::cydraLike();
+  std::set<std::string> Censored;
+  for (const DependenceGraph &G : allKernels(M))
+    for (Objective Obj : {Objective::None, Objective::MinReg,
+                          Objective::MinBuff, Objective::MinLife}) {
+      const int64_t NodeLimit = Obj == Objective::MinLife ? 40 : 20000;
+      if (expectSameSolveAsPickedEngine(M, G, Obj, NodeLimit))
+        Censored.insert(G.name() + " " + toString(Obj));
+    }
+  EXPECT_EQ(Censored, (std::set<std::string>{
+                          "complex-multiply MinLife",
+                          "complex-multiply MinReg",
+                          "fir4 MinLife",
+                          "fir4 MinReg",
+                          "hydro2d-fragment MinLife",
+                          "hydro2d-fragment MinReg",
+                          "livermore1-hydro MinLife",
+                          "livermore7-eos MinLife",
+                          "livermore7-eos MinReg",
+                          "stencil3 MinLife",
+                      }));
+}
+
+TEST(PortfolioBackend, UnsupportedFormulationPicksIlp) {
+  // MinSL and instance mapping have no PB encoding: the portfolio
+  // decides them with the ILP, silently (the PB backend's fallback
+  // warning is its own), and spends no conflicts.
+  MachineModel M = MachineModel::example3();
+  DependenceGraph G = paperExample1(M);
+  SchedulerOptions MinSl =
+      backendOpts(SchedulerBackend::Portfolio, Objective::MinSL);
+  SchedulerOptions Mapped =
+      backendOpts(SchedulerBackend::Portfolio, Objective::MinReg);
+  Mapped.Formulation.InstanceMapped = true;
+  for (const SchedulerOptions &Opts : {MinSl, Mapped}) {
+    ASSERT_EQ(pickedEngine(Opts.Formulation), SchedulerBackend::Ilp);
+    ::testing::internal::CaptureStderr();
+    ScheduleResult R = OptimalModuloScheduler(M, Opts).schedule(G);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    ASSERT_TRUE(R.Found);
+    EXPECT_GT(R.Nodes + R.SimplexIterations, 0);
+    EXPECT_EQ(R.PbConflicts, 0);
+    EXPECT_EQ(R.PbPropagations, 0);
+    expectWinners(R, SchedulerBackend::Ilp, "paper-example1");
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Kernel-library differential
@@ -127,10 +227,16 @@ TEST(PortfolioBackend, KernelMinBuffAgreesWithBothEngines) {
     expectPortfolioAgrees(M, G, Objective::MinBuff);
 }
 
+TEST(PortfolioBackend, KernelMinLifeAgreesWithBothEngines) {
+  MachineModel M = MachineModel::example3();
+  for (const DependenceGraph &G :
+       {paperExample1(M), livermore5(M), dotProduct(M), daxpy(M)})
+    expectPortfolioAgrees(M, G, Objective::MinLife);
+}
+
 TEST(PortfolioBackend, PaperExample1MinRegIs7) {
-  // Figure 1e's headline register number survives the race: with both
-  // engines descending the MinReg objective and exchanging incumbents,
-  // the committed optimum is still exactly 7 at II=2.
+  // Figure 1e's headline register number: the portfolio decides MinReg
+  // with the PB descent and commits exactly 7 at II=2.
   MachineModel M = MachineModel::example3();
   DependenceGraph G = paperExample1(M);
   ScheduleResult R =
@@ -140,7 +246,7 @@ TEST(PortfolioBackend, PaperExample1MinRegIs7) {
   ASSERT_TRUE(R.Found);
   EXPECT_EQ(R.II, 2);
   EXPECT_NEAR(R.SecondaryObjective, 7.0, 1e-6);
-  checkRaceInvariants(R);
+  expectWinners(R, SchedulerBackend::Pb, "paper-example1");
 }
 
 //===----------------------------------------------------------------------===//
@@ -157,8 +263,6 @@ TEST_P(PortfolioSyntheticTest, AgreesWithBothEngines) {
   Opts.MaxOps = 10;
   DependenceGraph G = generateLoop(M, R, Opts);
   expectPortfolioAgrees(M, G, Objective::None);
-  // Objective-value differential (engines exchange incumbents while
-  // descending) on the same loop.
   expectPortfolioAgrees(M, G, Objective::MinBuff);
 }
 
@@ -166,164 +270,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PortfolioSyntheticTest,
                          ::testing::Range<uint64_t>(0, 12));
 
 //===----------------------------------------------------------------------===//
-// Bound-exchange correctness
-//===----------------------------------------------------------------------===//
-
-TEST(PortfolioBackend, BoundExchangeNeverCutsTheOptimum) {
-  // Objective descent is where the shared incumbent actually bites: an
-  // engine that accepts a foreign bound k and then refutes "obj <= k-1"
-  // commits k as optimal. If the injected bound were ever wrong (cut
-  // the true optimum), the committed objective would exceed the
-  // sequential ILP's — so exact objective equality on descent-heavy
-  // kernels is the correctness proof of the exchange protocol.
-  MachineModel M = MachineModel::vliw2();
-  for (const DependenceGraph &G :
-       {paperExample1(M), livermore5(M), dotProduct(M)}) {
-    ScheduleResult Seq =
-        OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Ilp,
-                                              Objective::MinReg))
-            .schedule(G);
-    ScheduleResult Port =
-        OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Portfolio,
-                                              Objective::MinReg))
-            .schedule(G);
-    expectDecided(Seq, G.name() + " ilp");
-    expectDecided(Port, G.name() + " portfolio");
-    ASSERT_EQ(Seq.Found, Port.Found) << G.name();
-    if (!Seq.Found)
-      continue;
-    EXPECT_EQ(Seq.II, Port.II) << G.name();
-    EXPECT_NEAR(Seq.SecondaryObjective, Port.SecondaryObjective, 1e-6)
-        << G.name();
-    EXPECT_FALSE(verifySchedule(G, M, Port.Schedule).has_value())
-        << G.name();
-    checkRaceInvariants(Port);
-  }
-}
-
-TEST(PortfolioBackend, SharedIncumbentBeatsIlpOwnIncumbent) {
-  // Regression: the ILP worker can exhaust its tree holding an
-  // incumbent WORSE than the shared cell (the PB side published a
-  // better schedule, and the ILP pruned the subtree containing it
-  // against that very bound). Committing the ILP's own incumbent as
-  // optimal is then wrong — the proof only covers "nothing better than
-  // min(own, shared)". First seen on the bench suite's synthetic5
-  // under MinLife/Traditional, where the race intermittently reported
-  // 17 against the true optimum 16; repeated trials keep the
-  // race-timing window covered.
-  MachineModel M = MachineModel::cydraLike();
-  std::vector<DependenceGraph> Suite =
-      generateSuite(M, 25, 20260705, /*IncludeKernels=*/true, 32);
-  size_t NumKernels = Suite.size() - 25;
-  const DependenceGraph &G = Suite[NumKernels + 5];
-
-  SchedulerOptions IlpOpts = backendOpts(SchedulerBackend::Ilp,
-                                         Objective::MinLife);
-  IlpOpts.Formulation.DepStyle = DependenceStyle::Traditional;
-  ScheduleResult Seq = OptimalModuloScheduler(M, IlpOpts).schedule(G);
-  ASSERT_TRUE(Seq.Found);
-
-  for (int Trial = 0; Trial < 20; ++Trial) {
-    SchedulerOptions PortOpts = IlpOpts;
-    PortOpts.Backend = SchedulerBackend::Portfolio;
-    ScheduleResult Port = OptimalModuloScheduler(M, PortOpts).schedule(G);
-    expectDecided(Port, "trial " + std::to_string(Trial));
-    ASSERT_TRUE(Port.Found) << "trial " << Trial;
-    EXPECT_EQ(Seq.II, Port.II) << "trial " << Trial;
-    ASSERT_NEAR(Seq.SecondaryObjective, Port.SecondaryObjective, 1e-6)
-        << "trial " << Trial;
-    checkRaceInvariants(Port);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Eligibility sit-outs
-//===----------------------------------------------------------------------===//
-
-TEST(PortfolioBackend, MinLifeCoeffGuardSitsPbOut) {
-  // Forcing the wide-coefficient guard (limit 0 makes every MinLife II
-  // ineligible) must route the whole ladder through the inline ILP: the
-  // verdict matches the sequential ILP and the PB engine never runs.
-  MachineModel M = MachineModel::example3();
-  DependenceGraph G = paperExample1(M);
-  SchedulerOptions Opts = backendOpts(SchedulerBackend::Portfolio,
-                                      Objective::MinLife);
-  Opts.PortfolioPbCoeffLimit = 0;
-  ScheduleResult Port = OptimalModuloScheduler(M, Opts).schedule(G);
-  ScheduleResult Seq =
-      OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Ilp,
-                                            Objective::MinLife))
-          .schedule(G);
-  ASSERT_TRUE(Seq.Found && Port.Found);
-  EXPECT_EQ(Seq.II, Port.II);
-  EXPECT_NEAR(Seq.SecondaryObjective, Port.SecondaryObjective, 1e-6);
-  EXPECT_EQ(Port.PbConflicts, 0);
-  EXPECT_EQ(Port.PbPropagations, 0);
-  for (const IiAttempt &A : Port.Attempts)
-    if (!A.Winner.empty())
-      EXPECT_EQ(A.Winner, "ilp");
-}
-
-TEST(PortfolioBackend, TinyNoObjEncodingSitsIlpOut) {
-  // A feasibility attempt whose PB encoding is below the threshold runs
-  // the PB engine inline (no race, no B&B nodes); an enormous threshold
-  // forces that path for the whole ladder.
-  MachineModel M = MachineModel::example3();
-  DependenceGraph G = paperExample1(M);
-  SchedulerOptions Opts = backendOpts(SchedulerBackend::Portfolio,
-                                      Objective::None);
-  Opts.PortfolioIlpMinPbVars = 1 << 20;
-  ScheduleResult Port = OptimalModuloScheduler(M, Opts).schedule(G);
-  ScheduleResult Seq =
-      OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Ilp,
-                                            Objective::None))
-          .schedule(G);
-  ASSERT_TRUE(Seq.Found && Port.Found);
-  EXPECT_EQ(Seq.II, Port.II);
-  EXPECT_EQ(Port.Nodes, 0);
-  EXPECT_GT(Port.PbPropagations, 0);
-  for (const IiAttempt &A : Port.Attempts)
-    if (!A.Winner.empty())
-      EXPECT_EQ(A.Winner, "pb");
-  EXPECT_FALSE(verifySchedule(G, M, Port.Schedule).has_value());
-}
-
-//===----------------------------------------------------------------------===//
-// Seam behavior and telemetry
+// Seam behavior
 //===----------------------------------------------------------------------===//
 
 TEST(PortfolioBackend, BackendNameRoundTrips) {
   EXPECT_STREQ(toString(SchedulerBackend::Portfolio), "portfolio");
-}
-
-TEST(PortfolioBackend, RaceTelemetryIsPopulated) {
-  // A raced MinBuff ladder must bump the portfolio counters: races
-  // launched and a winner tallied on the conclusive attempts.
-  int64_t RacesBefore = 0, WinsBefore = 0;
-  if (const telemetry::Counter *C =
-          telemetry::findCounter("ilpsched/portfolio.races"))
-    RacesBefore = C->value();
-  const telemetry::Counter *WIlp =
-      telemetry::findCounter("ilpsched/portfolio.winner_ilp");
-  const telemetry::Counter *WPb =
-      telemetry::findCounter("ilpsched/portfolio.winner_pb");
-  if (WIlp && WPb)
-    WinsBefore = WIlp->value() + WPb->value();
-
-  MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = secondOrderRecurrence(M);
-  ScheduleResult R =
-      OptimalModuloScheduler(M, backendOpts(SchedulerBackend::Portfolio,
-                                            Objective::MinBuff))
-          .schedule(G);
-  ASSERT_TRUE(R.Found);
-  checkRaceInvariants(R);
-
-  const telemetry::Counter *Races =
-      telemetry::findCounter("ilpsched/portfolio.races");
-  ASSERT_NE(Races, nullptr);
-  ASSERT_NE(WIlp, nullptr);
-  ASSERT_NE(WPb, nullptr);
-  EXPECT_GT(Races->value(), RacesBefore);
-  EXPECT_GT(WIlp->value() + WPb->value(), WinsBefore);
+  EXPECT_EQ(parseSchedulerBackend("portfolio"), SchedulerBackend::Portfolio);
 }

@@ -607,9 +607,9 @@ std::vector<int> scheduleTimes(const std::string &Line) {
 
 TEST(ServiceServer, PortfolioWorkerServesLoopsBackToBack) {
   // One worker, portfolio backend, cache off: every request is a fresh
-  // race on the same worker, right after the previous loop's. Each
-  // reply must carry the sequential ILP's verdict and a schedule the
-  // verifier accepts.
+  // solve by the engine its objective picks, on the same worker, right
+  // after the previous loop's. Each reply must carry the ILP's verdict
+  // and a schedule the verifier accepts.
   MachineModel M = MachineModel::cydraLike();
   struct Case {
     DependenceGraph G;
@@ -737,9 +737,10 @@ TEST(ServiceServer, ShedsWhenQueueOrClientCapIsFull) {
         continue;
       }
       Status[field(L, "id")] = field(L, "status");
-      if (field(L, "status") == "retry_after")
+      if (field(L, "status") == "retry_after") {
         EXPECT_EQ(field(L, "retry_after_ms"), std::to_string(O.RetryAfterMs))
             << L;
+      }
     }
     ASSERT_EQ(Status.size(), size_t(Requests));
     EXPECT_EQ(Status["busy"], "timeout") << "the first request must hold "

@@ -629,8 +629,9 @@ TEST(SparseSimplex, ReportsFactorizationTelemetry) {
   int64_t Sum = 0;
   for (size_t I = 1; I < After.size(); ++I) {
     Sum += After[I] - Before[I];
-    if (I <= 4)
+    if (I <= 4) {
       EXPECT_GT(After[I], Before[I]) << Causes[I - 1];
+    }
   }
   EXPECT_EQ(Sum, After[0] - Before[0]);
 }
