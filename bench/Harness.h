@@ -109,7 +109,7 @@ struct LoopRecord {
   int64_t ColdLpSolves = 0;
   int64_t WarmLpIterations = 0;
   /// Basis refactorizations / eta nonzeros summed over all node LPs
-  /// (see MipResult; zeros under the dense engine).
+  /// (see MipResult).
   int64_t LpRefactorizations = 0;
   int64_t LpEtaNonzeros = 0;
   int Variables = 0;

@@ -184,11 +184,9 @@ struct MipResult {
   /// Simplex iterations spent inside warm-started solves (subset of
   /// SimplexIterations).
   int64_t WarmLpIterations = 0;
-  /// Basis refactorizations summed over all node LPs (sparse engine: LU
-  /// factorizations; dense engine: periodic basic-value refreshes).
+  /// LU factorizations of the basis summed over all node LPs.
   int64_t LpRefactorizations = 0;
-  /// Product-form eta nonzeros appended across all node LPs (sparse
-  /// engine only; 0 under the dense engine).
+  /// Product-form eta nonzeros appended across all node LPs.
   int64_t LpEtaNonzeros = 0;
 
   // --- Forensics (see docs/OBSERVABILITY.md) ---

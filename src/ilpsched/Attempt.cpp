@@ -57,7 +57,6 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   MipOpts.Branching = Opts.Branching;
   MipOpts.StopAtFirstSolution = FOpts.Obj == Objective::None;
   MipOpts.WarmStart = Opts.WarmStart;
-  MipOpts.Lp.Engine = Opts.LpEngine;
   MipOpts.CollectTrajectory = Opts.Explain;
   MipSolver Solver(MipOpts);
 

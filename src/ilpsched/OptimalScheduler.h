@@ -92,9 +92,9 @@ struct SchedulerOptions {
   /// ilp::MipOptions::WarmStart; ablation knob for the warm-vs-cold
   /// benchmark A/B, see bench/micro_solver).
   bool WarmStart = true;
-  /// LP engine executing every node LP (forwarded to
-  /// ilp::MipOptions::Lp.Engine). Dense selects the cold-only reference
-  /// engine, which the differential tests compare against.
+  /// No behaviour: nothing reads it. Kept only while
+  /// bench/e2e/Ladder.cpp copies it into ilp::MipOptions::Lp.Engine
+  /// (see lp::SimplexEngine).
   lp::SimplexEngine LpEngine = lp::SimplexEngine::SparseRevised;
   /// II search strategy; Sequential is the only one.
   IiSearchKind Search = IiSearchKind::Sequential;
@@ -224,11 +224,9 @@ struct ScheduleResult {
   /// Simplex iterations inside warm-started LPs (subset of
   /// SimplexIterations), summed over attempts.
   int64_t WarmLpIterations = 0;
-  /// Basis refactorizations summed over attempts (sparse engine: LU
-  /// factorizations; dense: periodic basic-value refreshes).
+  /// LU factorizations of the basis, summed over attempts.
   int64_t LpRefactorizations = 0;
-  /// Product-form eta nonzeros appended, summed over attempts (sparse
-  /// engine only; 0 under the dense engine).
+  /// Product-form eta nonzeros appended, summed over attempts.
   int64_t LpEtaNonzeros = 0;
   /// PB-backend effort summed over attempts (all 0 under the ILP
   /// backend; see docs/OBSERVABILITY.md "pb" counters).

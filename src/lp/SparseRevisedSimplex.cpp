@@ -3,9 +3,9 @@
 // Revised simplex over a compiled sparse matrix: LU-factorized basis
 // with product-form eta updates (lp/LuFactor), incremental reduced
 // costs, and candidate-list partial pricing. The primal pivot rules
-// deliberately mirror lp/Simplex.cpp's dense reference Tableau (same
-// tolerances, same tie-breaks, same Bland anti-cycling fallback, same
-// two-phase structure) so the engines are differential-testable; only
+// deliberately mirror the dense test oracle in tests/DenseSimplex.cpp
+// (same tolerances, same tie-breaks, same Bland anti-cycling fallback,
+// same two-phase structure) so the two are differential-testable; only
 // the linear algebra underneath differs.
 //
 //===----------------------------------------------------------------------===//
@@ -133,8 +133,8 @@ void SparseRevisedSimplex::layoutColumns(const Model &M,
     Obj[Col] = M.variable(Col).Objective;
 
   // Column bounds: structural variables first, then one slack per row
-  // whose bounds encode the constraint sense (same layout as the dense
-  // engine, which is what keeps Basis interchangeable).
+  // whose bounds encode the constraint sense (the layout lp::Basis
+  // records; the dense test oracle uses it too).
   Lo.assign(Lower.begin(), Lower.end());
   Up.assign(Upper.begin(), Upper.end());
   Lo.resize(FirstArtificial);
@@ -448,7 +448,7 @@ int SparseRevisedSimplex::chooseEntering(Pricing Mode) {
 
   if (Mode == Pricing::Dantzig) {
     // Degenerate-streak escalation: a full most-negative scan, exactly
-    // the dense engine's pricing. The candidate window's locally-best
+    // the dense oracle's pricing. The candidate window's locally-best
     // choice can stall indefinitely on a massively degenerate vertex
     // (phase-1 bases of the paper's structured models) where the
     // global best walks off the plateau; the stale window is dropped
@@ -535,7 +535,7 @@ LpStatus SparseRevisedSimplex::primalIterate(bool PhaseOne) {
     Lu.ftran(WCol);
 
     // Ratio test over the pivot column's nonzeros only; same step
-    // bound, tie-breaks, and bound-flip handling as the dense engine.
+    // bound, tie-breaks, and bound-flip handling as the dense oracle.
     double BestT = Up[Enter] - Lo[Enter]; // May be +inf.
     int LeaveRow = -1;
     double LeavePivot = 0.0;
@@ -567,11 +567,11 @@ LpStatus SparseRevisedSimplex::primalIterate(bool PhaseOne) {
       } else if (LeaveRow >= 0 && T <= BestT + 1e-12) {
         // Order-independent tie-break: WCol.Idx lists the pivot
         // column's nonzeros in scatter order, so "first seen wins"
-        // would pick an arbitrary row where the dense engine's
+        // would pick an arbitrary row where the dense oracle's
         // ascending scan picks the lowest. Maximize (|alpha|, -row)
         // lexicographically instead, which reproduces the dense
-        // choice and keeps the B&B dives of the two engines on the
-        // same degenerate vertices.
+        // choice, so the two pivot through the same degenerate
+        // vertices.
         Take = Bland ? BV < BasisCol[LeaveRow]
                      : (std::abs(Alpha) > std::abs(LeavePivot) ||
                         (std::abs(Alpha) == std::abs(LeavePivot) &&

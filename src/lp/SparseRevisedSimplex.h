@@ -7,7 +7,7 @@
 /// \file
 /// Sparse revised simplex engine for the bounded-variable LPs of the
 /// scheduling formulations, and the production engine of
-/// SimplexSolver. Where the dense reference engine (lp/Simplex.cpp)
+/// SimplexSolver. Where the dense test oracle (tests/DenseSimplex.cpp)
 /// carries an explicit m x n tableau and pays O(m*n) per pivot, this
 /// engine keeps only:
 ///
@@ -24,7 +24,7 @@
 ///    of degenerate pivots, for termination).
 ///
 /// Per-pivot work is then one sweep over the factor's elimination steps
-/// plus the nonzeros actually touched, instead of the dense engine's
+/// plus the nonzeros actually touched, instead of the dense oracle's
 /// O(m*n) tableau update.
 ///
 /// SimplexSolver drives the lifecycle: initCold + run for a cold solve,
@@ -166,7 +166,7 @@ private:
 
   /// How the primal loop prices entering columns. Escalates on
   /// degenerate streaks: candidate-list partial pricing by default, a
-  /// full Dantzig scan (the dense engine's only rule) once a streak shows
+  /// full Dantzig scan (the dense oracle's only rule) once a streak shows
   /// the candidate window is stalling, and Bland's smallest-index
   /// anti-cycling rule past lp::DegenerateLimit.
   enum class Pricing { Partial, Dantzig, Bland };

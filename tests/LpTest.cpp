@@ -1,5 +1,7 @@
 //===- tests/LpTest.cpp - simplex solver tests ----------------------------===//
 
+#include "DenseSimplex.h"
+
 #include "lp/Model.h"
 #include "lp/Simplex.h"
 #include "lp/SolveContext.h"
@@ -11,13 +13,39 @@ using namespace modsched::lp;
 
 namespace {
 
-/// The Simplex.* cases run once per engine: the production sparse
-/// engine and the dense reference engine the differential tests trust.
-class Simplex : public ::testing::TestWithParam<SimplexEngine> {
+/// What a Simplex.* case runs: the library's SimplexSolver, or the
+/// dense test oracle (tests/DenseSimplex.h) the differential tests
+/// trust.
+enum class LpSolver { Library, Oracle };
+
+/// SimplexSolver's entry points, routed to one of the two.
+class AnySolver {
+public:
+  AnySolver(LpSolver Which, SimplexOptions Opts) : Which(Which), Opts(Opts) {}
+
+  LpResult solve(const Model &M) {
+    std::vector<double> Lower, Upper;
+    M.getBounds(Lower, Upper);
+    return solve(M, Lower, Upper);
+  }
+  LpResult solve(const Model &M, const std::vector<double> &Lower,
+                 const std::vector<double> &Upper,
+                 SolveContext *Ctx = nullptr) {
+    if (Which == LpSolver::Oracle)
+      return test::DenseSimplex(Opts).solve(M, Lower, Upper, Ctx);
+    return SimplexSolver(Opts).solve(M, Lower, Upper, Ctx);
+  }
+
+private:
+  LpSolver Which;
+  SimplexOptions Opts;
+};
+
+/// The Simplex.* cases run once on each solver.
+class Simplex : public ::testing::TestWithParam<LpSolver> {
 protected:
-  SimplexSolver solver(SimplexOptions Opts = {}) const {
-    Opts.Engine = GetParam();
-    return SimplexSolver(Opts);
+  AnySolver solver(SimplexOptions Opts = {}) const {
+    return AnySolver(GetParam(), Opts);
   }
   LpResult solveModel(const Model &M) const { return solver().solve(M); }
 };
@@ -37,9 +65,9 @@ TEST(Model, CanonicalizesTerms) {
 }
 
 TEST(Model, CanonicalizationDropsAllZeroConstraintsTerms) {
-  // Hygiene contract both simplex engines rely on (the sparse engine
-  // compiles the canonical terms verbatim into its CSC/CSR matrix, see
-  // tests/SparseSimplexTest.cpp): duplicates merge, exact-zero
+  // Hygiene contract SimplexSolver and the dense oracle rely on (the
+  // sparse engine compiles the canonical terms verbatim into its CSC/CSR
+  // matrix, see tests/SparseSimplexTest.cpp): duplicates merge, exact-zero
   // coefficients drop, and a term that cancels to zero vanishes.
   Model M;
   int X = M.addVariable("x", 0, 10);
@@ -187,7 +215,7 @@ TEST_P(Simplex, DegenerateVertexTerminates) {
 TEST_P(Simplex, SolveWithOverriddenBounds) {
   Model M;
   int X = M.addVariable("x", 0, 10, -1.0);
-  SimplexSolver S = solver();
+  AnySolver S = solver();
   LpResult R = S.solve(M, {2.0}, {5.0});
   ASSERT_EQ(R.Status, LpStatus::Optimal);
   EXPECT_NEAR(R.Values[X], 5.0, 1e-6);
@@ -229,7 +257,7 @@ TEST_P(Simplex, ReportsIterations) {
 TEST_P(Simplex, IterationLimitReported) {
   SimplexOptions Opts;
   Opts.MaxIterations = 1;
-  SimplexSolver S = solver(Opts);
+  AnySolver S = solver(Opts);
   Model M;
   int X = M.addVariable("x", 0, infinity(), -3.0);
   int Y = M.addVariable("y", 0, infinity(), -5.0);
@@ -271,41 +299,11 @@ TEST_P(Simplex, ContextDeadlineAndCancellationReportLimit) {
             LpStatus::IterationLimit);
 }
 
-TEST(LpNames, StatusAndEngine) {
+TEST(LpNames, Status) {
   EXPECT_STREQ(toString(LpStatus::Optimal), "optimal");
   EXPECT_STREQ(toString(LpStatus::Infeasible), "infeasible");
   EXPECT_STREQ(toString(LpStatus::Unbounded), "unbounded");
   EXPECT_STREQ(toString(LpStatus::IterationLimit), "iteration-limit");
-  EXPECT_STREQ(toString(SimplexEngine::Dense), "dense");
-  EXPECT_STREQ(toString(SimplexEngine::SparseRevised), "sparse_revised");
-}
-
-TEST(DenseSimplex, NeverWarmStartsOrExportsABasis) {
-  // The dense engine is a cold-only oracle: handed a context and a
-  // valid start basis (the sparse engine's optimum of the same model),
-  // it still solves cold and exports nothing.
-  Model M;
-  int X = M.addVariable("x", 0, 10, -1.0);
-  int Y = M.addVariable("y", 0, 10, -2.0);
-  M.addConstraint({{X, 1.0}, {Y, 2.0}}, ConstraintSense::LE, 13.0);
-  M.addConstraint({{X, 1.0}, {Y, -1.0}}, ConstraintSense::LE, 4.0);
-  std::vector<double> Lower, Upper;
-  M.getBounds(Lower, Upper);
-  SolveContext Ctx;
-  LpResult Parent = SimplexSolver().solve(M, Lower, Upper, &Ctx);
-  ASSERT_EQ(Parent.Status, LpStatus::Optimal);
-  ASSERT_FALSE(Parent.FinalBasis.empty());
-
-  SimplexOptions Opts;
-  Opts.Engine = SimplexEngine::Dense;
-  Upper[Y] = 3.0;
-  LpResult Child =
-      SimplexSolver(Opts).solve(M, Lower, Upper, &Ctx, &Parent.FinalBasis);
-  ASSERT_EQ(Child.Status, LpStatus::Optimal);
-  EXPECT_FALSE(Child.WarmStarted);
-  EXPECT_EQ(Child.DualIterations, 0);
-  EXPECT_TRUE(Child.FinalBasis.empty());
-  EXPECT_NEAR(Child.Objective, -13.0, 1e-9); // x = 7, y = 3.
 }
 
 TEST(Model, ToStringRendersEverything) {
@@ -360,9 +358,7 @@ TEST_P(Simplex, FeasibilityCheckerAgrees) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Engines, Simplex,
-    ::testing::Values(SimplexEngine::SparseRevised, SimplexEngine::Dense),
-    [](const ::testing::TestParamInfo<SimplexEngine> &Info) {
-      return std::string(Info.param == SimplexEngine::Dense ? "Dense"
-                                                            : "Sparse");
+    Engines, Simplex, ::testing::Values(LpSolver::Library, LpSolver::Oracle),
+    [](const ::testing::TestParamInfo<LpSolver> &Info) {
+      return std::string(Info.param == LpSolver::Oracle ? "Dense" : "Sparse");
     });

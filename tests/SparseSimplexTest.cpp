@@ -1,16 +1,19 @@
 //===- tests/SparseSimplexTest.cpp - sparse engine differential -----------===//
 //
 // Differential tests of the sparse revised simplex engine
-// (lp/SparseRevisedSimplex.h) against the dense tableau engine: on
-// random bounded LPs, on every Formulation-built scheduling model, and
-// end-to-end through the optimal scheduler, both engines must agree on
-// feasibility verdicts and on objectives to 1e-6. Also unit-tests the
-// sparse linear-algebra substrate (SparseMatrix compilation caching,
-// LU factorization, eta updates, FTRAN/BTRAN) and the anti-cycling
-// Bland fallback of both engines on Beale's cycling LP, and pins the
-// sparse engine's exact solver effort on a few kernels.
+// (lp/SparseRevisedSimplex.h) against the dense tableau oracle
+// (tests/DenseSimplex.h): on random bounded LPs, on warm-started
+// branch-style re-solves and on every Formulation-built scheduling
+// model, both must agree on feasibility verdicts and on objectives to
+// 1e-6. Also unit-tests the sparse linear-algebra substrate
+// (SparseMatrix compilation caching, LU factorization, eta updates,
+// FTRAN/BTRAN) and the anti-cycling Bland fallback of both on Beale's
+// cycling LP, and pins the sparse engine's exact solver effort on a few
+// kernels.
 //
 //===----------------------------------------------------------------------===//
+
+#include "DenseSimplex.h"
 
 #include "ilpsched/Formulation.h"
 #include "ilpsched/OptimalScheduler.h"
@@ -36,12 +39,6 @@ using namespace modsched;
 using namespace modsched::lp;
 
 namespace {
-
-SimplexSolver makeSolver(SimplexEngine Engine) {
-  SimplexOptions Opts;
-  Opts.Engine = Engine;
-  return SimplexSolver(Opts);
-}
 
 /// Builds a random bounded LP; roughly half the instances are
 /// 0-1-structured like the paper's formulations (the same generator
@@ -101,11 +98,12 @@ Model randomModel(Rng &R) {
   return M;
 }
 
-/// Solves \p M with both engines and asserts they agree on the verdict
-/// (and on the objective when optimal). Returns the sparse result.
+/// Solves \p M with SimplexSolver and the dense oracle and asserts they
+/// agree on the verdict (and on the objective when optimal). Returns the
+/// SimplexSolver result.
 LpResult expectEnginesAgree(const Model &M, const std::string &What) {
-  LpResult Dense = makeSolver(SimplexEngine::Dense).solve(M);
-  LpResult Sparse = makeSolver(SimplexEngine::SparseRevised).solve(M);
+  LpResult Dense = test::DenseSimplex().solve(M);
+  LpResult Sparse = SimplexSolver().solve(M);
   EXPECT_EQ(Dense.Status, Sparse.Status)
       << What << ": engine verdicts disagree\n"
       << M.toString();
@@ -480,7 +478,7 @@ TEST(SparseSimplex, WarmStartChainsMatchDenseCold) {
   for (int I = 0; I < 40; ++I) {
     Model M = randomModel(R);
     SolveContext Ctx;
-    SimplexSolver Sparse = makeSolver(SimplexEngine::SparseRevised);
+    SimplexSolver Sparse;
     std::vector<double> Lower, Upper;
     M.getBounds(Lower, Upper);
     LpResult Parent = Sparse.solve(M, Lower, Upper, &Ctx);
@@ -503,8 +501,7 @@ TEST(SparseSimplex, WarmStartChainsMatchDenseCold) {
         break;
       ++Children;
       LpResult WarmChild = Sparse.solve(M, Lower, Upper, &Ctx, &B);
-      LpResult ColdChild = makeSolver(SimplexEngine::Dense)
-                               .solve(M, Lower, Upper);
+      LpResult ColdChild = test::DenseSimplex().solve(M, Lower, Upper);
       ASSERT_EQ(WarmChild.Status, ColdChild.Status)
           << "sparse-warm vs dense-cold disagree at model " << I
           << " level " << Level << "\n"
@@ -534,11 +531,11 @@ TEST(SparseSimplex, BealeCyclingLpTerminatesUnderBland) {
   // pivots in a row, which walks off Beale's cycle, so a separate chain
   // s_0 <= s_1 <= ... <= s_39 <= 0 of more attractive columns, listed
   // first, absorbs that stretch before Dantzig pricing reaches Beale's
-  // block. Both engines must cycle past lp::DegenerateLimit, switch to
-  // Bland's rule, and reach the true optimum -1/20.
+  // block. SimplexSolver and the dense oracle must both cycle past
+  // lp::DegenerateLimit, switch to Bland's rule, and reach the true
+  // optimum -1/20.
   constexpr int ChainLength = 40;
-  for (SimplexEngine Engine :
-       {SimplexEngine::Dense, SimplexEngine::SparseRevised}) {
+  for (bool Oracle : {true, false}) {
     Model M;
     std::vector<int> Chain;
     for (int I = 0; I < ChainLength; ++I)
@@ -559,22 +556,21 @@ TEST(SparseSimplex, BealeCyclingLpTerminatesUnderBland) {
     M.addConstraint({{Chain.back(), 1.0}}, ConstraintSense::LE, 0.0);
 
     SimplexOptions Opts;
-    Opts.Engine = Engine;
     Opts.MaxIterations = 10000;
-    LpResult R = SimplexSolver(Opts).solve(M);
-    ASSERT_EQ(R.Status, LpStatus::Optimal) << toString(Engine);
-    EXPECT_NEAR(R.Objective, -0.05, 1e-9) << toString(Engine);
+    LpResult R = Oracle ? test::DenseSimplex(Opts).solve(M)
+                        : SimplexSolver(Opts).solve(M);
+    const char *Which = Oracle ? "dense oracle" : "SimplexSolver";
+    ASSERT_EQ(R.Status, LpStatus::Optimal) << Which;
+    EXPECT_NEAR(R.Objective, -0.05, 1e-9) << Which;
     // The default pricing really cycled into the fallback; the chain
     // alone accounts for fewer than ChainLength degenerate pivots.
-    EXPECT_GT(R.DegeneratePivots, lp::DegenerateLimit) << toString(Engine);
+    EXPECT_GT(R.DegeneratePivots, lp::DegenerateLimit) << Which;
   }
 }
 
 TEST(SparseSimplex, ContextDeadlineObserved) {
-  // The sparse engine must poll the per-attempt context like the dense
-  // one: an already-expired deadline reports IterationLimit.
-  SimplexOptions Opts;
-  Opts.Engine = SimplexEngine::SparseRevised;
+  // The sparse engine must poll the per-attempt context: an
+  // already-expired deadline reports IterationLimit.
   Model M;
   int X = M.addVariable("x", 0, infinity(), -1.0);
   M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
@@ -582,24 +578,21 @@ TEST(SparseSimplex, ContextDeadlineObserved) {
   M.getBounds(Lower, Upper);
   SolveContext Ctx;
   Ctx.tightenDeadline(-1.0);
-  EXPECT_EQ(SimplexSolver(Opts).solve(M, Lower, Upper, &Ctx).Status,
+  EXPECT_EQ(SimplexSolver().solve(M, Lower, Upper, &Ctx).Status,
             LpStatus::IterationLimit);
 }
 
 TEST(SparseSimplex, ReportsFactorizationTelemetry) {
-  // A sparse solve must report at least one LU factorization; a dense
-  // solve reports zero eta nonzeros by definition.
+  // A solve must report at least one LU factorization.
   Model M;
   int X = M.addVariable("x", 0, infinity(), -3.0);
   int Y = M.addVariable("y", 0, infinity(), -5.0);
   M.addConstraint({{X, 1.0}}, ConstraintSense::LE, 4.0);
   M.addConstraint({{Y, 2.0}}, ConstraintSense::LE, 12.0);
   M.addConstraint({{X, 3.0}, {Y, 2.0}}, ConstraintSense::LE, 18.0);
-  LpResult Sparse = makeSolver(SimplexEngine::SparseRevised).solve(M);
+  LpResult Sparse = SimplexSolver().solve(M);
   ASSERT_EQ(Sparse.Status, LpStatus::Optimal);
   EXPECT_GE(Sparse.Refactorizations, 1);
-  LpResult Dense = makeSolver(SimplexEngine::Dense).solve(M);
-  EXPECT_EQ(Dense.EtaNonzeros, 0);
 
   // Every factorization counts under exactly one cause. The MinReg
   // search of livermore1-hydro on cydraLike (68 nodes) takes a cold
@@ -643,7 +636,7 @@ TEST(SparseSimplex, ReportsFactorizationTelemetry) {
 TEST(SparseSimplex, DifferentialOnFormulationModels) {
   // Every kernel's structured and traditional LP relaxation at MII:
   // these are the exact matrices the branch-and-bound nodes solve, and
-  // the two engines must price them identically.
+  // SimplexSolver and the dense oracle must price them identically.
   MachineModel M = MachineModel::cydraLike();
   for (const DependenceGraph &G : allKernels(M)) {
     int Mii = mii(G, M);
@@ -661,49 +654,6 @@ TEST(SparseSimplex, DifferentialOnFormulationModels) {
                                          : " traditional"));
     }
   }
-}
-
-TEST(SparseSimplex, EndToEndSchedulerMatchesDense) {
-  // Full scheduler equality: same II and same secondary objective under
-  // both engines, across the kernel library. (The search trees may
-  // differ node-for-node — LP degeneracy admits multiple optimal bases,
-  // and the dense engine solves every node LP cold — but the certified
-  // optima may not.)
-  MachineModel M = MachineModel::example3();
-  int Compared = 0;
-  for (const DependenceGraph &G : allKernels(M)) {
-    ScheduleResult Results[2];
-    int Idx = 0;
-    for (SimplexEngine Engine :
-         {SimplexEngine::Dense, SimplexEngine::SparseRevised}) {
-      SchedulerOptions Opts;
-      Opts.Formulation.Obj = Objective::MinReg;
-      Opts.TimeLimitSeconds = 10.0;
-      Opts.LpEngine = Engine;
-      Results[Idx++] = OptimalModuloScheduler(M, Opts).schedule(G);
-    }
-    const ScheduleResult &Dense = Results[0];
-    const ScheduleResult &Sparse = Results[1];
-    if (Dense.TimedOut || Sparse.TimedOut || Dense.NodeLimitHit ||
-        Sparse.NodeLimitHit) {
-      // A censored attempt is not a verdict (the dense engine in
-      // particular can blow the per-loop budget); skip, don't fail.
-      continue;
-    }
-    ASSERT_EQ(Dense.Found, Sparse.Found) << G.name();
-    if (!Dense.Found)
-      continue;
-    ++Compared;
-    EXPECT_EQ(Dense.II, Sparse.II) << G.name();
-    EXPECT_NEAR(Dense.SecondaryObjective, Sparse.SecondaryObjective, 1e-6)
-        << G.name();
-    // Factorization telemetry must flow end to end for the sparse run.
-    EXPECT_GE(Sparse.LpRefactorizations, 1) << G.name();
-    EXPECT_EQ(Dense.LpEtaNonzeros, 0) << G.name();
-  }
-  // The budget is generous enough that most of the library certifies
-  // under both engines; the comparison must not silently go vacuous.
-  EXPECT_GE(Compared, 10);
 }
 
 TEST(SparseSimplex, PinnedSolverEffortOnCydra) {
@@ -736,7 +686,6 @@ TEST(SparseSimplex, PinnedSolverEffortOnCydra) {
     Opts.Backend = SchedulerBackend::Ilp;
     Opts.Formulation.Obj = P.Obj;
     Opts.Formulation.DepStyle = DependenceStyle::Structured;
-    Opts.LpEngine = SimplexEngine::SparseRevised;
     Opts.NodeLimit = 200;
     Opts.TimeLimitSeconds = 60.0;
     Opts.Explain = false;
