@@ -6,6 +6,7 @@
 #include "ilpsched/PbFormulation.h"
 #include "lp/SolveContext.h"
 #include "sched/Verifier.h"
+#include "support/Timer.h"
 
 #include <cassert>
 #include <cmath>
@@ -60,9 +61,11 @@ std::optional<ModuloSchedule> modsched::solveIlpAttempt(AttemptContext &C) {
   MipOpts.CollectTrajectory = Opts.Explain;
   MipSolver Solver(MipOpts);
 
-  // Solve under the caller's context or a fresh local one.
-  lp::SolveContext LocalCtx;
-  MipResult R = Solver.solve(F.model(), C.Ctx ? *C.Ctx : LocalCtx);
+  // A fresh workspace per attempt; MipSolver folds TimeBudget into the
+  // context's deadline.
+  lp::SolveContext Ctx;
+  Ctx.Cancel = C.Cancel;
+  MipResult R = Solver.solve(F.model(), Ctx);
   Stats.Nodes += R.Nodes;
   Stats.SimplexIterations += R.SimplexIterations;
   Stats.WarmLpSolves += R.WarmLpSolves;
@@ -133,13 +136,10 @@ std::optional<ModuloSchedule> modsched::solvePbAttempt(AttemptContext &C) {
   Attempt.Variables = F.numVariables();
   Attempt.Constraints = F.numConstraints();
 
-  lp::SolveContext LocalCtx;
-  lp::SolveContext &Ctx = C.Ctx ? *C.Ctx : LocalCtx;
-  lp::DeadlineScope Deadline(Ctx, C.TimeBudget);
-
   pb::Solver &S = F.solver();
-  S.DeadlineSeconds = Ctx.DeadlineSeconds;
-  S.Cancel = Ctx.Cancel;
+  if (C.TimeBudget < 1e29)
+    S.DeadlineSeconds = monotonicSeconds() + C.TimeBudget;
+  S.Cancel = C.Cancel;
 
   // PB effort accounting on every exit path, mirroring PublishOnExit:
   // conflicts are the backend's "nodes" and feed the shared budget.

@@ -9,9 +9,10 @@
 /// tentative II; a switch on SchedulerBackend picks one per attempt (the
 /// portfolio backend picks from the objective). Everything an attempt
 /// needs — the options, the problem, the II's windows and bounds
-/// (sched/AttemptFrame.h), the deterministic budget ledger, the deadline
-/// / cancellation context and the telemetry record — rides in one
-/// AttemptContext.
+/// (sched/AttemptFrame.h), the deterministic budget ledger, the wall-clock
+/// budget, the request's cancellation token and the telemetry record —
+/// rides in one AttemptContext. Each attempt builds its engine's solve
+/// state afresh, so its verdict and effort depend on the attempt alone.
 ///
 ///   solveIlpAttempt        LP-relaxation branch-and-bound (the default).
 ///   solvePbAttempt         conflict-driven pseudo-Boolean search.
@@ -30,6 +31,7 @@
 #include "ilpsched/OptimalScheduler.h"
 #include "sched/AttemptFrame.h"
 #include "sched/Problem.h"
+#include "support/Cancellation.h"
 
 #include <optional>
 
@@ -49,8 +51,8 @@ struct AttemptContext {
   ScheduleResult &Stats;
   /// Wall-clock seconds this attempt may spend.
   double TimeBudget;
-  /// Deadline / cancellation environment; null = a fresh local context.
-  lp::SolveContext *Ctx = nullptr;
+  /// The request's cooperative cancellation token.
+  const CancellationToken &Cancel;
   /// The attempt record this solve must fill truthfully on every exit
   /// path.
   IiAttempt &Attempt;

@@ -5,7 +5,6 @@
 #include "ilpsched/Attempt.h"
 #include "ilpsched/PbFormulation.h"
 #include "ilpsched/SolutionCache.h"
-#include "lp/SolveContext.h"
 #include "sched/Mii.h"
 #include "sched/Verifier.h"
 #include "support/Telemetry.h"
@@ -109,24 +108,24 @@ OptimalModuloScheduler::OptimalModuloScheduler(const MachineModel &M,
 
 std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const Problem &P, int II,
-                                     ScheduleResult &Stats, double TimeBudget,
-                                     lp::SolveContext *Ctx) const {
+                                     ScheduleResult &Stats,
+                                     double TimeBudget) const {
   RequestState Request;
-  return attempt(P, II, Stats, TimeBudget, Ctx, Request);
+  return attempt(P, II, Stats, TimeBudget, CancellationToken(), Request);
 }
 
 std::optional<ModuloSchedule>
 OptimalModuloScheduler::scheduleAtIi(const DependenceGraph &G, int II,
-                                     ScheduleResult &Stats, double TimeBudget,
-                                     lp::SolveContext *Ctx) const {
+                                     ScheduleResult &Stats,
+                                     double TimeBudget) const {
   Problem P(G, M, Opts.Formulation);
-  return scheduleAtIi(P, II, Stats, TimeBudget, Ctx);
+  return scheduleAtIi(P, II, Stats, TimeBudget);
 }
 
 std::optional<ModuloSchedule>
 OptimalModuloScheduler::attempt(const Problem &P, int II,
                                 ScheduleResult &Stats, double TimeBudget,
-                                lp::SolveContext *Ctx,
+                                const CancellationToken &Cancel,
                                 RequestState &Request) const {
   ++StatAttempts;
   Stopwatch AttemptWatch;
@@ -201,7 +200,7 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
   }
   const char *Engine = toString(UsePb ? SchedulerBackend::Pb
                                       : SchedulerBackend::Ilp);
-  AttemptContext C{Opts, P, Frame, Stats, TimeBudget, Ctx, Attempt};
+  AttemptContext C{Opts, P, Frame, Stats, TimeBudget, Cancel, Attempt};
   std::optional<ModuloSchedule> S =
       UsePb ? solvePbAttempt(C) : solveIlpAttempt(C);
 
@@ -231,12 +230,13 @@ OptimalModuloScheduler::attempt(const Problem &P, int II,
   return S;
 }
 
-ScheduleResult OptimalModuloScheduler::schedule(const DependenceGraph &G,
-                                                lp::SolveContext *Ctx) const {
+ScheduleResult
+OptimalModuloScheduler::schedule(const DependenceGraph &G,
+                                 const CancellationToken &Cancel) const {
   Problem P(G, M, Opts.Formulation);
   if (std::optional<ScheduleResult> Hit = probeCache(P))
     return std::move(*Hit);
-  return solve(P, Ctx);
+  return solve(P, Cancel);
 }
 
 std::optional<ScheduleResult>
@@ -280,8 +280,9 @@ OptimalModuloScheduler::probeCache(const Problem &P) const {
   return Result;
 }
 
-ScheduleResult OptimalModuloScheduler::solve(const Problem &P,
-                                             lp::SolveContext *Ctx) const {
+ScheduleResult
+OptimalModuloScheduler::solve(const Problem &P,
+                              const CancellationToken &Cancel) const {
   assert(&P.machine() == &M &&
          "the Problem must be built on this scheduler's machine");
   const DependenceGraph &G = P.graph();
@@ -314,7 +315,7 @@ ScheduleResult OptimalModuloScheduler::solve(const Problem &P,
       break;
     }
     std::optional<ModuloSchedule> S =
-        attempt(P, II, Result, Remaining, Ctx, Request);
+        attempt(P, II, Result, Remaining, Cancel, Request);
     if (Result.TimedOut || Result.NodeLimitHit)
       break;
     if (S) {

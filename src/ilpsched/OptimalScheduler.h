@@ -21,6 +21,7 @@
 #include "ilpsched/Formulation.h"
 #include "sched/Explain.h"
 #include "sched/ModuloSchedule.h"
+#include "support/Cancellation.h"
 
 #include <cstdint>
 #include <optional>
@@ -29,10 +30,6 @@
 #include <vector>
 
 namespace modsched {
-
-namespace lp {
-struct SolveContext; // lp/SolveContext.h
-} // namespace lp
 
 /// Which exact engine decides each tentative II.
 enum class SchedulerBackend {
@@ -274,13 +271,12 @@ public:
   /// SchedulerOptions::Cache, the cache is consulted first and clean
   /// solves are inserted afterwards.
   ///
-  /// \p Ctx, when non-null, is a persistent solve context the caller
-  /// keeps across calls (one per worker thread, lp/SolveContext.h): its
-  /// workspace carries warm simplex bases from one loop to the next.
-  /// The caller owns its deadline / cancellation (arm before, reset
-  /// after); the II search threads it through every attempt.
+  /// \p Cancel stops the search cooperatively (a cancelled result has no
+  /// verdict); TimeLimitSeconds bounds the wall clock. Every attempt
+  /// builds its solve state afresh, so the verdict and the effort depend
+  /// only on \p G and the options, never on what was solved before.
   ScheduleResult schedule(const DependenceGraph &G,
-                          lp::SolveContext *Ctx = nullptr) const;
+                          const CancellationToken &Cancel = {}) const;
 
   /// The cache half of schedule(): with SchedulerOptions::Cache on,
   /// looks \p P up in the SolutionCache under this scheduler's request
@@ -293,29 +289,27 @@ public:
   /// The solve half of schedule(): runs the min-II search on \p P (built
   /// on this scheduler's machine and formulation options) without
   /// consulting the cache, then inserts a clean result when
-  /// SchedulerOptions::Cache is on. \p Ctx as for schedule().
+  /// SchedulerOptions::Cache is on. \p Cancel as for schedule().
   ScheduleResult solve(const Problem &P,
-                       lp::SolveContext *Ctx = nullptr) const;
+                       const CancellationToken &Cancel = {}) const;
 
   /// Solves a single tentative \p II of \p P. Returns nullopt when the
   /// problem is infeasible at this II (or the attempt was censored /
-  /// cancelled); fills \p Stats regardless. \p Ctx, when non-null,
-  /// supplies the solve environment — workspace, deadline, cancellation
-  /// token — for this attempt (lp/SolveContext.h); a fresh local
-  /// context is used otherwise. Reentrant: concurrent calls on one
-  /// scheduler are safe as long as each uses its own \p Stats and
-  /// \p Ctx.
-  std::optional<ModuloSchedule>
-  scheduleAtIi(const Problem &P, int II, ScheduleResult &Stats,
-               double TimeBudget, lp::SolveContext *Ctx = nullptr) const;
+  /// cancelled); fills \p Stats regardless. The attempt runs in a fresh
+  /// solve state under \p TimeBudget seconds. Reentrant: concurrent
+  /// calls on one scheduler are safe as long as each uses its own
+  /// \p Stats.
+  std::optional<ModuloSchedule> scheduleAtIi(const Problem &P, int II,
+                                             ScheduleResult &Stats,
+                                             double TimeBudget) const;
 
   /// Convenience overload wrapping \p G (with this scheduler's machine
   /// and formulation options) in a transient Problem. Prefer the
   /// Problem overload when attempting several IIs of one loop — it
   /// shares the canonicalization.
-  std::optional<ModuloSchedule>
-  scheduleAtIi(const DependenceGraph &G, int II, ScheduleResult &Stats,
-               double TimeBudget, lp::SolveContext *Ctx = nullptr) const;
+  std::optional<ModuloSchedule> scheduleAtIi(const DependenceGraph &G,
+                                             int II, ScheduleResult &Stats,
+                                             double TimeBudget) const;
 
   const SchedulerOptions &options() const { return Opts; }
 
@@ -331,7 +325,7 @@ private:
   /// scheduleAtIi with the per-request state held by the caller.
   std::optional<ModuloSchedule>
   attempt(const Problem &P, int II, ScheduleResult &Stats, double TimeBudget,
-          lp::SolveContext *Ctx, RequestState &Request) const;
+          const CancellationToken &Cancel, RequestState &Request) const;
 
   const MachineModel &M;
   SchedulerOptions Opts;

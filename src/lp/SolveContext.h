@@ -5,19 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The explicit environment of one scheduling/solve attempt: the
-/// persistent simplex workspace, the absolute wall-clock deadline, and
-/// the cooperative cancellation token. Threading one SolveContext
-/// through SimplexSolver and MipSolver (instead of hiding deadline and
-/// workspace state in options structs and solver members) is what makes
-/// the solve pipeline reentrant: any number of contexts — and therefore
-/// any number of concurrent attempts — can coexist in one process, each
-/// confined to the thread driving it.
+/// The explicit environment of one solve attempt: the simplex workspace
+/// its node LPs share, the absolute wall-clock deadline, and the
+/// cooperative cancellation token. Threading one SolveContext through
+/// SimplexSolver and MipSolver (instead of hiding deadline and workspace
+/// state in options structs and solver members) is what makes the solve
+/// pipeline reentrant: any number of contexts — and therefore any number
+/// of concurrent attempts — can coexist in one process, each confined to
+/// the thread driving it.
 ///
 /// Ownership rules (see DESIGN.md "Concurrency model"):
-///  * One SolveContext per concurrent attempt. A context must only be
-///    used by one thread at a time — its workspace and deadline are
-///    plain (unsynchronized) state.
+///  * One SolveContext per attempt, and no longer: the scheduler's ILP
+///    attempt (ilpsched/Attempt.cpp) builds a fresh one and drops it
+///    when the attempt ends, so no workspace state crosses attempts or
+///    requests. A context must only be used by one thread at a time —
+///    its workspace and deadline are plain (unsynchronized) state.
 ///  * The CancellationToken is the only cross-thread member: any thread
 ///    may cancel the source it observes while the owning thread solves.
 ///  * Telemetry rides thread-locally, not in the context: worker
@@ -47,9 +49,8 @@ inline constexpr double NoDeadline = 1e30;
 /// token, so wrapping a single-threaded call site in a local context is
 /// behavior-preserving.
 struct SolveContext {
-  /// Persistent sparse-engine state and scratch buffers, reused by
-  /// every LP solved under this context (the warm-start path of the B&B
-  /// node loop).
+  /// Sparse-engine state and scratch buffers, reused by every LP solved
+  /// under this context (the warm-start path of the B&B node loop).
   SimplexWorkspace Workspace;
 
   /// Absolute wall-clock deadline on the modsched::monotonicSeconds()

@@ -911,6 +911,12 @@ SolveStatus Solver::search(int64_t ConflictBudget,
       recordLearnt(Learnt);
       decayActivities();
       ConstraintInc /= 0.999;
+      // The conflict budget is an upper bound: the conflict that spends
+      // it ends the search before the next propagation can add another.
+      if (ConflictLimit >= 0 && ConflictsLeft <= 0) {
+        cancelUntil(0);
+        return SolveStatus::Limit;
+      }
       continue;
     }
 

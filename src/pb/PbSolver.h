@@ -203,7 +203,9 @@ public:
   // Budgets (checked once per conflict/decision)
   //===--------------------------------------------------------------------===//
 
-  /// Maximum conflicts per solve() call; negative means unlimited.
+  /// Maximum conflicts per solve() call, never exceeded: the conflict
+  /// that spends the budget ends the call with Limit (or Unsat, when it
+  /// is at decision level 0). Negative means unlimited.
   int64_t ConflictLimit = -1;
 
   /// Absolute deadline on the modsched::monotonicSeconds() clock;

@@ -4,13 +4,11 @@
 
 #include "graph/DependenceGraph.h"
 #include "ilpsched/SolutionCache.h"
-#include "lp/SolveContext.h"
 #include "machine/MachineModel.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 #include "textio/DdgFormat.h"
 #include "textio/MachineFormat.h"
 
@@ -26,6 +24,7 @@
 #include <list>
 #include <ostream>
 #include <streambuf>
+#include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -368,8 +367,6 @@ Server::Server(ServerOptions Options)
       Loops(MaxInternedLoops, MaxInternedLoopBytes, StatLoopInternHits,
             StatLoopInternMisses) {
   Pool = std::make_unique<ThreadPool>(Opts.Workers);
-  for (int I = 0; I < Opts.Workers; ++I)
-    FreeContexts.push_back(std::make_unique<lp::SolveContext>());
 }
 
 Server::~Server() {
@@ -378,20 +375,6 @@ Server::~Server() {
   Pool.reset(); // Joins the workers (drain left nothing queued).
   if (ListenFd >= 0)
     ::close(ListenFd);
-}
-
-std::unique_ptr<lp::SolveContext> Server::borrowContext() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  assert(!FreeContexts.empty() &&
-         "more concurrent solve tasks than pool workers");
-  std::unique_ptr<lp::SolveContext> Ctx = std::move(FreeContexts.back());
-  FreeContexts.pop_back();
-  return Ctx;
-}
-
-void Server::returnContext(std::unique_ptr<lp::SolveContext> Ctx) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  FreeContexts.push_back(std::move(Ctx));
 }
 
 void Server::drain() {
@@ -550,7 +533,7 @@ void Server::reply(const Job &J, const ScheduleResult &R, const char *Status,
   Conn.writeLine(Out);
 }
 
-void Server::runRequest(Job &J, lp::SolveContext &Ctx, Connection &Conn,
+void Server::runRequest(Job &J, Connection &Conn,
                         const CancellationToken &Cancel) {
   // A request the reader did not resolve is parsed and probed here, on
   // the worker: its connection was busy, or the cache is off.
@@ -560,18 +543,11 @@ void Server::runRequest(Job &J, lp::SolveContext &Ctx, Connection &Conn,
       return;
     R = J.Scheduler->probeCache(J.Loop->P);
   }
-  const OptimalModuloScheduler &Scheduler = *J.Scheduler;
-  if (!R) {
-    // Arm the worker's persistent context for this request: absolute
-    // deadline plus the connection's cancellation token. Restored below
-    // — the workspace is what persists, never budgets.
-    Ctx.DeadlineSeconds =
-        monotonicSeconds() + Scheduler.options().TimeLimitSeconds;
-    Ctx.Cancel = Cancel;
-    R = Scheduler.solve(J.Loop->P, &Ctx);
-    Ctx.DeadlineSeconds = lp::NoDeadline;
-    Ctx.Cancel = CancellationToken();
-  }
+  // A miss solves from a clean slate, as an in-process schedule() would:
+  // the request's time limit bounds it, and its connection's token can
+  // cancel it.
+  if (!R)
+    R = J.Scheduler->solve(J.Loop->P, Cancel);
 
   const char *Status = "unsolved";
   if (R->Found)
@@ -638,9 +614,7 @@ void Server::admit(Request Req, const std::shared_ptr<Connection> &Conn) {
   }
 
   Pool->submit([this, J, Conn, Source]() {
-    std::unique_ptr<lp::SolveContext> Ctx = borrowContext();
-    runRequest(*J, *Ctx, *Conn, Source->token());
-    returnContext(std::move(Ctx));
+    runRequest(*J, *Conn, Source->token());
     {
       std::lock_guard<std::mutex> Lock(Mu);
       --InFlight;

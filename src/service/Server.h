@@ -7,11 +7,13 @@
 /// \file
 /// Scheduling-as-a-service: a long-lived Server accepting streams of
 /// protocol frames (service/Protocol.h) over stdin/stdout batch mode or
-/// a Unix-domain socket, and dispatching solves onto a ThreadPool whose
-/// workers each keep one persistent lp::SolveContext — warm simplex
-/// workspaces survive across requests — and the process-wide
-/// SolutionCache (on by default here) turns repeated submissions of
-/// canonically equal loops into verified replays.
+/// a Unix-domain socket, and dispatching solves onto a ThreadPool. A
+/// worker keeps no search state between requests: each solve starts from
+/// a clean slate, exactly as an in-process OptimalModuloScheduler::
+/// schedule() with the same options, so a reply depends only on its
+/// request. The process-wide SolutionCache (on by default here) turns
+/// repeated submissions of canonically equal loops into verified
+/// replays.
 ///
 /// A SCHED frame that arrives on a connection with nothing in flight is
 /// resolved (machine, parseDdg) and probed against the cache on the
@@ -59,7 +61,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace modsched {
 
@@ -70,7 +71,7 @@ namespace service {
 /// Server configuration; every knob has a MODSCHED_SERVICE_* override
 /// (see fromEnv and docs/SERVICE.md).
 struct ServerOptions {
-  /// Solver worker threads (one persistent lp::SolveContext each).
+  /// Solver worker threads.
   int Workers = 4;
   /// Queued-plus-running request bound; admission beyond it sheds.
   int QueueLimit = 64;
@@ -232,19 +233,13 @@ private:
   bool resolve(Job &J, Connection &Conn);
 
   /// Runs one admitted request on a pool worker.
-  void runRequest(Job &J, lp::SolveContext &Ctx, Connection &Conn,
-                  const CancellationToken &Cancel);
+  void runRequest(Job &J, Connection &Conn, const CancellationToken &Cancel);
 
   /// Counts and writes the reply to resolved request \p J, concluded
   /// with \p R and \p Status; \p OnReader marks a hit answered on the
   /// reader (counted as a request, admitted and completed at once).
   void reply(const Job &J, const ScheduleResult &R, const char *Status,
              Connection &Conn, bool OnReader);
-
-  /// Borrows / returns one persistent worker solve context. At most
-  /// Opts.Workers borrows are outstanding (tasks only run on workers).
-  std::unique_ptr<lp::SolveContext> borrowContext();
-  void returnContext(std::unique_ptr<lp::SolveContext> Ctx);
 
   ServerOptions Opts;
   std::unique_ptr<ThreadPool> Pool;
@@ -259,7 +254,6 @@ private:
 
   mutable std::mutex Mu; ///< Guards everything below.
   std::condition_variable Idle;
-  std::vector<std::unique_ptr<lp::SolveContext>> FreeContexts;
   int InFlight = 0; ///< Queued + running solve tasks.
   std::map<std::string, int> ClientInFlight;
   ServerStats Stat;

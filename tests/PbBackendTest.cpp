@@ -242,20 +242,52 @@ TEST(PbBackend, UnsupportedFormulationFallsBackToIlp) {
 }
 
 TEST(PbBackend, ConflictBudgetCensorsSearch) {
-  // The shared node budget counts CDCL conflicts under the PB backend;
-  // an absurdly small budget must censor (or finish within it) and be
-  // attributed to NodeLimitHit, never TimedOut.
+  // The shared node budget counts CDCL conflicts under the PB backend
+  // and is an upper bound: the conflict that spends it ends the search,
+  // even when the next propagation would have found another. A censored
+  // run is attributed to NodeLimitHit, never TimedOut. complex-multiply
+  // at 1 must censor (or finish within it); every other case here is
+  // censored, and each overshot its budget when consecutive conflicts
+  // were counted before the budget was checked (1 -> 3 for
+  // hydro2d-fragment MinBuff, 100 -> 107 for prefix-average MinReg).
+  struct Case {
+    DependenceGraph (*Kernel)(const MachineModel &);
+    Objective Obj;
+    int64_t NodeLimit;
+  };
+  const Case Cases[] = {
+      {complexMultiply, Objective::MinReg, 1},
+      {hydro2d, Objective::MinBuff, 1},
+      {prefixAverage, Objective::MinReg, 100},
+      {stencil3, Objective::MinBuff, 100},
+      {ambiguousMemory, Objective::MinLife, 100},
+      {secondOrderRecurrence, Objective::MinReg, 1000},
+      {livermore3Unrolled2, Objective::MinReg, 5000},
+  };
   MachineModel M = MachineModel::cydraLike();
-  DependenceGraph G = complexMultiply(M);
-  SchedulerOptions Opts = backendOpts(SchedulerBackend::Pb,
-                                      Objective::MinReg);
-  Opts.NodeLimit = 1;
-  ScheduleResult R = OptimalModuloScheduler(M, Opts).schedule(G);
-  EXPECT_TRUE(R.Found || R.NodeLimitHit);
-  if (!R.Found) {
-    EXPECT_FALSE(R.TimedOut);
-    EXPECT_LE(R.budgetNodes(), 2); // Stopped essentially immediately.
-  }
+  for (const Case &C : Cases)
+    for (SchedulerBackend Backend :
+         {SchedulerBackend::Pb, SchedulerBackend::Portfolio}) {
+      // The portfolio decides MinLife with the ILP.
+      if (Backend == SchedulerBackend::Portfolio &&
+          C.Obj == Objective::MinLife)
+        continue;
+      const DependenceGraph G = C.Kernel(M);
+      SchedulerOptions Opts = backendOpts(Backend, C.Obj);
+      Opts.NodeLimit = C.NodeLimit;
+      ScheduleResult R = OptimalModuloScheduler(M, Opts).schedule(G);
+      const std::string What = G.name() + " " + toString(C.Obj) + " " +
+                               toString(Backend) + " at " +
+                               std::to_string(C.NodeLimit);
+      EXPECT_TRUE(R.Found || R.NodeLimitHit) << What;
+      if (C.Kernel != complexMultiply) {
+        EXPECT_TRUE(R.NodeLimitHit) << What;
+      }
+      if (!R.Found) {
+        EXPECT_FALSE(R.TimedOut) << What;
+        EXPECT_LE(R.budgetNodes(), C.NodeLimit) << What;
+      }
+    }
 }
 
 TEST(PbBackend, AttemptTelemetryTellsTheStory) {
@@ -296,8 +328,9 @@ TEST(PbBackend, PinnedEffortOnKernels) {
   // into a private solver, so the counts depend only on the encoding
   // (variable and row order) and the solver's search; a change to
   // either moves them. The conflict budget keeps censored entries
-  // deterministic too (the model shape is only reported for a solved
-  // loop, so censored entries pin it as 0).
+  // deterministic too: each spends exactly its 20000 conflicts (the
+  // model shape is only reported for a solved loop, so censored entries
+  // pin it as 0).
   struct Pin {
     DependenceGraph (*Kernel)(const MachineModel &);
     Objective Obj;
@@ -308,7 +341,7 @@ TEST(PbBackend, PinnedEffortOnKernels) {
       {livermore1, Objective::None, 84, 117, 8, 297},
       {livermore1, Objective::MinReg, 201, 295, 3668, 87387},
       {livermore1, Objective::MinBuff, 117, 190, 128, 2107},
-      {livermore1, Objective::MinLife, 0, 0, 20002, 497399},
+      {livermore1, Objective::MinLife, 0, 0, 20000, 497357},
       {livermore5, Objective::None, 50, 83, 8, 164},
       {livermore5, Objective::MinReg, 107, 185, 7, 175},
       {livermore5, Objective::MinBuff, 65, 129, 5, 150},
@@ -316,7 +349,7 @@ TEST(PbBackend, PinnedEffortOnKernels) {
       {stencil3, Objective::None, 66, 89, 2, 100},
       {stencil3, Objective::MinReg, 171, 227, 3802, 84524},
       {stencil3, Objective::MinBuff, 106, 147, 237, 3506},
-      {stencil3, Objective::MinLife, 0, 0, 20000, 465033},
+      {stencil3, Objective::MinLife, 0, 0, 20000, 465025},
       {secondOrderRecurrence, Objective::None, 62, 107, 6, 114},
       {secondOrderRecurrence, Objective::MinReg, 131, 249, 1703, 25435},
       {secondOrderRecurrence, Objective::MinBuff, 76, 177, 7, 130},
@@ -324,7 +357,7 @@ TEST(PbBackend, PinnedEffortOnKernels) {
       {backSubstitution, Objective::None, 60, 90, 6, 145},
       {backSubstitution, Objective::MinReg, 148, 224, 3446, 57088},
       {backSubstitution, Objective::MinBuff, 82, 143, 9, 207},
-      {backSubstitution, Objective::MinLife, 0, 0, 20001, 338966},
+      {backSubstitution, Objective::MinLife, 0, 0, 20000, 338941},
   };
   MachineModel M = MachineModel::cydraLike();
   for (const Pin &P : Pins) {

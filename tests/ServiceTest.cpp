@@ -17,6 +17,9 @@
 //     cap, graceful drain on QUIT, a daemon that keeps serving
 //     after a mid-request disconnect, and one portfolio-backend worker
 //     serving several loops back to back with the ILP's verdicts.
+//   * Clean slate per request: a reply equals a fresh in-process solve
+//     whatever the worker solved before, and a disconnect cancels the
+//     in-flight solve under the ILP and the PB backend.
 //   * Cache hits on the reader thread: a hit is answered while the only
 //     worker is busy, each request probes the cache once, a hit behind
 //     an in-flight frame of its stream waits for it, and STATS counts
@@ -40,6 +43,8 @@
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "sched/Verifier.h"
+#include "support/Json.h"
+#include "support/Rng.h"
 #include "support/Telemetry.h"
 #include "textio/DdgFormat.h"
 #include "textio/MachineFormat.h"
@@ -665,6 +670,125 @@ TEST(ServiceServer, PortfolioWorkerServesLoopsBackToBack) {
   EXPECT_EQ(S.stats().Completed, int64_t(std::size(Cases)));
 }
 
+/// \p V as the server's JSON writer renders it.
+std::string jsonNumber(double V) {
+  std::string Out;
+  json::JsonWriter(Out).value(V);
+  return Out;
+}
+
+/// A SCHED frame carrying cydra DDG text \p Ddg, its header ending in
+/// \p Header.
+std::string cydraFrame(const std::string &Id, const std::string &Ddg,
+                       const std::string &Header) {
+  return ddgFrame(Id, Ddg, "machine=cydra " + Header);
+}
+
+TEST(ServiceServer, RepliesDoNotDependOnEarlierRequests) {
+  // One worker, the ILP, the cache off and nodes=200 on every frame: each
+  // cydraLike kernel x objective is sent after a seeded random prefix of
+  // 3-5 other loops on the same worker. A worker keeps no search state
+  // between requests, so every reply's verdict and effort must equal a
+  // fresh in-process schedule() with the same options. The node budget,
+  // not the wall clock, censors: the time limit is a safety net.
+  MachineModel M = MachineModel::cydraLike();
+  struct Obj {
+    Objective Value;
+    const char *Name;
+  };
+  const Obj Objs[] = {{Objective::None, "noobj"},
+                      {Objective::MinReg, "minreg"},
+                      {Objective::MinBuff, "minbuff"},
+                      {Objective::MinLife, "minlife"}};
+  // Left out by name: livermore7-eos MinReg spends ~10 s in its first
+  // node, its MinLife node LPs cost ~55 ms each, and hydro2d-fragment
+  // MinReg takes ~2 s.
+  auto LeftOut = [](const std::string &Kernel, Objective O) {
+    return (Kernel == "livermore7-eos" &&
+            (O == Objective::MinReg || O == Objective::MinLife)) ||
+           (Kernel == "hydro2d-fragment" && O == Objective::MinReg);
+  };
+  // Prefix loops are drawn from the ones that take under ~150 ms: no
+  // MinReg, and neither of the two largest kernels.
+  auto Cheap = [](const std::string &Kernel, Objective O) {
+    return O != Objective::MinReg && Kernel != "livermore7-eos" &&
+           Kernel != "hydro2d-fragment";
+  };
+  struct Loop {
+    DependenceGraph G;
+    std::string Ddg;
+    const Obj &O;
+  };
+  std::vector<Loop> Loops, Prefixes;
+  for (DependenceGraph &G : allKernels(M))
+    for (const Obj &O : Objs) {
+      if (!LeftOut(G.name(), O.Value))
+        Loops.push_back({G, printDdg(G, M), O});
+      if (Cheap(G.name(), O.Value))
+        Prefixes.push_back({G, printDdg(G, M), O});
+    }
+  auto Frame = [](const std::string &Id, const Loop &L) {
+    return cydraFrame(Id, L.Ddg,
+                      std::string("objective=") + L.O.Name + " nodes=200");
+  };
+
+  ServerOptions SO = quickOptions();
+  SO.Cache = false;
+  SO.Backend = SchedulerBackend::Ilp;
+  SO.DefaultTimeLimitSeconds = 3600.0;
+  SO.MaxTimeLimitSeconds = 3600.0;
+  Server S(SO);
+  Rng R(20261021);
+  int Differ = 0;
+  for (const Loop &L : Loops) {
+    const std::string What = L.G.name() + " " + L.O.Name;
+    std::string Input;
+    const uint64_t Prefix = 3 + R.nextBelow(3);
+    for (uint64_t I = 0; I < Prefix; ++I) {
+      const Loop *P = nullptr;
+      do
+        P = &Prefixes[size_t(R.nextBelow(Prefixes.size()))];
+      while (P->G.name() == L.G.name());
+      Input += Frame("prefix", *P);
+    }
+    std::vector<std::string> Lines =
+        serve(S, Input + Frame("target", L) + "QUIT\n");
+    ASSERT_EQ(Lines.size(), Prefix + 1) << What;
+    const std::string &Line = Lines.back(); // One worker: arrival order.
+    ASSERT_EQ(field(Line, "id"), "target") << Line;
+
+    SchedulerOptions Opts;
+    Opts.Backend = SchedulerBackend::Ilp;
+    Opts.Formulation.Obj = L.O.Value;
+    Opts.NodeLimit = 200;
+    Opts.TimeLimitSeconds = 3600.0;
+    Opts.Explain = false;
+    Opts.Cache = false;
+    // The reference parses the same payload the server parsed.
+    std::optional<DependenceGraph> G = parseDdg(L.Ddg, M);
+    ASSERT_TRUE(G.has_value()) << What;
+    ScheduleResult Fresh = OptimalModuloScheduler(M, Opts).schedule(*G);
+    ASSERT_FALSE(Fresh.TimedOut) << What;
+    const std::string Status = Fresh.Found          ? "ok"
+                               : Fresh.NodeLimitHit ? "node_limit"
+                                                    : "unsolved";
+    const bool Same =
+        field(Line, "status") == Status &&
+        field(Line, "nodes") == std::to_string(Fresh.Nodes) &&
+        field(Line, "pb_conflicts") == std::to_string(Fresh.PbConflicts) &&
+        (!Fresh.Found ||
+         (field(Line, "ii") == std::to_string(Fresh.II) &&
+          field(Line, "secondary") == jsonNumber(Fresh.SecondaryObjective)));
+    if (!Same)
+      ++Differ;
+    EXPECT_TRUE(Same) << What << ": served " << Line << " vs fresh status "
+                      << Status << " ii " << Fresh.II << " secondary "
+                      << Fresh.SecondaryObjective << " nodes " << Fresh.Nodes
+                      << " pb_conflicts " << Fresh.PbConflicts;
+  }
+  EXPECT_EQ(Differ, 0) << "of " << Loops.size() << " cases";
+}
+
 TEST(ServiceServer, BadPayloadsGetStructuredErrors) {
   Server S(quickOptions());
   std::string BadDdg = "SCHED id=bad1 machine=example3\nDDG 1\n"
@@ -898,6 +1022,47 @@ TEST(ServiceServer, SurvivesMidRequestDisconnect) {
   std::vector<std::string> After = serve(S, schedFrame("alive") + "QUIT\n");
   ASSERT_EQ(After.size(), 1u);
   EXPECT_EQ(field(After[0], "status"), "ok") << After[0];
+}
+
+TEST(ServiceServer, DisconnectCancelsTheInFlightSolve) {
+  // One worker, the cache off: a request that would run for its whole
+  // 60 s budget, then a truncated frame on the same stream. The
+  // disconnect cancels the request through its token, which each engine
+  // polls, so it concludes "cancelled" long before its budget. Under the
+  // PB backend the request is structured (the traditional style falls
+  // back to the ILP); PB censors livermore7-eos MinReg even at 20 000
+  // conflicts.
+  MachineModel Cydra = MachineModel::cydraLike();
+  const DependenceGraph Busy = livermore7(Cydra);
+  struct Case {
+    SchedulerBackend Backend;
+    std::string Extra;
+  };
+  const Case Cases[] = {
+      {SchedulerBackend::Ilp, "dep=traditional time=60"},
+      {SchedulerBackend::Pb, "time=60"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(toString(C.Backend));
+    ServerOptions O = quickOptions();
+    O.Cache = false;
+    O.Backend = C.Backend;
+    O.MaxTimeLimitSeconds = 60.0;
+    Server S(O);
+    std::vector<std::string> Lines =
+        serve(S, cydraFrame("busy", printDdg(Busy, Cydra),
+                            "objective=minreg " + C.Extra) +
+                     "SCHED id=gone machine=example3\nDDG 50\nhalf\n");
+    ASSERT_EQ(Lines.size(), 2u);
+    std::string Reply;
+    for (const std::string &Line : Lines)
+      if (field(Line, "id") == "busy")
+        Reply = Line;
+    ASSERT_FALSE(Reply.empty()) << Lines[0] << "\n" << Lines[1];
+    EXPECT_EQ(field(Reply, "status"), "cancelled") << Reply;
+    EXPECT_LT(std::stod(field(Reply, "seconds")), 5.0) << Reply;
+    EXPECT_EQ(S.stats().Cancelled, 1);
+  }
 }
 
 TEST(ServiceServer, PingStatsAndGracefulQuit) {
